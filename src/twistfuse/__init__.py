@@ -9,8 +9,8 @@ Lie-theoretic data exact and cross-validates the two routes.
 from .cartan import (CartanDatum, LatticeBasis, LeveledWeight, LieType,
                      Weight, build_cartan, dual_lattice, inner_product,
                      lattice_M, lattice_index, parse_type)
-from .errors import (DimensionCap, MethodMismatch, MixedDatum,
-                     NegativeCoefficient, NegativeMultiplicity,
+from .errors import (DimensionCap, ExponentOverflow, MethodMismatch,
+                     MixedDatum, NegativeCoefficient, NegativeMultiplicity,
                      NoBuiltinAutomorphism, NonTermination, NotAffine,
                      NotInteger, NotSublattice, RankTooLarge,
                      SectorRuleViolation, TwistfuseError, UnrecognizedFoldedType,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CartanDatum", "ConformalData", "DecompTable", "DiagramAutomorphism",
-    "DimensionCap", "FoldResult", "FoldingData", "FusionTable",
+    "DimensionCap", "ExponentOverflow", "FoldResult", "FoldingData", "FusionTable",
     "LatticeBasis", "LeveledWeight", "LieType", "MethodMismatch",
     "MixedDatum", "ModularMatrix", "NegativeCoefficient",
     "NegativeMultiplicity", "NoBuiltinAutomorphism", "NonTermination",

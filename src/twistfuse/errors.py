@@ -25,6 +25,10 @@ class RankTooLarge(TwistfuseError):
     """Weyl group generation would exceed the configured caps."""
 
 
+class ExponentOverflow(TwistfuseError):
+    """Integer phase exponents could leave the int64 range of the orbit kernel."""
+
+
 class DimensionCap(TwistfuseError):
     """A representation exceeds the configured dimension bound."""
 

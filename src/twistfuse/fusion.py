@@ -402,6 +402,8 @@ def _twisted_table(folding, k, key, sectors, tolerance, bits, parallelism):
               else SectorLabel(SIGMA, tw_labels[0]))
         table.add((m, m2, m3), 1, "kac-walton")
         return table
+    # Built here, before the pool starts, so that its threads share one build.
+    _sector_matrices(folding, k, bits)
 
     def labset(cls):
         return (base_labels if cls == 0 else tw_labels)

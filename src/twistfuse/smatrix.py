@@ -1,12 +1,18 @@
 """Conformal data and Kac-Peterson modular matrices.
 
-Every phase exponent is assembled as an exact rational, reduced mod 1, and
-only then evaluated trigonometrically.  The default numeric field is a
-double-precision complex; precision_bits > 53 switches the evaluation to
-mpmath for stress testing.
+The untwisted S-matrix and the twisted a-matrix are both Weyl sums
+sum_w eps(w) exp(-2 pi i (w(row), col) / t), evaluated by one kernel from
+the signed orbit of each rho-shifted row (`weyl.signed_orbit`); the Weyl
+group itself is never materialised.  Before any orbit point is made, |W| is
+priced from the root heights, and a group above `weyl.ELEMENT_CAP` raises
+RankTooLarge.  Every phase exponent is an exact integer over
+N = gram_den * den * t, reduced mod N as an integer, and only then used to
+index a table of N-th roots of unity; exponents that could leave the int64
+range raise ExponentOverflow.  The default numeric field is a
+double-precision complex; precision_bits > 53 builds the root table with
+mpmath and runs the same kernel on object arrays, for stress testing.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,11 +21,11 @@ import numpy as np
 
 from . import _rational as rat
 from .cartan import dual_lattice, lattice_index, lattice_M
-from .errors import NotSublattice
+from .errors import ExponentOverflow, NotSublattice
 from .fold import (pstar_apply, phi_apply_shifted, symmetric_weights,
                    transported_adjacent_M)
 from .rep import dominant_level_weights, _gram_int
-from .weyl import apply_matrix, generate_weyl
+from .weyl import signed_orbit
 
 DEFAULT_BITS = 53
 
@@ -115,70 +121,101 @@ def _label_json(label):
     return {"level": label.level, "weight": [int(x) for x in label.finite.coords]}
 
 
-class _PhaseEvaluator:
-    """exp(-2 pi i q) for exact rational q, reduced mod 1 before evaluation."""
+def _mp(bits):
+    import mpmath
+    mp = mpmath.mp.clone()
+    mp.prec = bits
+    return mp
 
-    def __init__(self, bits=DEFAULT_BITS):
-        self.bits = bits
-        if bits > 53:
-            import mpmath
-            self.mp = mpmath.mp.clone()
-            self.mp.prec = bits
-        else:
-            self.mp = None
-        self.cache = {}
 
-    def __call__(self, num, den):
-        num %= den
-        key = (num, den)
-        val = self.cache.get(key)
-        if val is None:
-            if self.mp is None:
-                val = cmath.exp(complex(0.0, -2.0 * math.pi * (num / den)))
-            else:
-                val = self.mp.expjpi(self.mp.mpf(-2) * self.mp.mpf(num) / den)
-            self.cache[key] = val
-        return val
-
-    def zeros(self, shape):
-        if self.mp is None:
-            return np.zeros(shape, dtype=complex)
-        return np.zeros(shape, dtype=object)
+def _roots_of_unity(n, bits):
+    """exp(-2 pi i m / n) for m = 0..n-1: every phase an exponent reduced
+    mod n can take.  An object array of mpmath values when bits > 53."""
+    if bits <= 53:
+        return np.exp(1j * (-2.0 * math.pi * (np.arange(n) / n)))
+    mp = _mp(bits)
+    return np.array([mp.expjpi(mp.mpf(-2) * mp.mpf(m) / n) for m in range(n)],
+                    dtype=object)
 
 
 def _sqrt(x, bits):
     if bits > 53:
-        import mpmath
-        mp = mpmath.mp.clone()
-        mp.prec = bits
-        return mp.sqrt(x)
+        return _mp(bits).sqrt(x)
     return math.sqrt(x)
 
 
-def _weyl_sum_matrix(weyl, gram_den, gram_int, t, row_shifted, col_shifted, ev):
-    """Matrix of sum_w eps(w) exp(-2 pi i (row, w(col)) / t).
+# Points times columns per block of exponents: bounds the work arrays of one
+# row at about 2 MB each, whatever the orbit size.
+_BLOCK = 1 << 18
 
-    row_shifted: list of integer label tuples (rho-shifted rows).
-    col_shifted: list of label tuples with a common denominator cleared,
-                 as (int tuple, den) pairs.
+
+def _weyl_sum_matrix(fin, t, row_shifted, col_shifted, bits):
+    """Matrix of sum_w eps(w) exp(-2 pi i (w(row), col) / t).
+
+    row_shifted: integer, regular, dominant label tuples (rho-shifted rows).
+    col_shifted: label tuples with a common denominator cleared, as
+                 (int tuple, den) pairs.
+
+    Equal to the sum of eps(w) exp(-2 pi i (row, w(col)) / t), since W is
+    orthogonal and eps(w^-1) = eps(w).  Each row's signed orbit is walked
+    once.  For the columns of one denominator d, the exponents
+    orbit @ G_int @ cols.T are integers taken mod N = gram_den * d * t, the
+    signs are summed per residue, and the integer residue counts are
+    contracted with the table of N-th roots of unity.
     """
-    out = ev.zeros((len(row_shifted), len(col_shifted)))
-    l = len(gram_int)
-    # Signed orbit of each column, computed once and shared across rows.
-    orbits = []
-    for mu_int, mu_den in col_shifted:
-        pts = [(apply_matrix(w, mu_int), sign)
-               for w, sign in zip(weyl.elements, weyl.signs)]
-        orbits.append((pts, gram_den * mu_den * t))
+    gram_int, gram_den = _gram_int(fin)
+    l = fin.rank
+    groups = {}
+    for j, (mu, den) in enumerate(col_shifted):
+        groups.setdefault(den, []).append((j, mu))
+    _check_exponent_range(fin, row_shifted, gram_den * max(groups) * t)
+    blocks = []
+    for den, members in groups.items():
+        n = gram_den * den * t
+        # G_int @ cols.T, reduced mod n exactly before the int64 cast.
+        gc = [[sum(gram_int[a][b] * mu[b] for b in range(l)) % n
+               for _, mu in members] for a in range(l)]
+        blocks.append(([j for j, _ in members], n, np.array(gc, dtype=np.int64),
+                       _roots_of_unity(n, bits)))
+    # complex, or object when the root tables hold mpmath values
+    dtype = blocks[0][3].dtype
+    out = np.zeros((len(row_shifted), len(col_shifted)), dtype=dtype)
     for i, lam in enumerate(row_shifted):
-        u = tuple(sum(gram_int[a][b] * lam[b] for b in range(l)) for a in range(l))
-        for j, (pts, den) in enumerate(orbits):
-            acc = 0
-            for wv, sign in pts:
-                num = sum(u[a] * wv[a] for a in range(l))
-                acc += sign * ev(num, den)
-            out[i, j] = acc
+        pts, signs = signed_orbit(fin, lam)
+        width = max(1, _BLOCK // len(pts))
+        for idx, n, gc, roots in blocks:
+            for lo in range(0, len(idx), width):
+                part = gc[:, lo:lo + width]
+                m = part.shape[1]
+                # Residue r of column c lands in bin c * n + r.
+                bins = (pts @ part) % n + n * np.arange(m)
+                counts = np.bincount(bins.ravel(), weights=np.repeat(signs, m),
+                                     minlength=m * n).reshape(m, n)
+                out[i, idx[lo:lo + m]] = np.rint(counts).astype(np.int64) @ roots
     return out
+
+
+def _check_exponent_range(fin, row_shifted, n_max):
+    """Raise ExponentOverflow unless every exponent fits in int64.
+
+    An orbit label (w x, alpha_i^vee) is at most 2 |x| / |alpha_i| by
+    Cauchy-Schwarz, and an exponent is a sum of rank such labels times
+    entries of G_int @ cols.T, which are reduced below N <= n_max.
+    """
+    g, _ = _gram_int(fin)
+    l = fin.rank
+
+    def norm(v):
+        return sum(v[a] * g[a][b] * v[b] for a in range(l) for b in range(l))
+
+    x_norm = max(norm(x) for x in row_shifted)
+    alpha_norm = min(norm([fin.A[r][i] for r in range(l)]) for i in range(l))
+    label_bound = math.isqrt(4 * x_norm // alpha_norm) + 1
+    bound = l * label_bound * n_max
+    if bound > 2 ** 62:
+        raise ExponentOverflow(
+            f"phase exponents of {fin.type} may reach {bound}, past the int64 "
+            f"range of the orbit kernel")
 
 
 def untwisted_S(affine_datum, k, bits=DEFAULT_BITS):
@@ -187,16 +224,12 @@ def untwisted_S(affine_datum, k, bits=DEFAULT_BITS):
     assert k >= 1
     fin = affine_datum.finite
     t = k + affine_datum.hdual
-    weyl = generate_weyl(fin)
     labels = dominant_level_weights(affine_datum, k)
     m_lat = lattice_M(affine_datum)
     norm_sq = lattice_index(dual_lattice(m_lat), m_lat.scaled(t))
     assert norm_sq == t ** fin.rank * lattice_index(dual_lattice(m_lat), m_lat)
-    gram_int, gram_den = _gram_int(fin)
     shifted = [tuple(c + 1 for c in lw.finite.coords) for lw in labels]
-    ev = _PhaseEvaluator(bits)
-    raw = _weyl_sum_matrix(weyl, gram_den, gram_int, t,
-                           shifted, [(s, 1) for s in shifted], ev)
+    raw = _weyl_sum_matrix(fin, t, shifted, [(s, 1) for s in shifted], bits)
     scale = 1 / _sqrt(norm_sq, bits)
     phase = (1, 1j, -1, -1j)[fin.npos % 4]
     return ModularMatrix(tuple(labels), tuple(labels), raw * (phase * scale),
@@ -212,7 +245,6 @@ def twisted_a(folding, k, bits=DEFAULT_BITS):
     adj = folding.adjacent
     fin = tw.finite
     t = k + tw.hdual
-    weyl = generate_weyl(fin)
     rows = dominant_level_weights(tw, k)
     cols = dominant_level_weights(adj, k)
     m_dag = lattice_M(tw)
@@ -222,14 +254,12 @@ def twisted_a(folding, k, bits=DEFAULT_BITS):
     except NotSublattice:
         raise NotSublattice("phi(M') does not contain M^dag; folding data bug")
     norm_sq = lattice_index(dual_lattice(m_dag), m_dag.scaled(t))
-    gram_int, gram_den = _gram_int(fin)
     row_shifted = [tuple(c + 1 for c in lw.finite.coords) for lw in rows]
     col_shifted = []
     for lw in cols:
         img = phi_apply_shifted(folding, tuple(c + 1 for c in lw.finite.coords))
         col_shifted.append(rat.clear_denominators(img))
-    ev = _PhaseEvaluator(bits)
-    raw = _weyl_sum_matrix(weyl, gram_den, gram_int, t, row_shifted, col_shifted, ev)
+    raw = _weyl_sum_matrix(fin, t, row_shifted, col_shifted, bits)
     scale = _sqrt(idx_pair, bits) / _sqrt(norm_sq, bits)
     phase = (1, 1j, -1, -1j)[fin.npos % 4]
     return ModularMatrix(tuple(rows), tuple(cols), raw * (phase * scale), TWISTED_A, bits)

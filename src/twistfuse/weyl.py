@@ -1,17 +1,24 @@
-"""Finite Weyl groups, dominant reduction, and signed alcove folding.
+"""Finite Weyl groups, signed orbits, dominant reduction, and signed alcove
+folding.
 
 Group elements are integer matrices acting on Dynkin-label coordinates;
 the simple reflection r_i subtracts coordinate i times column i of the
-Cartan matrix.  Alcove folding reduces a rho-shifted weight into the
-interior of the fundamental alcove at level t = k + h^vee, tracking the
-sign of the finite Weyl component (translations are even).
+Cartan matrix.  `signed_orbit` enumerates the orbit of a regular dominant
+weight without materialising the group, once |W|, priced from the root
+heights, has passed the element cap.  Alcove folding reduces a rho-shifted
+weight into the interior of the fundamental alcove at level t = k + h^vee,
+tracking the sign of the finite Weyl component (translations are even).
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .cartan import Weight
 from .errors import NonTermination, RankTooLarge
+from .rep import _ainv, positive_roots
 
 MAX_RANK = 6
 ELEMENT_CAP = 100_000
@@ -95,6 +102,62 @@ def _generate(datum):
 def generate_weyl(datum):
     """Materialize the finite Weyl group of datum's finite part."""
     return _generate(datum.finite)
+
+
+@lru_cache(maxsize=64)
+def weyl_order(datum):
+    """|W| of datum's finite part, without enumerating W.
+
+    The product over positive roots of (ht a + 1) / ht a telescopes, by
+    height, to the product of the degrees of W.
+    """
+    fin = datum.finite
+    l = fin.rank
+    ainv = _ainv(fin)
+    # Height of a root given by labels v: the sum of A^-1 v.
+    col_sums = [sum(ainv[i][j] for i in range(l)) for j in range(l)]
+    order = Fraction(1)
+    for v in positive_roots(fin):
+        ht = sum(col_sums[j] * v[j] for j in range(l))
+        order *= (ht + 1) / ht
+    return int(order)
+
+
+def signed_orbit(datum, x):
+    """Orbit of the integer, regular, dominant label vector x, with signs.
+
+    Walks down from the dominant chamber: for v = w x, the label v_i is
+    positive exactly when r_i w is longer than w, so level d holds the
+    points w x with w of length d, and their sign is (-1)^d.  A point u of
+    level d + 1 is reached from level d through each i with u_i < 0; only
+    the step through the smallest such i is kept, so every point appears
+    once without a sort.  Returns (points, signs) as int64 arrays of shapes
+    (|W|, rank) and (|W|,), in a fixed order.  Raises RankTooLarge, before
+    any point is made, when |W| exceeds ELEMENT_CAP.
+    """
+    fin = datum.finite
+    order = weyl_order(fin)
+    if order > ELEMENT_CAP:
+        raise RankTooLarge(
+            f"{fin.type} (rank {fin.rank}) has a Weyl group of order {order}, "
+            f"above the element cap {ELEMENT_CAP}")
+    level = np.array([x], dtype=np.int64)
+    if level.shape != (1, fin.rank) or (level <= 0).any():
+        raise ValueError(f"signed_orbit needs a regular dominant weight, got {x}")
+    cartan = np.array(fin.A, dtype=np.int64)
+    points, signs = [], []
+    sign = 1
+    while len(level):
+        points.append(level)
+        signs.append(np.full(len(level), sign, dtype=np.int64))
+        steps = []
+        for i in range(fin.rank):
+            up = level[level[:, i] > 0]
+            down = up - up[:, i:i + 1] * cartan[:, i]
+            steps.append(down[(down[:, :i] >= 0).all(axis=1)])
+        level = np.concatenate(steps)
+        sign = -sign
+    return np.concatenate(points), np.concatenate(signs)
 
 
 def to_dominant(datum, lam):

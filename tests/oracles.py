@@ -5,6 +5,7 @@ closed forms, exhaustive enumeration) without calling the code paths under
 test, so an agreement is meaningful.
 """
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -132,3 +133,36 @@ def brute_force_fold(affine_datum, k, coords, box=4):
     signs = {s for s, _, _ in hits}
     assert len(signs) == 1
     return signs.pop(), next(iter(reps))
+
+
+def materialised_weyl_sum(fin, t, row_shifted, col_shifted, bits=53):
+    """sum_w eps(w) exp(-2 pi i (row, w(col)) / t) over the materialised
+    Weyl group, one group element at a time: the construction the S- and
+    a-matrices used before the signed-orbit kernel.
+
+    Same arguments as `twistfuse.smatrix._weyl_sum_matrix`.  Each exponent
+    is an exact integer over gram_den * den * t, reduced before evaluation.
+    """
+    import numpy as np
+    from twistfuse.weyl import apply_matrix, generate_weyl
+
+    assert bits == 53, "the oracle evaluates in double precision only"
+    weyl = generate_weyl(fin)
+    l = fin.rank
+    gram_den = 1
+    for row in fin.gram_weights:
+        for x in row:
+            gram_den = gram_den * x.denominator // math.gcd(gram_den, x.denominator)
+    gram_int = [[int(x * gram_den) for x in row] for row in fin.gram_weights]
+    out = np.zeros((len(row_shifted), len(col_shifted)), dtype=complex)
+    for j, (mu, mu_den) in enumerate(col_shifted):
+        den = gram_den * mu_den * t
+        pts = [(apply_matrix(w, mu), sign) for w, sign in zip(weyl.elements, weyl.signs)]
+        for i, lam in enumerate(row_shifted):
+            u = [sum(gram_int[a][b] * lam[b] for b in range(l)) for a in range(l)]
+            acc = 0
+            for wv, sign in pts:
+                num = sum(u[a] * wv[a] for a in range(l)) % den
+                acc += sign * cmath.exp(complex(0.0, -2.0 * math.pi * (num / den)))
+            out[i, j] = acc
+    return out

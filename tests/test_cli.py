@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import twistfuse
 from twistfuse.cli import main
 
 
@@ -30,6 +34,16 @@ class TestSmatrixCommand:
         rc, _, err = run(capsys, "smatrix", "A20", "--level", "1")
         assert rc == 1
         assert "rank" in err
+
+    def test_rank_cap_exit_code_without_asserts(self):
+        src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "twistfuse.cli", "smatrix", "A20",
+             "--level", "1"], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == 1
+        assert "rank" in proc.stderr
 
     def test_unitarity_gate(self, capsys):
         rc, out, _ = run(capsys, "smatrix", "A2", "--level", "2",

@@ -204,3 +204,19 @@ class TestOrbifoldBlockReport:
         f = build_folding(LieType("D", 4, AFFINE_R1), 3)
         with pytest.raises(UnsupportedOrder):
             orbifold_block_report(f, 1)
+
+
+def test_pool_shares_one_sector_build(monkeypatch):
+    import twistfuse.fusion as fusion_mod
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return untwisted_S(*args)
+
+    folding = build_folding(LieType("A", 3, AFFINE_R1))
+    monkeypatch.setattr(fusion_mod, "untwisted_S", counted)
+    fusion_mod._sector_matrices.cache_clear()
+    fusion_table(folding, 2, "1,s,s", parallelism=2)
+    fusion_mod._sector_matrices.cache_clear()
+    assert len(calls) == 1

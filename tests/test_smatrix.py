@@ -4,14 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import twistfuse.smatrix as smatrix_mod
 from twistfuse.cartan import AFFINE_R1, LieType, build_cartan, parse_type
+from twistfuse.errors import ExponentOverflow
 from twistfuse.fold import build_folding, symmetric_weights
 from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import (conformal, twisted_a, twisted_sector_S,
                                untwisted_S)
 from twistfuse.weyl import generate_weyl
 
-from oracles import a1_s_matrix
+from oracles import a1_s_matrix, materialised_weyl_sum
 
 
 class TestConformal:
@@ -75,6 +77,7 @@ class TestUntwistedS:
         d = build_cartan(LieType("A", 1, AFFINE_R1))
         s53 = untwisted_S(d, 2)
         s100 = untwisted_S(d, 2, bits=100)
+        assert np.asarray(s100.entries).dtype == object
         hi = np.array([[complex(v) for v in row] for row in s100.entries])
         assert np.abs(hi - s53.entries).max() < 1e-12
 
@@ -133,3 +136,39 @@ class TestTwistedSectorS:
     def test_provenance(self):
         f = build_folding(LieType("A", 3, AFFINE_R1))
         assert twisted_sector_S(f, 1).provenance == "orbifold-block"
+
+
+def _with_oracle_kernel(monkeypatch, build):
+    """build() with the signed-orbit kernel, then with the materialised group."""
+    fast = np.asarray(build().entries)
+    with monkeypatch.context() as m:
+        m.setattr(smatrix_mod, "_weyl_sum_matrix", materialised_weyl_sum)
+        slow = np.asarray(build().entries)
+    return fast, slow
+
+
+class TestOrbitKernel:
+    @pytest.mark.parametrize("name,kmax", [
+        ("A1", 3), ("A2", 3), ("A3", 3), ("B2", 3), ("C2", 3), ("G2", 3),
+        ("D4", 2), ("E6", 1),
+    ])
+    def test_untwisted_matches_materialised_group(self, monkeypatch, name, kmax):
+        d = build_cartan(parse_type(name, AFFINE_R1))
+        for k in range(1, kmax + 1):
+            fast, slow = _with_oracle_kernel(monkeypatch, lambda: untwisted_S(d, k))
+            assert np.abs(fast - slow).max() < 1e-12
+
+    @pytest.mark.parametrize("name,order,kmax", [
+        ("A3", None, 3), ("D4", 2, 2), ("D4", 3, 2), ("E6", None, 1),
+    ])
+    def test_twisted_matches_materialised_group(self, monkeypatch, name, order,
+                                                kmax):
+        f = build_folding(parse_type(name, AFFINE_R1), order)
+        for k in range(1, kmax + 1):
+            fast, slow = _with_oracle_kernel(monkeypatch, lambda: twisted_a(f, k))
+            assert np.abs(fast - slow).max() < 1e-12
+
+    def test_overflow_guard(self):
+        fin = build_cartan(LieType("A", 2))
+        with pytest.raises(ExponentOverflow):
+            smatrix_mod._weyl_sum_matrix(fin, 4, [(2 ** 61, 1)], [((1, 1), 1)], 53)

@@ -1,11 +1,15 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistfuse.cartan import AFFINE_R1, AFFINE_R2, LieType, build_cartan, parse_type
 from twistfuse.errors import RankTooLarge
-from twistfuse.weyl import (alcove_fold, apply_matrix, generate_weyl,
-                            simple_reflect, to_dominant)
+from twistfuse.rep import dominant_level_weights
+from twistfuse.weyl import (ELEMENT_CAP, alcove_fold, apply_matrix,
+                            generate_weyl, signed_orbit, simple_reflect,
+                            to_dominant, weyl_order)
 
 from oracles import brute_force_fold
 
@@ -70,6 +74,51 @@ class TestGenerateWeyl:
         blob = W.to_json_dict()
         assert blob["order"] == 12
         assert len(blob["generators"]) == 2
+
+
+class TestSignedOrbit:
+    @pytest.mark.parametrize("name,order", sorted(CLASSICAL_ORDERS.items()) + [
+        ("E6", 51840), ("E7", 2903040), ("E8", 696729600),
+        ("A20", math.factorial(21)),
+    ])
+    def test_order_from_root_heights(self, name, order):
+        assert weyl_order(build_cartan(parse_type(name))) == order
+
+    @pytest.mark.parametrize("name,k", [(n, 2) for n in sorted(CLASSICAL_ORDERS)]
+                             + [("E6", 1)])
+    def test_orbits_of_shifted_level_weights(self, name, k):
+        affine = build_cartan(parse_type(name, AFFINE_R1))
+        for lw in dominant_level_weights(affine, k):
+            pts, signs = signed_orbit(affine, [c + 1 for c in lw.finite.coords])
+            assert len(pts) == weyl_order(affine)
+            assert len({tuple(p) for p in pts}) == len(pts)
+            assert signs.sum() == 0
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "C3"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_materialised_group(self, name, data):
+        d = build_cartan(parse_type(name))
+        x = tuple(data.draw(st.integers(1, 7)) for _ in range(d.rank))
+        pts, signs = signed_orbit(d, x)
+        W = generate_weyl(d)
+        expected = {apply_matrix(w, x): eps for w, eps in zip(W.elements, W.signs)}
+        got = {tuple(int(c) for c in p): int(s) for p, s in zip(pts, signs)}
+        assert len(got) == len(pts) == len(W)
+        assert got == expected
+
+    def test_rejects_singular_weight(self):
+        d = build_cartan(LieType("A", 2))
+        with pytest.raises(ValueError):
+            signed_orbit(d, (0, 1))
+
+    @pytest.mark.parametrize("name", ["E7", "A20"])
+    def test_cost_gate(self, name):
+        d = build_cartan(parse_type(name))
+        order = weyl_order(d)
+        assert order > ELEMENT_CAP
+        with pytest.raises(RankTooLarge, match=f"rank {d.rank}.*{order}"):
+            signed_orbit(d, (1,) * d.rank)
 
 
 class TestToDominant:
