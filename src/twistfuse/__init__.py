@@ -9,8 +9,9 @@ Lie-theoretic data exact and cross-validates the two routes.
 from .cartan import (CartanDatum, LatticeBasis, LeveledWeight, LieType,
                      Weight, build_cartan, dual_lattice, inner_product,
                      lattice_M, lattice_index, parse_type)
-from .errors import (DimensionCap, ExponentOverflow, MethodMismatch,
-                     MixedDatum, NegativeCoefficient, NegativeMultiplicity,
+from .errors import (DimensionCap, ExponentOverflow, IntegralityFailure,
+                     MassMismatch, MethodMismatch, MixedDatum,
+                     NegativeCoefficient, NegativeMultiplicity,
                      NoBuiltinAutomorphism, NonTermination, NotAffine,
                      NotInteger, NotSublattice, RankTooLarge,
                      SectorRuleViolation, TwistfuseError, UnrecognizedFoldedType,
@@ -33,7 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CartanDatum", "ConformalData", "DecompTable", "DiagramAutomorphism",
     "DimensionCap", "ExponentOverflow", "FoldResult", "FoldingData", "FusionTable",
-    "LatticeBasis", "LeveledWeight", "LieType", "MethodMismatch",
+    "IntegralityFailure", "LatticeBasis", "LeveledWeight", "LieType",
+    "MassMismatch", "MethodMismatch",
     "MixedDatum", "ModularMatrix", "NegativeCoefficient",
     "NegativeMultiplicity", "NoBuiltinAutomorphism", "NonTermination",
     "NotAffine", "NotInteger", "NotSublattice", "RankTooLarge",

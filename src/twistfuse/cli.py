@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .cartan import (AFFINE_R1, build_cartan, dual_lattice, lattice_M,
                      lattice_index, parse_type)
-from .errors import (MethodMismatch, NegativeCoefficient, NotInteger,
+from .errors import (IntegralityFailure, MassMismatch, MethodMismatch,
+                     NegativeCoefficient, NegativeMultiplicity, NotInteger,
                      TwistfuseError)
 from .fold import build_folding, pstar_apply, symmetric_weights
 from .fusion import (SectorLabel, fusion_table, kac_walton, parse_pattern,
@@ -443,7 +444,8 @@ def main(argv=None):
         if args.command == "selfcheck":
             return cmd_selfcheck(cfg, args.grid)
         parser.error(f"unknown command {args.command}")
-    except (MethodMismatch, NotInteger, NegativeCoefficient) as exc:
+    except (MethodMismatch, NotInteger, NegativeCoefficient, IntegralityFailure,
+            MassMismatch, NegativeMultiplicity) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2
     except TwistfuseError as exc:

@@ -34,7 +34,23 @@ class DimensionCap(TwistfuseError):
 
 
 class NegativeMultiplicity(TwistfuseError):
-    """Branching produced a negative multiplicity (bad restriction matrix)."""
+    """A tensor or branching multiplicity came out negative (for branching,
+    a bad restriction matrix)."""
+
+
+class IntegralityFailure(TwistfuseError):
+    """An exact quotient that must be a non-negative integer, a Weyl
+    dimension or a Freudenthal multiplicity, is not one."""
+
+
+class MassMismatch(TwistfuseError):
+    """A weight system, tensor product or branching does not conserve
+    dimension."""
+
+    def __init__(self, what, actual, expected):
+        self.actual = actual
+        self.expected = expected
+        super().__init__(f"{what} mass {actual} != expected {expected}")
 
 
 class NoBuiltinAutomorphism(TwistfuseError):

@@ -4,15 +4,26 @@ Weight systems via the Freudenthal recursion, dimensions via the Weyl
 product formula, tensor decomposition by the Klimyk orbit-shift method, and
 branching to a folded subalgebra by restrict-and-peel.  All multiplicities
 are exact integers; weights are integer Dynkin-label tuples internally.
+
+The hot path is integer-only.  `root_table` prepares, once per finite
+datum and on first use, the positive roots with their simple-root
+coefficients and heights, G_int . alpha for each, and prod (rho, alpha),
+all with the Gram denominator cleared.  `dim` is then one exact integer
+quotient, memoised per (datum, labels), and the Freudenthal step is an
+integer divmod.  Both caches, and the weight-system cache, are bounded.
+Every exactness and mass check raises a typed error (IntegralityFailure,
+MassMismatch, NegativeMultiplicity), so the checks survive `python -O`.
+The Fraction inner product `_ip` remains for the conformal data.
 """
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
 from .cartan import LeveledWeight, Weight
-from .errors import DimensionCap, NegativeMultiplicity
+from .errors import (DimensionCap, IntegralityFailure, MassMismatch,
+                     NegativeMultiplicity)
 
 DIMENSION_CAP = 10**6
 
@@ -58,45 +69,74 @@ def is_level_dominant(affine_datum, lw):
             and sum(a * x for a, x in zip(covee, c)) <= lw.level)
 
 
-@lru_cache(maxsize=None)
-def positive_roots(datum):
-    """Positive roots as label tuples, found by reflection closure."""
-    fin = datum.finite
+@dataclass(frozen=True)
+class RootTable:
+    """Integer data of the positive roots of one finite datum.
+
+    (u, alpha) = u . gram_alpha / gram_den for a label tuple u, with
+    (G_int, gram_den) = _gram_int(fin); gram_den cancels from every ratio
+    of products and every Freudenthal quotient.
+    """
+    labels: tuple        # Dynkin labels of each positive root
+    coeffs: tuple        # simple-root coefficients of each positive root
+    heights: tuple
+    gram_alpha: tuple    # G_int . alpha for each positive root
+    rho_prod: int        # prod over the positive roots of rho . gram_alpha
+
+
+@lru_cache(maxsize=64)
+def root_table(fin):
+    """Positive roots of the finite datum fin by integer reflection closure.
+
+    The reflection r_i sends a root with labels v to v - v_i alpha_i, so it
+    lowers simple-root coefficient i by v_i.  It keeps every positive root
+    positive except alpha_i itself, the one root whose coefficient i would
+    drop below 0, so the closure of the simple roots under those steps is
+    the positive system.  Built on first use, not with the datum.
+    """
     a = fin.A
     l = fin.rank
-    simple = [tuple(a[r][i] for r in range(l)) for i in range(l)]
-    seen = set(simple)
-    frontier = list(simple)
+    found = {}
+    for i in range(l):
+        found[tuple(a[r][i] for r in range(l))] = tuple(int(j == i) for j in range(l))
+    frontier = list(found)
     while frontier:
         nxt = []
         for v in frontier:
+            c = found[v]
             for i in range(l):
-                c = v[i]
-                if c == 0:
+                vi = v[i]
+                if vi == 0 or c[i] < vi:
                     continue
-                w = tuple(v[j] - c * a[j][i] for j in range(l))
-                if w not in seen:
-                    seen.add(w)
+                w = tuple(v[j] - vi * a[j][i] for j in range(l))
+                if w not in found:
+                    found[w] = c[:i] + (c[i] - vi,) + c[i + 1:]
                     nxt.append(w)
         frontier = nxt
-    ainv = _ainv(fin)
-    pos = []
-    for v in seen:
-        coeffs = [sum(ainv[i][j] * v[j] for j in range(l)) for i in range(l)]
-        assert all(c.denominator == 1 for c in coeffs)
-        if all(c >= 0 for c in coeffs):
-            pos.append(v)
-    assert len(pos) == fin.npos, (len(pos), fin.npos)
-    return tuple(sorted(pos))
+    assert len(found) == fin.npos, (len(found), fin.npos)
+    labels = tuple(sorted(found))
+    g, _ = _gram_int(fin)
+    gram_alpha = tuple(tuple(sum(g[i][j] * v[j] for j in range(l)) for i in range(l))
+                       for v in labels)
+    rho_prod = 1
+    for ga in gram_alpha:
+        rho_prod *= sum(ga)
+    return RootTable(labels, tuple(found[v] for v in labels),
+                     tuple(sum(found[v]) for v in labels), gram_alpha, rho_prod)
 
 
-@lru_cache(maxsize=None)
+def positive_roots(datum):
+    """Positive roots as label tuples, sorted."""
+    return root_table(datum.finite).labels
+
+
+@lru_cache(maxsize=64)
 def _ainv(fin):
     from . import _rational as rat
     return rat.mat_inverse(fin.A)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _gram_int(fin):
     """Weight-space Gram matrix as (integer matrix, common denominator)."""
     from . import _rational as rat
@@ -116,88 +156,109 @@ def _ip(fin, u, v):
 
 def dim(datum, lam):
     """Weyl dimension formula, exact integer."""
-    fin = datum.finite
     coords = tuple(lam.coords) if isinstance(lam, Weight) else tuple(lam)
-    rho = (1,) * fin.rank
-    shifted = tuple(c + 1 for c in coords)
-    num = Fraction(1)
-    for alpha in positive_roots(fin):
-        num *= _ip(fin, shifted, alpha) / _ip(fin, rho, alpha)
-    assert num.denominator == 1 and num > 0
-    return int(num)
+    return _dim(datum.finite, coords)
 
 
-_ws_cache = {}
-_ws_lock = threading.Lock()
+@lru_cache(maxsize=4096)
+def _dim(fin, coords):
+    """prod (lam + rho, alpha) / prod (rho, alpha) over the positive roots,
+    as one exact integer quotient."""
+    table = root_table(fin)
+    num = 1
+    for ga in table.gram_alpha:
+        num *= sum((c + 1) * g for c, g in zip(coords, ga))
+    d, r = divmod(num, table.rho_prod)
+    if r or d <= 0:
+        raise IntegralityFailure(
+            f"Weyl dimension of {coords} in {fin.type} is {num}/{table.rho_prod}, "
+            f"not a positive integer")
+    return int(d)
 
 
 def freudenthal(datum, lam, dim_cap=DIMENSION_CAP):
     """Full weight system of the irreducible with highest weight lam."""
     fin = datum.finite
     coords = tuple(int(c) for c in (lam.coords if isinstance(lam, Weight) else lam))
-    assert all(c >= 0 for c in coords), "highest weight must be dominant"
-    key = (fin, coords)
-    with _ws_lock:
-        cached = _ws_cache.get(key)
-    if cached is not None:
-        return cached
-
+    if any(c < 0 for c in coords):
+        raise ValueError(f"highest weight {coords} must be dominant")
     d = dim(fin, coords)
     if d > dim_cap:
         raise DimensionCap(f"dim {d} exceeds the cap {dim_cap}")
-    a = fin.A
-    l = fin.rank
-    pos = positive_roots(fin)
-    ainv = _ainv(fin)
-    # Root-coefficient tuples of the positive roots (integers).
-    pos_coeffs = []
-    for alpha in pos:
-        c = [sum(ainv[i][j] * alpha[j] for j in range(l)) for i in range(l)]
-        pos_coeffs.append(tuple(int(x) for x in c))
-    lam_rho = tuple(c + 1 for c in coords)
-    norm_top = _ip(fin, lam_rho, lam_rho)
+    return _weight_system(fin, coords)
 
+
+@lru_cache(maxsize=256)
+def _weight_system(fin, coords):
+    """Freudenthal recursion on integers, level by level down from coords.
+
+    With norms and inner products scaled by gram_den,
+    m(mu) = 2 sum_{alpha > 0, j >= 1} m(mu + j alpha) (mu + j alpha, alpha)
+            / (|lam + rho|^2 - |mu + rho|^2)
+    is an exact integer quotient.
+    """
+    l = fin.rank
+    g, _ = _gram_int(fin)
+    table = root_table(fin)
+    simple = [tuple(fin.A[r][i] for r in range(l)) for i in range(l)]
+    # Per positive root: labels, G_int . alpha, |alpha|^2 scaled, and the
+    # simple roots it involves with their coefficients.
+    roots = [(alpha, ga, sum(x * y for x, y in zip(alpha, ga)),
+              tuple((i, c) for i, c in enumerate(cs) if c))
+             for alpha, ga, cs in zip(table.labels, table.gram_alpha, table.coeffs)]
+
+    def norm_rho(v):
+        x = [c + 1 for c in v]
+        return sum(x[i] * sum(g[i][j] * x[j] for j in range(l)) for i in range(l))
+
+    norm_top = norm_rho(coords)
     mults = {coords: 1}
     # depth[mu] = coefficients of lam - mu on the simple roots.
-    zero = (0,) * l
-    depth = {coords: zero}
+    depth = {coords: (0,) * l}
     level = [coords]
     while level:
         candidates = {}
         for v in level:
             dv = depth[v]
-            for i in range(l):
-                cand = tuple(v[j] - a[j][i] for j in range(l))
+            for i, col in enumerate(simple):
+                cand = tuple(map(sub, v, col))
                 if cand not in mults and cand not in candidates:
-                    candidates[cand] = tuple(dv[j] + (j == i) for j in range(l))
+                    candidates[cand] = dv[:i] + (dv[i] + 1,) + dv[i + 1:]
         nxt = []
         for mu, dmu in candidates.items():
-            mu_rho = tuple(c + 1 for c in mu)
-            denom = norm_top - _ip(fin, mu_rho, mu_rho)
+            denom = norm_top - norm_rho(mu)
             if denom <= 0:
                 continue
-            acc = Fraction(0)
-            for alpha, ac in zip(pos, pos_coeffs):
+            acc = 0
+            for alpha, ga, alpha_norm, support in roots:
                 # lam - (mu + j alpha) must stay in the positive root cone.
-                jmax = min(dmu[i] // ac[i] for i in range(l) if ac[i] > 0)
-                for j in range(1, jmax + 1):
-                    up = tuple(mu[r] + j * alpha[r] for r in range(l))
-                    m_up = mults.get(up, 0)
+                jmax = min(dmu[i] // c for i, c in support)
+                if not jmax:
+                    continue
+                ip = sum(map(mul, mu, ga))
+                up = mu
+                for _ in range(jmax):
+                    up = tuple(map(add, up, alpha))
+                    ip += alpha_norm
+                    m_up = mults.get(up)
                     if m_up:
-                        acc += m_up * _ip(fin, up, alpha)
-            m = 2 * acc / denom
-            assert m.denominator == 1 and m >= 0
-            if m > 0:
-                mults[mu] = int(m)
+                        acc += m_up * ip
+            m, r = divmod(2 * acc, denom)
+            if r or m < 0:
+                raise IntegralityFailure(
+                    f"Freudenthal multiplicity of {mu} in {coords} ({fin.type}) "
+                    f"is {2 * acc}/{denom}, not a non-negative integer")
+            if m:
+                mults[mu] = m
                 depth[mu] = dmu
                 nxt.append(mu)
         level = nxt
-    ws = WeightSystem(Weight(fin, coords),
-                      {Weight(fin, mu): m for mu, m in mults.items()})
-    assert ws.total() == d, f"Freudenthal mass {ws.total()} != dim {d}"
-    with _ws_lock:
-        _ws_cache.setdefault(key, ws)
-    return ws
+    total = sum(mults.values())
+    d = dim(fin, coords)
+    if total != d:
+        raise MassMismatch(f"Freudenthal weight system of {coords}", total, d)
+    return WeightSystem(Weight(fin, coords),
+                        {Weight(fin, mu): m for mu, m in mults.items()})
 
 
 def _mults_raw(fin, coords, dim_cap=DIMENSION_CAP):
@@ -224,10 +285,14 @@ def tensor_decompose(datum, lam, mu, dim_cap=DIMENSION_CAP):
         target = tuple(c - 1 for c in rep.coords)
         out[target] = out.get(target, 0) + sign * m
     out = {k: v for k, v in out.items() if v != 0}
-    assert all(v > 0 for v in out.values())
+    for k, v in out.items():
+        if v < 0:
+            raise NegativeMultiplicity(
+                f"tensor product {lam_c} x {mu_c} has multiplicity {v} at {k}")
     total = sum(v * dim(fin, k) for k, v in out.items())
     expect = dim(fin, lam_c) * dim(fin, mu_c)
-    assert total == expect, f"tensor mass {total} != {expect}"
+    if total != expect:
+        raise MassMismatch(f"tensor product {lam_c} x {mu_c}", total, expect)
     return DecompTable({Weight(fin, k): v for k, v in out.items()})
 
 
@@ -274,5 +339,6 @@ def branch(ambient_datum, sub_datum, restriction_matrix, lam, dim_cap=DIMENSION_
         raise NegativeMultiplicity("branching left unresolved non-dominant mass")
     total = sum(m * dim(sub, y) for y, m in out.items())
     expect = dim(amb, lam_c)
-    assert total == expect, f"branching mass {total} != {expect}"
+    if total != expect:
+        raise MassMismatch(f"branching of {lam_c}", total, expect)
     return DecompTable({Weight(sub, y): m for y, m in out.items()})

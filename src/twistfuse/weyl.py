@@ -11,14 +11,13 @@ tracking the sign of the finite Weyl component (translations are even).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .cartan import Weight
 from .errors import NonTermination, RankTooLarge
-from .rep import _ainv, positive_roots
+from .rep import root_table
 
 MAX_RANK = 6
 ELEMENT_CAP = 100_000
@@ -111,16 +110,11 @@ def weyl_order(datum):
     The product over positive roots of (ht a + 1) / ht a telescopes, by
     height, to the product of the degrees of W.
     """
-    fin = datum.finite
-    l = fin.rank
-    ainv = _ainv(fin)
-    # Height of a root given by labels v: the sum of A^-1 v.
-    col_sums = [sum(ainv[i][j] for i in range(l)) for j in range(l)]
-    order = Fraction(1)
-    for v in positive_roots(fin):
-        ht = sum(col_sums[j] * v[j] for j in range(l))
-        order *= (ht + 1) / ht
-    return int(order)
+    num = den = 1
+    for ht in root_table(datum.finite).heights:
+        num *= ht + 1
+        den *= ht
+    return num // den
 
 
 def signed_orbit(datum, x):
@@ -173,10 +167,10 @@ def to_dominant(datum, lam):
     v = list(lam.coords)
     sign = 1
     while True:
-        i = min(range(l), key=lambda j: v[j])
-        if v[i] >= 0:
+        c = min(v)
+        if c >= 0:
             break
-        c = v[i]
+        i = v.index(c)
         for j in range(l):
             v[j] -= c * a[j][i]
         sign = -sign

@@ -166,3 +166,91 @@ def materialised_weyl_sum(fin, t, row_shifted, col_shifted, bits=53):
                 acc += sign * cmath.exp(complex(0.0, -2.0 * math.pi * (num / den)))
             out[i, j] = acc
     return out
+
+
+def _fraction_positive_roots(fin):
+    """Positive roots of fin as (labels, simple-root coefficients): the
+    reflection closure of the simple roots, kept where A^-1 labels >= 0."""
+    a = fin.A
+    l = fin.rank
+    simple = [tuple(a[r][i] for r in range(l)) for i in range(l)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(l):
+                if v[i]:
+                    w = tuple(v[j] - v[i] * a[j][i] for j in range(l))
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+        frontier = nxt
+    ainv = inverse_times_diag(a, [1] * l)  # A^-T; row j of it is column j of A^-1
+    out = []
+    for v in sorted(seen):
+        coeffs = [sum(ainv[j][i] * v[j] for j in range(l)) for i in range(l)]
+        assert all(c.denominator == 1 for c in coeffs)
+        if all(c >= 0 for c in coeffs):
+            out.append((v, tuple(int(c) for c in coeffs)))
+    assert len(out) == fin.npos
+    return out
+
+
+def _fraction_ip(fin, u, v):
+    g = fin.gram_weights
+    return sum(Fraction(u[i]) * g[i][j] * v[j]
+               for i in range(len(u)) for j in range(len(v)))
+
+
+def fraction_dim(fin, coords):
+    """Weyl dimension prod (lam + rho, alpha) / (rho, alpha) as a product of
+    Fractions, one positive root at a time."""
+    rho = (1,) * fin.rank
+    shifted = tuple(c + 1 for c in coords)
+    out = Fraction(1)
+    for alpha, _ in _fraction_positive_roots(fin):
+        out *= _fraction_ip(fin, shifted, alpha) / _fraction_ip(fin, rho, alpha)
+    assert out.denominator == 1 and out > 0
+    return int(out)
+
+
+def fraction_freudenthal(fin, coords):
+    """Weight multiplicities {labels: m} of the irreducible with highest
+    weight coords, by the Freudenthal recursion in Fraction arithmetic."""
+    l = fin.rank
+    a = fin.A
+    roots = _fraction_positive_roots(fin)
+    lam_rho = tuple(c + 1 for c in coords)
+    norm_top = _fraction_ip(fin, lam_rho, lam_rho)
+    mults = {tuple(coords): 1}
+    depth = {tuple(coords): (0,) * l}
+    level = [tuple(coords)]
+    while level:
+        candidates = {}
+        for v in level:
+            for i in range(l):
+                cand = tuple(v[j] - a[j][i] for j in range(l))
+                if cand not in mults and cand not in candidates:
+                    candidates[cand] = tuple(depth[v][j] + (j == i) for j in range(l))
+        nxt = []
+        for mu, dmu in candidates.items():
+            mu_rho = tuple(c + 1 for c in mu)
+            denom = norm_top - _fraction_ip(fin, mu_rho, mu_rho)
+            if denom <= 0:
+                continue
+            acc = Fraction(0)
+            for alpha, ac in roots:
+                jmax = min(dmu[i] // ac[i] for i in range(l) if ac[i] > 0)
+                for j in range(1, jmax + 1):
+                    up = tuple(mu[r] + j * alpha[r] for r in range(l))
+                    if up in mults:
+                        acc += mults[up] * _fraction_ip(fin, up, alpha)
+            m = 2 * acc / denom
+            assert m.denominator == 1 and m >= 0
+            if m:
+                mults[mu] = int(m)
+                depth[mu] = dmu
+                nxt.append(mu)
+        level = nxt
+    return mults

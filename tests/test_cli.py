@@ -85,6 +85,19 @@ class TestFusionCommand:
         assert rc == 2
         assert "disagreement" in err
 
+    def test_mass_check_exit_code(self, capsys, monkeypatch):
+        import twistfuse.rep as rep
+        true_freudenthal = rep.freudenthal
+
+        def top_weight_doubled(datum, lam, dim_cap=rep.DIMENSION_CAP):
+            ws = true_freudenthal(datum, lam, dim_cap)
+            return rep.WeightSystem(ws.highest, {w: m + (w == ws.highest)
+                                                 for w, m in ws.mults.items()})
+        monkeypatch.setattr(rep, "freudenthal", top_weight_doubled)
+        rc, _, err = run(capsys, "fusion", "A1", "--level", "2", "1", "1", "2")
+        assert rc == 2
+        assert "mass 7 != expected 4" in err
+
 
 class TestOtherCommands:
     def test_weights(self, capsys):

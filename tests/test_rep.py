@@ -1,16 +1,27 @@
+import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, LieType,
                               build_cartan, parse_type)
-from twistfuse.errors import DimensionCap, NegativeMultiplicity
+import twistfuse
+import twistfuse.rep as rep
+from twistfuse.errors import (DimensionCap, IntegralityFailure, MassMismatch,
+                              NegativeMultiplicity)
 from twistfuse.fold import build_folding
 from twistfuse.rep import (branch, dim, dominant_level_weights, freudenthal,
-                           tensor_decompose)
+                           positive_roots, root_table, tensor_decompose)
 from twistfuse.weyl import apply_matrix, generate_weyl
 
-from oracles import clebsch_gordan_range, convolve_weight_dicts, sl2_string
+from oracles import (clebsch_gordan_range, convolve_weight_dicts,
+                     fraction_dim, fraction_freudenthal, sl2_string)
 
 
 def coords_dict(table):
@@ -83,6 +94,183 @@ class TestFreudenthal:
         d = build_cartan(LieType("A", 3))
         with pytest.raises(DimensionCap):
             freudenthal(d, d.weight((9, 9, 9)), dim_cap=1000)
+
+    def test_dimension_cap_after_cache_hit(self):
+        d = build_cartan(LieType("A", 3))
+        assert freudenthal(d, (2, 2, 2)).total() == 729
+        with pytest.raises(DimensionCap):
+            freudenthal(d, (2, 2, 2), dim_cap=100)
+
+
+ORACLE_GRID = [(n, 3) for n in ("A1", "A2", "A3", "B2", "B3", "C2", "G2", "D4")] + [("E6", 1)]
+
+
+def weight_dict(ws):
+    return {w.coords: m for w, m in ws.mults.items()}
+
+
+class TestAgainstFractionOracles:
+    """The integer kernel against the Fraction dim and Freudenthal it replaced."""
+
+    @pytest.mark.parametrize("name,k", ORACLE_GRID)
+    def test_level_weights(self, name, k):
+        affine = build_cartan(parse_type(name, AFFINE_R1))
+        fin = affine.finite
+        for lw in dominant_level_weights(affine, k):
+            coords = lw.finite.coords
+            assert dim(fin, coords) == fraction_dim(fin, coords)
+            assert weight_dict(freudenthal(fin, coords)) == fraction_freudenthal(fin, coords)
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_random_dominant_weights(self, data):
+        name = data.draw(st.sampled_from(["A2", "A3", "B2", "B3", "C2", "C3", "G2", "D4"]))
+        fin = build_cartan(parse_type(name))
+        coords = tuple(data.draw(st.lists(st.integers(0, 4), min_size=fin.rank,
+                                          max_size=fin.rank)))
+        expect = fraction_dim(fin, coords)
+        assume(expect <= 5000)
+        assert dim(fin, coords) == expect
+        assert weight_dict(freudenthal(fin, coords)) == fraction_freudenthal(fin, coords)
+
+
+class TestRootTable:
+    @pytest.mark.parametrize("name", ["A1", "A4", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2"])
+    def test_coefficients_and_heights(self, name):
+        fin = build_cartan(parse_type(name))
+        table = root_table(fin)
+        assert len(table.labels) == len(set(table.labels)) == fin.npos
+        assert table.labels == positive_roots(fin)
+        for v, c, ht in zip(table.labels, table.coeffs, table.heights):
+            assert min(c) >= 0 and sum(c) == ht
+            # labels are A times the simple-root coefficients
+            assert v == tuple(sum(fin.A[i][j] * c[j] for j in range(fin.rank))
+                              for i in range(fin.rank))
+        # the highest root has height h - 1, where 2 npos = rank * h
+        assert max(table.heights) == 2 * fin.npos // fin.rank - 1
+
+    def test_twisted_finite_part(self):
+        affine = build_cartan(LieType("D", 4, AFFINE_R3))
+        assert root_table(affine.finite).labels == positive_roots(affine)
+        assert len(positive_roots(affine)) == 6
+
+
+class TestGates:
+    """Each exactness or mass check is a typed error, not an assert."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        rep._dim.cache_clear()
+        rep._weight_system.cache_clear()
+        yield
+        rep._dim.cache_clear()
+        rep._weight_system.cache_clear()
+
+    def test_dim_exactness(self, monkeypatch):
+        d = build_cartan(LieType("A", 2))
+        table = root_table(d)
+        bad = dataclasses.replace(table, rho_prod=2 * table.rho_prod)
+        monkeypatch.setattr(rep, "root_table", lambda fin: bad)
+        with pytest.raises(IntegralityFailure, match="Weyl dimension"):
+            dim(d, (0, 0))
+
+    def test_freudenthal_integrality(self, monkeypatch):
+        d = build_cartan(LieType("A", 2))
+        table = root_table(d)
+        ga = list(table.gram_alpha)
+        ga[0] = (ga[0][0] + 1,) + ga[0][1:]
+        bad = dataclasses.replace(table, gram_alpha=tuple(ga))
+        assert dim(d, (1, 1)) == 8  # memoised before the table is corrupted
+        monkeypatch.setattr(rep, "root_table", lambda fin: bad)
+        with pytest.raises(IntegralityFailure, match="Freudenthal multiplicity"):
+            freudenthal(d, (1, 1))
+
+    def test_freudenthal_mass(self, monkeypatch):
+        d = build_cartan(LieType("A", 2))
+        true_dim = rep.dim
+        monkeypatch.setattr(rep, "dim", lambda datum, lam: true_dim(datum, lam) + 1)
+        with pytest.raises(MassMismatch, match="8 != expected 9"):
+            freudenthal(d, (1, 1))
+
+    @staticmethod
+    def corrupt(monkeypatch, highest, weight, delta):
+        """Shift one multiplicity of one weight system by delta."""
+        true_freudenthal = rep.freudenthal
+
+        def corrupted(datum, lam, dim_cap=rep.DIMENSION_CAP):
+            ws = true_freudenthal(datum, lam, dim_cap)
+            if ws.highest.coords != highest:
+                return ws
+            return rep.WeightSystem(ws.highest, {w: m + delta * (w.coords == weight)
+                                                 for w, m in ws.mults.items()})
+        monkeypatch.setattr(rep, "freudenthal", corrupted)
+
+    def test_tensor_mass(self, monkeypatch):
+        d = build_cartan(LieType("A", 2))
+        self.corrupt(monkeypatch, (1, 1), (0, 0), 1)
+        with pytest.raises(MassMismatch, match="72 != expected 64"):
+            tensor_decompose(d, (1, 1), (1, 1))
+
+    def test_tensor_positivity(self, monkeypatch):
+        d = build_cartan(LieType("A", 1))
+        self.corrupt(monkeypatch, (1,), (1,), -2)
+        with pytest.raises(NegativeMultiplicity, match="-1 at"):
+            tensor_decompose(d, (1,), (1,))
+
+    def test_branch_mass(self, monkeypatch):
+        f = build_folding(LieType("A", 3, AFFINE_R1))
+        self.corrupt(monkeypatch, (1, 0, 1), (0, 0, 0), 1)
+        with pytest.raises(MassMismatch, match="16 != expected 15"):
+            branch(f.base.finite, f.twisted.finite, f.iota_dual, (1, 0, 1))
+
+    def test_gates_fire_without_asserts(self):
+        script = textwrap.dedent("""
+            import dataclasses
+            import twistfuse.rep as rep
+            from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
+            from twistfuse.errors import TwistfuseError
+            from twistfuse.fold import build_folding
+
+            a2 = build_cartan(LieType("A", 2))
+            true_freudenthal, true_dim, true_table = rep.freudenthal, rep.dim, rep.root_table
+
+            def zero_weight_plus_one(datum, lam, dim_cap=rep.DIMENSION_CAP):
+                ws = true_freudenthal(datum, lam, dim_cap)
+                if ws.highest.coords not in [(1, 1), (1, 0, 1)]:
+                    return ws
+                return rep.WeightSystem(ws.highest, {w: m + (not any(w.coords))
+                                                     for w, m in ws.mults.items()})
+
+            def run(call):
+                rep._dim.cache_clear()
+                rep._weight_system.cache_clear()
+                try:
+                    call()
+                except TwistfuseError as exc:
+                    print(type(exc).__name__)
+                else:
+                    print("no error")
+
+            rep.freudenthal = zero_weight_plus_one
+            run(lambda: rep.tensor_decompose(a2, (1, 1), (1, 1)))
+            f = build_folding(LieType("A", 3, AFFINE_R1))
+            run(lambda: rep.branch(f.base.finite, f.twisted.finite, f.iota_dual, (1, 0, 1)))
+            rep.freudenthal = true_freudenthal
+            rep.dim = lambda datum, lam: true_dim(datum, lam) + 1
+            run(lambda: rep.freudenthal(a2, (1, 1)))
+            rep.dim = true_dim
+            table = true_table(a2)
+            rep.root_table = lambda fin: dataclasses.replace(
+                table, rho_prod=2 * table.rho_prod)
+            run(lambda: rep.dim(a2, (0, 0)))
+        """)
+        src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["MassMismatch", "MassMismatch",
+                                       "MassMismatch", "IntegralityFailure"]
 
 
 class TestDim:
