@@ -113,7 +113,7 @@ def cmd_fusion(cfg, pattern, triple, method):
                          tolerance=cfg.integer_tolerance,
                          bits=cfg.precision_bits, parallelism=cfg.parallelism)
     if cfg.output == "json":
-        _dump(table.to_json_dict())
+        print(table.to_json())
     else:
         print(table.to_text())
     return 0
@@ -382,8 +382,8 @@ def build_parser():
         p.add_argument("--integer-tolerance", type=float, default=1e-6)
         p.add_argument("--unitarity-tolerance", type=float, default=1e-9)
         p.add_argument("--output", choices=["json", "table"], default="json")
-        p.add_argument("--parallelism", type=int,
-                       default=max(1, os.cpu_count() or 1))
+        p.add_argument("--parallelism", type=int, default=1,
+                       help="threads for the pairs of a fusion table")
 
     p = sub.add_parser("smatrix", help="modular S-matrices")
     common(p)

@@ -6,22 +6,31 @@ Routes:
   twisted_verlinde    mixed untwisted/twisted sectors through S-matrix blocks
   twisted_kac_walton  the same coefficients through branch + tensor + fold
 
-A fusion table computed with two applicable routes asserts their equality
-entry by entry before emitting anything.
+A fusion table computed with two applicable routes checks their equality
+entry by entry before emitting anything.  The Verlinde value is computed
+for every ordered triple.  The Kac-Walton side computes each piece once per
+table, in a `KacWaltonMemo` that lives as long as the table build: one row
+per unordered pair of untwisted weights (the tensor product is
+commutative), one alcove fold per tensor component, one branched system per
+untwisted weight and one tensor product per unordered pair of twisted
+factors.  Nothing is cached across tables.  `FusionTable.to_json` encodes
+each distinct label once and splices the fragments.
 """
 
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .cartan import LeveledWeight
-from .errors import (MethodMismatch, NegativeCoefficient, NotInteger,
-                     SectorRuleViolation, UnsupportedOrder,
+from .errors import (MethodMismatch, NegativeCoefficient, NegativeMultiplicity,
+                     NotInteger, SectorRuleViolation, UnsupportedOrder,
                      UnsupportedSectorPattern)
 from .fold import symmetric_weights
 from .rep import branch, dominant_level_weights, is_level_dominant, tensor_decompose
-from .smatrix import ORBIFOLD_BLOCK, ModularMatrix, twisted_sector_S, untwisted_S
+from .smatrix import (ORBIFOLD_BLOCK, ModularMatrix, _label_json, twisted_sector_S,
+                      untwisted_S)
 from .weyl import alcove_fold
 
 INTEGER_TOLERANCE = 1e-6
@@ -42,6 +51,10 @@ class SectorLabel:
         return f"[{tag}]{self.weight}"
 
 
+def _compact(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
 @dataclass
 class FusionTable:
     algebra: str
@@ -52,20 +65,40 @@ class FusionTable:
     methods: dict = field(default_factory=dict)   # triple -> method tag
 
     def add(self, triple, value, method):
-        assert value >= 0
+        if value < 0:
+            raise NegativeCoefficient(f"fusion coefficient {value} at {triple}")
         self.entries[triple] = value
         self.methods[triple] = method
 
-    def to_json_dict(self):
+    def to_json(self):
+        """Schema-1 JSON of the table, compact, without a trailing newline.
+
+        The header, each label, each method tag and each value are encoded
+        once by the json module; entries are spliced from those fragments in
+        insertion order.  Fragments are keyed by object identity, which is
+        stable while the table holds the objects and avoids hashing labels;
+        the table drivers use one object per distinct label.
+        """
+        labels, scalars = {}, {}
+
+        def enc(cache, x, encode):
+            s = cache.get(id(x))
+            if s is None:
+                s = cache[id(x)] = encode(x)
+            return s
+
+        def label(x):
+            return enc(labels, x, lambda lab: _compact(_label_json(lab)))
+
         items = []
-        for (m1, m2, m3), n in self.entries.items():
-            items.append({
-                "m1": _triple_json(m1), "m2": _triple_json(m2),
-                "m3": _triple_json(m3), "N": n,
-                "method": self.methods[(m1, m2, m3)],
-            })
-        return {"schema": 1, "algebra": self.algebra, "level": self.level,
-                "twist": self.twist, "pattern": self.pattern, "entries": items}
+        for triple, n in self.entries.items():
+            m1, m2, m3 = triple
+            items.append(f'{{"m1":{label(m1)},"m2":{label(m2)},"m3":{label(m3)},'
+                         f'"N":{enc(scalars, n, _compact)},'
+                         f'"method":{enc(scalars, self.methods[triple], _compact)}}}')
+        head = _compact({"schema": 1, "algebra": self.algebra, "level": self.level,
+                         "twist": self.twist, "pattern": self.pattern})
+        return f'{head[:-1]},"entries":[{",".join(items)}]}}'
 
     def to_text(self):
         lines = []
@@ -74,13 +107,6 @@ class FusionTable:
             lines.append(f"{str(m1):<{width}}  {str(m2):<{width}}  "
                          f"{str(m3):<{width}}  {n}  [{self.methods[(m1, m2, m3)]}]")
         return "\n".join(lines)
-
-
-def _triple_json(label):
-    if isinstance(label, SectorLabel):
-        return {"sector": label.sector, "level": label.weight.level,
-                "weight": [int(x) for x in label.weight.finite.coords]}
-    return {"level": label.level, "weight": [int(x) for x in label.finite.coords]}
 
 
 def _round_coefficient(value, tolerance=INTEGER_TOLERANCE):
@@ -103,8 +129,8 @@ def _row_index(labels, lw):
 
 def verlinde(s_matrix, lam1, lam2, lam3, tolerance=INTEGER_TOLERANCE):
     """Fusion coefficient from a square unitary untwisted S-matrix."""
-    assert all(x == 0 for x in s_matrix.rows[0].finite.coords), \
-        "vacuum row must come first (global label order)"
+    if any(x != 0 for x in s_matrix.rows[0].finite.coords):
+        raise ValueError("the vacuum row must come first (global label order)")
     i = _row_index(s_matrix.rows, lam1)
     j = _row_index(s_matrix.rows, lam2)
     k = _row_index(s_matrix.rows, lam3)
@@ -113,29 +139,106 @@ def verlinde(s_matrix, lam1, lam2, lam3, tolerance=INTEGER_TOLERANCE):
     return _round_coefficient(value, tolerance)
 
 
+class KacWaltonMemo:
+    """Kac-Walton pieces shared by the rows of one table.
+
+    Bound to one affine datum, whose alcove the folds are in, and one level
+    k.  It holds the alcove fold of each tensor component, the branched
+    system of each untwisted weight and the tensor product of each
+    unordered pair of factors, all keyed by label tuples.  A table builds
+    one and drops it when it returns.  Pool threads may fill it at once: a
+    race only repeats a computation and stores an equal value.
+    """
+
+    def __init__(self, affine_datum, k):
+        self.affine = affine_datum
+        self.k = k
+        self._folds = {}
+        self._branches = {}
+        self._tensors = {}
+
+    def fold(self, mu):
+        """(sign, labels) of mu + rho folded into the alcove, less rho;
+        (0, None) when it lands on a wall."""
+        hit = self._folds.get(mu)
+        if hit is None:
+            shifted = self.affine.finite.weight(tuple(c + 1 for c in mu))
+            res = alcove_fold(self.affine, self.k, shifted)
+            hit = self._folds[mu] = (
+                (0, None) if res.sign == 0
+                else (res.sign, tuple(c - 1 for c in res.rep.coords)))
+        return hit
+
+    def branch(self, folding, lam):
+        """{labels: multiplicity} of the untwisted weight lam restricted to
+        the twisted finite part."""
+        hit = self._branches.get(lam)
+        if hit is None:
+            table = branch(folding.base.finite, folding.twisted.finite,
+                           folding.iota_dual, lam)
+            hit = self._branches[lam] = {nu.coords: b for nu, b in table.entries.items()}
+        return hit
+
+    def tensor(self, a, b):
+        """{labels: multiplicity} of the tensor product of a and b."""
+        key = (a, b) if a <= b else (b, a)
+        hit = self._tensors.get(key)
+        if hit is None:
+            table = tensor_decompose(self.affine.finite, *key)
+            hit = self._tensors[key] = {mu.coords: m for mu, m in table.entries.items()}
+        return hit
+
+
+def _memo_for(affine_datum, k, memo):
+    if memo is None:
+        return KacWaltonMemo(affine_datum, k)
+    if memo.affine is not affine_datum or memo.k != k:
+        raise ValueError(f"memo of {memo.affine.type} at level {memo.k} used for "
+                         f"{affine_datum.type} at level {k}")
+    return memo
+
+
+def _require_level_dominant(affine_datum, lw):
+    if not is_level_dominant(affine_datum, lw):
+        raise ValueError(f"{lw} is not a level-{lw.level} dominant weight "
+                         f"of {affine_datum.type}")
+
+
+def _fold_row(memo, components):
+    """Fold each tensor component (labels, multiplicity) into the alcove and
+    sum the multiplicities with the fold signs.  Zero sums are dropped; a
+    negative one raises NegativeMultiplicity."""
+    out = {}
+    for mu, mult in components:
+        sign, target = memo.fold(mu)
+        if sign:
+            out[target] = out.get(target, 0) + sign * mult
+    row = {key: v for key, v in out.items() if v}
+    for key, v in row.items():
+        if v < 0:
+            raise NegativeMultiplicity(
+                f"folded multiplicity {v} at {key} ({memo.affine.type}, "
+                f"level {memo.k})")
+    return row
+
+
 def kac_walton(affine_datum, k, lam1, lam2, lam3):
     """Fusion coefficient by tensor decomposition and signed alcove folding."""
     row = kac_walton_row(affine_datum, k, lam1, lam2)
     return row.get(tuple(lam3.finite.coords), 0)
 
 
-def kac_walton_row(affine_datum, k, lam1, lam2):
-    """All coefficients N_{lam1, lam2}^{*} at once; keys are label tuples."""
+def kac_walton_row(affine_datum, k, lam1, lam2, memo=None):
+    """All coefficients N_{lam1, lam2}^{*} at once; keys are label tuples.
+
+    memo: a KacWaltonMemo of (affine_datum, k) shared by the rows of one
+    table, or None for a fresh one.
+    """
+    memo = _memo_for(affine_datum, k, memo)
     for lw in (lam1, lam2):
-        assert is_level_dominant(affine_datum, lw), f"{lw} not level-{k} dominant"
-    fin = affine_datum.finite
-    decomp = tensor_decompose(fin, lam1.finite, lam2.finite)
-    out = {}
-    for mu, mult in decomp.entries.items():
-        shifted = fin.weight(tuple(c + 1 for c in mu.coords))
-        res = alcove_fold(affine_datum, k, shifted)
-        if res.sign == 0:
-            continue
-        target = tuple(c - 1 for c in res.rep.coords)
-        out[target] = out.get(target, 0) + res.sign * mult
-    out = {key: v for key, v in out.items() if v != 0}
-    assert all(v > 0 for v in out.values()), "negative folded multiplicity"
-    return out
+        _require_level_dominant(affine_datum, lw)
+    decomp = tensor_decompose(affine_datum.finite, lam1.finite, lam2.finite)
+    return _fold_row(memo, ((mu.coords, m) for mu, m in decomp.entries.items()))
 
 
 def twisted_kac_walton(folding, k, lam1, lam2_dag, lam3_dag):
@@ -143,30 +246,21 @@ def twisted_kac_walton(folding, k, lam1, lam2_dag, lam3_dag):
     return row.get(tuple(lam3_dag.finite.coords), 0)
 
 
-def twisted_kac_walton_row(folding, k, lam1, lam2_dag):
+def twisted_kac_walton_row(folding, k, lam1, lam2_dag, memo=None):
     """Coefficients N_{lam1, lam2^dag}^{*}: restrict lam1 to the twisted
-    finite part, tensor with lam2^dag there, fold over the twisted alcove."""
-    base, tw = folding.base, folding.twisted
-    assert is_level_dominant(base, lam1)
-    assert is_level_dominant(tw, lam2_dag)
-    fin = tw.finite
-    branched = branch(base.finite, fin, folding.iota_dual, lam1.finite)
+    finite part, tensor with lam2^dag there, fold over the twisted alcove.
+
+    memo: a KacWaltonMemo of (folding.twisted, k), or None for a fresh one.
+    """
+    memo = _memo_for(folding.twisted, k, memo)
+    _require_level_dominant(folding.base, lam1)
+    _require_level_dominant(folding.twisted, lam2_dag)
+    lam2 = tuple(lam2_dag.finite.coords)
     totals = {}
-    for nu, b in branched.entries.items():
-        sub = tensor_decompose(fin, nu, lam2_dag.finite)
-        for mu, m in sub.entries.items():
-            totals[mu.coords] = totals.get(mu.coords, 0) + b * m
-    out = {}
-    for mu, mult in totals.items():
-        shifted = fin.weight(tuple(c + 1 for c in mu))
-        res = alcove_fold(tw, k, shifted)
-        if res.sign == 0:
-            continue
-        target = tuple(c - 1 for c in res.rep.coords)
-        out[target] = out.get(target, 0) + res.sign * mult
-    out = {key: v for key, v in out.items() if v != 0}
-    assert all(v > 0 for v in out.values()), "negative folded multiplicity"
-    return out
+    for nu, b in memo.branch(folding, tuple(lam1.finite.coords)).items():
+        for mu, m in memo.tensor(nu, lam2).items():
+            totals[mu] = totals.get(mu, 0) + b * m
+    return _fold_row(memo, totals.items())
 
 
 class SectorMatrices:
@@ -201,7 +295,9 @@ class SectorMatrices:
         return _row_index(self.twisted_labels, lw)
 
 
-@lru_cache(maxsize=None)
+# Each entry holds whole S-matrix blocks; a small bound keeps a long-lived
+# process from growing without limit.
+@lru_cache(maxsize=8)
 def _sector_matrices(folding, k, bits=53):
     return SectorMatrices(folding, k, bits)
 
@@ -369,23 +465,36 @@ def _untwisted_table(datum, k, tolerance, bits, parallelism):
     s = untwisted_S(datum, k, bits)
     smat = np.asarray(s.entries, dtype=complex)
     conj_over_vac = np.conj(smat)
+    coords = [tuple(lab.finite.coords) for lab in labels]
+    memo = KacWaltonMemo(datum, k)
 
-    def one_pair(i, j):
-        kw_row = kac_walton_row(datum, k, labels[i], labels[j])
+    def checked(i, j, kw_row):
         values = conj_over_vac @ (smat[i] * smat[j] / smat[0])
         out = []
         for m, lab3 in enumerate(labels):
             nv = _round_coefficient(values[m], tolerance)
-            nk = kw_row.get(tuple(lab3.finite.coords), 0)
+            nk = kw_row.get(coords[m], 0)
             if nv != nk:
                 raise MethodMismatch((labels[i], labels[j], lab3), nv, nk)
-            out.append(((labels[i], labels[j], lab3), nv))
+            out.append(nv)
         return out
 
-    pairs = [(i, j) for i in range(len(labels)) for j in range(len(labels))]
+    def one_pair(i, j):
+        # V_i (x) V_j = V_j (x) V_i: one Kac-Walton row checks both orders,
+        # each against its own Verlinde values.
+        kw_row = kac_walton_row(datum, k, labels[i], labels[j], memo=memo)
+        orders = [(i, j)] if i == j else [(i, j), (j, i)]
+        return [((a, b), checked(a, b, kw_row)) for a, b in orders]
+
+    n = len(labels)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    found = {}
     for chunk in _run_pairs(one_pair, pairs, parallelism):
-        for triple, n in chunk:
-            table.add(triple, n, "verlinde+kac-walton")
+        found.update(chunk)
+    for i in range(n):
+        for j in range(n):
+            for lab3, nv in zip(labels, found[i, j]):
+                table.add((labels[i], labels[j], lab3), nv, "verlinde+kac-walton")
     return table
 
 
@@ -393,35 +502,28 @@ def _twisted_table(folding, k, key, sectors, tolerance, bits, parallelism):
     table = FusionTable(str(folding.base.type), k, "diagram", key)
     base_labels = dominant_level_weights(folding.base, k)
     tw_labels = dominant_level_weights(folding.twisted, k)
+    sector_labels = ([SectorLabel(UNTWISTED, lw) for lw in base_labels],
+                     [SectorLabel(SIGMA, lw) for lw in tw_labels])
     if k == 0:
-        m = (SectorLabel(UNTWISTED, base_labels[0]) if sectors[0] == 0
-             else SectorLabel(SIGMA, tw_labels[0]))
-        m2 = (SectorLabel(UNTWISTED, base_labels[0]) if sectors[1] == 0
-              else SectorLabel(SIGMA, tw_labels[0]))
-        m3 = (SectorLabel(UNTWISTED, base_labels[0]) if sectors[2] == 0
-              else SectorLabel(SIGMA, tw_labels[0]))
-        table.add((m, m2, m3), 1, "kac-walton")
+        table.add(tuple(sector_labels[cls][0] for cls in sectors), 1, "kac-walton")
         return table
     # Built here, before the pool starts, so that its threads share one build.
     _sector_matrices(folding, k, bits)
-
-    def labset(cls):
-        return (base_labels if cls == 0 else tw_labels)
-
-    def seclab(cls, lw):
-        return SectorLabel(UNTWISTED if cls == 0 else SIGMA, lw)
+    first, second, third = (sector_labels[cls] for cls in sectors)
 
     if key in ("1,s,s", "s,1,s"):
+        memo = KacWaltonMemo(folding.twisted, k)
+        tw_coords = [tuple(lw.finite.coords) for lw in tw_labels]
+
         def one_pair(i, j):
-            l1, l2 = labset(sectors[0])[i], labset(sectors[1])[j]
-            lam_untw, lam_tw = (l1, l2) if key == "1,s,s" else (l2, l1)
-            kw_row = twisted_kac_walton_row(folding, k, lam_untw, lam_tw)
+            m1s, m2s = first[i], second[j]
+            lam_untw, lam_tw = (m1s, m2s) if key == "1,s,s" else (m2s, m1s)
+            kw_row = twisted_kac_walton_row(folding, k, lam_untw.weight,
+                                            lam_tw.weight, memo=memo)
             out = []
-            for lab3 in tw_labels:
-                m1s, m2s = seclab(sectors[0], l1), seclab(sectors[1], l2)
-                m3s = seclab(1, lab3)
+            for m3s, c3 in zip(third, tw_coords):
                 nv = twisted_verlinde(folding, k, m1s, m2s, m3s, tolerance, bits)
-                nk = kw_row.get(tuple(lab3.finite.coords), 0)
+                nk = kw_row.get(c3, 0)
                 if nv != nk:
                     raise MethodMismatch((m1s, m2s, m3s), nv, nk)
                 out.append(((m1s, m2s, m3s), nv))
@@ -429,17 +531,13 @@ def _twisted_table(folding, k, key, sectors, tolerance, bits, parallelism):
         method = "twisted-verlinde+twisted-kac-walton"
     else:  # s,s,1
         def one_pair(i, j):
-            l1, l2 = tw_labels[i], tw_labels[j]
-            out = []
-            for lab3 in base_labels:
-                m1s, m2s, m3s = seclab(1, l1), seclab(1, l2), seclab(0, lab3)
-                nv = twisted_verlinde(folding, k, m1s, m2s, m3s, tolerance, bits)
-                out.append(((m1s, m2s, m3s), nv))
-            return out
+            m1s, m2s = first[i], second[j]
+            return [((m1s, m2s, m3s),
+                     twisted_verlinde(folding, k, m1s, m2s, m3s, tolerance, bits))
+                    for m3s in third]
         method = "verlinde-only"
 
-    pairs = [(i, j) for i in range(len(labset(sectors[0])))
-             for j in range(len(labset(sectors[1])))]
+    pairs = [(i, j) for i in range(len(first)) for j in range(len(second))]
     for chunk in _run_pairs(one_pair, pairs, parallelism):
         for triple, n in chunk:
             table.add(triple, n, method)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _rational as rat
-from .cartan import dual_lattice, lattice_index, lattice_M
+from .cartan import LeveledWeight, dual_lattice, lattice_index, lattice_M
 from .errors import ExponentOverflow, NotSublattice
 from .fold import (pstar_apply, phi_apply_shifted, symmetric_weights,
                    transported_adjacent_M)
@@ -109,16 +109,17 @@ class ModularMatrix:
 
 
 def _label_json(label):
-    from .fusion import SectorLabel
-    if isinstance(label, SectorLabel):
-        return {"sector": label.sector, "level": label.weight.level,
-                "weight": [int(x) for x in label.weight.finite.coords]}
-    if isinstance(label, tuple):  # (label, eigen tag) from orbifold blocks
+    """JSON dict of a row, column or fusion-table label: a leveled weight, a
+    sector label (anything with .sector and .weight), or a (label, eigen
+    tag) pair from the orbifold blocks."""
+    if isinstance(label, LeveledWeight):
+        return {"level": label.level, "weight": [int(x) for x in label.finite.coords]}
+    if isinstance(label, tuple):
         inner, eigen = label
         d = _label_json(inner)
         d["eigen"] = eigen
         return d
-    return {"level": label.level, "weight": [int(x) for x in label.finite.coords]}
+    return {"sector": label.sector, **_label_json(label.weight)}
 
 
 def _mp(bits):

@@ -254,3 +254,20 @@ def fraction_freudenthal(fin, coords):
                 nxt.append(mu)
         level = nxt
     return mults
+
+
+def fusion_table_json_dict(table):
+    """A FusionTable as the schema-1 dict, built label by label for every
+    entry: the dict whose compact json.dumps the table's emitter must
+    reproduce byte for byte."""
+    def label(x):
+        if hasattr(x, "sector"):
+            return {"sector": x.sector, "level": x.weight.level,
+                    "weight": [int(c) for c in x.weight.finite.coords]}
+        return {"level": x.level, "weight": [int(c) for c in x.finite.coords]}
+
+    items = [{"m1": label(m1), "m2": label(m2), "m3": label(m3), "N": n,
+              "method": table.methods[(m1, m2, m3)]}
+             for (m1, m2, m3), n in table.entries.items()]
+    return {"schema": 1, "algebra": table.algebra, "level": table.level,
+            "twist": table.twist, "pattern": table.pattern, "entries": items}

@@ -1,6 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import twistfuse
+import twistfuse.fusion as fusion_mod
 from twistfuse.cartan import AFFINE_R1, LieType, build_cartan, parse_type
 from twistfuse.errors import (MethodMismatch, NegativeCoefficient, NotInteger,
                               SectorRuleViolation, UnsupportedOrder,
@@ -11,6 +19,8 @@ from twistfuse.fusion import (SectorLabel, fusion_table, kac_walton,
                               twisted_kac_walton, twisted_verlinde, verlinde)
 from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import untwisted_S
+
+from oracles import fusion_table_json_dict
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +87,22 @@ class TestKacWalton:
         table = fusion_table(d, k)
         n = len(dominant_level_weights(d, k))
         assert len(table.entries) == n ** 3
+
+    def test_method_mismatch_surfaces(self, monkeypatch):
+        real = fusion_mod.kac_walton_row
+
+        def corrupted(datum, k, lam1, lam2, **kwargs):
+            # Only rows of two different weights, which serve both orders.
+            row = dict(real(datum, k, lam1, lam2, **kwargs))
+            if lam1 != lam2:
+                key = next(iter(row))
+                row[key] += 1
+            return row
+
+        monkeypatch.setattr(fusion_mod, "kac_walton_row", corrupted)
+        with pytest.raises(MethodMismatch) as info:
+            fusion_table(build_cartan(parse_type("A2", AFFINE_R1)), 2)
+        assert info.value.value_a != info.value.value_b
 
 
 class TestTwistedRoutes:
@@ -150,11 +176,10 @@ class TestTwistedRoutes:
             assert all(n >= 0 for n in table.entries.values())
 
     def test_method_mismatch_surfaces(self, a3_folding, monkeypatch):
-        import twistfuse.fusion as fusion_mod
         real = fusion_mod.twisted_kac_walton_row
 
-        def corrupted(folding, k, lam1, lam2):
-            row = dict(real(folding, k, lam1, lam2))
+        def corrupted(*args, **kwargs):
+            row = dict(real(*args, **kwargs))
             key = next(iter(row))
             row[key] += 1
             return row
@@ -169,10 +194,163 @@ class TestTwistedRoutes:
         assert list(table.entries.values()) == [1]
 
 
+def _recorded(monkeypatch, name):
+    """Replace fusion_mod.<name> by a wrapper that records (args, result)."""
+    real = getattr(fusion_mod, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(fusion_mod, name, recording)
+    return calls
+
+
+def _coords(x):
+    return tuple(getattr(x, "coords", x))
+
+
+class TestComputeOnce:
+    """A table computes each piece of Kac-Walton work once."""
+
+    def assert_each_component_folded_once(self, folds, tensors):
+        folded = [args[2].coords for args, _ in folds]
+        assert len(folded) == len(set(folded))
+        components = {tuple(c + 1 for c in mu.coords)
+                      for _, decomp in tensors for mu in decomp.entries}
+        assert set(folded) == components
+
+    @pytest.mark.parametrize("name,k", [("A2", 3), ("B2", 2), ("G2", 2)])
+    def test_untwisted_rows(self, monkeypatch, name, k):
+        d = build_cartan(parse_type(name, AFFINE_R1))
+        tensors = _recorded(monkeypatch, "tensor_decompose")
+        folds = _recorded(monkeypatch, "alcove_fold")
+        fusion_table(d, k)
+        n = len(dominant_level_weights(d, k))
+        assert len(tensors) == n * (n + 1) // 2
+        pairs = {frozenset((_coords(a), _coords(b))) for (_, a, b), _ in tensors}
+        assert len(pairs) == len(tensors)
+        self.assert_each_component_folded_once(folds, tensors)
+
+    @pytest.mark.parametrize("type_,order,k,pattern", [
+        (LieType("A", 3, AFFINE_R1), None, 2, "1,s,s"),
+        (LieType("A", 3, AFFINE_R1), None, 2, "s,1,s"),
+        (LieType("D", 4, AFFINE_R1), 3, 2, "1,s,s"),
+    ])
+    def test_twisted_rows(self, monkeypatch, type_, order, k, pattern):
+        f = build_folding(type_, order)
+        branches = _recorded(monkeypatch, "branch")
+        tensors = _recorded(monkeypatch, "tensor_decompose")
+        folds = _recorded(monkeypatch, "alcove_fold")
+        fusion_table(f, k, pattern)
+        branched = [_coords(args[3]) for args, _ in branches]
+        assert sorted(branched) == sorted(_coords(lw.finite)
+                                          for lw in dominant_level_weights(f.base, k))
+        pairs = [frozenset((_coords(a), _coords(b))) for (_, a, b), _ in tensors]
+        assert len(pairs) == len(set(pairs))
+        self.assert_each_component_folded_once(folds, tensors)
+
+    def test_memo_bound_to_its_table(self, a1):
+        c2 = build_cartan(parse_type("C2", AFFINE_R1))
+        vac = c2.leveled(1, (0, 0))
+        with pytest.raises(ValueError, match="memo"):
+            kac_walton_row(c2, 1, vac, vac, memo=fusion_mod.KacWaltonMemo(a1, 1))
+        with pytest.raises(ValueError, match="memo"):
+            kac_walton_row(c2, 1, vac, vac, memo=fusion_mod.KacWaltonMemo(c2, 2))
+
+
+def _emitter_cases():
+    cases = [(name, None, k, "1,1,1")
+             for name in ("A1", "A2", "A3", "B2", "C2", "G2") for k in (0, 1, 2)]
+    for name, order in (("A3", None), ("D4", 2), ("D4", 3)):
+        patterns = ["1,s,s", "s,1,s"] + (["s,s,1"] if order != 3 else [])
+        if name == "D4" and order == 2:
+            patterns.append("1,1,1")
+        cases += [(name, order, k, p) for p in patterns for k in (0, 1, 2)]
+    return cases
+
+
+@pytest.mark.parametrize("name,order,k,pattern", _emitter_cases())
+def test_emitter_matches_dict_oracle(name, order, k, pattern):
+    type_ = parse_type(name, AFFINE_R1)
+    source = build_cartan(type_) if order is None and pattern == "1,1,1" \
+        else build_folding(type_, order)
+    table = fusion_table(source, k, pattern)
+    expected = json.dumps(fusion_table_json_dict(table), separators=(",", ":"))
+    assert table.to_json() == expected
+
+
+def test_gates_fire_without_asserts():
+    script = textwrap.dedent("""
+        import twistfuse.fusion as fusion
+        from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
+        from twistfuse.errors import TwistfuseError
+        from twistfuse.fold import build_folding
+        from twistfuse.smatrix import untwisted_S
+        from twistfuse.weyl import FoldResult
+
+        a2 = build_cartan(LieType("A", 2, AFFINE_R1))
+        a3 = build_folding(LieType("A", 3, AFFINE_R1))
+        vac = a2.leveled(1, (0, 0))
+
+        def run(call):
+            try:
+                call()
+            except (TwistfuseError, ValueError) as exc:
+                print(type(exc).__name__)
+            else:
+                print("no error")
+
+        true_fold = fusion.alcove_fold
+
+        def sign_flipped(affine, k, x):
+            res = true_fold(affine, k, x)
+            return FoldResult(-res.sign, res.rep, res.reflections_used)
+
+        fusion.alcove_fold = sign_flipped
+        run(lambda: fusion.fusion_table(a2, 1))
+        run(lambda: fusion.fusion_table(a3, 1, "1,s,s"))
+        fusion.alcove_fold = true_fold
+        run(lambda: fusion.kac_walton_row(a2, 1, a2.leveled(1, (1, 1)), vac))
+        run(lambda: fusion.twisted_kac_walton_row(
+            a3, 1, a3.base.leveled(1, (0, 0, 0)), a3.twisted.leveled(1, (0, 1))))
+        s = untwisted_S(a2, 1)
+        s.rows = s.rows[::-1]
+        run(lambda: fusion.verlinde(s, vac, vac, vac))
+        table = fusion.FusionTable("A2^(1)", 1, "none", "1,1,1")
+        run(lambda: table.add((vac, vac, vac), -1, "kac-walton"))
+    """)
+    src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["NegativeMultiplicity", "NegativeMultiplicity",
+                                   "ValueError", "ValueError", "ValueError",
+                                   "NegativeCoefficient"]
+
+
+def test_shared_memo_under_thread_switching():
+    a2 = build_cartan(parse_type("A2", AFFINE_R1))
+    a3 = build_folding(LieType("A", 3, AFFINE_R1))
+    jobs = [(a2, 3, "1,1,1"), (a3, 2, "1,s,s")]
+    serial = [fusion_table(src, k, p).to_json() for src, k, p in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = [fusion_table(src, k, p, parallelism=4).to_json()
+                    for src, k, p in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
 class TestFusionTableOutput:
     def test_json_schema(self, a1):
         table = fusion_table(a1, 1)
-        blob = table.to_json_dict()
+        blob = json.loads(table.to_json())
         assert blob["schema"] == 1
         assert blob["algebra"] == "A1^(1)"
         assert {e["N"] for e in blob["entries"]} == {0, 1}
@@ -207,7 +385,6 @@ class TestOrbifoldBlockReport:
 
 
 def test_pool_shares_one_sector_build(monkeypatch):
-    import twistfuse.fusion as fusion_mod
     calls = []
 
     def counted(*args):
