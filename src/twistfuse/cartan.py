@@ -287,7 +287,8 @@ class CartanDatum:
         self.gram_weights = tuple(
             tuple(d_fin[j] * a_inv[j][i] for j in range(self.rank))
             for i in range(self.rank))
-        self.npos = _NPOS[self._finite_family()[0]](self._finite_family()[1])
+        ft = _finite_type_of(type_)
+        self.npos = _NPOS[ft.family](ft.rank)
         if type_.kind == FINITE:
             # theta = dominant long root; its norm is 2 max(d).
             theta_labels = _highest_root_labels(a_fin, d_fin)
@@ -313,19 +314,6 @@ class CartanDatum:
 
     def is_affine(self):
         return self.type.kind != FINITE
-
-    def _finite_family(self):
-        t = self.type
-        if t.kind in (FINITE, AFFINE_R1):
-            return t.family, t.rank
-        # Finite parts of the twisted tables.
-        if t.kind == AFFINE_R2 and t.family == "A":
-            return "C", (t.rank + 1) // 2
-        if t.kind == AFFINE_R2 and t.family == "D":
-            return "B", t.rank - 1
-        if t.kind == AFFINE_R2 and t.family == "E":
-            return "F", 4
-        return "G", 2  # D_4^(3)
 
     def weight(self, coords):
         return Weight(self.finite, tuple(coords))
@@ -392,12 +380,23 @@ def _affine_matrix_from_theta(fin):
     return tuple(rows)
 
 
-_DUAL_UNTWISTED = {  # twisted type -> untwisted partner whose transpose it is
-    ("A", AFFINE_R2): "B",
-    ("D", AFFINE_R2): "C",
-    ("E", AFFINE_R2): "F",
-    ("D", AFFINE_R3): "G",
+# Twisted (kind, family) -> (partner family, finite-part family, their rank
+# from the twisted rank).  The twisted table is the transpose of the
+# partner's untwisted table; its finite part is the dual of the partner.
+_TWISTED = {
+    (AFFINE_R2, "A"): ("B", "C", lambda l: (l + 1) // 2),
+    (AFFINE_R2, "D"): ("C", "B", lambda l: l - 1),
+    (AFFINE_R2, "E"): ("F", "F", lambda l: 4),
+    (AFFINE_R3, "D"): ("G", "G", lambda l: 2),
 }
+
+
+def _finite_type_of(t):
+    """Finite LieType of the finite part of t (t itself when finite)."""
+    if t.kind in (FINITE, AFFINE_R1):
+        return LieType(t.family, t.rank, FINITE)
+    _, family, rank = _TWISTED[t.kind, t.family]
+    return LieType(family, rank(t.rank), FINITE)
 
 
 @lru_cache(maxsize=None)
@@ -414,12 +413,8 @@ def build_cartan(type_):
         fin = build_cartan(LieType(t.family, t.rank, FINITE))
         a = _affine_matrix_from_theta(fin)
     else:
-        fam, l = {
-            AFFINE_R2: {"A": ("B", (t.rank + 1) // 2), "D": ("C", t.rank - 1),
-                        "E": ("F", 4)}[t.family],
-            AFFINE_R3: ("G", 2),
-        }[t.kind]
-        partner = build_cartan(LieType(fam, l, FINITE))
+        family, _, rank = _TWISTED[t.kind, t.family]
+        partner = build_cartan(LieType(family, rank(t.rank), FINITE))
         a = rat.transpose(_affine_matrix_from_theta(partner))
     d = _symmetrizers(a)
     d = tuple(x / d[0] for x in d)  # normalization d_0 = 1
@@ -440,19 +435,6 @@ class _FiniteView(CartanDatum):
 
     def __repr__(self):
         return f"CartanDatum({self.type} part of {self.affine_type})"
-
-
-def _finite_type_of(affine_type):
-    t = affine_type
-    if t.kind == AFFINE_R1:
-        return LieType(t.family, t.rank, FINITE)
-    if t.kind == AFFINE_R2 and t.family == "A":
-        return LieType("C", (t.rank + 1) // 2, FINITE)
-    if t.kind == AFFINE_R2 and t.family == "D":
-        return LieType("B", t.rank - 1, FINITE)
-    if t.kind == AFFINE_R2 and t.family == "E":
-        return LieType("F", 4, FINITE)
-    return LieType("G", 2, FINITE)
 
 
 def inner_product(lam, mu):

@@ -12,13 +12,14 @@ import sys
 import time
 from dataclasses import dataclass
 
+from . import _rational as rat
 from .cartan import (AFFINE_R1, build_cartan, dual_lattice, lattice_M,
                      lattice_index, parse_type)
 from .errors import (IntegralityFailure, MassMismatch, MethodMismatch,
                      NegativeCoefficient, NegativeMultiplicity, NotInteger,
                      TwistfuseError)
 from .fold import build_folding, pstar_apply, symmetric_weights
-from .fusion import (SectorLabel, fusion_table, kac_walton, parse_pattern,
+from .fusion import (SectorLabel, check_pattern, fusion_table, kac_walton,
                      twisted_kac_walton, twisted_verlinde, verlinde)
 from .rep import branch, dim, dominant_level_weights
 from .smatrix import conformal, twisted_a, twisted_sector_S, untwisted_S
@@ -30,7 +31,6 @@ class RunConfig:
     level: int = 0
     twist: str = "none"
     twist_order: int = 0          # 0 = default order for the type
-    precision_bits: int = 53
     integer_tolerance: float = 1e-6
     unitarity_tolerance: float = 1e-9
     output: str = "json"
@@ -55,7 +55,6 @@ def _config(args):
     return RunConfig(
         type=args.type, level=args.level, twist=args.twist,
         twist_order=getattr(args, "twist_order", 0),
-        precision_bits=args.precision_bits,
         integer_tolerance=args.integer_tolerance,
         unitarity_tolerance=args.unitarity_tolerance,
         output=args.output, parallelism=args.parallelism)
@@ -71,13 +70,13 @@ def cmd_smatrix(cfg):
     out = {"schema": 1, "algebra": cfg.type, "level": cfg.level}
     worst = 0.0
     if cfg.twist == "none":
-        s = untwisted_S(datum, cfg.level, cfg.precision_bits)
+        s = untwisted_S(datum, cfg.level)
         worst = max(s.unitarity_defect(), s.symmetry_defect())
         out["S"] = s.to_json_dict()
     else:
         folding = _folding_for(cfg)
-        sector = twisted_sector_S(folding, cfg.level, cfg.precision_bits)
-        full = untwisted_S(folding.base, cfg.level, cfg.precision_bits)
+        sector = twisted_sector_S(folding, cfg.level)
+        full = untwisted_S(folding.base, cfg.level)
         sym = symmetric_weights(folding, cfg.level)
         pos = {tuple(w.finite.coords): i for i, w in enumerate(full.cols)}
         idx = [pos[tuple(w.finite.coords)] for w in sym]
@@ -111,7 +110,7 @@ def cmd_fusion(cfg, pattern, triple, method):
         return 0
     table = fusion_table(source, cfg.level, pattern,
                          tolerance=cfg.integer_tolerance,
-                         bits=cfg.precision_bits, parallelism=cfg.parallelism)
+                         parallelism=cfg.parallelism)
     if cfg.output == "json":
         print(table.to_json())
     else:
@@ -119,37 +118,41 @@ def cmd_fusion(cfg, pattern, triple, method):
     return 0
 
 
+def _leveled(datum, level, spec):
+    coords = _parse_weight(spec)
+    if len(coords) != datum.rank:
+        raise ValueError(f"weight {spec!r} has {len(coords)} labels; "
+                         f"{datum.type} needs {datum.rank}")
+    return datum.leveled(level, coords)
+
+
 def _single_fusion(cfg, source, pattern, triple, method):
-    key, sectors = parse_pattern(pattern)
-    coords = [_parse_weight(s) for s in triple]
+    key, sectors = check_pattern(source, pattern)
+    if len(triple) != 3:
+        raise ValueError(f"a single coefficient takes three weights, "
+                         f"not {len(triple)}")
     if key == "1,1,1":
-        datum = source
-        labels = [datum.leveled(cfg.level, c) for c in coords]
+        datum = getattr(source, "base", source)
+        labels = [_leveled(datum, cfg.level, spec) for spec in triple]
         if method in ("both", "kac-walton"):
             nk = kac_walton(datum, cfg.level, *labels)
             if method == "kac-walton":
                 return nk
-        s = untwisted_S(datum, cfg.level, cfg.precision_bits)
+        s = untwisted_S(datum, cfg.level)
         nv = verlinde(s, *labels, tolerance=cfg.integer_tolerance)
         if method == "both" and nv != nk:
             raise MethodMismatch(tuple(labels), nv, nk)
         return nv
     folding = source
-    from .errors import UnsupportedSectorPattern
-    from .fusion import _COMPUTABLE, check_sector_rule
-    check_sector_rule(folding, sectors)
-    if key not in _COMPUTABLE:
-        raise UnsupportedSectorPattern(f"pattern {key!r} needs an unavailable block")
     labels = []
-    for cls, c in zip(sectors, coords):
+    for cls, spec in zip(sectors, triple):
         datum = folding.base if cls == 0 else folding.twisted
         labels.append(SectorLabel("untwisted" if cls == 0 else "sigma",
-                                  datum.leveled(cfg.level, c)))
+                                  _leveled(datum, cfg.level, spec)))
     nv = None
     if method in ("both", "verlinde"):
         nv = twisted_verlinde(folding, cfg.level, *labels,
-                              tolerance=cfg.integer_tolerance,
-                              bits=cfg.precision_bits)
+                              tolerance=cfg.integer_tolerance)
         if method == "verlinde":
             return nv
     if key not in ("1,s,s", "s,1,s"):
@@ -227,57 +230,59 @@ GRIDS = {
 
 
 def _check_cartan(grid):
-    worst = 0.0
     for name, _ in grid["untwisted"]:
         datum = build_cartan(parse_type(name, AFFINE_R1))
         m = lattice_M(datum)
         det = lattice_index(dual_lattice(m), m)
-        from . import _rational as rat
         gram_det = rat.mat_det(m.gram())
-        assert det == gram_det, (det, gram_det)
-    return worst
+        if det != gram_det:
+            raise TwistfuseError(f"{name}: lattice index {det} != Gram "
+                                 f"determinant {gram_det}")
+    return 0.0
 
 
-def _check_smatrix(grid, bits, tol):
+def _check_smatrix(grid):
     worst = 0.0
     for name, kmax in grid["untwisted"]:
         datum = build_cartan(parse_type(name, AFFINE_R1))
         for k in range(1, kmax + 1):
-            s = untwisted_S(datum, k, bits)
+            s = untwisted_S(datum, k)
             worst = max(worst, s.unitarity_defect(), s.symmetry_defect())
     return worst
 
 
-def _check_twisted_a(grid, bits, tol):
+def _check_twisted_a(grid):
     worst = 0.0
     for name, order, kmax in grid["foldings"]:
         folding = build_folding(parse_type(name, AFFINE_R1), order or None)
         for k in range(1, kmax + 1):
-            a = twisted_a(folding, k, bits)
-            assert a.shape[0] == a.shape[1]
+            a = twisted_a(folding, k)
+            if a.shape[0] != a.shape[1]:
+                raise TwistfuseError(f"{name} level {k}: twisted-a matrix is "
+                                     f"{a.shape}")
             worst = max(worst, a.unitarity_defect())
     return worst
 
 
-def _check_verlinde_vs_kw(grid, bits, tol, parallelism):
+def _check_verlinde_vs_kw(grid, tol, parallelism):
     for name, kmax in grid["verlinde"]:
         datum = build_cartan(parse_type(name, AFFINE_R1))
         for k in range(1, kmax + 1):
-            fusion_table(datum, k, "1,1,1", tolerance=tol, bits=bits,
+            fusion_table(datum, k, "1,1,1", tolerance=tol,
                          parallelism=parallelism)
     return 0.0
 
 
-def _check_twisted_fusion(grid, bits, tol, parallelism):
+def _check_twisted_fusion(grid, tol, parallelism):
     for name, order, kmax in grid["foldings"]:
         folding = build_folding(parse_type(name, AFFINE_R1), order or None)
         for k in range(1, kmax + 1):
-            fusion_table(folding, k, "1,s,s", tolerance=tol, bits=bits,
+            fusion_table(folding, k, "1,s,s", tolerance=tol,
                          parallelism=parallelism)
     return 0.0
 
 
-def _check_fold_identities(grid, bits, tol):
+def _check_fold_identities(grid):
     for name, order in grid["fold_identities"]:
         folding = build_folding(parse_type(name, AFFINE_R1), order or None)
         for k in range(0, 4):
@@ -286,16 +291,21 @@ def _check_fold_identities(grid, bits, tol):
             tw = folding.twisted
             n_adj = dominant_level_weights(adj, k)
             n_tw = dominant_level_weights(tw, k)
-            assert len(sym) == len(n_adj) == len(n_tw)
+            if not len(sym) == len(n_adj) == len(n_tw):
+                raise TwistfuseError(
+                    f"{name} level {k}: {len(sym)} symmetric, {len(n_adj)} "
+                    f"adjacent and {len(n_tw)} twisted weights")
             for lw in n_adj:
                 image = pstar_apply(folding, lw)
                 m_adj = conformal(adj, k, lw).m
                 m_base = conformal(folding.base, k, image).m
-                assert m_adj == m_base, (str(lw), m_adj, m_base)
+                if m_adj != m_base:
+                    raise TwistfuseError(f"{name} level {k}: anomaly of {lw} is "
+                                         f"{m_adj}, of its image {m_base}")
     return 0.0
 
 
-def _check_unit_laws(grid, bits, tol):
+def _check_unit_laws(grid, tol):
     for name, order, kmax in grid["foldings"]:
         folding = build_folding(parse_type(name, AFFINE_R1), order or None)
         k = min(kmax, 1)
@@ -305,29 +315,27 @@ def _check_unit_laws(grid, bits, tol):
                 n = twisted_verlinde(
                     folding, k, SectorLabel("untwisted", vac),
                     SectorLabel("sigma", lw), SectorLabel("sigma", mu),
-                    tolerance=tol, bits=bits)
-                assert n == (1 if lw == mu else 0), "vacuum unit law failed"
+                    tolerance=tol)
+                if n != (1 if lw == mu else 0):
+                    raise TwistfuseError(
+                        f"vacuum unit law failed at {lw}, {mu}: N = {n}")
     return 0.0
 
 
 def _selfcheck_properties(grid, cfg):
     return [
         ("cartan-lattice-invariants", lambda: _check_cartan(grid)),
-        ("smatrix-unitarity-symmetry",
-         lambda: _check_smatrix(grid, cfg.precision_bits, cfg.unitarity_tolerance)),
-        ("twisted-a-unitarity",
-         lambda: _check_twisted_a(grid, cfg.precision_bits, cfg.unitarity_tolerance)),
+        ("smatrix-unitarity-symmetry", lambda: _check_smatrix(grid)),
+        ("twisted-a-unitarity", lambda: _check_twisted_a(grid)),
         ("verlinde-equals-kac-walton",
-         lambda: _check_verlinde_vs_kw(grid, cfg.precision_bits,
-                                       cfg.integer_tolerance, cfg.parallelism)),
+         lambda: _check_verlinde_vs_kw(grid, cfg.integer_tolerance,
+                                       cfg.parallelism)),
         ("twisted-verlinde-equals-twisted-kac-walton",
-         lambda: _check_twisted_fusion(grid, cfg.precision_bits,
-                                       cfg.integer_tolerance, cfg.parallelism)),
-        ("folding-identities-and-anomaly",
-         lambda: _check_fold_identities(grid, cfg.precision_bits,
-                                        cfg.integer_tolerance)),
+         lambda: _check_twisted_fusion(grid, cfg.integer_tolerance,
+                                       cfg.parallelism)),
+        ("folding-identities-and-anomaly", lambda: _check_fold_identities(grid)),
         ("vacuum-unit-laws",
-         lambda: _check_unit_laws(grid, cfg.precision_bits, cfg.integer_tolerance)),
+         lambda: _check_unit_laws(grid, cfg.integer_tolerance)),
     ]
 
 
@@ -378,7 +386,6 @@ def build_parser():
         p.add_argument("--twist", choices=["none", "diagram"], default="none")
         p.add_argument("--twist-order", type=int, default=0,
                        help="2 or 3 for D4; default picks the triality")
-        p.add_argument("--precision-bits", type=int, default=53)
         p.add_argument("--integer-tolerance", type=float, default=1e-6)
         p.add_argument("--unitarity-tolerance", type=float, default=1e-9)
         p.add_argument("--output", choices=["json", "table"], default="json")
@@ -388,7 +395,7 @@ def build_parser():
     p = sub.add_parser("smatrix", help="modular S-matrices")
     common(p)
 
-    p = sub.add_parser("fusion", help="fusion coefficients or tables")
+    fusion = p = sub.add_parser("fusion", help="fusion coefficients or tables")
     common(p)
     p.add_argument("triple", nargs="*",
                    help="three weights as comma-separated labels; empty for "
@@ -414,18 +421,16 @@ def build_parser():
     common(p, need_level=False, need_type=False)
     p.set_defaults(level=0, type="A1")
     p.add_argument("--grid", default="default", choices=sorted(GRIDS))
-    return parser
+    return parser, fusion
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, fusion = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     # Intermixed parsing lets weight triples follow the option flags.
     if argv and argv[0] == "fusion":
-        sub = next(a for a in parser._subparsers._group_actions[0].choices.items()
-                   if a[0] == "fusion")[1]
-        args = sub.parse_intermixed_args(argv[1:])
+        args = fusion.parse_intermixed_args(argv[1:])
         args.command = "fusion"
     else:
         args = parser.parse_args(argv)

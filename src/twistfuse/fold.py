@@ -163,7 +163,6 @@ def orbit_cartan(auto):
 @dataclass(frozen=True)
 class FoldingData:
     auto: DiagramAutomorphism
-    orbit_cartan: object    # canonical datum isomorphic to the raw orbit matrix
     twisted: object         # CartanDatum of the twisted partner type
     adjacent: object        # CartanDatum of the adjacent type (= orbit algebra)
     r: int
@@ -260,7 +259,7 @@ def build_folding(type_, order=None):
         for i in range(l))
 
     folding = FoldingData(
-        auto=auto, orbit_cartan=adjacent, twisted=twisted, adjacent=adjacent,
+        auto=auto, twisted=twisted, adjacent=adjacent,
         r=auto.order, N=tuple(N), s=tuple(s), raw_orbit_matrix=ahat,
         relabel=tuple(relabel[r_] for r_ in reps),
         Pstar=pstar, phi=phi, iota_dual=iota_dual)

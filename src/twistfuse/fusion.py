@@ -134,7 +134,7 @@ def verlinde(s_matrix, lam1, lam2, lam3, tolerance=INTEGER_TOLERANCE):
     i = _row_index(s_matrix.rows, lam1)
     j = _row_index(s_matrix.rows, lam2)
     k = _row_index(s_matrix.rows, lam3)
-    s = np.asarray(s_matrix.entries, dtype=complex)
+    s = s_matrix.entries
     value = np.sum(s[i] * s[j] * np.conj(s[k]) / s[0])
     return _round_coefficient(value, tolerance)
 
@@ -271,20 +271,19 @@ class SectorMatrices:
     weights, columns aligned with scol's.
     """
 
-    def __init__(self, folding, k, bits=53):
+    def __init__(self, folding, k):
         self.folding = folding
         self.k = k
         self.base_labels = dominant_level_weights(folding.base, k)
         self.sym = symmetric_weights(folding, k)
-        full = untwisted_S(folding.base, k, bits)
+        full = untwisted_S(folding.base, k)
         self.full_S = full
         pos = {tuple(lw.finite.coords): i for i, lw in enumerate(full.cols)}
         col_idx = [pos[tuple(w.finite.coords)] for w in self.sym]
-        s = np.asarray(full.entries, dtype=complex)
-        self.scol = s[:, col_idx]
-        sector = twisted_sector_S(folding, k, bits)
+        self.scol = full.entries[:, col_idx]
+        sector = twisted_sector_S(folding, k)
         self.sector_S = sector
-        self.a = np.asarray(sector.entries, dtype=complex)
+        self.a = sector.entries
         self.twisted_labels = sector.rows
         self.vac = self.scol[0]
 
@@ -298,8 +297,8 @@ class SectorMatrices:
 # Each entry holds whole S-matrix blocks; a small bound keeps a long-lived
 # process from growing without limit.
 @lru_cache(maxsize=8)
-def _sector_matrices(folding, k, bits=53):
-    return SectorMatrices(folding, k, bits)
+def _sector_matrices(folding, k):
+    return SectorMatrices(folding, k)
 
 
 def _sector_classes(folding, labels):
@@ -309,7 +308,7 @@ def _sector_classes(folding, labels):
         if cls is None:
             raise UnsupportedSectorPattern(f"unknown sector {lab!r}")
         out.append(cls)
-    return out
+    return tuple(out)
 
 
 def check_sector_rule(folding, sectors):
@@ -323,22 +322,17 @@ def check_sector_rule(folding, sectors):
             f"sectors ({g1},{g2}->{g3}) violate g3 = g1*g2 for order {p}")
 
 
-def twisted_verlinde(folding, k, m1, m2, m3, tolerance=INTEGER_TOLERANCE, bits=53):
+def twisted_verlinde(folding, k, m1, m2, m3, tolerance=INTEGER_TOLERANCE):
     """Fusion coefficient for mixed sectors via S-matrix blocks.
 
     Supported patterns: (1,s->s) and (s,1->s) for any order; (s,s->1) only
     for order 2.  Patterns needing a sigma^2 block are rejected.
     """
     sectors = _sector_classes(folding, (m1, m2, m3))
-    check_sector_rule(folding, sectors)
-    if all(s == 0 for s in sectors):
+    if sectors == (0, 0, 0):
         raise SectorRuleViolation("use the untwisted routes for (1,1->1)")
-    if 2 in sectors:
-        raise UnsupportedSectorPattern("no S-matrix block for the sigma^2 sector")
-    if sectors == (1, 1, 0) and folding.r != 2:
-        raise UnsupportedSectorPattern(
-            "(s,s->1) requires the twisted and antitwisted sectors to agree (order 2)")
-    mats = _sector_matrices(folding, k, bits)
+    _check_sectors(folding, sectors)
+    mats = _sector_matrices(folding, k)
 
     def row(label):
         if label.sector == UNTWISTED:
@@ -349,7 +343,7 @@ def twisted_verlinde(folding, k, m1, m2, m3, tolerance=INTEGER_TOLERANCE, bits=5
     return _round_coefficient(value, tolerance)
 
 
-def orbifold_block_report(folding, k, bits=53):
+def orbifold_block_report(folding, k):
     """Labeled blocks of the fixed-point algebra S-matrix, order 2 only.
 
     Emits what is constructible from the untwisted S-matrix and the twisted
@@ -360,10 +354,10 @@ def orbifold_block_report(folding, k, bits=53):
     if folding.r != 2:
         raise UnsupportedOrder("block report is limited to order-2 twists")
     p = folding.r
-    mats = _sector_matrices(folding, k, bits)
+    mats = _sector_matrices(folding, k)
     sym = mats.sym
     sym_idx = [mats.row_base(w) for w in sym]
-    s = np.asarray(mats.full_S.entries, dtype=complex)
+    s = mats.full_S.entries
 
     def eig_labels(labels, sector):
         return tuple((SectorLabel(sector, w), t) for w in labels for t in range(p))
@@ -379,7 +373,7 @@ def orbifold_block_report(folding, k, bits=53):
             for a in range(p):
                 for b in range(p):
                     block1[p * i + a, p * j + b] = v
-    b1 = ModularMatrix(sym_rows, sym_rows, block1, ORBIFOLD_BLOCK, bits)
+    b1 = ModularMatrix(sym_rows, sym_rows, block1, ORBIFOLD_BLOCK)
 
     block2 = np.zeros((p * n_tw, p * n_sym), dtype=complex)
     for i in range(n_tw):
@@ -388,7 +382,7 @@ def orbifold_block_report(folding, k, bits=53):
             for a in range(p):
                 for b in range(p):
                     block2[p * i + a, p * j + b] = v * (-1) ** b
-    b2 = ModularMatrix(tw_rows, sym_rows, block2, ORBIFOLD_BLOCK, bits)
+    b2 = ModularMatrix(tw_rows, sym_rows, block2, ORBIFOLD_BLOCK)
 
     # Orbit representatives of the non-stable untwisted modules.
     perm = folding.finite_perm()
@@ -409,19 +403,16 @@ def orbifold_block_report(folding, k, bits=53):
         for j in range(n_sym):
             for b in range(p):
                 block3[r_out, p * j + b] = s[i, sym_idx[j]]
-    b3 = ModularMatrix(rep_rows, sym_rows, block3, ORBIFOLD_BLOCK, bits)
+    b3 = ModularMatrix(rep_rows, sym_rows, block3, ORBIFOLD_BLOCK)
 
     block4 = np.zeros((len(reps), p * n_tw), dtype=complex)
-    b4 = ModularMatrix(rep_rows, tw_rows, block4, ORBIFOLD_BLOCK, bits)
+    b4 = ModularMatrix(rep_rows, tw_rows, block4, ORBIFOLD_BLOCK)
     return [b1, b2, b3, b4]
 
 
-_COMPUTABLE = {
-    "1,1,1": (0, 0, 0),
-    "1,s,s": (0, 1, 1),
-    "s,1,s": (1, 0, 1),
-    "s,s,1": (1, 1, 0),
-}
+# Sector classes of the patterns 1,1,1  1,s,s  s,1,s  s,s,1: those with
+# S-matrix blocks.  A sigma^2 sector has none.
+_COMPUTABLE = {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
 _TOKEN = {"1": 0, "s": 1, "s2": 2}
 
 
@@ -434,36 +425,54 @@ def parse_pattern(pattern):
     return key, tuple(_TOKEN[t] for t in toks)
 
 
+def _check_sectors(folding, sectors):
+    """Sector classes (g1, g2, g3) must obey the sector rule and have
+    S-matrix blocks; (s,s->1) is limited to order-2 twists."""
+    check_sector_rule(folding, sectors)
+    if sectors not in _COMPUTABLE:
+        g1, g2, g3 = sectors
+        raise UnsupportedSectorPattern(
+            f"sectors ({g1},{g2}->{g3}) are admissible but need an unavailable "
+            f"S-matrix block")
+    if sectors == (1, 1, 0) and folding.r != 2:
+        raise UnsupportedSectorPattern("(s,s->1) is limited to order-2 twists")
+
+
+def check_pattern(source, pattern):
+    """Parse a sector pattern and check that it is computable; returns
+    (key, sector classes).
+
+    source is the CartanDatum or FoldingData the coefficients are taken
+    over; any pattern but 1,1,1 needs a FoldingData.
+    """
+    key, sectors = parse_pattern(pattern)
+    if key != "1,1,1":
+        _check_sectors(source, sectors)
+    return key, sectors
+
+
 def fusion_table(folding_or_datum, k, pattern="1,1,1", tolerance=INTEGER_TOLERANCE,
-                 bits=53, parallelism=1):
+                 parallelism=1):
     """Batch driver over all weight triples of one sector pattern.
 
     When both the S-matrix route and the folding route apply, every entry is
     computed twice and equality is asserted before emission.
     """
-    key, sectors = parse_pattern(pattern)
+    key, sectors = check_pattern(folding_or_datum, pattern)
     if key == "1,1,1":
         datum = getattr(folding_or_datum, "base", folding_or_datum)
-        return _untwisted_table(datum, k, tolerance, bits, parallelism)
-    folding = folding_or_datum
-    check_sector_rule(folding, sectors)
-    if key not in _COMPUTABLE:
-        raise UnsupportedSectorPattern(
-            f"pattern {key!r} is admissible but needs an unavailable sector block")
-    if sectors == (1, 1, 0) and folding.r != 2:
-        raise UnsupportedSectorPattern("(s,s->1) is limited to order-2 twists")
-    return _twisted_table(folding, k, key, sectors, tolerance, bits, parallelism)
+        return _untwisted_table(datum, k, tolerance, parallelism)
+    return _twisted_table(folding_or_datum, k, key, sectors, tolerance, parallelism)
 
 
-def _untwisted_table(datum, k, tolerance, bits, parallelism):
+def _untwisted_table(datum, k, tolerance, parallelism):
     table = FusionTable(str(datum.type), k, "none", "1,1,1")
     labels = dominant_level_weights(datum, k)
     if k == 0:
         only = labels[0]
         table.add((only, only, only), 1, "kac-walton")
         return table
-    s = untwisted_S(datum, k, bits)
-    smat = np.asarray(s.entries, dtype=complex)
+    smat = untwisted_S(datum, k).entries
     conj_over_vac = np.conj(smat)
     coords = [tuple(lab.finite.coords) for lab in labels]
     memo = KacWaltonMemo(datum, k)
@@ -498,7 +507,7 @@ def _untwisted_table(datum, k, tolerance, bits, parallelism):
     return table
 
 
-def _twisted_table(folding, k, key, sectors, tolerance, bits, parallelism):
+def _twisted_table(folding, k, key, sectors, tolerance, parallelism):
     table = FusionTable(str(folding.base.type), k, "diagram", key)
     base_labels = dominant_level_weights(folding.base, k)
     tw_labels = dominant_level_weights(folding.twisted, k)
@@ -508,7 +517,7 @@ def _twisted_table(folding, k, key, sectors, tolerance, bits, parallelism):
         table.add(tuple(sector_labels[cls][0] for cls in sectors), 1, "kac-walton")
         return table
     # Built here, before the pool starts, so that its threads share one build.
-    _sector_matrices(folding, k, bits)
+    _sector_matrices(folding, k)
     first, second, third = (sector_labels[cls] for cls in sectors)
 
     if key in ("1,s,s", "s,1,s"):
@@ -522,7 +531,7 @@ def _twisted_table(folding, k, key, sectors, tolerance, bits, parallelism):
                                             lam_tw.weight, memo=memo)
             out = []
             for m3s, c3 in zip(third, tw_coords):
-                nv = twisted_verlinde(folding, k, m1s, m2s, m3s, tolerance, bits)
+                nv = twisted_verlinde(folding, k, m1s, m2s, m3s, tolerance)
                 nk = kw_row.get(c3, 0)
                 if nv != nk:
                     raise MethodMismatch((m1s, m2s, m3s), nv, nk)
@@ -533,7 +542,7 @@ def _twisted_table(folding, k, key, sectors, tolerance, bits, parallelism):
         def one_pair(i, j):
             m1s, m2s = first[i], second[j]
             return [((m1s, m2s, m3s),
-                     twisted_verlinde(folding, k, m1s, m2s, m3s, tolerance, bits))
+                     twisted_verlinde(folding, k, m1s, m2s, m3s, tolerance))
                     for m3s in third]
         method = "verlinde-only"
 

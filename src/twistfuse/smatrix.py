@@ -8,9 +8,9 @@ priced from the root heights, and a group above `weyl.ELEMENT_CAP` raises
 RankTooLarge.  Every phase exponent is an exact integer over
 N = gram_den * den * t, reduced mod N as an integer, and only then used to
 index a table of N-th roots of unity; exponents that could leave the int64
-range raise ExponentOverflow.  The default numeric field is a
-double-precision complex; precision_bits > 53 builds the root table with
-mpmath and runs the same kernel on object arrays, for stress testing.
+range raise ExponentOverflow.  The numeric field is double-precision
+complex: exactness lives in the integer exponents, and a root of unity is
+the only floating-point value the kernel reads.
 """
 
 import math
@@ -26,8 +26,6 @@ from .fold import (pstar_apply, phi_apply_shifted, symmetric_weights,
                    transported_adjacent_M)
 from .rep import dominant_level_weights, _gram_int
 from .weyl import signed_orbit
-
-DEFAULT_BITS = 53
 
 UNTWISTED_S = "untwisted-S"
 TWISTED_A = "twisted-a"
@@ -74,9 +72,8 @@ def conformal(affine_datum, k, lam):
 class ModularMatrix:
     rows: tuple       # row labels
     cols: tuple       # column labels
-    entries: object   # numpy complex array, or object array for high precision
+    entries: object   # numpy complex array
     provenance: str
-    precision: int = DEFAULT_BITS
 
     def __getitem__(self, rc):
         return self.entries[rc]
@@ -85,26 +82,23 @@ class ModularMatrix:
     def shape(self):
         return (len(self.rows), len(self.cols))
 
-    def _as_complex(self):
-        return np.asarray(self.entries, dtype=complex)
-
     def unitarity_defect(self):
-        s = self._as_complex()
+        s = self.entries
         return float(np.abs(s @ s.conj().T - np.eye(s.shape[0])).max())
 
     def symmetry_defect(self):
-        s = self._as_complex()
+        s = self.entries
         return float(np.abs(s - s.T).max())
 
     def to_json_dict(self):
-        s = self._as_complex()
+        s = self.entries
         return {
             "rows": [_label_json(x) for x in self.rows],
             "cols": [_label_json(x) for x in self.cols],
             "re": [[float(f"{v.real:.17g}") for v in row] for row in s],
             "im": [[float(f"{v.imag:.17g}") for v in row] for row in s],
             "provenance": self.provenance,
-            "precision": self.precision,
+            "precision": 53,  # the mantissa of complex128, the one numeric field
         }
 
 
@@ -122,27 +116,10 @@ def _label_json(label):
     return {"sector": label.sector, **_label_json(label.weight)}
 
 
-def _mp(bits):
-    import mpmath
-    mp = mpmath.mp.clone()
-    mp.prec = bits
-    return mp
-
-
-def _roots_of_unity(n, bits):
+def _roots_of_unity(n):
     """exp(-2 pi i m / n) for m = 0..n-1: every phase an exponent reduced
-    mod n can take.  An object array of mpmath values when bits > 53."""
-    if bits <= 53:
-        return np.exp(1j * (-2.0 * math.pi * (np.arange(n) / n)))
-    mp = _mp(bits)
-    return np.array([mp.expjpi(mp.mpf(-2) * mp.mpf(m) / n) for m in range(n)],
-                    dtype=object)
-
-
-def _sqrt(x, bits):
-    if bits > 53:
-        return _mp(bits).sqrt(x)
-    return math.sqrt(x)
+    mod n can take."""
+    return np.exp(1j * (-2.0 * math.pi * (np.arange(n) / n)))
 
 
 # Points times columns per block of exponents: bounds the work arrays of one
@@ -150,7 +127,7 @@ def _sqrt(x, bits):
 _BLOCK = 1 << 18
 
 
-def _weyl_sum_matrix(fin, t, row_shifted, col_shifted, bits):
+def _weyl_sum_matrix(fin, t, row_shifted, col_shifted):
     """Matrix of sum_w eps(w) exp(-2 pi i (w(row), col) / t).
 
     row_shifted: integer, regular, dominant label tuples (rho-shifted rows).
@@ -177,10 +154,8 @@ def _weyl_sum_matrix(fin, t, row_shifted, col_shifted, bits):
         gc = [[sum(gram_int[a][b] * mu[b] for b in range(l)) % n
                for _, mu in members] for a in range(l)]
         blocks.append(([j for j, _ in members], n, np.array(gc, dtype=np.int64),
-                       _roots_of_unity(n, bits)))
-    # complex, or object when the root tables hold mpmath values
-    dtype = blocks[0][3].dtype
-    out = np.zeros((len(row_shifted), len(col_shifted)), dtype=dtype)
+                       _roots_of_unity(n)))
+    out = np.zeros((len(row_shifted), len(col_shifted)), dtype=complex)
     for i, lam in enumerate(row_shifted):
         pts, signs = signed_orbit(fin, lam)
         width = max(1, _BLOCK // len(pts))
@@ -219,10 +194,17 @@ def _check_exponent_range(fin, row_shifted, n_max):
             f"range of the orbit kernel")
 
 
-def untwisted_S(affine_datum, k, bits=DEFAULT_BITS):
+def _require_level(k):
+    if k < 1:
+        raise ValueError(f"modular matrices need level >= 1, not {k}")
+
+
+def untwisted_S(affine_datum, k):
     """Kac-Peterson S-matrix over the level-k dominant weights."""
-    assert affine_datum.is_affine() and affine_datum.type.kind == "affine-r1"
-    assert k >= 1
+    if affine_datum.type.kind != "affine-r1":
+        raise ValueError(f"untwisted_S needs an untwisted affine datum, "
+                         f"not {affine_datum.type}")
+    _require_level(k)
     fin = affine_datum.finite
     t = k + affine_datum.hdual
     labels = dominant_level_weights(affine_datum, k)
@@ -230,18 +212,18 @@ def untwisted_S(affine_datum, k, bits=DEFAULT_BITS):
     norm_sq = lattice_index(dual_lattice(m_lat), m_lat.scaled(t))
     assert norm_sq == t ** fin.rank * lattice_index(dual_lattice(m_lat), m_lat)
     shifted = [tuple(c + 1 for c in lw.finite.coords) for lw in labels]
-    raw = _weyl_sum_matrix(fin, t, shifted, [(s, 1) for s in shifted], bits)
-    scale = 1 / _sqrt(norm_sq, bits)
+    raw = _weyl_sum_matrix(fin, t, shifted, [(s, 1) for s in shifted])
+    scale = 1 / math.sqrt(norm_sq)
     phase = (1, 1j, -1, -1j)[fin.npos % 4]
     return ModularMatrix(tuple(labels), tuple(labels), raw * (phase * scale),
-                         UNTWISTED_S, bits)
+                         UNTWISTED_S)
 
 
-def twisted_a(folding, k, bits=DEFAULT_BITS):
+def twisted_a(folding, k):
     """Modular coefficient matrix between twisted-type and adjacent-type
     characters; rows over the twisted weights, columns over the adjacent
     weights."""
-    assert k >= 1
+    _require_level(k)
     tw = folding.twisted
     adj = folding.adjacent
     fin = tw.finite
@@ -260,18 +242,18 @@ def twisted_a(folding, k, bits=DEFAULT_BITS):
     for lw in cols:
         img = phi_apply_shifted(folding, tuple(c + 1 for c in lw.finite.coords))
         col_shifted.append(rat.clear_denominators(img))
-    raw = _weyl_sum_matrix(fin, t, row_shifted, col_shifted, bits)
-    scale = _sqrt(idx_pair, bits) / _sqrt(norm_sq, bits)
+    raw = _weyl_sum_matrix(fin, t, row_shifted, col_shifted)
+    scale = math.sqrt(idx_pair) / math.sqrt(norm_sq)
     phase = (1, 1j, -1, -1j)[fin.npos % 4]
-    return ModularMatrix(tuple(rows), tuple(cols), raw * (phase * scale), TWISTED_A, bits)
+    return ModularMatrix(tuple(rows), tuple(cols), raw * (phase * scale), TWISTED_A)
 
 
-def twisted_sector_S(folding, k, bits=DEFAULT_BITS):
+def twisted_sector_S(folding, k):
     """S-matrix block from the twisted sector to the sigma-stable untwisted
     modules: the twisted-a matrix with columns relabeled through Pstar."""
-    a = twisted_a(folding, k, bits)
+    a = twisted_a(folding, k)
     new_cols = tuple(pstar_apply(folding, lw) for lw in a.cols)
     sym = symmetric_weights(folding, k)
     assert tuple(w.finite.coords for w in new_cols) == \
         tuple(w.finite.coords for w in sym)
-    return ModularMatrix(a.rows, new_cols, a.entries, ORBIFOLD_BLOCK, bits)
+    return ModularMatrix(a.rows, new_cols, a.entries, ORBIFOLD_BLOCK)

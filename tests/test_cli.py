@@ -45,6 +45,11 @@ class TestSmatrixCommand:
         assert proc.returncode == 1
         assert "rank" in proc.stderr
 
+    def test_level_zero_exit_code(self, capsys):
+        rc, _, err = run(capsys, "smatrix", "A1", "--level", "0")
+        assert rc == 1
+        assert "level >= 1" in err
+
     def test_unitarity_gate(self, capsys):
         rc, out, _ = run(capsys, "smatrix", "A2", "--level", "2",
                          "--unitarity-tolerance", "1e-20")
@@ -56,6 +61,24 @@ class TestFusionCommand:
         rc, out, _ = run(capsys, "fusion", "A1", "--level", "1", "1", "1", "0")
         assert rc == 0
         assert json.loads(out)["N"] == 1
+
+    @pytest.mark.parametrize("argv,n,message", [
+        (["A3", "--twist", "diagram", "0,0,0", "0,0,0", "0,0,0"], 1, None),
+        (["A1", "1", "1"], None, "three weights, not 2"),
+        (["A2", "1", "0", "0,0", "0,0"], None, "three weights, not 4"),
+        (["A2", "1", "0,0", "0,0"], None, "'1' has 1 labels"),
+        (["A3", "--twist", "diagram", "--pattern", "1,s,s", "0,0,0", "0,0,0",
+          "0,0"], None, "'0,0,0' has 3 labels"),
+    ], ids=["untwisted-over-folding", "two-weights", "four-weights",
+            "short-label", "long-twisted-label"])
+    def test_single_coefficient_input(self, capsys, argv, n, message):
+        rc, out, err = run(capsys, "fusion", *argv, "--level", "1")
+        if message is None:
+            assert rc == 0
+            assert json.loads(out)["N"] == n
+        else:
+            assert rc == 1
+            assert message in err
 
     def test_full_twisted_table(self, capsys):
         rc, out, _ = run(capsys, "fusion", "A3", "--level", "1",
@@ -137,13 +160,25 @@ class TestOtherCommands:
         import twistfuse.cli as cli_mod
         from twistfuse.errors import UnrecognizedFoldedType
 
-        def broken(grid, bits, tol):
+        def broken(grid):
             raise UnrecognizedFoldedType("corrupted table fixture")
 
         monkeypatch.setattr(cli_mod, "_check_twisted_a", broken)
         rc, _, err = run(capsys, "selfcheck", "--grid", "tiny")
         assert rc == 2
         assert "corrupted table fixture" in err
+
+    def test_selfcheck_gates_survive_without_asserts(self):
+        script = ("import sys\n"
+                  "import twistfuse.cli as cli\n"
+                  "cli.twisted_verlinde = lambda *args, **kw: 0\n"
+                  "sys.exit(cli.main(['selfcheck', '--grid', 'tiny']))\n")
+        src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2, proc.stderr
+        assert "selfcheck failed at: vacuum-unit-laws" in proc.stderr
 
     def test_byte_determinism(self, capsys):
         _, out1, _ = run(capsys, "fusion", "A2", "--level", "2")
