@@ -14,9 +14,9 @@ from .errors import (DimensionCap, ExponentOverflow, IntegralityFailure,
                      NegativeCoefficient, NegativeMultiplicity,
                      NoBuiltinAutomorphism, NonTermination, NotAffine,
                      NotInteger, NotSublattice, RankTooLarge,
-                     SectorRuleViolation, TwistfuseError, UnrecognizedFoldedType,
-                     UnsupportedOrder, UnsupportedSectorPattern,
-                     UnsupportedType)
+                     SectorRuleViolation, TwistfuseError, UnknownWeight,
+                     UnrecognizedFoldedType, UnsupportedOrder,
+                     UnsupportedSectorPattern, UnsupportedType)
 from .fold import (DiagramAutomorphism, FoldingData, build_folding,
                    builtin_sigma, orbit_cartan, symmetric_weights)
 from .fusion import (FusionTable, SectorLabel, fusion_table, kac_walton,
@@ -39,7 +39,7 @@ __all__ = [
     "MixedDatum", "ModularMatrix", "NegativeCoefficient",
     "NegativeMultiplicity", "NoBuiltinAutomorphism", "NonTermination",
     "NotAffine", "NotInteger", "NotSublattice", "RankTooLarge",
-    "SectorLabel", "SectorRuleViolation", "TwistfuseError",
+    "SectorLabel", "SectorRuleViolation", "TwistfuseError", "UnknownWeight",
     "UnrecognizedFoldedType", "UnsupportedOrder", "UnsupportedSectorPattern",
     "UnsupportedType", "Weight", "WeightSystem", "WeylGroup", "alcove_fold",
     "branch", "build_cartan", "build_folding", "builtin_sigma", "conformal",

@@ -17,12 +17,12 @@ from .cartan import (AFFINE_R1, build_cartan, dual_lattice, lattice_M,
                      lattice_index, parse_type)
 from .errors import (IntegralityFailure, MassMismatch, MethodMismatch,
                      NegativeCoefficient, NegativeMultiplicity, NotInteger,
-                     TwistfuseError)
+                     TwistfuseError, UnknownWeight)
 from .fold import build_folding, pstar_apply, symmetric_weights
-from .fusion import (SectorLabel, check_pattern, fusion_table, kac_walton,
-                     twisted_kac_walton, twisted_verlinde, verlinde)
+from .fusion import (SectorLabel, SectorMatrices, check_pattern, fusion_table,
+                     kac_walton, twisted_kac_walton, twisted_verlinde, verlinde)
 from .rep import branch, dim, dominant_level_weights
-from .smatrix import conformal, twisted_a, twisted_sector_S, untwisted_S
+from .smatrix import complex_json, conformal, twisted_a, untwisted_S
 
 
 @dataclass
@@ -74,23 +74,16 @@ def cmd_smatrix(cfg):
         worst = max(s.unitarity_defect(), s.symmetry_defect())
         out["S"] = s.to_json_dict()
     else:
-        folding = _folding_for(cfg)
-        sector = twisted_sector_S(folding, cfg.level)
-        full = untwisted_S(folding.base, cfg.level)
-        sym = symmetric_weights(folding, cfg.level)
-        pos = {tuple(w.finite.coords): i for i, w in enumerate(full.cols)}
-        idx = [pos[tuple(w.finite.coords)] for w in sym]
-        restricted = full.entries[:, idx]
+        mats = SectorMatrices(_folding_for(cfg), cfg.level)
         out["S_symmetric_columns"] = {
-            "rows": [[int(x) for x in w.finite.coords] for w in full.rows],
-            "cols": [[int(x) for x in w.finite.coords] for w in sym],
-            "re": [[float(f"{v.real:.17g}") for v in row] for row in restricted],
-            "im": [[float(f"{v.imag:.17g}") for v in row] for row in restricted],
+            "rows": [[int(x) for x in w.finite.coords] for w in mats.base_labels],
+            "cols": [[int(x) for x in w.finite.coords] for w in mats.sym],
+            **complex_json(mats.scol),
         }
-        out["S_twisted_sector"] = sector.to_json_dict()
-        worst = max(full.unitarity_defect(), full.symmetry_defect(),
-                    sector.unitarity_defect())
-    out["unitarity_defect"] = float(f"{worst:.17g}")
+        out["S_twisted_sector"] = mats.sector_S.to_json_dict()
+        worst = max(mats.full_S.unitarity_defect(), mats.full_S.symmetry_defect(),
+                    mats.sector_S.unitarity_defect())
+    out["unitarity_defect"] = worst
     _dump(out)
     return 0 if worst < cfg.unitarity_tolerance else 2
 
@@ -131,41 +124,41 @@ def _single_fusion(cfg, source, pattern, triple, method):
     if len(triple) != 3:
         raise ValueError(f"a single coefficient takes three weights, "
                          f"not {len(triple)}")
+    level, tol = cfg.level, cfg.integer_tolerance
     if key == "1,1,1":
         datum = getattr(source, "base", source)
-        labels = [_leveled(datum, cfg.level, spec) for spec in triple]
-        if method in ("both", "kac-walton"):
-            nk = kac_walton(datum, cfg.level, *labels)
-            if method == "kac-walton":
-                return nk
-        s = untwisted_S(datum, cfg.level)
-        nv = verlinde(s, *labels, tolerance=cfg.integer_tolerance)
-        if method == "both" and nv != nk:
-            raise MethodMismatch(tuple(labels), nv, nk)
-        return nv
-    folding = source
-    labels = []
-    for cls, spec in zip(sectors, triple):
-        datum = folding.base if cls == 0 else folding.twisted
-        labels.append(SectorLabel("untwisted" if cls == 0 else "sigma",
-                                  _leveled(datum, cfg.level, spec)))
-    nv = None
-    if method in ("both", "verlinde"):
-        nv = twisted_verlinde(folding, cfg.level, *labels,
-                              tolerance=cfg.integer_tolerance)
-        if method == "verlinde":
-            return nv
-    if key not in ("1,s,s", "s,1,s"):
-        if nv is None:
+        labels = [_leveled(datum, level, spec) for spec in triple]
+    else:
+        labels = [SectorLabel("untwisted", _leveled(source.base, level, spec))
+                  if cls == 0 else
+                  SectorLabel("sigma", _leveled(source.twisted, level, spec))
+                  for cls, spec in zip(sectors, triple)]
+    if level == 0:
+        # No modular matrix exists at level 0: read the tables' special case.
+        ((vacua, n),) = fusion_table(source, 0, key).items()
+        if tuple(labels) != vacua:
+            raise ValueError("at level 0 the only weight is the vacuum")
+        return n
+    # Routes in the order they run under --method both.
+    if key == "1,1,1":
+        routes = {"kac-walton": lambda: kac_walton(datum, level, *labels),
+                  "verlinde": lambda: verlinde(untwisted_S(datum, level), *labels,
+                                               tolerance=tol)}
+    else:
+        routes = {"verlinde": lambda: twisted_verlinde(source, level, *labels,
+                                                       tolerance=tol)}
+        if key != "s,s,1":
+            untw, tw = labels[:2] if key == "1,s,s" else (labels[1], labels[0])
+            routes["kac-walton"] = lambda: twisted_kac_walton(
+                source, level, untw.weight, tw.weight, labels[2].weight)
+    if method != "both":
+        if method not in routes:
             raise TwistfuseError(f"no folding route for pattern {key}")
-        return nv
-    untw = labels[0] if key == "1,s,s" else labels[1]
-    tw = labels[1] if key == "1,s,s" else labels[0]
-    nk = twisted_kac_walton(folding, cfg.level, untw.weight, tw.weight,
-                            labels[2].weight)
-    if method == "both" and nv != nk:
-        raise MethodMismatch(tuple(labels), nv, nk)
-    return nk if nv is None else nv
+        return routes[method]()
+    values = {name: route() for name, route in routes.items()}
+    if len(set(values.values())) > 1:
+        raise MethodMismatch(tuple(labels), values["verlinde"], values["kac-walton"])
+    return values["verlinde"]
 
 
 def cmd_fold_info(cfg):
@@ -180,10 +173,8 @@ def cmd_weights(cfg):
     weights = dominant_level_weights(datum, cfg.level)
     out["weights"] = [[int(x) for x in w.finite.coords] for w in weights]
     out["conformal"] = [
-        {"weight": [int(x) for x in w.finite.coords],
-         "h": str(conformal(datum, cfg.level, w).h),
-         "m": str(conformal(datum, cfg.level, w).m)}
-        for w in weights]
+        {"weight": [int(x) for x in w.finite.coords], "h": str(c.h), "m": str(c.m)}
+        for w, c in ((w, conformal(datum, cfg.level, w)) for w in weights)]
     if cfg.twist == "diagram":
         folding = _folding_for(cfg)
         out["symmetric"] = [[int(x) for x in w.finite.coords]
@@ -450,7 +441,7 @@ def main(argv=None):
             return cmd_selfcheck(cfg, args.grid)
         parser.error(f"unknown command {args.command}")
     except (MethodMismatch, NotInteger, NegativeCoefficient, IntegralityFailure,
-            MassMismatch, NegativeMultiplicity) as exc:
+            MassMismatch, NegativeMultiplicity, UnknownWeight) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2
     except TwistfuseError as exc:

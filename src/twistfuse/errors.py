@@ -69,6 +69,10 @@ class NotInteger(TwistfuseError):
     """A Verlinde sum failed the integrality tolerance."""
 
 
+class UnknownWeight(TwistfuseError):
+    """A Kac-Walton row named a weight outside the labels of its table."""
+
+
 class NegativeCoefficient(TwistfuseError):
     """A fusion coefficient rounded to a negative integer."""
 

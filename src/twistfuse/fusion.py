@@ -6,27 +6,30 @@ Routes:
   twisted_verlinde    mixed untwisted/twisted sectors through S-matrix blocks
   twisted_kac_walton  the same coefficients through branch + tensor + fold
 
-A fusion table computed with two applicable routes checks their equality
-entry by entry before emitting anything.  The Verlinde value is computed
-for every ordered triple.  The Kac-Walton side computes each piece once per
-table, in a `KacWaltonMemo` that lives as long as the table build: one row
-per unordered pair of untwisted weights (the tensor product is
-commutative), one alcove fold per tensor component, one branched system per
-untwisted weight and one tensor product per unordered pair of twisted
-factors.  Nothing is cached across tables.  `FusionTable.to_json` encodes
-each distinct label once and splices the fragments.
+A `FusionTable` holds one label tuple per slot and one int64 array
+N[i, j, m], which the Verlinde route fills one first-slot row at a time,
+rounded and gated in bulk.  Where a second route applies, its rows fill a
+second array that must equal the first before the table is returned.  The
+Kac-Walton side computes each piece once per table, in a `KacWaltonMemo`
+that lives as long as the table build: one row per unordered pair of
+untwisted weights (the tensor product is commutative), one alcove fold per
+tensor component, one branched system per untwisted weight and one tensor
+product per unordered pair of twisted factors.  Nothing is cached across
+tables.  `FusionTable.to_json` encodes each slot label once and writes the
+entries from the array in C order.
 """
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .cartan import LeveledWeight
 from .errors import (MethodMismatch, NegativeCoefficient, NegativeMultiplicity,
-                     NotInteger, SectorRuleViolation, UnsupportedOrder,
-                     UnsupportedSectorPattern)
+                     NotInteger, SectorRuleViolation, UnknownWeight,
+                     UnsupportedOrder, UnsupportedSectorPattern)
 from .fold import symmetric_weights
 from .rep import branch, dominant_level_weights, is_level_dominant, tensor_decompose
 from .smatrix import (ORBIFOLD_BLOCK, ModularMatrix, _label_json, twisted_sector_S,
@@ -39,6 +42,7 @@ UNTWISTED = "untwisted"
 SIGMA = "sigma"
 SIGMA2 = "sigma2"
 _SECTOR_CLASS = {UNTWISTED: 0, "1": 0, SIGMA: 1, "s": 1, SIGMA2: 2, "s2": 2}
+_SECTOR_NAME = (UNTWISTED, SIGMA)
 
 
 @dataclass(frozen=True)
@@ -55,88 +59,96 @@ def _compact(obj):
     return json.dumps(obj, separators=(",", ":"))
 
 
-@dataclass
+@dataclass(eq=False)  # N is an array; compare tables through items()
 class FusionTable:
+    """Every coefficient of one sector pattern at one level: N[i, j, m] is
+    the coefficient of (slots[0][i], slots[1][j], slots[2][m]), and every
+    entry was computed by the routes `method` names."""
     algebra: str
     level: int
     twist: str            # "none" | "diagram"
     pattern: str
-    entries: dict = field(default_factory=dict)   # triple -> int
-    methods: dict = field(default_factory=dict)   # triple -> method tag
+    slots: tuple          # one label tuple per slot
+    N: np.ndarray         # int64, one axis per slot
+    method: str
 
-    def add(self, triple, value, method):
-        if value < 0:
-            raise NegativeCoefficient(f"fusion coefficient {value} at {triple}")
-        self.entries[triple] = value
-        self.methods[triple] = method
+    def items(self):
+        """((m1, m2, m3), coefficient) for every entry, in C order."""
+        return zip(itertools.product(*self.slots), self.N.ravel().tolist())
 
     def to_json(self):
         """Schema-1 JSON of the table, compact, without a trailing newline.
 
-        The header, each label, each method tag and each value are encoded
-        once by the json module; entries are spliced from those fragments in
-        insertion order.  Fragments are keyed by object identity, which is
-        stable while the table holds the objects and avoids hashing labels;
-        the table drivers use one object per distinct label.
+        Each slot label and the method tag are encoded once by the json
+        module; the entries are spliced from those fragments and the values
+        of N, in C order.
         """
-        labels, scalars = {}, {}
-
-        def enc(cache, x, encode):
-            s = cache.get(id(x))
-            if s is None:
-                s = cache[id(x)] = encode(x)
-            return s
-
-        def label(x):
-            return enc(labels, x, lambda lab: _compact(_label_json(lab)))
-
+        first, second, third = ([_compact(_label_json(x)) for x in slot]
+                                for slot in self.slots)
+        thirds = [f'"m3":{x},"N":' for x in third]
+        end = f',"method":{_compact(self.method)}}}'
         items = []
-        for triple, n in self.entries.items():
-            m1, m2, m3 = triple
-            items.append(f'{{"m1":{label(m1)},"m2":{label(m2)},"m3":{label(m3)},'
-                         f'"N":{enc(scalars, n, _compact)},'
-                         f'"method":{enc(scalars, self.methods[triple], _compact)}}}')
+        for m1, plane in zip(first, self.N.tolist()):
+            for m2, row in zip(second, plane):
+                head = f'{{"m1":{m1},"m2":{m2},'
+                items.extend(f"{head}{m3}{n}{end}" for m3, n in zip(thirds, row))
         head = _compact({"schema": 1, "algebra": self.algebra, "level": self.level,
                          "twist": self.twist, "pattern": self.pattern})
         return f'{head[:-1]},"entries":[{",".join(items)}]}}'
 
     def to_text(self):
-        lines = []
-        width = max((len(str(k)) for trip in self.entries for k in trip), default=4)
-        for (m1, m2, m3), n in self.entries.items():
-            lines.append(f"{str(m1):<{width}}  {str(m2):<{width}}  "
-                         f"{str(m3):<{width}}  {n}  [{self.methods[(m1, m2, m3)]}]")
-        return "\n".join(lines)
+        width = max(len(str(x)) for slot in self.slots for x in slot)
+        return "\n".join(f"{str(m1):<{width}}  {str(m2):<{width}}  "
+                         f"{str(m3):<{width}}  {n}  [{self.method}]"
+                         for (m1, m2, m3), n in self.items())
 
 
-def _round_coefficient(value, tolerance=INTEGER_TOLERANCE):
-    n = int(round(float(value.real)))
-    if abs(value - n) > tolerance:
-        raise NotInteger(f"Verlinde sum {value} is not near an integer "
-                         f"(tolerance {tolerance})")
-    if n < 0:
-        raise NegativeCoefficient(f"fusion coefficient rounded to {n}")
-    return n
+def _rounded(values, tolerance=INTEGER_TOLERANCE):
+    """Verlinde sums rounded to int64 in bulk.  NotInteger names the sum
+    farthest from an integer when it is off by more than the tolerance (a
+    NaN always fails); NegativeCoefficient names the most negative one."""
+    values = np.asarray(values)
+    n = np.rint(values.real)
+    off = np.abs(values - n)
+    worst = off.argmax()
+    if not off.flat[worst] <= tolerance:
+        raise NotInteger(f"Verlinde sum {values.flat[worst]} is off an integer by "
+                         f"{off.flat[worst]:.3e} (tolerance {tolerance})")
+    if n.min() < 0:
+        raise NegativeCoefficient(f"fusion coefficient rounded to {int(n.min())}")
+    return n.astype(np.int64)
 
 
-def _row_index(labels, lw):
-    coords = tuple(lw.finite.coords)
-    for i, lab in enumerate(labels):
-        if tuple(lab.finite.coords) == coords and lab.level == lw.level:
-            return i
-    raise KeyError(f"label {lw} not found")
+def _verlinde_blocks(a, b, c, vac, tolerance):
+    """N[i, j, m] = sum_x a[i, x] b[j, x] conj(c[m, x]) / vac[x], one
+    first-slot row at a time, each block rounded and gated by `_rounded`."""
+    b_over_vac = b / vac
+    c_conj_t = np.conj(c).T
+    return np.stack([_rounded((row * b_over_vac) @ c_conj_t, tolerance)
+                     for row in a])
+
+
+def _index(labels):
+    """Label tuple -> position, for leveled weights of one level."""
+    return {lw.finite.coords: i for i, lw in enumerate(labels)}
+
+
+def _position(index, lw, level):
+    i = index.get(lw.finite.coords) if lw.level == level else None
+    if i is None:
+        raise ValueError(f"{lw} is not one of the level-{level} labels")
+    return i
 
 
 def verlinde(s_matrix, lam1, lam2, lam3, tolerance=INTEGER_TOLERANCE):
     """Fusion coefficient from a square unitary untwisted S-matrix."""
-    if any(x != 0 for x in s_matrix.rows[0].finite.coords):
+    rows = s_matrix.rows
+    if any(x != 0 for x in rows[0].finite.coords):
         raise ValueError("the vacuum row must come first (global label order)")
-    i = _row_index(s_matrix.rows, lam1)
-    j = _row_index(s_matrix.rows, lam2)
-    k = _row_index(s_matrix.rows, lam3)
+    index = _index(rows)
     s = s_matrix.entries
-    value = np.sum(s[i] * s[j] * np.conj(s[k]) / s[0])
-    return _round_coefficient(value, tolerance)
+    a, b, c = (s[[_position(index, lw, rows[0].level)]] for lw in (lam1, lam2, lam3))
+    return int(_verlinde_blocks(a, b, c, s[0], tolerance)[0, 0, 0])
 
 
 class KacWaltonMemo:
@@ -267,31 +279,26 @@ class SectorMatrices:
     """The S-matrix blocks entering the twisted Verlinde sums.
 
     scol: untwisted S restricted to the sigma-stable columns (rows over all
-    level-k weights).  a: the twisted-sector block, rows over the twisted
-    weights, columns aligned with scol's.
+    level-k weights, base_labels).  a: the twisted-sector block, rows over
+    the twisted weights (twisted_labels), columns aligned with scol's.
     """
 
     def __init__(self, folding, k):
         self.folding = folding
         self.k = k
-        self.base_labels = dominant_level_weights(folding.base, k)
         self.sym = symmetric_weights(folding, k)
         full = untwisted_S(folding.base, k)
         self.full_S = full
-        pos = {tuple(lw.finite.coords): i for i, lw in enumerate(full.cols)}
-        col_idx = [pos[tuple(w.finite.coords)] for w in self.sym]
-        self.scol = full.entries[:, col_idx]
+        self.base_labels = full.rows
+        self.base_index = _index(full.rows)
+        self.sym_idx = [self.base_index[w.finite.coords] for w in self.sym]
+        self.scol = full.entries[:, self.sym_idx]
         sector = twisted_sector_S(folding, k)
         self.sector_S = sector
         self.a = sector.entries
         self.twisted_labels = sector.rows
+        self.twisted_index = _index(sector.rows)
         self.vac = self.scol[0]
-
-    def row_base(self, lw):
-        return _row_index(self.base_labels, lw)
-
-    def row_twisted(self, lw):
-        return _row_index(self.twisted_labels, lw)
 
 
 # Each entry holds whole S-matrix blocks; a small bound keeps a long-lived
@@ -335,12 +342,12 @@ def twisted_verlinde(folding, k, m1, m2, m3, tolerance=INTEGER_TOLERANCE):
     mats = _sector_matrices(folding, k)
 
     def row(label):
-        if label.sector == UNTWISTED:
-            return mats.scol[mats.row_base(label.weight)]
-        return mats.a[mats.row_twisted(label.weight)]
+        block, index = ((mats.scol, mats.base_index) if label.sector == UNTWISTED
+                        else (mats.a, mats.twisted_index))
+        return block[[_position(index, label.weight, k)]]
 
-    value = np.sum(row(m1) * row(m2) * np.conj(row(m3)) / mats.vac)
-    return _round_coefficient(value, tolerance)
+    n = _verlinde_blocks(row(m1), row(m2), row(m3), mats.vac, tolerance)
+    return int(n[0, 0, 0])
 
 
 def orbifold_block_report(folding, k):
@@ -356,7 +363,7 @@ def orbifold_block_report(folding, k):
     p = folding.r
     mats = _sector_matrices(folding, k)
     sym = mats.sym
-    sym_idx = [mats.row_base(w) for w in sym]
+    sym_idx = mats.sym_idx
     s = mats.full_S.entries
 
     def eig_labels(labels, sector):
@@ -456,101 +463,95 @@ def fusion_table(folding_or_datum, k, pattern="1,1,1", tolerance=INTEGER_TOLERAN
     """Batch driver over all weight triples of one sector pattern.
 
     When both the S-matrix route and the folding route apply, every entry is
-    computed twice and equality is asserted before emission.
+    computed twice and equality is checked before the table is returned.
+    parallelism spreads the Kac-Walton rows over that many threads.
     """
     key, sectors = check_pattern(folding_or_datum, pattern)
     if key == "1,1,1":
         datum = getattr(folding_or_datum, "base", folding_or_datum)
-        return _untwisted_table(datum, k, tolerance, parallelism)
-    return _twisted_table(folding_or_datum, k, key, sectors, tolerance, parallelism)
+        header = (str(datum.type), k, "none", key)
+        return _untwisted_table(datum, k, header, tolerance, parallelism)
+    header = (str(folding_or_datum.base.type), k, "diagram", key)
+    return _twisted_table(folding_or_datum, k, header, sectors, tolerance, parallelism)
 
 
-def _untwisted_table(datum, k, tolerance, parallelism):
-    table = FusionTable(str(datum.type), k, "none", "1,1,1")
-    labels = dominant_level_weights(datum, k)
+def _vacuum_table(header, vacua):
+    """Level 0, where no modular matrix exists: each slot holds only the
+    vacuum, which fuses with itself once."""
+    return FusionTable(*header, tuple((v,) for v in vacua),
+                       np.ones((1, 1, 1), dtype=np.int64), "kac-walton")
+
+
+def _untwisted_table(datum, k, header, tolerance, parallelism):
     if k == 0:
-        only = labels[0]
-        table.add((only, only, only), 1, "kac-walton")
-        return table
-    smat = untwisted_S(datum, k).entries
-    conj_over_vac = np.conj(smat)
-    coords = [tuple(lab.finite.coords) for lab in labels]
+        return _vacuum_table(header, dominant_level_weights(datum, 0) * 3)
+    s = untwisted_S(datum, k)
+    labels = s.rows
+    nv = _verlinde_blocks(s.entries, s.entries, s.entries, s.entries[0], tolerance)
     memo = KacWaltonMemo(datum, k)
 
-    def checked(i, j, kw_row):
-        values = conj_over_vac @ (smat[i] * smat[j] / smat[0])
-        out = []
-        for m, lab3 in enumerate(labels):
-            nv = _round_coefficient(values[m], tolerance)
-            nk = kw_row.get(coords[m], 0)
-            if nv != nk:
-                raise MethodMismatch((labels[i], labels[j], lab3), nv, nk)
-            out.append(nv)
-        return out
-
     def one_pair(i, j):
-        # V_i (x) V_j = V_j (x) V_i: one Kac-Walton row checks both orders,
-        # each against its own Verlinde values.
-        kw_row = kac_walton_row(datum, k, labels[i], labels[j], memo=memo)
-        orders = [(i, j)] if i == j else [(i, j), (j, i)]
-        return [((a, b), checked(a, b, kw_row)) for a, b in orders]
+        # V_i (x) V_j = V_j (x) V_i: one Kac-Walton row fills both orders.
+        return ((i, j), (j, i)), kac_walton_row(datum, k, labels[i], labels[j],
+                                                memo=memo)
 
     n = len(labels)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    found = {}
-    for chunk in _run_pairs(one_pair, pairs, parallelism):
-        found.update(chunk)
-    for i in range(n):
-        for j in range(n):
-            for lab3, nv in zip(labels, found[i, j]):
-                table.add((labels[i], labels[j], lab3), nv, "verlinde+kac-walton")
-    return table
+    slots = (labels,) * 3
+    _cross_check(one_pair, pairs, _index(labels), slots, nv, parallelism)
+    return FusionTable(*header, slots, nv, "verlinde+kac-walton")
 
 
-def _twisted_table(folding, k, key, sectors, tolerance, parallelism):
-    table = FusionTable(str(folding.base.type), k, "diagram", key)
-    base_labels = dominant_level_weights(folding.base, k)
-    tw_labels = dominant_level_weights(folding.twisted, k)
-    sector_labels = ([SectorLabel(UNTWISTED, lw) for lw in base_labels],
-                     [SectorLabel(SIGMA, lw) for lw in tw_labels])
+def _twisted_table(folding, k, header, sectors, tolerance, parallelism):
     if k == 0:
-        table.add(tuple(sector_labels[cls][0] for cls in sectors), 1, "kac-walton")
-        return table
-    # Built here, before the pool starts, so that its threads share one build.
-    _sector_matrices(folding, k)
-    first, second, third = (sector_labels[cls] for cls in sectors)
+        vacua = [dominant_level_weights(d, 0)[0]
+                 for d in (folding.base, folding.twisted)]
+        return _vacuum_table(header, [SectorLabel(_SECTOR_NAME[c], vacua[c])
+                                      for c in sectors])
+    mats = _sector_matrices(folding, k)
+    blocks = (mats.scol, mats.a)
+    labels = (mats.base_labels, mats.twisted_labels)
+    slots = tuple(tuple(SectorLabel(_SECTOR_NAME[c], lw) for lw in labels[c])
+                  for c in sectors)
+    nv = _verlinde_blocks(*(blocks[c] for c in sectors), mats.vac, tolerance)
+    if sectors == (1, 1, 0):
+        return FusionTable(*header, slots, nv, "verlinde-only")
+    memo = KacWaltonMemo(folding.twisted, k)
 
-    if key in ("1,s,s", "s,1,s"):
-        memo = KacWaltonMemo(folding.twisted, k)
-        tw_coords = [tuple(lw.finite.coords) for lw in tw_labels]
+    def one_pair(i, j):
+        u, t = (i, j) if sectors[0] == 0 else (j, i)
+        return ((i, j),), twisted_kac_walton_row(folding, k, labels[0][u], labels[1][t],
+                                                 memo=memo)
 
-        def one_pair(i, j):
-            m1s, m2s = first[i], second[j]
-            lam_untw, lam_tw = (m1s, m2s) if key == "1,s,s" else (m2s, m1s)
-            kw_row = twisted_kac_walton_row(folding, k, lam_untw.weight,
-                                            lam_tw.weight, memo=memo)
-            out = []
-            for m3s, c3 in zip(third, tw_coords):
-                nv = twisted_verlinde(folding, k, m1s, m2s, m3s, tolerance)
-                nk = kw_row.get(c3, 0)
-                if nv != nk:
-                    raise MethodMismatch((m1s, m2s, m3s), nv, nk)
-                out.append(((m1s, m2s, m3s), nv))
-            return out
-        method = "twisted-verlinde+twisted-kac-walton"
-    else:  # s,s,1
-        def one_pair(i, j):
-            m1s, m2s = first[i], second[j]
-            return [((m1s, m2s, m3s),
-                     twisted_verlinde(folding, k, m1s, m2s, m3s, tolerance))
-                    for m3s in third]
-        method = "verlinde-only"
+    pairs = list(itertools.product(range(nv.shape[0]), range(nv.shape[1])))
+    _cross_check(one_pair, pairs, mats.twisted_index, slots, nv, parallelism)
+    return FusionTable(*header, slots, nv, "twisted-verlinde+twisted-kac-walton")
 
-    pairs = [(i, j) for i in range(len(first)) for j in range(len(second))]
-    for chunk in _run_pairs(one_pair, pairs, parallelism):
-        for triple, n in chunk:
-            table.add(triple, n, method)
-    return table
+
+def _cross_check(one_pair, pairs, index, slots, nv, parallelism):
+    """Scatter the Kac-Walton rows into an array and compare it with nv.
+
+    one_pair(i, j) returns the (first, second) slot positions its row fills
+    and the row, {label tuple: coefficient}; index maps a label tuple to its
+    third-slot position, and a label outside it raises UnknownWeight.  The
+    first triple in C order where the arrays differ raises MethodMismatch.
+    """
+    nk = np.zeros_like(nv)
+    for cells, row in _run_pairs(one_pair, pairs, parallelism):
+        for coords, n in row.items():
+            m = index.get(coords)
+            if m is None:
+                i, j = cells[0]
+                raise UnknownWeight(f"the Kac-Walton row of {slots[0][i]}, "
+                                    f"{slots[1][j]} names {coords}, not a label "
+                                    f"of the third slot")
+            for i, j in cells:
+                nk[i, j, m] = n
+    diff = np.flatnonzero(nv != nk)
+    if diff.size:
+        i, j, m = np.unravel_index(diff[0], nv.shape)
+        raise MethodMismatch((slots[0][i], slots[1][j], slots[2][m]),
+                             int(nv[i, j, m]), int(nk[i, j, m]))
 
 
 def _run_pairs(fn, pairs, parallelism):

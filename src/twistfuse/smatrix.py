@@ -95,11 +95,15 @@ class ModularMatrix:
         return {
             "rows": [_label_json(x) for x in self.rows],
             "cols": [_label_json(x) for x in self.cols],
-            "re": [[float(f"{v.real:.17g}") for v in row] for row in s],
-            "im": [[float(f"{v.imag:.17g}") for v in row] for row in s],
+            **complex_json(s),
             "provenance": self.provenance,
             "precision": 53,  # the mantissa of complex128, the one numeric field
         }
+
+
+def complex_json(entries):
+    """{"re": ..., "im": ...}: the doubles of a complex array as nested lists."""
+    return {"re": entries.real.tolist(), "im": entries.imag.tolist()}
 
 
 def _label_json(label):

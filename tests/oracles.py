@@ -112,15 +112,21 @@ def brute_force_fold(affine_datum, k, coords, box=4):
     weyl = generate_weyl(fin)
     m_basis = [tuple(x for x in v) for v in lattice_M(affine_datum).basis]
 
+    # w x is an integer vector for integer x, so w x + T is integral exactly
+    # when the translation T is: keep the integral translations of the box,
+    # once for every Weyl element.
+    translations = []
+    for coeffs in itertools.product(range(-box, box + 1), repeat=l):
+        tr = tuple(t * sum(c * m_basis[r][i] for r, c in enumerate(coeffs))
+                   for i in range(l))
+        if all(Fraction(v).denominator == 1 for v in tr):
+            translations.append(tuple(int(v) for v in tr))
     hits = []
     for w, sign in zip(weyl.elements, weyl.signs):
         wx = apply_matrix(w, coords)
-        for coeffs in itertools.product(range(-box, box + 1), repeat=l):
-            y = tuple(wx[i] + t * sum(c * m_basis[r][i] for r, c in enumerate(coeffs))
-                      for i in range(l))
-            if any(Fraction(v).denominator != 1 for v in y):
-                continue
-            y = tuple(int(v) for v in y)
+        assert all(Fraction(v).denominator == 1 for v in wx)
+        for tr in translations:
+            y = tuple(int(a + b) for a, b in zip(wx, tr))
             y0 = t - sum(covee[i] * y[i] for i in range(l))
             labels = (y0,) + y
             if all(v >= 0 for v in labels):
@@ -256,6 +262,14 @@ def fraction_freudenthal(fin, coords):
     return mults
 
 
+def repr17_complex_json(entries):
+    """{"re": ..., "im": ...} of a complex array, each double rebuilt from
+    its 17-significant-digit string one entry at a time: the S-matrix
+    serialiser the emitter's bytes must reproduce."""
+    return {"re": [[float(f"{v.real:.17g}") for v in row] for row in entries],
+            "im": [[float(f"{v.imag:.17g}") for v in row] for row in entries]}
+
+
 def fusion_table_json_dict(table):
     """A FusionTable as the schema-1 dict, built label by label for every
     entry: the dict whose compact json.dumps the table's emitter must
@@ -267,7 +281,7 @@ def fusion_table_json_dict(table):
         return {"level": x.level, "weight": [int(c) for c in x.finite.coords]}
 
     items = [{"m1": label(m1), "m2": label(m2), "m3": label(m3), "N": n,
-              "method": table.methods[(m1, m2, m3)]}
-             for (m1, m2, m3), n in table.entries.items()]
+              "method": table.method}
+             for (m1, m2, m3), n in table.items()]
     return {"schema": 1, "algebra": table.algebra, "level": table.level,
             "twist": table.twist, "pattern": table.pattern, "entries": items}

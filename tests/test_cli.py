@@ -6,7 +6,11 @@ import sys
 import pytest
 
 import twistfuse
+import twistfuse.cli as cli_mod
+import twistfuse.smatrix as smatrix_mod
 from twistfuse.cli import main
+
+from oracles import repr17_complex_json
 
 
 def run(capsys, *argv):
@@ -50,6 +54,19 @@ class TestSmatrixCommand:
         assert rc == 1
         assert "level >= 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["B2", "--level", "16"],
+        ["A3", "--level", "8", "--twist", "diagram"],
+    ], ids=["untwisted", "twisted"])
+    def test_json_matches_repr17_oracle(self, capsys, monkeypatch, argv):
+        rc, out, _ = run(capsys, "smatrix", *argv)
+        assert rc == 0
+        monkeypatch.setattr(smatrix_mod, "complex_json", repr17_complex_json)
+        monkeypatch.setattr(cli_mod, "complex_json", repr17_complex_json)
+        rc, expected, _ = run(capsys, "smatrix", *argv)
+        assert rc == 0
+        assert out == expected
+
     def test_unitarity_gate(self, capsys):
         rc, out, _ = run(capsys, "smatrix", "A2", "--level", "2",
                          "--unitarity-tolerance", "1e-20")
@@ -79,6 +96,29 @@ class TestFusionCommand:
         else:
             assert rc == 1
             assert message in err
+
+    @pytest.mark.parametrize("argv,n", [
+        (["A1", "0", "0", "0"], 1),
+        (["A3", "--twist", "diagram", "0,0,0", "0,0,0", "0,0,0"], 1),
+        (["A3", "--twist", "diagram", "--pattern", "1,s,s", "0,0,0", "0,0",
+          "0,0"], 1),
+        (["A3", "--twist", "diagram", "--pattern", "s,1,s", "0,0", "0,0,0",
+          "0,0"], 1),
+        (["A3", "--twist", "diagram", "--pattern", "s,s,1", "0,0", "0,0",
+          "0,0,0"], 1),
+        (["A1", "1", "0", "0"], None),
+        (["A3", "--twist", "diagram", "--pattern", "1,s,s", "0,0,0", "1,0",
+          "0,0"], None),
+    ], ids=["1,1,1", "1,1,1-over-folding", "1,s,s", "s,1,s", "s,s,1",
+            "not-vacuum", "twisted-not-vacuum"])
+    def test_level_zero_single_coefficient(self, capsys, argv, n):
+        rc, out, err = run(capsys, "fusion", *argv, "--level", "0")
+        if n is None:
+            assert rc == 1
+            assert "only weight is the vacuum" in err
+        else:
+            assert rc == 0
+            assert json.loads(out)["N"] == n
 
     def test_full_twisted_table(self, capsys):
         rc, out, _ = run(capsys, "fusion", "A3", "--level", "1",
@@ -131,6 +171,18 @@ class TestOtherCommands:
         assert len(blob["weights"]) == 4
         assert len(blob["symmetric"]) == 2
         assert len(blob["twisted"]) == 2
+
+    def test_weights_one_conformal_call_each(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return smatrix_mod.conformal(*args)
+
+        monkeypatch.setattr(cli_mod, "conformal", counted)
+        rc, out, _ = run(capsys, "weights", "B2", "--level", "2")
+        assert rc == 0
+        assert len(calls) == len(json.loads(out)["weights"]) == 6
 
     def test_branch(self, capsys):
         rc, out, _ = run(capsys, "branch", "D4", "--twist-order", "3", "1,0,0,0")

@@ -86,7 +86,7 @@ class TestKacWalton:
         # fusion_table raises MethodMismatch if the routes disagree anywhere
         table = fusion_table(d, k)
         n = len(dominant_level_weights(d, k))
-        assert len(table.entries) == n ** 3
+        assert len(list(table.items())) == n ** 3
 
     def test_method_mismatch_surfaces(self, monkeypatch):
         real = fusion_mod.kac_walton_row
@@ -116,13 +116,12 @@ class TestTwistedRoutes:
 
     def test_a3_k1_cross_validated(self, a3_folding):
         table = fusion_table(a3_folding, 1, "1,s,s")
-        assert all(tag == "twisted-verlinde+twisted-kac-walton"
-                   for tag in table.methods.values())
+        assert table.method == "twisted-verlinde+twisted-kac-walton"
         # the sigma-fixed node-2 weight acts like a simple current square root
         pairs = {(tuple(m1.weight.finite.coords),
                   tuple(m2.weight.finite.coords),
                   tuple(m3.weight.finite.coords)): n
-                 for (m1, m2, m3), n in table.entries.items()}
+                 for (m1, m2, m3), n in table.items()}
         assert pairs[((0, 1, 0), (0, 0), (0, 0))] == 1
         assert pairs[((0, 1, 0), (1, 0), (1, 0))] == 1
         assert pairs[((1, 0, 0), (0, 0), (1, 0))] == 1
@@ -131,8 +130,8 @@ class TestTwistedRoutes:
     def test_s1s_matches_1ss(self, a3_folding):
         t1 = fusion_table(a3_folding, 1, "1,s,s")
         t2 = fusion_table(a3_folding, 1, "s,1,s")
-        flip = {(m2, m1, m3): n for (m1, m2, m3), n in t1.entries.items()}
-        assert flip == t2.entries
+        flip = {(m2, m1, m3): n for (m1, m2, m3), n in t1.items()}
+        assert flip == dict(t2.items())
 
     @pytest.mark.parametrize("type_,order,k", [
         (LieType("A", 3, AFFINE_R1), None, 2),
@@ -172,8 +171,8 @@ class TestTwistedRoutes:
     def test_ss1_consistency_only(self, a3_folding):
         for k in (1, 2):
             table = fusion_table(a3_folding, k, "s,s,1")
-            assert all(tag == "verlinde-only" for tag in table.methods.values())
-            assert all(n >= 0 for n in table.entries.values())
+            assert table.method == "verlinde-only"
+            assert all(n >= 0 for _, n in table.items())
 
     def test_method_mismatch_surfaces(self, a3_folding, monkeypatch):
         real = fusion_mod.twisted_kac_walton_row
@@ -191,7 +190,7 @@ class TestTwistedRoutes:
 
     def test_level0_trivial(self, a3_folding):
         table = fusion_table(a3_folding, 0, "1,s,s")
-        assert list(table.entries.values()) == [1]
+        assert [n for _, n in table.items()] == [1]
 
 
 def _recorded(monkeypatch, name):
@@ -286,7 +285,7 @@ def test_gates_fire_without_asserts():
     script = textwrap.dedent("""
         import twistfuse.fusion as fusion
         from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
-        from twistfuse.errors import TwistfuseError
+        from twistfuse.errors import MethodMismatch, TwistfuseError
         from twistfuse.fold import build_folding
         from twistfuse.smatrix import untwisted_S
         from twistfuse.weyl import FoldResult
@@ -298,6 +297,9 @@ def test_gates_fire_without_asserts():
         def run(call):
             try:
                 call()
+            except MethodMismatch as exc:
+                print(type(exc).__name__, [lw.finite.coords for lw in exc.triple],
+                      exc.value_a, exc.value_b)
             except (TwistfuseError, ValueError) as exc:
                 print(type(exc).__name__)
             else:
@@ -319,17 +321,54 @@ def test_gates_fire_without_asserts():
         s = untwisted_S(a2, 1)
         s.rows = s.rows[::-1]
         run(lambda: fusion.verlinde(s, vac, vac, vac))
-        table = fusion.FusionTable("A2^(1)", 1, "none", "1,1,1")
-        run(lambda: table.add((vac, vac, vac), -1, "kac-walton"))
+        run(lambda: fusion._rounded([2.0, -1.0]))
+
+        true_row = fusion.kac_walton_row
+        true_twisted_row = fusion.twisted_kac_walton_row
+
+        def corrupt_row(edit):
+            def row(datum, k, lam1, lam2, **kwargs):
+                out = dict(true_row(datum, k, lam1, lam2, **kwargs))
+                if (lam1.finite.coords, lam2.finite.coords) == ((0, 1), (1, 0)):
+                    edit(out)
+                return out
+            return row
+
+        # The row of the off-diagonal pair (0,1), (1,0) fills the triples
+        # ((0,1), (1,0), .) and ((1,0), (0,1), .); the first in C order is
+        # named.
+        fusion.kac_walton_row = corrupt_row(lambda row: row.update({(0, 0): 2}))
+        run(lambda: fusion.fusion_table(a2, 1))
+        fusion.kac_walton_row = corrupt_row(lambda row: row.update({(5, 5): 1}))
+        run(lambda: fusion.fusion_table(a2, 1))
+        fusion.kac_walton_row = true_row
+
+        def twisted_row_with_stray_key(*args, **kwargs):
+            return {**true_twisted_row(*args, **kwargs), (9, 9): 1}
+
+        fusion.twisted_kac_walton_row = twisted_row_with_stray_key
+        run(lambda: fusion.fusion_table(a3, 1, "1,s,s"))
+        fusion.twisted_kac_walton_row = true_twisted_row
+
+        def corrupt_s(datum, k):
+            s = untwisted_S(datum, k)
+            s.entries = s.entries.copy()
+            s.entries[1, 2] += 0.01
+            return s
+
+        fusion.untwisted_S = corrupt_s
+        run(lambda: fusion.fusion_table(a2, 1))
     """)
     src = os.path.dirname(os.path.dirname(twistfuse.__file__))
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["NegativeMultiplicity", "NegativeMultiplicity",
-                                   "ValueError", "ValueError", "ValueError",
-                                   "NegativeCoefficient"]
+    assert proc.stdout.splitlines() == [
+        "NegativeMultiplicity", "NegativeMultiplicity", "ValueError", "ValueError",
+        "ValueError", "NegativeCoefficient",
+        "MethodMismatch [(0, 1), (1, 0), (0, 0)] 1 2",
+        "UnknownWeight", "UnknownWeight", "NotInteger"]
 
 
 def test_shared_memo_under_thread_switching():
