@@ -14,7 +14,7 @@ from .errors import (DimensionCap, ExponentOverflow, IntegralityFailure,
                      NegativeCoefficient, NegativeMultiplicity,
                      NoBuiltinAutomorphism, NonTermination, NotAffine,
                      NotInteger, NotSublattice, RankTooLarge,
-                     SectorRuleViolation, TwistfuseError, UnknownWeight,
+                     RootCountMismatch, SectorRuleViolation, TwistfuseError, UnknownWeight,
                      UnrecognizedFoldedType, UnsupportedOrder,
                      UnsupportedSectorPattern, UnsupportedType)
 from .fold import (DiagramAutomorphism, FoldingData, build_folding,
@@ -39,6 +39,7 @@ __all__ = [
     "MixedDatum", "ModularMatrix", "NegativeCoefficient",
     "NegativeMultiplicity", "NoBuiltinAutomorphism", "NonTermination",
     "NotAffine", "NotInteger", "NotSublattice", "RankTooLarge",
+    "RootCountMismatch",
     "SectorLabel", "SectorRuleViolation", "TwistfuseError", "UnknownWeight",
     "UnrecognizedFoldedType", "UnsupportedOrder", "UnsupportedSectorPattern",
     "UnsupportedType", "Weight", "WeightSystem", "WeylGroup", "alcove_fold",

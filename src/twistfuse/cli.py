@@ -11,13 +11,14 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import _rational as rat
 from .cartan import (AFFINE_R1, build_cartan, dual_lattice, lattice_M,
                      lattice_index, parse_type)
 from .errors import (IntegralityFailure, MassMismatch, MethodMismatch,
                      NegativeCoefficient, NegativeMultiplicity, NotInteger,
-                     TwistfuseError, UnknownWeight)
+                     RootCountMismatch, TwistfuseError, UnknownWeight)
 from .fold import build_folding, pstar_apply, symmetric_weights
 from .fusion import (SectorLabel, SectorMatrices, check_pattern, fusion_table,
                      kac_walton, twisted_kac_walton, twisted_verlinde, verlinde)
@@ -362,7 +363,13 @@ def cmd_selfcheck(cfg, grid_name):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The (parser, fusion subparser) pair, built once per process.
+
+    Parsing leaves both unchanged: parse_intermixed_args restores the
+    nargs, defaults, required flags and usage it switches, in a finally.
+    """
     parser = argparse.ArgumentParser(
         prog="twistfuse",
         description="Fusion rules for affine Lie algebras, twisted and not, "
@@ -441,7 +448,8 @@ def main(argv=None):
             return cmd_selfcheck(cfg, args.grid)
         parser.error(f"unknown command {args.command}")
     except (MethodMismatch, NotInteger, NegativeCoefficient, IntegralityFailure,
-            MassMismatch, NegativeMultiplicity, UnknownWeight) as exc:
+            MassMismatch, NegativeMultiplicity, RootCountMismatch,
+            UnknownWeight) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2
     except TwistfuseError as exc:

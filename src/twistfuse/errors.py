@@ -43,6 +43,11 @@ class IntegralityFailure(TwistfuseError):
     dimension or a Freudenthal multiplicity, is not one."""
 
 
+class RootCountMismatch(TwistfuseError):
+    """The reflection closure of the simple roots does not have the
+    datum's number of positive roots."""
+
+
 class MassMismatch(TwistfuseError):
     """A weight system, tensor product or branching does not conserve
     dimension."""

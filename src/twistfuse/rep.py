@@ -6,14 +6,31 @@ branching to a folded subalgebra by restrict-and-peel.  All multiplicities
 are exact integers; weights are integer Dynkin-label tuples internally.
 
 The hot path is integer-only.  `root_table` prepares, once per finite
-datum and on first use, the positive roots with their simple-root
-coefficients and heights, G_int . alpha for each, and prod (rho, alpha),
-all with the Gram denominator cleared.  `dim` is then one exact integer
-quotient, memoised per (datum, labels), and the Freudenthal step is an
-integer divmod.  Both caches, and the weight-system cache, are bounded.
-Every exactness and mass check raises a typed error (IntegralityFailure,
-MassMismatch, NegativeMultiplicity), so the checks survive `python -O`.
-The Fraction inner product `_ip` remains for the conformal data.
+datum and on first use, the simple and positive roots with their
+simple-root coefficients and heights, G_int . alpha for each, and
+prod (rho, alpha), all with the Gram denominator cleared.  `dim` is then
+one exact integer quotient, memoised per (datum, labels).
+
+The Freudenthal recursion runs on the dominant weights only (Moody and
+Patera, Bull. AMS 7, 1982).  They are found from the highest weight by
+subtracting positive roots and keeping the dominant results, and are
+taken in order of depth, the height of lam - mu.  Each m(mu + j alpha) is
+read at its dominant representative, which is higher and so already
+known; `reflect_to_dominant` is the one reflect-to-dominant loop of the
+package, shared with the Klimyk sum and `weyl.to_dominant`.  Every other
+multiplicity follows by W-invariance: `_orbit` expands each dominant
+weight's orbit by a label walk, bounded by the dimension cap that
+`freudenthal` checks first.  All caches, the weight-system cache too, are
+bounded.
+
+Gates, all typed errors that survive `python -O`: the Freudenthal divmod
+raises IntegralityFailure at each dominant weight, the only weights the
+recursion computes; the mass of the whole expanded system, the tensor
+product and the branching is checked against `dim` (MassMismatch);
+negative tensor or branching multiplicities raise NegativeMultiplicity;
+`root_table` raises RootCountMismatch when the reflection closure misses
+a positive root.  The Fraction inner product `_ip` remains for the
+conformal data.
 """
 
 from dataclasses import dataclass
@@ -23,7 +40,7 @@ from operator import add, mul, sub
 
 from .cartan import LeveledWeight, Weight
 from .errors import (DimensionCap, IntegralityFailure, MassMismatch,
-                     NegativeMultiplicity)
+                     NegativeMultiplicity, RootCountMismatch)
 
 DIMENSION_CAP = 10**6
 
@@ -44,7 +61,9 @@ class DecompTable:
 
 def dominant_level_weights(affine_datum, k):
     """All level-k dominant integral weights, in lexicographic label order."""
-    assert affine_datum.is_affine() and k >= 0
+    if not affine_datum.is_affine() or k < 0:
+        raise ValueError(f"level-{k} dominant weights need an affine datum "
+                         f"and k >= 0, not {affine_datum.type}")
     covee = affine_datum.comarks[1:]
     l = affine_datum.rank
     out = []
@@ -65,7 +84,7 @@ def dominant_level_weights(affine_datum, k):
 def is_level_dominant(affine_datum, lw):
     covee = affine_datum.comarks[1:]
     c = lw.finite.coords
-    return (all(x >= 0 and Fraction(x).denominator == 1 for x in c)
+    return (all(x >= 0 and x == int(x) for x in c)
             and sum(a * x for a, x in zip(covee, c)) <= lw.level)
 
 
@@ -82,6 +101,7 @@ class RootTable:
     heights: tuple
     gram_alpha: tuple    # G_int . alpha for each positive root
     rho_prod: int        # prod over the positive roots of rho . gram_alpha
+    simple: tuple        # Dynkin labels of alpha_1..alpha_l, the columns of A
 
 
 @lru_cache(maxsize=64)
@@ -96,9 +116,10 @@ def root_table(fin):
     """
     a = fin.A
     l = fin.rank
+    simple = tuple(tuple(a[r][i] for r in range(l)) for i in range(l))
     found = {}
-    for i in range(l):
-        found[tuple(a[r][i] for r in range(l))] = tuple(int(j == i) for j in range(l))
+    for i, alpha in enumerate(simple):
+        found[alpha] = tuple(int(j == i) for j in range(l))
     frontier = list(found)
     while frontier:
         nxt = []
@@ -113,7 +134,10 @@ def root_table(fin):
                     found[w] = c[:i] + (c[i] - vi,) + c[i + 1:]
                     nxt.append(w)
         frontier = nxt
-    assert len(found) == fin.npos, (len(found), fin.npos)
+    if len(found) != fin.npos:
+        raise RootCountMismatch(
+            f"the reflection closure of the simple roots of {fin.type} has "
+            f"{len(found)} roots, not {fin.npos}")
     labels = tuple(sorted(found))
     g, _ = _gram_int(fin)
     gram_alpha = tuple(tuple(sum(g[i][j] * v[j] for j in range(l)) for i in range(l))
@@ -122,7 +146,8 @@ def root_table(fin):
     for ga in gram_alpha:
         rho_prod *= sum(ga)
     return RootTable(labels, tuple(found[v] for v in labels),
-                     tuple(sum(found[v]) for v in labels), gram_alpha, rho_prod)
+                     tuple(sum(found[v]) for v in labels), gram_alpha, rho_prod,
+                     simple)
 
 
 def positive_roots(datum):
@@ -188,19 +213,62 @@ def freudenthal(datum, lam, dim_cap=DIMENSION_CAP):
     return _weight_system(fin, coords)
 
 
+def reflect_to_dominant(simple, v):
+    """Dominant representative of the label tuple v, and its orbit sign.
+
+    Reflects v -> v - v_i simple[i] at the most negative label, lowest
+    index on ties, until no label is negative.  Returns (labels, sign):
+    sign is 0 exactly when v lies on a reflection wall (the representative
+    then has a zero label), otherwise the parity of the reflections.
+    """
+    sign = 1
+    c = min(v)
+    while c < 0:
+        i = v.index(c)
+        v = tuple([x - c * y for x, y in zip(v, simple[i])])
+        sign = -sign
+        c = min(v)
+    return v, sign if c else 0
+
+
+def _orbit(simple, v):
+    """Weyl orbit of the dominant label tuple v, each point once.
+
+    Walks down from the dominant chamber, as `weyl.signed_orbit` does, but
+    for a singular v too: from a point u, every r_i u with u_i > 0 is one
+    step further down, and r_i u is kept only when i is its smallest
+    negative label, so no point is reached twice.
+    """
+    out = [v]
+    level = [v]
+    while level:
+        nxt = []
+        for u in level:
+            for i, c in enumerate(u):
+                if c > 0:
+                    w = tuple([x - c * y for x, y in zip(u, simple[i])])
+                    if min(w[:i], default=0) >= 0:
+                        nxt.append(w)
+        out += nxt
+        level = nxt
+    return out
+
+
 @lru_cache(maxsize=256)
 def _weight_system(fin, coords):
-    """Freudenthal recursion on integers, level by level down from coords.
+    """Freudenthal recursion on integers over the dominant weights, in order
+    of depth, then expanded by Weyl orbits.
 
     With norms and inner products scaled by gram_den,
     m(mu) = 2 sum_{alpha > 0, j >= 1} m(mu + j alpha) (mu + j alpha, alpha)
             / (|lam + rho|^2 - |mu + rho|^2)
-    is an exact integer quotient.
+    is an exact integer quotient; the denominator is positive for every
+    dominant mu below lam.
     """
     l = fin.rank
     g, _ = _gram_int(fin)
     table = root_table(fin)
-    simple = [tuple(fin.A[r][i] for r in range(l)) for i in range(l)]
+    simple = table.simple
     # Per positive root: labels, G_int . alpha, |alpha|^2 scaled, and the
     # simple roots it involves with their coefficients.
     roots = [(alpha, ga, sum(x * y for x, y in zip(alpha, ga)),
@@ -211,54 +279,52 @@ def _weight_system(fin, coords):
         x = [c + 1 for c in v]
         return sum(x[i] * sum(g[i][j] * x[j] for j in range(l)) for i in range(l))
 
-    norm_top = norm_rho(coords)
-    mults = {coords: 1}
-    # depth[mu] = coefficients of lam - mu on the simple roots.
+    # The dominant weights of V(lam), with depth[mu] = the coefficients of
+    # lam - mu on the simple roots.
     depth = {coords: (0,) * l}
-    level = [coords]
-    while level:
-        candidates = {}
-        for v in level:
-            dv = depth[v]
-            for i, col in enumerate(simple):
-                cand = tuple(map(sub, v, col))
-                if cand not in mults and cand not in candidates:
-                    candidates[cand] = dv[:i] + (dv[i] + 1,) + dv[i + 1:]
+    frontier = [coords]
+    while frontier:
         nxt = []
-        for mu, dmu in candidates.items():
-            denom = norm_top - norm_rho(mu)
-            if denom <= 0:
+        for v in frontier:
+            dv = depth[v]
+            for alpha, cs in zip(table.labels, table.coeffs):
+                mu = tuple(map(sub, v, alpha))
+                if min(mu) >= 0 and mu not in depth:
+                    depth[mu] = tuple(map(add, dv, cs))
+                    nxt.append(mu)
+        frontier = nxt
+    norm_top = norm_rho(coords)
+    dominant = {coords: 1}
+    for mu in sorted(depth, key=lambda mu: sum(depth[mu]))[1:]:
+        dmu = depth[mu]
+        acc = 0
+        for alpha, ga, alpha_norm, support in roots:
+            # lam - (mu + j alpha) must stay in the positive root cone.
+            jmax = min(dmu[i] // c for i, c in support)
+            if not jmax:
                 continue
-            acc = 0
-            for alpha, ga, alpha_norm, support in roots:
-                # lam - (mu + j alpha) must stay in the positive root cone.
-                jmax = min(dmu[i] // c for i, c in support)
-                if not jmax:
-                    continue
-                ip = sum(map(mul, mu, ga))
-                up = mu
-                for _ in range(jmax):
-                    up = tuple(map(add, up, alpha))
-                    ip += alpha_norm
-                    m_up = mults.get(up)
-                    if m_up:
-                        acc += m_up * ip
-            m, r = divmod(2 * acc, denom)
-            if r or m < 0:
-                raise IntegralityFailure(
-                    f"Freudenthal multiplicity of {mu} in {coords} ({fin.type}) "
-                    f"is {2 * acc}/{denom}, not a non-negative integer")
-            if m:
-                mults[mu] = m
-                depth[mu] = dmu
-                nxt.append(mu)
-        level = nxt
+            ip = sum(map(mul, mu, ga))
+            up = mu
+            for _ in range(jmax):
+                up = tuple(map(add, up, alpha))
+                ip += alpha_norm
+                m_up = dominant.get(reflect_to_dominant(simple, up)[0])
+                if m_up:
+                    acc += m_up * ip
+        denom = norm_top - norm_rho(mu)
+        m, r = divmod(2 * acc, denom)
+        if r or m < 0:
+            raise IntegralityFailure(
+                f"Freudenthal multiplicity of {mu} in {coords} ({fin.type}) "
+                f"is {2 * acc}/{denom}, not a non-negative integer")
+        if m:
+            dominant[mu] = m
+    mults = {Weight(fin, u): m for mu, m in dominant.items() for u in _orbit(simple, mu)}
     total = sum(mults.values())
     d = dim(fin, coords)
     if total != d:
         raise MassMismatch(f"Freudenthal weight system of {coords}", total, d)
-    return WeightSystem(Weight(fin, coords),
-                        {Weight(fin, mu): m for mu, m in mults.items()})
+    return WeightSystem(Weight(fin, coords), mults)
 
 
 def _mults_raw(fin, coords, dim_cap=DIMENSION_CAP):
@@ -268,22 +334,20 @@ def _mults_raw(fin, coords, dim_cap=DIMENSION_CAP):
 
 def tensor_decompose(datum, lam, mu, dim_cap=DIMENSION_CAP):
     """Klimyk decomposition of lam (x) mu into dominant weights."""
-    from .weyl import to_dominant
     fin = datum.finite
     lam_c = tuple(int(c) for c in (lam.coords if isinstance(lam, Weight) else lam))
     mu_c = tuple(int(c) for c in (mu.coords if isinstance(mu, Weight) else mu))
     if dim(fin, lam_c) < dim(fin, mu_c):
         lam_c, mu_c = mu_c, lam_c  # enumerate weights of the smaller factor
     sys_small = _mults_raw(fin, mu_c, dim_cap)
-    l = fin.rank
+    simple = root_table(fin).simple
+    lam_rho = tuple(c + 1 for c in lam_c)
     out = {}
     for tau, m in sys_small.items():
-        shifted = tuple(lam_c[i] + tau[i] + 1 for i in range(l))
-        rep, sign = to_dominant(fin, Weight(fin, shifted))
-        if sign == 0:
-            continue
-        target = tuple(c - 1 for c in rep.coords)
-        out[target] = out.get(target, 0) + sign * m
+        shifted, sign = reflect_to_dominant(simple, tuple(map(add, lam_rho, tau)))
+        if sign:
+            target = tuple(c - 1 for c in shifted)
+            out[target] = out.get(target, 0) + sign * m
     out = {k: v for k, v in out.items() if v != 0}
     for k, v in out.items():
         if v < 0:

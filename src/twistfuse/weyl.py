@@ -17,7 +17,7 @@ import numpy as np
 
 from .cartan import Weight
 from .errors import NonTermination, RankTooLarge
-from .rep import root_table
+from .rep import reflect_to_dominant, root_table
 
 MAX_RANK = 6
 ELEMENT_CAP = 100_000
@@ -161,22 +161,8 @@ def to_dominant(datum, lam):
     wall (the representative then has a zero coordinate), otherwise the
     parity of the reflections applied.
     """
-    fin = datum.finite
-    a = fin.A
-    l = fin.rank
-    v = list(lam.coords)
-    sign = 1
-    while True:
-        c = min(v)
-        if c >= 0:
-            break
-        i = v.index(c)
-        for j in range(l):
-            v[j] -= c * a[j][i]
-        sign = -sign
-    if any(x == 0 for x in v):
-        return Weight(lam.datum, tuple(v)), 0
-    return Weight(lam.datum, tuple(v)), sign
+    labels, sign = reflect_to_dominant(root_table(datum.finite).simple, lam.coords)
+    return Weight(lam.datum, labels), sign
 
 
 @dataclass(frozen=True)

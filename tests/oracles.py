@@ -262,6 +262,61 @@ def fraction_freudenthal(fin, coords):
     return mults
 
 
+def lattice_freudenthal(fin, coords):
+    """Weight multiplicities {labels: m} of the irreducible with highest
+    weight coords, by the Freudenthal recursion over the whole weight
+    lattice below coords, simple-root depth by depth, in integers: the
+    Fraction recursion above with the Gram denominator cleared, so that each
+    multiplicity is one exact divmod."""
+    l = fin.rank
+    a = fin.A
+    den = math.lcm(*(x.denominator for row in fin.gram_weights for x in row))
+    g = [[int(x * den) for x in row] for row in fin.gram_weights]
+    simple = [tuple(a[r][i] for r in range(l)) for i in range(l)]
+    roots = []
+    for alpha, coeffs in _fraction_positive_roots(fin):
+        ga = tuple(sum(g[i][j] * alpha[j] for j in range(l)) for i in range(l))
+        roots.append((alpha, ga, sum(x * y for x, y in zip(alpha, ga)), coeffs))
+
+    def norm_rho(v):
+        x = [c + 1 for c in v]
+        return sum(x[i] * g[i][j] * x[j] for i in range(l) for j in range(l))
+
+    coords = tuple(coords)
+    norm_top = norm_rho(coords)
+    mults = {coords: 1}
+    depth = {coords: (0,) * l}
+    level = [coords]
+    while level:
+        candidates = {}
+        for v in level:
+            for i, col in enumerate(simple):
+                cand = tuple(x - y for x, y in zip(v, col))
+                if cand not in mults and cand not in candidates:
+                    candidates[cand] = tuple(d + (j == i) for j, d in enumerate(depth[v]))
+        nxt = []
+        for mu, dmu in candidates.items():
+            denom = norm_top - norm_rho(mu)
+            if denom <= 0:
+                continue
+            acc = 0
+            for alpha, ga, alpha_norm, ac in roots:
+                jmax = min(dmu[i] // c for i, c in enumerate(ac) if c)
+                ip = sum(x * y for x, y in zip(mu, ga))
+                for j in range(1, jmax + 1):
+                    up = tuple(x + j * y for x, y in zip(mu, alpha))
+                    if up in mults:
+                        acc += mults[up] * (ip + j * alpha_norm)
+            m, r = divmod(2 * acc, denom)
+            assert r == 0 and m >= 0
+            if m:
+                mults[mu] = m
+                depth[mu] = dmu
+                nxt.append(mu)
+        level = nxt
+    return mults
+
+
 def repr17_complex_json(entries):
     """{"re": ..., "im": ...} of a complex array, each double rebuilt from
     its 17-significant-digit string one entry at a time: the S-matrix

@@ -246,3 +246,38 @@ class TestOtherCommands:
         _, out4, _ = run(capsys, "fusion", "A2", "--level", "2",
                          "--parallelism", "4")
         assert out1 == out4
+
+
+class TestParserReuse:
+    """main builds its argparse tree once per process; parsing must leave it
+    as it found it."""
+
+    CALLS = [
+        ["fusion", "A2", "1,0", "--level", "2", "0,1", "0,0"],
+        ["fusion", "A2", "--level", "2", "--output", "table"],
+        ["smatrix", "B2", "--level", "2"],
+        ["fusion", "A2", "--level", "2", "--method", "nope", "1,0", "0,1", "0,0"],
+        ["smatrix", "B2"],
+        ["fusion", "A3", "--twist", "diagram", "--pattern", "1,s,s", "--level", "1"],
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+        return (rc, *capsys.readouterr())
+
+    def test_back_to_back_matches_fresh_parsers(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            cli_mod.build_parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        reused = [self.call(capsys, argv) for argv in self.CALLS + self.CALLS]
+        assert reused == fresh + fresh
+        assert [rc for rc, _, _ in fresh] == [0, 0, 0, 2, 2, 0]
+        assert json.loads(fresh[0][1])["N"] == 1
+        assert "invalid choice" in fresh[3][2]
+        assert "--level" in fresh[4][2]
+        assert cli_mod.build_parser() is cli_mod.build_parser()

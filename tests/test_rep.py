@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -9,19 +10,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, LieType,
-                              build_cartan, parse_type)
+from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, LeveledWeight,
+                              LieType, build_cartan, parse_type)
 import twistfuse
 import twistfuse.rep as rep
 from twistfuse.errors import (DimensionCap, IntegralityFailure, MassMismatch,
                               NegativeMultiplicity)
 from twistfuse.fold import build_folding
+from twistfuse.fusion import kac_walton
 from twistfuse.rep import (branch, dim, dominant_level_weights, freudenthal,
                            positive_roots, root_table, tensor_decompose)
 from twistfuse.weyl import apply_matrix, generate_weyl
 
 from oracles import (clebsch_gordan_range, convolve_weight_dicts,
-                     fraction_dim, fraction_freudenthal, sl2_string)
+                     fraction_dim, fraction_freudenthal, lattice_freudenthal,
+                     sl2_string)
 
 
 def coords_dict(table):
@@ -56,6 +59,31 @@ class TestDominantLevelWeights:
         ws = [w.finite.coords for w in dominant_level_weights(d, 2)]
         assert ws == sorted(ws)
         assert ws[0] == (0, 0)
+
+    def test_rejects_finite_datum_and_negative_level(self):
+        with pytest.raises(ValueError, match="affine datum"):
+            dominant_level_weights(build_cartan(LieType("A", 2)), 1)
+        with pytest.raises(ValueError, match="k >= 0"):
+            dominant_level_weights(build_cartan(LieType("A", 2, AFFINE_R1)), -1)
+
+    def test_is_level_dominant(self):
+        d = build_cartan(LieType("A", 2, AFFINE_R1))
+
+        def at_level_2(*labels):
+            return rep.is_level_dominant(d, LeveledWeight(2, d.weight(labels)))
+
+        assert at_level_2(1, 1) and at_level_2(0, 2) and at_level_2(Fraction(2), 0)
+        assert at_level_2(2.0, 0)
+        assert not at_level_2(Fraction(1, 2), 0)
+        assert not at_level_2(Fraction(3, 2), Fraction(1, 2))
+        assert not at_level_2(1.5, 0)
+        assert not at_level_2(-1, 1)
+        assert not at_level_2(3, -1)
+        assert not at_level_2(2, 1)  # level 3
+        vac = d.leveled(2, (0, 0))
+        for labels in [(Fraction(1, 2), 0), (-1, 1)]:
+            with pytest.raises(ValueError, match="not a level-2 dominant"):
+                kac_walton(d, 2, d.leveled(2, labels), vac, vac)
 
 
 class TestFreudenthal:
@@ -132,6 +160,33 @@ class TestAgainstFractionOracles:
         assume(expect <= 5000)
         assert dim(fin, coords) == expect
         assert weight_dict(freudenthal(fin, coords)) == fraction_freudenthal(fin, coords)
+
+
+LATTICE_GRID = [("F4", 2), ("E6", 2), ("B4", 2), ("C4", 2), ("D5", 2), ("E7", 1)]
+
+
+class TestAgainstLatticeOracle:
+    """The dominant-chamber recursion and orbit expansion against the
+    full-lattice integer recursion they replaced."""
+
+    @pytest.mark.parametrize("name,k", LATTICE_GRID)
+    def test_level_weights(self, name, k):
+        affine = build_cartan(parse_type(name, AFFINE_R1))
+        fin = affine.finite
+        for lw in dominant_level_weights(affine, k):
+            coords = lw.finite.coords
+            assert weight_dict(freudenthal(fin, coords)) == lattice_freudenthal(fin, coords)
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_random_dominant_weights(self, data):
+        name = data.draw(st.sampled_from(
+            ["A2", "A3", "B2", "B3", "C2", "C3", "C4", "G2", "D4", "F4"]))
+        fin = build_cartan(parse_type(name))
+        coords = tuple(data.draw(st.lists(st.integers(0, 4), min_size=fin.rank,
+                                          max_size=fin.rank)))
+        assume(dim(fin, coords) <= 5000)
+        assert weight_dict(freudenthal(fin, coords)) == lattice_freudenthal(fin, coords)
 
 
 class TestRootTable:
@@ -271,6 +326,63 @@ class TestGates:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["MassMismatch", "MassMismatch",
                                        "MassMismatch", "IntegralityFailure"]
+
+
+class TestOrbitExpansion:
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        rep._weight_system.cache_clear()
+        yield
+        rep._weight_system.cache_clear()
+
+    @pytest.mark.parametrize("name,coords", [
+        ("A3", (1, 0, 1)), ("B3", (0, 0, 1)), ("G2", (1, 1)), ("D4", (0, 1, 0, 0)),
+    ])
+    def test_orbit_against_materialised_group(self, name, coords):
+        fin = build_cartan(parse_type(name))
+        orbit = rep._orbit(root_table(fin).simple, coords)
+        assert len(orbit) == len(set(orbit))
+        assert set(orbit) == {apply_matrix(w, coords) for w in generate_weyl(fin).elements}
+
+    def test_dropped_orbit_point(self, monkeypatch):
+        true_orbit = rep._orbit
+        monkeypatch.setattr(rep, "_orbit", lambda simple, v: true_orbit(simple, v)[:-1])
+        d = build_cartan(LieType("A", 2))
+        with pytest.raises(MassMismatch, match="5 != expected 8"):
+            freudenthal(d, (1, 1))
+
+    def test_gates_fire_without_asserts(self):
+        script = textwrap.dedent("""
+            import copy
+            import twistfuse.rep as rep
+            from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
+            from twistfuse.errors import TwistfuseError
+
+            def run(call):
+                try:
+                    call()
+                except (TwistfuseError, ValueError) as exc:
+                    print(type(exc).__name__)
+                else:
+                    print("no error")
+
+            a2 = build_cartan(LieType("A", 2))
+            run(lambda: rep.dominant_level_weights(a2, 1))
+            run(lambda: rep.dominant_level_weights(build_cartan(LieType("A", 2, AFFINE_R1)), -1))
+            miscounted = copy.copy(a2)
+            miscounted.npos += 1
+            run(lambda: rep.root_table(miscounted))
+            true_orbit = rep._orbit
+            rep._orbit = lambda simple, v: true_orbit(simple, v)[:-1]
+            run(lambda: rep.freudenthal(a2, (1, 1)))
+        """)
+        src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ValueError", "ValueError",
+                                       "RootCountMismatch", "MassMismatch"]
 
 
 class TestDim:
