@@ -15,13 +15,12 @@ from .errors import (DimensionCap, ExponentOverflow, IntegralityFailure,
                      NoBuiltinAutomorphism, NonTermination, NotAffine,
                      NotInteger, NotSublattice, RankTooLarge,
                      RootCountMismatch, SectorRuleViolation, TwistfuseError, UnknownWeight,
-                     UnrecognizedFoldedType, UnsupportedOrder,
-                     UnsupportedSectorPattern, UnsupportedType)
+                     UnrecognizedFoldedType, UnsupportedSectorPattern,
+                     UnsupportedType)
 from .fold import (DiagramAutomorphism, FoldingData, build_folding,
                    builtin_sigma, orbit_cartan, symmetric_weights)
 from .fusion import (FusionTable, SectorLabel, fusion_table, kac_walton,
-                     orbifold_block_report, twisted_kac_walton,
-                     twisted_verlinde, verlinde)
+                     twisted_kac_walton, twisted_verlinde, verlinde)
 from .rep import (DecompTable, WeightSystem, branch, dim,
                   dominant_level_weights, freudenthal, tensor_decompose)
 from .smatrix import (ConformalData, ModularMatrix, conformal, twisted_a,
@@ -41,12 +40,12 @@ __all__ = [
     "NotAffine", "NotInteger", "NotSublattice", "RankTooLarge",
     "RootCountMismatch",
     "SectorLabel", "SectorRuleViolation", "TwistfuseError", "UnknownWeight",
-    "UnrecognizedFoldedType", "UnsupportedOrder", "UnsupportedSectorPattern",
+    "UnrecognizedFoldedType", "UnsupportedSectorPattern",
     "UnsupportedType", "Weight", "WeightSystem", "WeylGroup", "alcove_fold",
     "branch", "build_cartan", "build_folding", "builtin_sigma", "conformal",
     "dim", "dominant_level_weights", "dual_lattice", "freudenthal",
     "fusion_table", "generate_weyl", "inner_product", "kac_walton",
-    "lattice_M", "lattice_index", "orbifold_block_report", "orbit_cartan",
+    "lattice_M", "lattice_index", "orbit_cartan",
     "parse_type", "simple_reflect", "symmetric_weights", "tensor_decompose",
     "to_dominant", "twisted_a", "twisted_kac_walton", "twisted_sector_S",
     "twisted_verlinde", "untwisted_S", "verlinde",

@@ -19,6 +19,15 @@ dual finite types, which keeps the node numbering canonical:
     A_{2l-1}^{(2)} = (B_l^{(1)})^T     D_{l+1}^{(2)} = (C_l^{(1)})^T
     E_6^{(2)}      = (F_4^{(1)})^T     D_4^{(3)}     = (G_2^{(1)})^T
 
+The Weyl-reflection kernels of the package live here, the one module that
+`rep`, `weyl` and `fold` all import without a cycle.  `simple_roots` gives
+the columns of a Cartan matrix; `reflect_to_dominant` is the one
+reflect-to-dominant loop and `_orbit` the one tuple orbit walk.  Here they
+give the highest root and the span of its orbit, the lattice M; `rep` uses
+them for the Freudenthal lookups, the Klimyk sum and the orbit expansion,
+`weyl.to_dominant` for the finite group, and `weyl.alcove_fold` for the
+affine one, on the columns of the affine Cartan matrix.
+
 All arithmetic in this module is exact rational.
 """
 
@@ -166,21 +175,50 @@ def _symmetrizers(a):
     return tuple(d)
 
 
-def _highest_root_labels(a_fin, d_fin):
-    """Dynkin labels of the highest root (the dominant long root)."""
-    l = len(a_fin)
-    dmax = max(d_fin)
-    start = next(i for i in range(l) if d_fin[i] == dmax)
-    labels = list(a_fin[j][start] for j in range(l))  # labels of alpha_start
-    # Reflect to the dominant chamber.
-    while True:
-        i = next((i for i in range(l) if labels[i] < 0), None)
-        if i is None:
-            break
-        c = labels[i]
-        for j in range(l):
-            labels[j] -= c * a_fin[j][i]
-    return tuple(labels)
+def simple_roots(a):
+    """Dynkin labels of the simple roots: the columns of the Cartan matrix a."""
+    return tuple(zip(*a))
+
+
+def reflect_to_dominant(simple, v):
+    """Dominant representative of the label tuple v, and its orbit sign.
+
+    Reflects v -> v - v_i simple[i] at the most negative label, lowest
+    index on ties, until no label is negative.  Returns (labels, sign):
+    sign is 0 exactly when v lies on a reflection wall (the representative
+    then has a zero label), otherwise the parity of the reflections.
+    """
+    sign = 1
+    c = min(v)
+    while c < 0:
+        i = v.index(c)
+        v = tuple([x - c * y for x, y in zip(v, simple[i])])
+        sign = -sign
+        c = min(v)
+    return v, sign if c else 0
+
+
+def _orbit(simple, v):
+    """Weyl orbit of the dominant label tuple v, each point once.
+
+    Walks down from the dominant chamber, as `weyl.signed_orbit` does, but
+    for a singular v too: from a point u, every r_i u with u_i > 0 is one
+    step further down, and r_i u is kept only when i is its smallest
+    negative label, so no point is reached twice.
+    """
+    out = [v]
+    level = [v]
+    while level:
+        nxt = []
+        for u in level:
+            for i, c in enumerate(u):
+                if c > 0:
+                    w = tuple([x - c * y for x, y in zip(u, simple[i])])
+                    if min(w[:i], default=0) >= 0:
+                        nxt.append(w)
+        out += nxt
+        level = nxt
+    return out
 
 
 @dataclass(frozen=True)
@@ -192,24 +230,6 @@ class Weight:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
         assert len(self.coords) == self.datum.rank
-
-    def __add__(self, other):
-        self._check(other)
-        return Weight(self.datum, tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Weight(self.datum, tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return Weight(self.datum, tuple(-x for x in self.coords))
-
-    def _check(self, other):
-        if other.datum is not self.datum:
-            raise MixedDatum("weights belong to different data")
-
-    def is_dominant(self):
-        return all(x >= 0 for x in self.coords)
 
     def __str__(self):
         return "(" + ",".join(str(x) for x in self.coords) + ")"
@@ -290,8 +310,10 @@ class CartanDatum:
         ft = _finite_type_of(type_)
         self.npos = _NPOS[ft.family](ft.rank)
         if type_.kind == FINITE:
-            # theta = dominant long root; its norm is 2 max(d).
-            theta_labels = _highest_root_labels(a_fin, d_fin)
+            # theta = dominant long root, the representative of the first
+            # long simple root; its norm is 2 max(d).
+            simple = simple_roots(a_fin)
+            theta_labels = reflect_to_dominant(simple, simple[d_fin.index(max(d_fin))])[0]
             scale = max(d_fin)
             marks_fin = rat.solve(a_fin, theta_labels)
             covec = tuple(d_fin[i] * marks_fin[i] / scale for i in range(self.rank))
@@ -449,24 +471,9 @@ def inner_product(lam, mu):
 def _orbit_lattice(datum):
     """Lattice M: span of the finite Weyl orbit of nu(theta^vee) = theta."""
     fin = datum.finite
-    a = fin.A
-    l = fin.rank
-    seen = {datum.theta.coords}
-    frontier = [datum.theta.coords]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(l):
-                c = v[i]
-                if c == 0:
-                    continue
-                w = tuple(v[j] - c * a[j][i] for j in range(l))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    rows = rat.lattice_basis_rows(sorted(seen))
-    assert len(rows) == l, "orbit of theta must span the weight space"
+    orbit = _orbit(simple_roots(fin.A), datum.theta.coords)
+    rows = rat.lattice_basis_rows(sorted(orbit))
+    assert len(rows) == fin.rank, "orbit of theta must span the weight space"
     return LatticeBasis(fin, rows)
 
 

@@ -67,7 +67,8 @@ class UnrecognizedFoldedType(TwistfuseError):
 
 
 class NonTermination(TwistfuseError):
-    """Alcove folding exceeded its iteration cap."""
+    """Alcove folding was asked for at a level t = k + h^vee <= 0, where the
+    reflection walk need not end."""
 
 
 class NotInteger(TwistfuseError):
@@ -88,10 +89,6 @@ class SectorRuleViolation(TwistfuseError):
 
 class UnsupportedSectorPattern(TwistfuseError):
     """The sector pattern is admissible but not computable in scope."""
-
-
-class UnsupportedOrder(TwistfuseError):
-    """Operation restricted to automorphism order 2."""
 
 
 class MethodMismatch(TwistfuseError):

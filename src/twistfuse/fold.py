@@ -118,25 +118,18 @@ def _orbit_matrix(auto):
     return reps, members, s, tuple(tuple(int(x) for x in row) for row in ahat)
 
 
-_FOLD_TABLE = {
-    # base family -> (twisted type, adjacent type) builders
-    "A": lambda l, order: (LieType("A", l, AFFINE_R2), LieType("D", (l + 1) // 2 + 1, AFFINE_R2)),
-    "D2": lambda l, order: (LieType("D", l, AFFINE_R2), LieType("A", 2 * l - 3, AFFINE_R2)),
-    "D3": lambda l, order: (LieType("D", 4, AFFINE_R3), LieType("D", 4, AFFINE_R3)),
-    "E": lambda l, order: (LieType("E", 6, AFFINE_R2), LieType("E", 6, AFFINE_R2)),
-}
-
-
 def _identify(auto):
+    """(twisted type, adjacent type) of the folding of auto's base."""
     t = auto.base.type
+    l = t.rank
     if t.family == "A":
-        return _FOLD_TABLE["A"](t.rank, auto.order)
+        return LieType("A", l, AFFINE_R2), LieType("D", (l + 1) // 2 + 1, AFFINE_R2)
     if t.family == "D" and auto.order == 3:
-        return _FOLD_TABLE["D3"](t.rank, auto.order)
+        return LieType("D", 4, AFFINE_R3), LieType("D", 4, AFFINE_R3)
     if t.family == "D":
-        return _FOLD_TABLE["D2"](t.rank, auto.order)
+        return LieType("D", l, AFFINE_R2), LieType("A", 2 * l - 3, AFFINE_R2)
     if t.family == "E":
-        return _FOLD_TABLE["E"](t.rank, auto.order)
+        return LieType("E", 6, AFFINE_R2), LieType("E", 6, AFFINE_R2)
     raise UnrecognizedFoldedType(f"no folding pairing for {t}")
 
 

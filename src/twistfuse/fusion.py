@@ -29,11 +29,10 @@ import numpy as np
 from .cartan import LeveledWeight
 from .errors import (MethodMismatch, NegativeCoefficient, NegativeMultiplicity,
                      NotInteger, SectorRuleViolation, UnknownWeight,
-                     UnsupportedOrder, UnsupportedSectorPattern)
+                     UnsupportedSectorPattern)
 from .fold import symmetric_weights
 from .rep import branch, dominant_level_weights, is_level_dominant, tensor_decompose
-from .smatrix import (ORBIFOLD_BLOCK, ModularMatrix, _label_json, twisted_sector_S,
-                      untwisted_S)
+from .smatrix import _label_json, twisted_sector_S, untwisted_S
 from .weyl import alcove_fold
 
 INTEGER_TOLERANCE = 1e-6
@@ -348,73 +347,6 @@ def twisted_verlinde(folding, k, m1, m2, m3, tolerance=INTEGER_TOLERANCE):
 
     n = _verlinde_blocks(row(m1), row(m2), row(m3), mats.vac, tolerance)
     return int(n[0, 0, 0])
-
-
-def orbifold_block_report(folding, k):
-    """Labeled blocks of the fixed-point algebra S-matrix, order 2 only.
-
-    Emits what is constructible from the untwisted S-matrix and the twisted
-    sector block: eigencomponent blocks among stable modules, twisted-sector
-    rows, and the rows of the unpaired orbit representatives (including
-    their zero block against twisted columns).  No completeness claim.
-    """
-    if folding.r != 2:
-        raise UnsupportedOrder("block report is limited to order-2 twists")
-    p = folding.r
-    mats = _sector_matrices(folding, k)
-    sym = mats.sym
-    sym_idx = mats.sym_idx
-    s = mats.full_S.entries
-
-    def eig_labels(labels, sector):
-        return tuple((SectorLabel(sector, w), t) for w in labels for t in range(p))
-
-    sym_rows = eig_labels(sym, UNTWISTED)
-    tw_rows = eig_labels(mats.twisted_labels, SIGMA)
-
-    n_sym, n_tw = len(sym), len(mats.twisted_labels)
-    block1 = np.zeros((p * n_sym, p * n_sym), dtype=complex)
-    for i in range(n_sym):
-        for j in range(n_sym):
-            v = s[sym_idx[i], sym_idx[j]] / p
-            for a in range(p):
-                for b in range(p):
-                    block1[p * i + a, p * j + b] = v
-    b1 = ModularMatrix(sym_rows, sym_rows, block1, ORBIFOLD_BLOCK)
-
-    block2 = np.zeros((p * n_tw, p * n_sym), dtype=complex)
-    for i in range(n_tw):
-        for j in range(n_sym):
-            v = mats.a[i, j] / p
-            for a in range(p):
-                for b in range(p):
-                    block2[p * i + a, p * j + b] = v * (-1) ** b
-    b2 = ModularMatrix(tw_rows, sym_rows, block2, ORBIFOLD_BLOCK)
-
-    # Orbit representatives of the non-stable untwisted modules.
-    perm = folding.finite_perm()
-    reps = []
-    seen = set()
-    for i, lw in enumerate(mats.base_labels):
-        c = tuple(lw.finite.coords)
-        if c in seen:
-            continue
-        img = tuple(c[perm[j]] for j in range(len(c)))
-        if img == c:
-            continue
-        seen.update({c, img})
-        reps.append(i)
-    rep_rows = tuple(SectorLabel(UNTWISTED, mats.base_labels[i]) for i in reps)
-    block3 = np.zeros((len(reps), p * n_sym), dtype=complex)
-    for r_out, i in enumerate(reps):
-        for j in range(n_sym):
-            for b in range(p):
-                block3[r_out, p * j + b] = s[i, sym_idx[j]]
-    b3 = ModularMatrix(rep_rows, sym_rows, block3, ORBIFOLD_BLOCK)
-
-    block4 = np.zeros((len(reps), p * n_tw), dtype=complex)
-    b4 = ModularMatrix(rep_rows, tw_rows, block4, ORBIFOLD_BLOCK)
-    return [b1, b2, b3, b4]
 
 
 # Sector classes of the patterns 1,1,1  1,s,s  s,1,s  s,s,1: those with

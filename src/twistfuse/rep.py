@@ -16,11 +16,12 @@ Patera, Bull. AMS 7, 1982).  They are found from the highest weight by
 subtracting positive roots and keeping the dominant results, and are
 taken in order of depth, the height of lam - mu.  Each m(mu + j alpha) is
 read at its dominant representative, which is higher and so already
-known; `reflect_to_dominant` is the one reflect-to-dominant loop of the
-package, shared with the Klimyk sum and `weyl.to_dominant`.  Every other
-multiplicity follows by W-invariance: `_orbit` expands each dominant
-weight's orbit by a label walk, bounded by the dimension cap that
-`freudenthal` checks first.  All caches, the weight-system cache too, are
+known.  Every other multiplicity follows by W-invariance: `_orbit`
+expands each dominant weight's orbit, bounded by the dimension cap that
+`freudenthal` checks first.  The Klimyk sum reflects each shifted weight
+to the dominant chamber with its sign.  Both kernels,
+`reflect_to_dominant` and `_orbit`, live in `cartan` and are imported here
+under their own names.  All caches, the weight-system cache too, are
 bounded.
 
 Gates, all typed errors that survive `python -O`: the Freudenthal divmod
@@ -38,7 +39,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .cartan import LeveledWeight, Weight
+from .cartan import (LeveledWeight, Weight, _orbit, reflect_to_dominant,
+                     simple_roots)
 from .errors import (DimensionCap, IntegralityFailure, MassMismatch,
                      NegativeMultiplicity, RootCountMismatch)
 
@@ -116,7 +118,7 @@ def root_table(fin):
     """
     a = fin.A
     l = fin.rank
-    simple = tuple(tuple(a[r][i] for r in range(l)) for i in range(l))
+    simple = simple_roots(a)
     found = {}
     for i, alpha in enumerate(simple):
         found[alpha] = tuple(int(j == i) for j in range(l))
@@ -211,47 +213,6 @@ def freudenthal(datum, lam, dim_cap=DIMENSION_CAP):
     if d > dim_cap:
         raise DimensionCap(f"dim {d} exceeds the cap {dim_cap}")
     return _weight_system(fin, coords)
-
-
-def reflect_to_dominant(simple, v):
-    """Dominant representative of the label tuple v, and its orbit sign.
-
-    Reflects v -> v - v_i simple[i] at the most negative label, lowest
-    index on ties, until no label is negative.  Returns (labels, sign):
-    sign is 0 exactly when v lies on a reflection wall (the representative
-    then has a zero label), otherwise the parity of the reflections.
-    """
-    sign = 1
-    c = min(v)
-    while c < 0:
-        i = v.index(c)
-        v = tuple([x - c * y for x, y in zip(v, simple[i])])
-        sign = -sign
-        c = min(v)
-    return v, sign if c else 0
-
-
-def _orbit(simple, v):
-    """Weyl orbit of the dominant label tuple v, each point once.
-
-    Walks down from the dominant chamber, as `weyl.signed_orbit` does, but
-    for a singular v too: from a point u, every r_i u with u_i > 0 is one
-    step further down, and r_i u is kept only when i is its smallest
-    negative label, so no point is reached twice.
-    """
-    out = [v]
-    level = [v]
-    while level:
-        nxt = []
-        for u in level:
-            for i, c in enumerate(u):
-                if c > 0:
-                    w = tuple([x - c * y for x, y in zip(u, simple[i])])
-                    if min(w[:i], default=0) >= 0:
-                        nxt.append(w)
-        out += nxt
-        level = nxt
-    return out
 
 
 @lru_cache(maxsize=256)

@@ -107,16 +107,10 @@ def complex_json(entries):
 
 
 def _label_json(label):
-    """JSON dict of a row, column or fusion-table label: a leveled weight, a
-    sector label (anything with .sector and .weight), or a (label, eigen
-    tag) pair from the orbifold blocks."""
+    """JSON dict of a row, column or fusion-table label: a leveled weight or
+    a sector label (anything with .sector and .weight)."""
     if isinstance(label, LeveledWeight):
         return {"level": label.level, "weight": [int(x) for x in label.finite.coords]}
-    if isinstance(label, tuple):
-        inner, eigen = label
-        d = _label_json(inner)
-        d["eigen"] = eigen
-        return d
     return {"sector": label.sector, **_label_json(label.weight)}
 
 

@@ -5,23 +5,27 @@ Group elements are integer matrices acting on Dynkin-label coordinates;
 the simple reflection r_i subtracts coordinate i times column i of the
 Cartan matrix.  `signed_orbit` enumerates the orbit of a regular dominant
 weight without materialising the group, once |W|, priced from the root
-heights, has passed the element cap.  Alcove folding reduces a rho-shifted
-weight into the interior of the fundamental alcove at level t = k + h^vee,
-tracking the sign of the finite Weyl component (translations are even).
+heights, has passed the element cap; it is a numpy walk, vectorised over
+each length of W.  `to_dominant` and `alcove_fold` run
+`cartan.reflect_to_dominant`: the first on the finite simple roots, the
+second on the columns of the affine Cartan matrix, which reduces a
+rho-shifted weight into the interior of the fundamental alcove at level
+t = k + h^vee, tracking the sign of the finite Weyl component
+(translations are even).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
-from .cartan import Weight
+from .cartan import Weight, reflect_to_dominant, simple_roots
 from .errors import NonTermination, RankTooLarge
-from .rep import reflect_to_dominant, root_table
+from .rep import root_table
 
 MAX_RANK = 6
 ELEMENT_CAP = 100_000
-FOLD_ITERATION_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,6 @@ def to_dominant(datum, lam):
 class FoldResult:
     sign: int                    # -1, 0, +1
     rep: object                  # Weight, or None when sign == 0
-    reflections_used: int
 
     def __post_init__(self):
         assert (self.sign == 0) == (self.rep is None)
@@ -178,34 +181,19 @@ class FoldResult:
 def alcove_fold(affine_datum, k, x):
     """Fold the rho-shifted weight x into the open alcove at t = k + h^vee.
 
-    The implicit node-0 label is t minus the comark-weighted sum of the
-    finite labels.  Reflection scheduling: most negative label first, lowest
-    index on ties.  Returns sign 0 when the terminal point lies on a wall.
+    The affine labels are (x0, x) with x0 = t minus the comark-weighted sum
+    of the finite labels; `reflect_to_dominant` walks them with the columns
+    of the affine Cartan matrix, which keep the level because comarks . A
+    = 0.  Returns sign 0 when the terminal point lies on a wall.  At t > 0
+    each reflection crosses one of the finitely many walls between x and the
+    alcove, so the walk ends; at t <= 0 it need not, and NonTermination is
+    raised before it starts.
     """
-    assert affine_datum.is_affine()
+    if not affine_datum.is_affine():
+        raise ValueError(f"alcove folding needs an affine datum, not {affine_datum.type}")
     t = k + affine_datum.hdual
-    a = affine_datum.A
-    l = affine_datum.rank
-    covee = affine_datum.comarks[1:]
-    col0 = tuple(a[r][0] for r in range(1, l + 1))  # finite labels of alpha_0
-    v = list(x.coords)
-    sign = 1
-    used = 0
-    for _ in range(FOLD_ITERATION_CAP):
-        x0 = t - sum(covee[j] * v[j] for j in range(l))
-        labels = [x0] + v
-        i = min(range(l + 1), key=lambda j: labels[j])
-        if labels[i] >= 0:
-            if any(lab == 0 for lab in labels):
-                return FoldResult(0, None, used)
-            return FoldResult(sign, Weight(x.datum, tuple(v)), used)
-        c = labels[i]
-        if i == 0:
-            for j in range(l):
-                v[j] -= c * col0[j]
-        else:
-            for j in range(l):
-                v[j] -= c * a[j + 1][i]
-        sign = -sign
-        used += 1
-    raise NonTermination("alcove folding exceeded the iteration cap")
+    if t <= 0:
+        raise NonTermination(f"alcove folding at level t = {t} <= 0 need not end")
+    x0 = t - sum(map(mul, affine_datum.comarks[1:], x.coords))
+    labels, sign = reflect_to_dominant(simple_roots(affine_datum.A), (x0, *x.coords))
+    return FoldResult(sign, Weight(x.datum, labels[1:]) if sign else None)

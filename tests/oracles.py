@@ -94,6 +94,42 @@ def a1_s_matrix(k):
              for b in range(k + 1)] for a in range(k + 1)]
 
 
+def highest_root_labels(a_fin, d_fin):
+    """Dynkin labels of the highest root: the first long simple root,
+    reflected at its first negative label until no label is negative."""
+    l = len(a_fin)
+    start = d_fin.index(max(d_fin))
+    labels = [a_fin[j][start] for j in range(l)]
+    while True:
+        i = next((i for i in range(l) if labels[i] < 0), None)
+        if i is None:
+            return tuple(labels)
+        c = labels[i]
+        for j in range(l):
+            labels[j] -= c * a_fin[j][i]
+
+
+def weyl_orbit_set(a_fin, v):
+    """Finite Weyl orbit of the label tuple v, by a breadth-first search that
+    applies every simple reflection to every point found."""
+    l = len(a_fin)
+    seen = {tuple(v)}
+    frontier = [tuple(v)]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for i in range(l):
+                c = u[i]
+                if c == 0:
+                    continue
+                w = tuple(u[j] - c * a_fin[j][i] for j in range(l))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
 def brute_force_fold(affine_datum, k, coords, box=4):
     """Exhaustive reduction of a rho-shifted weight modulo the level-shifted
     affine Weyl action: try every finite Weyl element and every translation

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from twistfuse._rational import lattice_basis_rows
 from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, FINITE,
-                              LatticeBasis, LieType, build_cartan,
+                              LatticeBasis, LieType, _orbit, build_cartan,
                               dual_lattice, inner_product, lattice_M,
-                              lattice_index, parse_type)
+                              lattice_index, parse_type, simple_roots)
 from twistfuse.errors import MixedDatum, NotAffine, NotSublattice, UnsupportedType
 
-from oracles import inverse_times_diag, primitive_null_vector
+from oracles import (highest_root_labels, inverse_times_diag,
+                     primitive_null_vector, weyl_orbit_set)
 
 ALL_AFFINE = [
     LieType("A", 1, AFFINE_R1), LieType("A", 2, AFFINE_R1),
@@ -205,3 +207,38 @@ class TestLattices:
             tuple(tuple(d.A_fin[r][i] for r in range(l)) for i in range(l)))
         assert lattice_index(m, roots) == 1
         assert lattice_index(roots, m) == 1
+
+
+UNTWISTED_FINITE = ([f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 8)]
+                    + [f"C{l}" for l in range(2, 8)] + [f"D{l}" for l in range(4, 9)]
+                    + ["E6", "E7", "E8", "F4", "G2"])
+TWISTED = [
+    LieType("A", 3, AFFINE_R2), LieType("A", 5, AFFINE_R2),
+    LieType("D", 4, AFFINE_R2), LieType("D", 5, AFFINE_R2),
+    LieType("E", 6, AFFINE_R2), LieType("D", 4, AFFINE_R3),
+]
+
+
+class TestReflectionKernel:
+    """theta and the lattice M, both read off the shared reflection kernels,
+    against the first-negative-label loop and the set-based orbit search."""
+
+    @staticmethod
+    def check_lattice(d):
+        theta = d.theta.coords
+        orbit = _orbit(simple_roots(d.finite.A), theta)
+        expected = weyl_orbit_set(d.finite.A, theta)
+        assert len(orbit) == len(expected) and set(orbit) == expected
+        assert lattice_M(d).basis == LatticeBasis(
+            d.finite, lattice_basis_rows(sorted(expected))).basis
+
+    @pytest.mark.parametrize("name", UNTWISTED_FINITE)
+    def test_untwisted(self, name):
+        fin = build_cartan(parse_type(name))
+        aff = build_cartan(parse_type(name, AFFINE_R1))
+        assert fin.theta.coords == aff.theta.coords == highest_root_labels(fin.A, fin.d)
+        self.check_lattice(aff)
+
+    @pytest.mark.parametrize("type_", TWISTED, ids=str)
+    def test_twisted(self, type_):
+        self.check_lattice(build_cartan(type_))

@@ -4,19 +4,17 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
 import pytest
 
 import twistfuse
 import twistfuse.fusion as fusion_mod
 from twistfuse.cartan import AFFINE_R1, LieType, build_cartan, parse_type
 from twistfuse.errors import (MethodMismatch, NegativeCoefficient, NotInteger,
-                              SectorRuleViolation, UnsupportedOrder,
-                              UnsupportedSectorPattern)
-from twistfuse.fold import build_folding, symmetric_weights
+                              SectorRuleViolation, UnsupportedSectorPattern)
+from twistfuse.fold import build_folding
 from twistfuse.fusion import (SectorLabel, fusion_table, kac_walton,
-                              kac_walton_row, orbifold_block_report,
-                              twisted_kac_walton, twisted_verlinde, verlinde)
+                              kac_walton_row, twisted_kac_walton,
+                              twisted_verlinde, verlinde)
 from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import untwisted_S
 
@@ -309,7 +307,7 @@ def test_gates_fire_without_asserts():
 
         def sign_flipped(affine, k, x):
             res = true_fold(affine, k, x)
-            return FoldResult(-res.sign, res.rep, res.reflections_used)
+            return FoldResult(-res.sign, res.rep)
 
         fusion.alcove_fold = sign_flipped
         run(lambda: fusion.fusion_table(a2, 1))
@@ -397,30 +395,6 @@ class TestFusionTableOutput:
     def test_text_alignment(self, a1):
         text = fusion_table(a1, 1).to_text()
         assert len({line.index("[") for line in text.splitlines()}) == 1
-
-
-class TestOrbifoldBlockReport:
-    def test_blocks_a3(self, a3_folding):
-        b1, b2, b3, b4 = orbifold_block_report(a3_folding, 1)
-        s = untwisted_S(a3_folding.base, 1)
-        sym = symmetric_weights(a3_folding, 1)
-        # sym x sym entries are half the untwisted entries
-        assert abs(b1.entries[0, 0] - s.entries[0, 0] / 2) < 1e-12
-        # column scaling between the two eigencolumns of a sigma-sector row
-        cols0 = b2.entries[:, 0::2]
-        cols1 = b2.entries[:, 1::2]
-        assert np.abs(cols0 + cols1).max() < 1e-12  # Lambda_1(sigma^-1) = -1
-        # zero block at (orbit representatives, twisted columns)
-        assert np.abs(b4.entries).max() == 0
-        # orbit representative rows carry plain untwisted entries
-        assert b3.entries.shape[0] == 1  # omega_1, omega_3 pair up
-        full = np.asarray(s.entries)
-        assert abs(b3.entries[0, 0] - full[1, 0]) < 1e-12
-
-    def test_unsupported_order(self):
-        f = build_folding(LieType("D", 4, AFFINE_R1), 3)
-        with pytest.raises(UnsupportedOrder):
-            orbifold_block_report(f, 1)
 
 
 def test_pool_shares_one_sector_build(monkeypatch):
