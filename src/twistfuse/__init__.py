@@ -9,12 +9,14 @@ Lie-theoretic data exact and cross-validates the two routes.
 from .cartan import (CartanDatum, LatticeBasis, LeveledWeight, LieType,
                      Weight, build_cartan, dual_lattice, inner_product,
                      lattice_M, lattice_index, parse_type)
-from .errors import (DimensionCap, ExponentOverflow, IntegralityFailure,
+from .errors import (ConformalMismatch, DimensionCap, ExponentOverflow,
+                     IntegralityFailure, LatticeIndexMismatch,
                      MassMismatch, MethodMismatch, MixedDatum,
                      NegativeCoefficient, NegativeMultiplicity,
                      NoBuiltinAutomorphism, NonTermination, NotAffine,
                      NotInteger, NotSublattice, RankTooLarge,
-                     RootCountMismatch, SectorRuleViolation, TwistfuseError, UnknownWeight,
+                     RootCountMismatch, SectorLabelMismatch,
+                     SectorRuleViolation, TwistfuseError, UnknownWeight,
                      UnrecognizedFoldedType, UnsupportedSectorPattern,
                      UnsupportedType)
 from .fold import (DiagramAutomorphism, FoldingData, build_folding,
@@ -31,15 +33,17 @@ from .weyl import (FoldResult, WeylGroup, alcove_fold, generate_weyl,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartanDatum", "ConformalData", "DecompTable", "DiagramAutomorphism",
-    "DimensionCap", "ExponentOverflow", "FoldResult", "FoldingData", "FusionTable",
-    "IntegralityFailure", "LatticeBasis", "LeveledWeight", "LieType",
+    "CartanDatum", "ConformalData", "ConformalMismatch", "DecompTable",
+    "DiagramAutomorphism", "DimensionCap", "ExponentOverflow", "FoldResult",
+    "FoldingData", "FusionTable", "IntegralityFailure", "LatticeBasis",
+    "LatticeIndexMismatch", "LeveledWeight", "LieType",
     "MassMismatch", "MethodMismatch",
     "MixedDatum", "ModularMatrix", "NegativeCoefficient",
     "NegativeMultiplicity", "NoBuiltinAutomorphism", "NonTermination",
     "NotAffine", "NotInteger", "NotSublattice", "RankTooLarge",
     "RootCountMismatch",
-    "SectorLabel", "SectorRuleViolation", "TwistfuseError", "UnknownWeight",
+    "SectorLabel", "SectorLabelMismatch", "SectorRuleViolation",
+    "TwistfuseError", "UnknownWeight",
     "UnrecognizedFoldedType", "UnsupportedSectorPattern",
     "UnsupportedType", "Weight", "WeightSystem", "WeylGroup", "alcove_fold",
     "branch", "build_cartan", "build_folding", "builtin_sigma", "conformal",

@@ -16,9 +16,11 @@ from functools import lru_cache
 from . import _rational as rat
 from .cartan import (AFFINE_R1, build_cartan, dual_lattice, lattice_M,
                      lattice_index, parse_type)
-from .errors import (IntegralityFailure, MassMismatch, MethodMismatch,
+from .errors import (ConformalMismatch, IntegralityFailure,
+                     LatticeIndexMismatch, MassMismatch, MethodMismatch,
                      NegativeCoefficient, NegativeMultiplicity, NotInteger,
-                     RootCountMismatch, TwistfuseError, UnknownWeight)
+                     RootCountMismatch, SectorLabelMismatch, TwistfuseError,
+                     UnknownWeight)
 from .fold import build_folding, pstar_apply, symmetric_weights
 from .fusion import (SectorLabel, SectorMatrices, check_pattern, fusion_table,
                      kac_walton, twisted_kac_walton, twisted_verlinde, verlinde)
@@ -449,7 +451,8 @@ def main(argv=None):
         parser.error(f"unknown command {args.command}")
     except (MethodMismatch, NotInteger, NegativeCoefficient, IntegralityFailure,
             MassMismatch, NegativeMultiplicity, RootCountMismatch,
-            UnknownWeight) as exc:
+            UnknownWeight, LatticeIndexMismatch, SectorLabelMismatch,
+            ConformalMismatch) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2
     except TwistfuseError as exc:

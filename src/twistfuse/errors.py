@@ -48,6 +48,20 @@ class RootCountMismatch(TwistfuseError):
     datum's number of positive roots."""
 
 
+class LatticeIndexMismatch(TwistfuseError):
+    """The S-matrix normalisation [M*:tM] = t^rank [M*:M] does not hold."""
+
+
+class SectorLabelMismatch(TwistfuseError):
+    """The Pstar images of the twisted-a columns are not the symmetric
+    weights, in order."""
+
+
+class ConformalMismatch(TwistfuseError):
+    """Conformal data fail the strange formula, h - m = c/24, or h >= 0 with
+    equality exactly at the vacuum."""
+
+
 class MassMismatch(TwistfuseError):
     """A weight system, tensor product or branching does not conserve
     dimension."""

@@ -2,15 +2,21 @@
 
 The untwisted S-matrix and the twisted a-matrix are both Weyl sums
 sum_w eps(w) exp(-2 pi i (w(row), col) / t), evaluated by one kernel from
-the signed orbit of each rho-shifted row (`weyl.signed_orbit`); the Weyl
-group itself is never materialised.  Before any orbit point is made, |W| is
-priced from the root heights, and a group above `weyl.ELEMENT_CAP` raises
-RankTooLarge.  Every phase exponent is an exact integer over
-N = gram_den * den * t, reduced mod N as an integer, and only then used to
-index a table of N-th roots of unity; exponents that could leave the int64
+the signed orbits of the rho-shifted rows (`weyl.signed_orbit`), one walk
+per block of rows: for a regular dominant row x the label
+(w x, alpha_i^vee) is positive exactly when l(r_i w) > l(w), so every step
+of the walk depends on w alone, and all rows of a block share the steps
+and one sign vector.  The Weyl group itself is never materialised.  Before
+any orbit point is made, |W| is priced from the root heights, and a group
+above `weyl.ELEMENT_CAP` raises RankTooLarge.  Every phase exponent is an
+exact integer over N = gram_den * den * t, reduced mod N as an integer;
+the signs are counted per residue, exactly, and the counts are contracted
+with a table of N-th roots of unity.  Exponents that could leave the int64
 range raise ExponentOverflow.  The numeric field is double-precision
-complex: exactness lives in the integer exponents, and a root of unity is
-the only floating-point value the kernel reads.
+complex: exactness lives in the integer exponents and counts, and a root
+of unity is the only floating-point value the kernel reads.  The checks of
+the conformal data and of the S-matrix normalisation raise typed errors,
+so python -O keeps them.
 """
 
 import math
@@ -21,11 +27,12 @@ import numpy as np
 
 from . import _rational as rat
 from .cartan import LeveledWeight, dual_lattice, lattice_index, lattice_M
-from .errors import ExponentOverflow, NotSublattice
+from .errors import (ConformalMismatch, ExponentOverflow, LatticeIndexMismatch,
+                     NotSublattice, SectorLabelMismatch)
 from .fold import (pstar_apply, phi_apply_shifted, symmetric_weights,
                    transported_adjacent_M)
-from .rep import dominant_level_weights, _gram_int
-from .weyl import signed_orbit
+from .rep import dominant_level_weights, _gram_int, _ip
+from .weyl import signed_orbit, weyl_order
 
 UNTWISTED_S = "untwisted-S"
 TWISTED_A = "twisted-a"
@@ -52,7 +59,6 @@ def conformal(affine_datum, k, lam):
     t = k + affine_datum.hdual
     rho = (1,) * fin.rank
     lam_rho = tuple(c + 1 for c in coords)
-    from .rep import _ip
     rho_norm = _ip(fin, rho, rho)
     m = _ip(fin, lam_rho, lam_rho) / (2 * t) - rho_norm / (2 * affine_datum.hdual)
     lam2rho = tuple(c + 2 for c in coords)
@@ -60,11 +66,16 @@ def conformal(affine_datum, k, lam):
     # 12 (rho, rho) / h^vee extends the Sugawara value k dim g / (k + h^vee)
     # to the twisted types; on untwisted data the two agree exactly.
     c = 12 * k * rho_norm / (t * affine_datum.hdual)
-    if affine_datum.type.kind == "affine-r1":
-        assert c == Fraction(k * affine_datum.dim_adjoint(), t), \
-            "strange-formula cross-check failed"
-    assert h - m == c / 24, "normalized-character shift identity failed"
-    assert h >= 0 and (h == 0) == all(x == 0 for x in coords)
+    where = f"{affine_datum.type} level {k}, weight {coords}"
+    if (affine_datum.type.kind == "affine-r1"
+            and c != Fraction(k * affine_datum.dim_adjoint(), t)):
+        raise ConformalMismatch(f"{where}: central charge {c} fails the "
+                                f"strange formula")
+    if h - m != c / 24:
+        raise ConformalMismatch(f"{where}: h - m = {h - m} != c/24 = {c / 24}")
+    if h < 0 or (h == 0) != all(x == 0 for x in coords):
+        raise ConformalMismatch(f"{where}: conformal weight {h} is negative "
+                                f"or vanishes off the vacuum")
     return ConformalData(k=k, m=m, h=h, c=c)
 
 
@@ -120,9 +131,32 @@ def _roots_of_unity(n):
     return np.exp(1j * (-2.0 * math.pi * (np.arange(n) / n)))
 
 
-# Points times columns per block of exponents: bounds the work arrays of one
-# row at about 2 MB each, whatever the orbit size.
+# Budgets of the orbit kernel, in array entries.  A walk holds at most
+# _WALK orbit points (rows x |W|), so E6, with |W| = 51,840, walks one row
+# at a time.  A sub-block of the contraction holds rows x columns cells,
+# within _BLOCK exponents (|W| per cell, 2 MB of int64) and _COUNTS residue
+# counts (N per cell), but at least one row and two columns (see
+# `_column_blocks`).  The counts stay at 64 KB of float64, 128 KB as the
+# complex operand of the contraction: four times that bought no time and
+# raised the peak RSS of the kw-grid benchmark by 0.3 MB.
 _BLOCK = 1 << 18
+_COUNTS = _BLOCK >> 5
+_WALK = _BLOCK >> 2
+
+
+def _column_blocks(ncols, width):
+    """Consecutive (lo, hi) column blocks of at most width + 1 columns, none
+    of one column unless ncols is 1.
+
+    The contraction of a one-column block is a dot product, of a wider block
+    a matrix-vector product; BLAS sums the two in different orders, so a
+    lone last column would change the last bits of its entries with the
+    budget.
+    """
+    edges = list(range(0, ncols, max(2, width))) + [ncols]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges, edges[1:]))
 
 
 def _weyl_sum_matrix(fin, t, row_shifted, col_shifted):
@@ -133,11 +167,16 @@ def _weyl_sum_matrix(fin, t, row_shifted, col_shifted):
                  (int tuple, den) pairs.
 
     Equal to the sum of eps(w) exp(-2 pi i (row, w(col)) / t), since W is
-    orthogonal and eps(w^-1) = eps(w).  Each row's signed orbit is walked
-    once.  For the columns of one denominator d, the exponents
-    orbit @ G_int @ cols.T are integers taken mod N = gram_den * d * t, the
-    signs are summed per residue, and the integer residue counts are
-    contracted with the table of N-th roots of unity.
+    orthogonal and eps(w^-1) = eps(w).  One walk of W per block of rows:
+    for a regular dominant row x the label (w x, alpha_i^vee) is positive
+    exactly when l(r_i w) > l(w), so every step of the walk depends on w
+    alone, and `signed_orbit` walks a stack of up to _WALK / |W| rows at
+    once, point p of each row being the same w, with one shared sign.  For
+    the columns of one denominator d, the exponents orbit @ G_int @ cols.T
+    are integers taken mod N = gram_den * d * t, the signs are summed per
+    residue, and the exact integer residue counts are contracted with the
+    table of N-th roots of unity, in sub-blocks of rows and columns that
+    keep each work array within the _BLOCK and _COUNTS budgets.
     """
     gram_int, gram_den = _gram_int(fin)
     l = fin.rank
@@ -145,27 +184,42 @@ def _weyl_sum_matrix(fin, t, row_shifted, col_shifted):
     for j, (mu, den) in enumerate(col_shifted):
         groups.setdefault(den, []).append((j, mu))
     _check_exponent_range(fin, row_shifted, gram_den * max(groups) * t)
-    blocks = []
+    order = weyl_order(fin)
+    # One tile per block of columns of one denominator: (output columns, n,
+    # G_int @ cols.T reduced mod n exactly before the int64 cast, roots of
+    # unity, rows per sub-block).
+    tiles = []
     for den, members in groups.items():
         n = gram_den * den * t
-        # G_int @ cols.T, reduced mod n exactly before the int64 cast.
-        gc = [[sum(gram_int[a][b] * mu[b] for b in range(l)) % n
-               for _, mu in members] for a in range(l)]
-        blocks.append(([j for j, _ in members], n, np.array(gc, dtype=np.int64),
-                       _roots_of_unity(n)))
+        gc = np.array([[sum(gram_int[a][b] * mu[b] for b in range(l)) % n
+                        for _, mu in members] for a in range(l)], dtype=np.int64)
+        cols = np.array([j for j, _ in members])
+        roots = _roots_of_unity(n)
+        cells = min(_BLOCK // order, _COUNTS // n)
+        for lo, hi in _column_blocks(len(members), cells):
+            tiles.append((cols[lo:hi], n, gc[:, lo:hi], roots,
+                          max(1, cells // (hi - lo))))
     out = np.zeros((len(row_shifted), len(col_shifted)), dtype=complex)
-    for i, lam in enumerate(row_shifted):
-        pts, signs = signed_orbit(fin, lam)
-        width = max(1, _BLOCK // len(pts))
-        for idx, n, gc, roots in blocks:
-            for lo in range(0, len(idx), width):
-                part = gc[:, lo:lo + width]
-                m = part.shape[1]
-                # Residue r of column c lands in bin c * n + r.
-                bins = (pts @ part) % n + n * np.arange(m)
-                counts = np.bincount(bins.ravel(), weights=np.repeat(signs, m),
-                                     minlength=m * n).reshape(m, n)
-                out[i, idx[lo:lo + m]] = np.rint(counts).astype(np.int64) @ roots
+    walk = max(1, _WALK // order)
+    for start in range(0, len(row_shifted), walk):
+        pts, signs = signed_orbit(fin, row_shifted[start:start + walk])
+        signs = signs.astype(float)     # bincount weights, cast once per walk
+        for cols, n, part, roots, step in tiles:
+            m = len(cols)
+            for r0 in range(0, pts.shape[1], step):
+                block = pts[:, r0:r0 + step]
+                rows = block.shape[1]
+                # One (points x rows, rank) @ (rank, m) product; residue r
+                # of cell c (row-major over rows x columns) lands in bin
+                # c * n + r.
+                exps = (block.reshape(-1, l) @ part).reshape(len(block), -1)
+                exps %= n
+                exps += n * np.arange(rows * m)
+                counts = np.bincount(exps.ravel(),
+                                     weights=np.repeat(signs, rows * m),
+                                     minlength=rows * m * n)
+                out[start + r0:start + r0 + rows, cols] = \
+                    np.rint(counts, out=counts).reshape(rows, m, n) @ roots
     return out
 
 
@@ -207,8 +261,13 @@ def untwisted_S(affine_datum, k):
     t = k + affine_datum.hdual
     labels = dominant_level_weights(affine_datum, k)
     m_lat = lattice_M(affine_datum)
-    norm_sq = lattice_index(dual_lattice(m_lat), m_lat.scaled(t))
-    assert norm_sq == t ** fin.rank * lattice_index(dual_lattice(m_lat), m_lat)
+    dual = dual_lattice(m_lat)
+    norm_sq = lattice_index(dual, m_lat.scaled(t))
+    index = lattice_index(dual, m_lat)
+    if norm_sq != t ** fin.rank * index:
+        raise LatticeIndexMismatch(
+            f"{affine_datum.type} level {k}: [M*:tM] = {norm_sq} != "
+            f"t^{fin.rank} [M*:M] = {t ** fin.rank * index}")
     shifted = [tuple(c + 1 for c in lw.finite.coords) for lw in labels]
     raw = _weyl_sum_matrix(fin, t, shifted, [(s, 1) for s in shifted])
     scale = 1 / math.sqrt(norm_sq)
@@ -252,6 +311,8 @@ def twisted_sector_S(folding, k):
     a = twisted_a(folding, k)
     new_cols = tuple(pstar_apply(folding, lw) for lw in a.cols)
     sym = symmetric_weights(folding, k)
-    assert tuple(w.finite.coords for w in new_cols) == \
-        tuple(w.finite.coords for w in sym)
+    if [w.finite.coords for w in new_cols] != [w.finite.coords for w in sym]:
+        raise SectorLabelMismatch(
+            f"{folding.base.type} level {k}: the Pstar images of the twisted-a "
+            f"columns are not the symmetric weights, in order")
     return ModularMatrix(a.rows, new_cols, a.entries, ORBIFOLD_BLOCK)

@@ -3,10 +3,13 @@ folding.
 
 Group elements are integer matrices acting on Dynkin-label coordinates;
 the simple reflection r_i subtracts coordinate i times column i of the
-Cartan matrix.  `signed_orbit` enumerates the orbit of a regular dominant
-weight without materialising the group, once |W|, priced from the root
+Cartan matrix.  `signed_orbit` enumerates the orbits of regular dominant
+weights without materialising the group, once |W|, priced from the root
 heights, has passed the element cap; it is a numpy walk, vectorised over
-each length of W.  `to_dominant` and `alcove_fold` run
+each length of W, and one walk per block of rows: for a regular dominant
+x the label (w x, alpha_i^vee) is positive exactly when l(r_i w) > l(w),
+so the steps depend on w alone and a stack of rows shares them.
+`to_dominant` and `alcove_fold` run
 `cartan.reflect_to_dominant`: the first on the finite simple roots, the
 second on the columns of the affine Cartan matrix, which reduces a
 rho-shifted weight into the interior of the fundamental alcove at level
@@ -122,16 +125,25 @@ def weyl_order(datum):
 
 
 def signed_orbit(datum, x):
-    """Orbit of the integer, regular, dominant label vector x, with signs.
+    """Orbits of integer, regular, dominant label vectors, with signs.
 
-    Walks down from the dominant chamber: for v = w x, the label v_i is
-    positive exactly when r_i w is longer than w, so level d holds the
-    points w x with w of length d, and their sign is (-1)^d.  A point u of
-    level d + 1 is reached from level d through each i with u_i < 0; only
-    the step through the smallest such i is kept, so every point appears
-    once without a sort.  Returns (points, signs) as int64 arrays of shapes
-    (|W|, rank) and (|W|,), in a fixed order.  Raises RankTooLarge, before
-    any point is made, when |W| exceeds ELEMENT_CAP.
+    x is one label vector (rank,) or a stack of them (n, rank), walked
+    together: one walk of W per call.  The walk goes down from the dominant
+    chamber.  For v = w x, the label v_i = (x, w^-1 alpha_i^vee) has the
+    sign of the root w^-1 alpha_i, because x is regular dominant: it is
+    positive exactly when l(r_i w) > l(w).  So level d holds the points w x
+    with w of length d, their sign is (-1)^d, and every step depends on w
+    alone, not on x: the first row steers the walk, every row takes the
+    same steps, and point p of each row is the same w, with one shared
+    sign.  A point u of level d + 1 is reached from level d through each i
+    with u_i < 0; only the step through the smallest such i is kept, so
+    every point appears once without a sort.
+
+    Returns (points, signs) as int64 arrays, points of shape
+    (|W|, n, rank) for a stack and (|W|, rank) for one vector, signs of
+    shape (|W|,), in a fixed order.  Raises ValueError unless every row is
+    regular dominant, and RankTooLarge, before any point is made, when |W|
+    exceeds ELEMENT_CAP.
     """
     fin = datum.finite
     order = weyl_order(fin)
@@ -139,9 +151,11 @@ def signed_orbit(datum, x):
         raise RankTooLarge(
             f"{fin.type} (rank {fin.rank}) has a Weyl group of order {order}, "
             f"above the element cap {ELEMENT_CAP}")
-    level = np.array([x], dtype=np.int64)
-    if level.shape != (1, fin.rank) or (level <= 0).any():
-        raise ValueError(f"signed_orbit needs a regular dominant weight, got {x}")
+    rows = np.array(x, dtype=np.int64)
+    if (rows.ndim not in (1, 2) or rows.shape[-1] != fin.rank or not rows.size
+            or (rows <= 0).any()):
+        raise ValueError(f"signed_orbit needs regular dominant weights, got {x}")
+    level = rows.reshape(1, -1, fin.rank)
     cartan = np.array(fin.A, dtype=np.int64)
     points, signs = [], []
     sign = 1
@@ -150,12 +164,13 @@ def signed_orbit(datum, x):
         signs.append(np.full(len(level), sign, dtype=np.int64))
         steps = []
         for i in range(fin.rank):
-            up = level[level[:, i] > 0]
-            down = up - up[:, i:i + 1] * cartan[:, i]
-            steps.append(down[(down[:, :i] >= 0).all(axis=1)])
+            up = level[level[:, 0, i] > 0]
+            down = up - up[:, :, i:i + 1] * cartan[:, i]
+            steps.append(down[(down[:, 0, :i] >= 0).all(axis=1)])
         level = np.concatenate(steps)
         sign = -sign
-    return np.concatenate(points), np.concatenate(signs)
+    points = np.concatenate(points)
+    return points[:, 0] if rows.ndim == 1 else points, np.concatenate(signs)
 
 
 def to_dominant(datum, lam):

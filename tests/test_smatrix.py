@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import twistfuse
 import twistfuse.smatrix as smatrix_mod
+from twistfuse import cli
 from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, LieType, build_cartan,
                               parse_type)
 from twistfuse.errors import ExponentOverflow
@@ -12,7 +18,7 @@ from twistfuse.fold import build_folding, symmetric_weights
 from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import (conformal, twisted_a, twisted_sector_S,
                                untwisted_S)
-from twistfuse.weyl import generate_weyl
+from twistfuse.weyl import generate_weyl, weyl_order
 
 from oracles import a1_s_matrix, materialised_weyl_sum
 
@@ -174,3 +180,139 @@ class TestOrbitKernel:
         fin = build_cartan(LieType("A", 2))
         with pytest.raises(ExponentOverflow):
             smatrix_mod._weyl_sum_matrix(fin, 4, [(2 ** 61, 1)], [((1, 1), 1)])
+
+
+def _build(kind, name, order, k):
+    """(finite datum summed over, a builder of the matrix) of one case."""
+    if kind == "S":
+        d = build_cartan(parse_type(name, AFFINE_R1))
+        return d.finite, lambda: untwisted_S(d, k)
+    f = build_folding(parse_type(name, AFFINE_R1), order)
+    return f.twisted.finite, lambda: twisted_a(f, k)
+
+
+def _counted_walks(monkeypatch):
+    """Patch the kernel's orbit walk to record the rows of each walk."""
+    walks = []
+    true_orbit = smatrix_mod.signed_orbit
+
+    def counted(fin, rows):
+        walks.append(len(rows))
+        return true_orbit(fin, rows)
+
+    monkeypatch.setattr(smatrix_mod, "signed_orbit", counted)
+    return walks
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("kind,name,order,k", [
+        ("S", "B2", None, 6), ("a", "A3", None, 3), ("a", "D4", 3, 2),
+        ("S", "E6", None, 1),
+    ])
+    def test_budgets_do_not_change_bits(self, monkeypatch, kind, name, order, k):
+        fin, build = _build(kind, name, order, k)
+        default = np.asarray(build().entries)
+        size = weyl_order(fin)
+        # Two rows per walk with five cells (rows x columns) per sub-block,
+        # bound by the exponents; then one row per walk with 100 residue
+        # counts per sub-block, fewer than one column's N at some
+        # denominators.  B2 k=6 has 28 columns, so they span six blocks
+        # under either budget.
+        for walk, block, counts in [(2 * size, 5 * size, 1 << 62),
+                                    (size, 1 << 62, 100)]:
+            with monkeypatch.context() as m:
+                m.setattr(smatrix_mod, "_WALK", walk)
+                m.setattr(smatrix_mod, "_BLOCK", block)
+                m.setattr(smatrix_mod, "_COUNTS", counts)
+                walks = _counted_walks(m)
+                got = np.asarray(build().entries)
+            rows = walk // size
+            assert walks == [min(rows, len(default) - lo)
+                             for lo in range(0, len(default), rows)]
+            assert np.array_equal(got, default)
+
+    def test_column_blocks(self):
+        for ncols in range(1, 12):
+            for width in range(0, 6):
+                blocks = smatrix_mod._column_blocks(ncols, width)
+                assert [lo for lo, _ in blocks] == \
+                    [0] + [hi for _, hi in blocks[:-1]]
+                assert blocks[-1][1] == ncols
+                assert all(hi - lo <= max(2, width) + 1 for lo, hi in blocks)
+                assert (all(hi - lo >= 2 for lo, hi in blocks)
+                        or blocks == [(0, 1)])
+
+    def test_walks_per_block_of_rows(self, monkeypatch, capsys):
+        walks = _counted_walks(monkeypatch)
+        assert cli.main(["smatrix", "B2", "--level", "16"]) == 0
+        capsys.readouterr()
+        assert walks == [153]
+        walks.clear()
+        untwisted_S(build_cartan(parse_type("E6", AFFINE_R1)), 1)
+        assert walks == [1, 1, 1]
+
+
+def test_gates_fire_without_asserts():
+    # Each check of conformal data and of the S- and a-matrix normalisation
+    # is a typed error that python -O keeps, and a failed check in the CLI.
+    script = textwrap.dedent("""
+        import twistfuse.smatrix as smatrix
+        from twistfuse import cli
+        from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
+        from twistfuse.errors import TwistfuseError
+        from twistfuse.fold import build_folding
+
+        def run(call):
+            try:
+                call()
+            except TwistfuseError as exc:
+                print(f"{type(exc).__name__}: {exc}")
+            else:
+                print("no error")
+
+        a1 = build_cartan(LieType("A", 1, AFFINE_R1))
+        a3 = build_folding(LieType("A", 3, AFFINE_R1))
+        vac = a1.leveled(1, (0,))
+        fund = a1.leveled(1, (1,))
+
+        true_index = smatrix.lattice_index
+        smatrix.lattice_index = lambda a, b: true_index(a, b) + 1
+        run(lambda: smatrix.untwisted_S(a1, 2))
+        print("exit", cli.main(["smatrix", "A1", "--level", "2"]))
+        smatrix.lattice_index = true_index
+
+        true_sym = smatrix.symmetric_weights
+        smatrix.symmetric_weights = lambda f, k: true_sym(f, k)[::-1]
+        run(lambda: smatrix.twisted_sector_S(a3, 1))
+        smatrix.symmetric_weights = true_sym
+
+        true_dim = type(a1).dim_adjoint
+        type(a1).dim_adjoint = lambda self: true_dim(self) + 1
+        run(lambda: smatrix.conformal(a1, 1, vac))
+        type(a1).dim_adjoint = true_dim
+
+        true_ip = smatrix._ip
+        smatrix._ip = lambda fin, a, b: true_ip(fin, a, b) + (a != b)
+        run(lambda: smatrix.conformal(a1, 1, fund))
+        smatrix._ip = true_ip
+
+        run(lambda: smatrix.conformal(a1, 1, a1.finite.weight((-2,))))
+        run(lambda: smatrix.conformal(a1, 1, a1.finite.weight((-1,))))
+        run(lambda: smatrix.conformal(a1, 1, vac))
+    """)
+    src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    expected = [("LatticeIndexMismatch", "[M*:tM]"), ("exit 2", ""),
+                ("SectorLabelMismatch", "symmetric weights"),
+                ("ConformalMismatch", "strange formula"),
+                ("ConformalMismatch", "c/24"),
+                ("ConformalMismatch", "conformal weight 0 "),
+                ("ConformalMismatch", "conformal weight -"),
+                ("no error", "")]
+    assert len(lines) == len(expected), lines
+    for line, (name, what) in zip(lines, expected):
+        assert line.startswith(name) and what in line, line

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +117,41 @@ class TestSignedOrbit:
         d = build_cartan(LieType("A", 2))
         with pytest.raises(ValueError):
             signed_orbit(d, (0, 1))
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "C3"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_stack_matches_materialised_group(self, name, data):
+        d = build_cartan(parse_type(name))
+        n = data.draw(st.integers(2, 4))
+        rows = [tuple(data.draw(st.integers(1, 7)) for _ in range(d.rank))
+                for _ in range(n)]
+        pts, signs = signed_orbit(d, rows)
+        W = generate_weyl(d)
+        assert pts.shape == (len(W), n, d.rank) and signs.shape == (len(W),)
+        # Row 0 is regular, so its point names the element w; point p of
+        # every row must be w of that row, with the sign of w.
+        element = {apply_matrix(w, rows[0]): (w, eps)
+                   for w, eps in zip(W.elements, W.signs)}
+        assert {tuple(int(c) for c in q) for q in pts[:, 0]} == set(element)
+        for p in range(len(W)):
+            w, eps = element[tuple(int(c) for c in pts[p, 0])]
+            assert signs[p] == eps
+            for i, x in enumerate(rows):
+                assert tuple(int(c) for c in pts[p, i]) == apply_matrix(w, x)
+        for i, x in enumerate(rows):
+            pts_i, signs_i = signed_orbit(d, x)
+            assert np.array_equal(pts_i, pts[:, i])
+            assert np.array_equal(signs_i, signs)
+
+    def test_rejects_singular_later_row(self):
+        # Row 0 steers the walk; a singular or non-dominant later row must
+        # still be refused.
+        d = build_cartan(LieType("A", 2))
+        for rows in ([(1, 1), (2, 3), (0, 1)], [(3, 1), (2, -1)],
+                     [(1, 2), (1, 2, 3)], []):
+            with pytest.raises(ValueError):
+                signed_orbit(d, rows)
 
     @pytest.mark.parametrize("name", ["E7", "A20"])
     def test_cost_gate(self, name):
