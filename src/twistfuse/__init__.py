@@ -9,8 +9,8 @@ Lie-theoretic data exact and cross-validates the two routes.
 from .cartan import (CartanDatum, LatticeBasis, LeveledWeight, LieType,
                      Weight, build_cartan, dual_lattice, inner_product,
                      lattice_M, lattice_index, parse_type)
-from .errors import (ConformalMismatch, DimensionCap, ExponentOverflow,
-                     IntegralityFailure, LatticeIndexMismatch,
+from .errors import (ConformalMismatch, DegenerateLattice, DimensionCap,
+                     ExponentOverflow, IntegralityFailure, LatticeIndexMismatch,
                      MassMismatch, MethodMismatch, MixedDatum,
                      NegativeCoefficient, NegativeMultiplicity,
                      NoBuiltinAutomorphism, NonTermination, NotAffine,
@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CartanDatum", "ConformalData", "ConformalMismatch", "DecompTable",
-    "DiagramAutomorphism", "DimensionCap", "ExponentOverflow", "FoldResult",
-    "FoldingData", "FusionTable", "IntegralityFailure", "LatticeBasis",
+    "DegenerateLattice", "DiagramAutomorphism", "DimensionCap",
+    "ExponentOverflow", "FoldResult", "FoldingData", "FusionTable", "IntegralityFailure", "LatticeBasis",
     "LatticeIndexMismatch", "LeveledWeight", "LieType",
     "MassMismatch", "MethodMismatch",
     "MixedDatum", "ModularMatrix", "NegativeCoefficient",

@@ -36,7 +36,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _rational as rat
-from .errors import MixedDatum, NotAffine, NotSublattice, UnsupportedType
+from .errors import (DegenerateLattice, MixedDatum, NotAffine, NotSublattice,
+                     UnsupportedType)
 
 FINITE = "finite"
 AFFINE_R1 = "affine-r1"
@@ -255,8 +256,11 @@ class LatticeBasis:
             self, "basis",
             tuple(tuple(Fraction(x) for x in v) for v in self.basis))
         n = self.datum.rank
-        assert len(self.basis) == n
-        assert rat.mat_det(self.basis) != 0, "basis not full rank"
+        if len(self.basis) != n:
+            raise DegenerateLattice(f"a lattice of rank {n} needs {n} basis "
+                                    f"vectors, not {len(self.basis)}")
+        if rat.mat_det(self.basis) == 0:
+            raise DegenerateLattice(f"lattice basis {self.basis} is not full rank")
 
     def scaled(self, factor):
         f = Fraction(factor)
@@ -493,7 +497,8 @@ def lattice_index(l1, l2):
             if Fraction(x).denominator != 1:
                 raise NotSublattice("second lattice is not contained in the first")
     idx = abs(rat.mat_det(coeffs))
-    assert idx.denominator == 1 and idx > 0
+    if idx.denominator != 1 or idx <= 0:
+        raise DegenerateLattice(f"index [l1 : l2] = {idx} is not a positive integer")
     return int(idx)
 
 

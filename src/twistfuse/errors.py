@@ -21,6 +21,11 @@ class NotSublattice(TwistfuseError):
     """Lattice containment check failed."""
 
 
+class DegenerateLattice(TwistfuseError):
+    """A lattice basis is not rank-many independent vectors, or a lattice
+    index is not a positive integer."""
+
+
 class RankTooLarge(TwistfuseError):
     """Weyl group generation would exceed the configured caps."""
 

@@ -31,7 +31,7 @@ from .errors import (MethodMismatch, NegativeCoefficient, NegativeMultiplicity,
                      NotInteger, SectorRuleViolation, UnknownWeight,
                      UnsupportedSectorPattern)
 from .fold import symmetric_weights
-from .rep import branch, dominant_level_weights, is_level_dominant, tensor_decompose
+from .rep import branch, dominant_level_weights, is_level_dominant, tensor_labels
 from .smatrix import _label_json, twisted_sector_S, untwisted_S
 from .weyl import alcove_fold
 
@@ -195,8 +195,7 @@ class KacWaltonMemo:
         key = (a, b) if a <= b else (b, a)
         hit = self._tensors.get(key)
         if hit is None:
-            table = tensor_decompose(self.affine.finite, *key)
-            hit = self._tensors[key] = {mu.coords: m for mu, m in table.entries.items()}
+            hit = self._tensors[key] = tensor_labels(self.affine.finite, *key)
         return hit
 
 
@@ -248,8 +247,8 @@ def kac_walton_row(affine_datum, k, lam1, lam2, memo=None):
     memo = _memo_for(affine_datum, k, memo)
     for lw in (lam1, lam2):
         _require_level_dominant(affine_datum, lw)
-    decomp = tensor_decompose(affine_datum.finite, lam1.finite, lam2.finite)
-    return _fold_row(memo, ((mu.coords, m) for mu, m in decomp.entries.items()))
+    decomp = tensor_labels(affine_datum.finite, lam1.finite.coords, lam2.finite.coords)
+    return _fold_row(memo, decomp.items())
 
 
 def twisted_kac_walton(folding, k, lam1, lam2_dag, lam3_dag):

@@ -36,7 +36,7 @@ conformal data.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul, sub
 
 from .cartan import (LeveledWeight, Weight, _orbit, reflect_to_dominant,
@@ -54,6 +54,11 @@ class WeightSystem:
 
     def total(self):
         return sum(self.mults.values())
+
+    @cached_property
+    def label_mults(self):
+        """{label tuple: multiplicity}, built once per system; read only."""
+        return {w.coords: m for w, m in self.mults.items()}
 
 
 @dataclass(frozen=True)
@@ -288,19 +293,22 @@ def _weight_system(fin, coords):
     return WeightSystem(Weight(fin, coords), mults)
 
 
-def _mults_raw(fin, coords, dim_cap=DIMENSION_CAP):
-    ws = freudenthal(fin, coords, dim_cap)
-    return {w.coords: m for w, m in ws.mults.items()}
-
-
 def tensor_decompose(datum, lam, mu, dim_cap=DIMENSION_CAP):
     """Klimyk decomposition of lam (x) mu into dominant weights."""
     fin = datum.finite
     lam_c = tuple(int(c) for c in (lam.coords if isinstance(lam, Weight) else lam))
     mu_c = tuple(int(c) for c in (mu.coords if isinstance(mu, Weight) else mu))
+    out = tensor_labels(fin, lam_c, mu_c, dim_cap)
+    return DecompTable({Weight(fin, k): v for k, v in out.items()})
+
+
+def tensor_labels(fin, lam_c, mu_c, dim_cap=DIMENSION_CAP):
+    """`tensor_decompose` on label tuples: {labels: multiplicity} of the
+    dominant components of lam (x) mu, for the finite datum fin, with the
+    same positivity and mass gates."""
     if dim(fin, lam_c) < dim(fin, mu_c):
         lam_c, mu_c = mu_c, lam_c  # enumerate weights of the smaller factor
-    sys_small = _mults_raw(fin, mu_c, dim_cap)
+    sys_small = freudenthal(fin, mu_c, dim_cap).label_mults
     simple = root_table(fin).simple
     lam_rho = tuple(c + 1 for c in lam_c)
     out = {}
@@ -318,7 +326,7 @@ def tensor_decompose(datum, lam, mu, dim_cap=DIMENSION_CAP):
     expect = dim(fin, lam_c) * dim(fin, mu_c)
     if total != expect:
         raise MassMismatch(f"tensor product {lam_c} x {mu_c}", total, expect)
-    return DecompTable({Weight(fin, k): v for k, v in out.items()})
+    return out
 
 
 def branch(ambient_datum, sub_datum, restriction_matrix, lam, dim_cap=DIMENSION_CAP):
@@ -330,7 +338,7 @@ def branch(ambient_datum, sub_datum, restriction_matrix, lam, dim_cap=DIMENSION_
     amb = ambient_datum.finite
     sub = sub_datum.finite
     lam_c = tuple(int(c) for c in (lam.coords if isinstance(lam, Weight) else lam))
-    amb_sys = _mults_raw(amb, lam_c, dim_cap)
+    amb_sys = freudenthal(amb, lam_c, dim_cap).label_mults
     rmat = [tuple(int(x) for x in row) for row in restriction_matrix]
     ls = sub.rank
     rest = {}
@@ -355,7 +363,7 @@ def branch(ambient_datum, sub_datum, restriction_matrix, lam, dim_cap=DIMENSION_
         if m < 0:
             raise NegativeMultiplicity("branching produced a negative multiplicity")
         out[y] = m
-        for w, mw in _mults_raw(sub, y, dim_cap).items():
+        for w, mw in freudenthal(sub, y, dim_cap).label_mults.items():
             rest[w] = rest.get(w, 0) - m * mw
             if rest[w] < 0:
                 raise NegativeMultiplicity("branching produced a negative multiplicity")

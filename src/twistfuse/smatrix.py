@@ -11,12 +11,12 @@ any orbit point is made, |W| is priced from the root heights, and a group
 above `weyl.ELEMENT_CAP` raises RankTooLarge.  Every phase exponent is an
 exact integer over N = gram_den * den * t, reduced mod N as an integer;
 the signs are counted per residue, exactly, and the counts are contracted
-with a table of N-th roots of unity.  Exponents that could leave the int64
-range raise ExponentOverflow.  The numeric field is double-precision
-complex: exactness lives in the integer exponents and counts, and a root
-of unity is the only floating-point value the kernel reads.  The checks of
-the conformal data and of the S-matrix normalisation raise typed errors,
-so python -O keeps them.
+with a table of N-th roots of unity by np.einsum, on the calling thread.
+Exponents that could leave the int64 range raise ExponentOverflow.  The
+numeric field is double-precision complex: exactness lives in the integer
+exponents and counts, and a root of unity is the only floating-point value
+the kernel reads.  The checks of the conformal data and of the S-matrix
+normalisation raise typed errors, so python -O keeps them.
 """
 
 import math
@@ -94,8 +94,11 @@ class ModularMatrix:
         return (len(self.rows), len(self.cols))
 
     def unitarity_defect(self):
+        """max |S S^H - I|, contracted by np.einsum on the calling thread,
+        as in `_weyl_sum_matrix`."""
         s = self.entries
-        return float(np.abs(s @ s.conj().T - np.eye(s.shape[0])).max())
+        gram = np.einsum("ij,kj->ik", s, s.conj())
+        return float(np.abs(gram - np.eye(s.shape[0])).max())
 
     def symmetry_defect(self):
         s = self.entries
@@ -135,28 +138,19 @@ def _roots_of_unity(n):
 # _WALK orbit points (rows x |W|), so E6, with |W| = 51,840, walks one row
 # at a time.  A sub-block of the contraction holds rows x columns cells,
 # within _BLOCK exponents (|W| per cell, 2 MB of int64) and _COUNTS residue
-# counts (N per cell), but at least one row and two columns (see
-# `_column_blocks`).  The counts stay at 64 KB of float64, 128 KB as the
-# complex operand of the contraction: four times that bought no time and
-# raised the peak RSS of the kw-grid benchmark by 0.3 MB.
+# counts (N per cell), but at least one row and one column.  The counts
+# stay at 64 KB of float64, 128 KB once cast to complex for the
+# contraction: four times that bought no time and raised the peak RSS of
+# the kw-grid benchmark by 0.3 MB.
 _BLOCK = 1 << 18
 _COUNTS = _BLOCK >> 5
 _WALK = _BLOCK >> 2
 
 
 def _column_blocks(ncols, width):
-    """Consecutive (lo, hi) column blocks of at most width + 1 columns, none
-    of one column unless ncols is 1.
-
-    The contraction of a one-column block is a dot product, of a wider block
-    a matrix-vector product; BLAS sums the two in different orders, so a
-    lone last column would change the last bits of its entries with the
-    budget.
-    """
-    edges = list(range(0, ncols, max(2, width))) + [ncols]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    return list(zip(edges, edges[1:]))
+    """Consecutive (lo, hi) column blocks of at most max(1, width) columns."""
+    width = max(1, width)
+    return [(lo, min(lo + width, ncols)) for lo in range(0, ncols, width)]
 
 
 def _weyl_sum_matrix(fin, t, row_shifted, col_shifted):
@@ -218,8 +212,14 @@ def _weyl_sum_matrix(fin, t, row_shifted, col_shifted):
                 counts = np.bincount(exps.ravel(),
                                      weights=np.repeat(signs, rows * m),
                                      minlength=rows * m * n)
-                out[start + r0:start + r0 + rows, cols] = \
-                    np.rint(counts, out=counts).reshape(rows, m, n) @ roots
+                # einsum's own loops, not a BLAS gemv: each product is
+                # small, but large enough for a threaded BLAS to wake its
+                # pool, whose workers then spin far longer than the work.
+                # It also sums each cell alone, in one order under any
+                # budget (test_budgets_do_not_change_bits).
+                counts = np.rint(counts, out=counts).astype(complex)
+                out[start + r0:start + r0 + rows, cols] = np.einsum(
+                    "cr,r->c", counts.reshape(-1, n), roots).reshape(rows, m)
     return out
 
 

@@ -55,14 +55,6 @@ def _reflection_matrix(a_fin, i):
         for r in range(l))
 
 
-def _mat_mul_int(a, b):
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ar[k] * bc[k] for k in range(n)) for bc in bt)
-        for ar in a)
-
-
 def apply_matrix(m, v):
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
 
@@ -79,11 +71,19 @@ def simple_reflect(datum, i, lam):
 
 @lru_cache(maxsize=None)
 def _generate(datum):
+    """W by breadth-first closure under the simple reflections.
+
+    r_i w = w - A[:, i] (x) (row i of w) is a rank-one update: it changes
+    only the rows r with A[r][i] != 0, node i and its neighbours, so no
+    matrix product is formed.
+    """
     fin = datum.finite
     l = fin.rank
     if l > MAX_RANK:
         raise RankTooLarge(f"rank {l} exceeds the configured maximum {MAX_RANK}")
-    gens = [_reflection_matrix(fin.A, i) for i in range(l)]
+    # Per generator i: (node i, the rows r and entries A[r][i] it changes).
+    gens = [(i, [(r, fin.A[r][i]) for r in range(l) if fin.A[r][i]])
+            for i in range(l)]
     ident = tuple(tuple(int(r == c) for c in range(l)) for r in range(l))
     signs = {ident: 1}
     frontier = [ident]
@@ -92,8 +92,12 @@ def _generate(datum):
         nxt = []
         for w in frontier:
             s = -signs[w]
-            for g in gens:
-                gw = _mat_mul_int(g, w)
+            for i, col in gens:
+                wi = w[i]
+                gw = list(w)
+                for r, a in col:
+                    gw[r] = tuple(x - a * y for x, y in zip(w[r], wi))
+                gw = tuple(gw)
                 if gw not in signs:
                     if len(signs) >= ELEMENT_CAP:
                         raise RankTooLarge(

@@ -10,6 +10,12 @@ import math
 from fractions import Fraction
 
 
+def mat_mul_int(a, b):
+    """Product of two integer matrices given as tuples of row tuples."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(ar, bc)) for bc in bt) for ar in a)
+
+
 def primitive_null_vector(matrix):
     """Kernel vector of a square integer matrix by plain Gaussian elimination,
     scaled to primitive integers with positive leading entry."""

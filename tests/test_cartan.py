@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import twistfuse
 from twistfuse._rational import lattice_basis_rows
 from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, FINITE,
                               LatticeBasis, LieType, _orbit, build_cartan,
@@ -167,6 +172,45 @@ class TestLattices:
         half = z2.scaled(Fraction(1, 2))
         with pytest.raises(NotSublattice):
             lattice_index(z2, half)
+
+    def test_lattice_gates_fire_without_asserts(self):
+        # The basis and index checks that every S build runs are typed
+        # errors that python -O keeps.
+        script = textwrap.dedent("""
+            from twistfuse.cartan import LatticeBasis, LieType, build_cartan, lattice_index
+            from twistfuse.errors import TwistfuseError
+
+            def run(call):
+                try:
+                    call()
+                except TwistfuseError as exc:
+                    print(f"{type(exc).__name__}: {exc}")
+                else:
+                    print("no error")
+
+            d = build_cartan(LieType("A", 2))
+            z2 = LatticeBasis(d, ((1, 0), (0, 1)))
+            run(lambda: LatticeBasis(d, ((1, 0),)))
+            run(lambda: LatticeBasis(d, ((1, 2), (2, 4))))
+            flat = object.__new__(LatticeBasis)  # skips the basis checks
+            object.__setattr__(flat, "datum", d)
+            object.__setattr__(flat, "basis", ((1, 0), (2, 0)))
+            run(lambda: lattice_index(z2, flat))
+            run(lambda: lattice_index(z2, z2.scaled(3)))
+        """)
+        src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        expected = [("DegenerateLattice", "needs 2 basis vectors, not 1"),
+                    ("DegenerateLattice", "not full rank"),
+                    ("DegenerateLattice", "index [l1 : l2] = 0 "),
+                    ("no error", "")]
+        assert len(lines) == len(expected), lines
+        for line, (name, what) in zip(lines, expected):
+            assert line.startswith(name) and what in line, line
 
     def test_dual_a1(self):
         d = build_cartan(LieType("A", 1))

@@ -215,14 +215,13 @@ class TestComputeOnce:
     def assert_each_component_folded_once(self, folds, tensors):
         folded = [args[2].coords for args, _ in folds]
         assert len(folded) == len(set(folded))
-        components = {tuple(c + 1 for c in mu.coords)
-                      for _, decomp in tensors for mu in decomp.entries}
+        components = {tuple(c + 1 for c in mu) for _, decomp in tensors for mu in decomp}
         assert set(folded) == components
 
     @pytest.mark.parametrize("name,k", [("A2", 3), ("B2", 2), ("G2", 2)])
     def test_untwisted_rows(self, monkeypatch, name, k):
         d = build_cartan(parse_type(name, AFFINE_R1))
-        tensors = _recorded(monkeypatch, "tensor_decompose")
+        tensors = _recorded(monkeypatch, "tensor_labels")
         folds = _recorded(monkeypatch, "alcove_fold")
         fusion_table(d, k)
         n = len(dominant_level_weights(d, k))
@@ -239,7 +238,7 @@ class TestComputeOnce:
     def test_twisted_rows(self, monkeypatch, type_, order, k, pattern):
         f = build_folding(type_, order)
         branches = _recorded(monkeypatch, "branch")
-        tensors = _recorded(monkeypatch, "tensor_decompose")
+        tensors = _recorded(monkeypatch, "tensor_labels")
         folds = _recorded(monkeypatch, "alcove_fold")
         fusion_table(f, k, pattern)
         branched = [_coords(args[3]) for args, _ in branches]

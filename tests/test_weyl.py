@@ -17,7 +17,7 @@ from twistfuse.weyl import (ELEMENT_CAP, alcove_fold, apply_matrix,
                             generate_weyl, signed_orbit, simple_reflect,
                             to_dominant, weyl_order)
 
-from oracles import brute_force_fold
+from oracles import brute_force_fold, mat_mul_int
 
 CLASSICAL_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "B3": 48, "C3": 48,
@@ -61,10 +61,20 @@ class TestGenerateWeyl:
         d = build_cartan(LieType("B", 2))
         W = generate_weyl(d)
         sign_of = dict(zip(W.elements, W.signs))
-        from twistfuse.weyl import _mat_mul_int
         for a in W.elements:
             for b in W.elements:
-                assert sign_of[_mat_mul_int(a, b)] == sign_of[a] * sign_of[b]
+                assert sign_of[mat_mul_int(a, b)] == sign_of[a] * sign_of[b]
+
+    @pytest.mark.parametrize("name", ["A3", "C3", "G2", "D4", "F4"])
+    def test_generators_flip_the_sign(self, name):
+        # r_i w, formed as a matrix product, is an element with the opposite
+        # sign, for every element w and every simple reflection r_i.
+        W = generate_weyl(build_cartan(parse_type(name)))
+        sign_of = dict(zip(W.elements, W.signs))
+        gens = [tuple(map(tuple, g)) for g in W.to_json_dict()["generators"]]
+        for w, sign in sign_of.items():
+            for g in gens:
+                assert sign_of[mat_mul_int(g, w)] == -sign
 
     def test_contains_identity(self):
         W = generate_weyl(build_cartan(LieType("A", 3)))
