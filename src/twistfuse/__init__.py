@@ -9,8 +9,9 @@ Lie-theoretic data exact and cross-validates the two routes.
 from .cartan import (CartanDatum, LatticeBasis, LeveledWeight, LieType,
                      Weight, build_cartan, dual_lattice, inner_product,
                      lattice_M, lattice_index, parse_type)
-from .errors import (ConformalMismatch, DegenerateLattice, DimensionCap,
-                     ExponentOverflow, IntegralityFailure, LatticeIndexMismatch,
+from .errors import (CheckFailed, ConformalMismatch, DegenerateLattice,
+                     DimensionCap, ExponentOverflow, IntegralityFailure,
+                     LatticeIndexMismatch,
                      MassMismatch, MethodMismatch, MixedDatum,
                      NegativeCoefficient, NegativeMultiplicity,
                      NoBuiltinAutomorphism, NonTermination, NotAffine,
@@ -33,7 +34,7 @@ from .weyl import (FoldResult, WeylGroup, alcove_fold, generate_weyl,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartanDatum", "ConformalData", "ConformalMismatch", "DecompTable",
+    "CartanDatum", "CheckFailed", "ConformalData", "ConformalMismatch", "DecompTable",
     "DegenerateLattice", "DiagramAutomorphism", "DimensionCap",
     "ExponentOverflow", "FoldResult", "FoldingData", "FusionTable", "IntegralityFailure", "LatticeBasis",
     "LatticeIndexMismatch", "LeveledWeight", "LieType",

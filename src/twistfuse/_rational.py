@@ -7,6 +7,8 @@ Everything here is small and dense; no attempt at sparsity.
 from fractions import Fraction
 from math import gcd
 
+from .errors import CheckFailed
+
 
 def frac_matrix(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -14,7 +16,9 @@ def frac_matrix(rows):
 
 def mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0])
-    assert len(a[0]) == m
+    if len(a[0]) != m:
+        raise CheckFailed(f"cannot multiply a matrix with {len(a[0])} columns "
+                          f"by one with {m} rows")
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p))
         for i in range(n))

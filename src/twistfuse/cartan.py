@@ -33,7 +33,7 @@ All arithmetic in this module is exact rational.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import _rational as rat
 from .errors import (DegenerateLattice, MixedDatum, NotAffine, NotSublattice,
@@ -262,6 +262,11 @@ class LatticeBasis:
         if rat.mat_det(self.basis) == 0:
             raise DegenerateLattice(f"lattice basis {self.basis} is not full rank")
 
+    @cached_property
+    def inverse(self):
+        """Inverse of the basis matrix, computed on first use."""
+        return rat.mat_inverse(self.basis)
+
     def scaled(self, factor):
         f = Fraction(factor)
         return LatticeBasis(self.datum, tuple(tuple(f * x for x in v) for v in self.basis))
@@ -337,6 +342,17 @@ class CartanDatum:
         self.rhobar = Weight(self.finite, (1,) * self.rank)
         self.M_basis = _orbit_lattice(self) if type_.kind != FINITE else None
         _check_invariants(self)
+
+    @cached_property
+    def M_dual(self):
+        """Dual lattice M* of M (affine data only), built on first use: the
+        S- and a-matrix normalisations of every level read it."""
+        return dual_lattice(self.M_basis)
+
+    @cached_property
+    def M_index(self):
+        """The index [M*:M], computed on first use."""
+        return lattice_index(self.M_dual, self.M_basis)
 
     def is_affine(self):
         return self.type.kind != FINITE
@@ -490,8 +506,7 @@ def lattice_M(datum):
 
 def lattice_index(l1, l2):
     """Index [l1 : l2] for a sublattice l2 of l1; |det(B1^-1 B2)|."""
-    b1inv = rat.mat_inverse(l1.basis)
-    coeffs = rat.mat_mul(l2.basis, b1inv)
+    coeffs = rat.mat_mul(l2.basis, l1.inverse)
     for row in coeffs:
         for x in row:
             if Fraction(x).denominator != 1:

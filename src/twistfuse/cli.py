@@ -14,13 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _rational as rat
-from .cartan import (AFFINE_R1, build_cartan, dual_lattice, lattice_M,
-                     lattice_index, parse_type)
-from .errors import (ConformalMismatch, IntegralityFailure,
-                     LatticeIndexMismatch, MassMismatch, MethodMismatch,
-                     NegativeCoefficient, NegativeMultiplicity, NotInteger,
-                     RootCountMismatch, SectorLabelMismatch, TwistfuseError,
-                     UnknownWeight)
+from .cartan import AFFINE_R1, build_cartan, lattice_M, parse_type
+from .errors import CheckFailed, MethodMismatch, TwistfuseError
 from .fold import build_folding, pstar_apply, symmetric_weights
 from .fusion import (SectorLabel, SectorMatrices, check_pattern, fusion_table,
                      kac_walton, twisted_kac_walton, twisted_verlinde, verlinde)
@@ -37,7 +32,6 @@ class RunConfig:
     integer_tolerance: float = 1e-6
     unitarity_tolerance: float = 1e-9
     output: str = "json"
-    parallelism: int = 1
 
     def __post_init__(self):
         if self.level < 0:
@@ -60,7 +54,7 @@ def _config(args):
         twist_order=getattr(args, "twist_order", 0),
         integer_tolerance=args.integer_tolerance,
         unitarity_tolerance=args.unitarity_tolerance,
-        output=args.output, parallelism=args.parallelism)
+        output=args.output)
 
 
 def _folding_for(cfg):
@@ -104,9 +98,7 @@ def cmd_fusion(cfg, pattern, triple, method):
         else:
             print(value)
         return 0
-    table = fusion_table(source, cfg.level, pattern,
-                         tolerance=cfg.integer_tolerance,
-                         parallelism=cfg.parallelism)
+    table = fusion_table(source, cfg.level, pattern, tolerance=cfg.integer_tolerance)
     if cfg.output == "json":
         print(table.to_json())
     else:
@@ -226,9 +218,8 @@ GRIDS = {
 def _check_cartan(grid):
     for name, _ in grid["untwisted"]:
         datum = build_cartan(parse_type(name, AFFINE_R1))
-        m = lattice_M(datum)
-        det = lattice_index(dual_lattice(m), m)
-        gram_det = rat.mat_det(m.gram())
+        det = datum.M_index
+        gram_det = rat.mat_det(lattice_M(datum).gram())
         if det != gram_det:
             raise TwistfuseError(f"{name}: lattice index {det} != Gram "
                                  f"determinant {gram_det}")
@@ -258,21 +249,19 @@ def _check_twisted_a(grid):
     return worst
 
 
-def _check_verlinde_vs_kw(grid, tol, parallelism):
+def _check_verlinde_vs_kw(grid, tol):
     for name, kmax in grid["verlinde"]:
         datum = build_cartan(parse_type(name, AFFINE_R1))
         for k in range(1, kmax + 1):
-            fusion_table(datum, k, "1,1,1", tolerance=tol,
-                         parallelism=parallelism)
+            fusion_table(datum, k, "1,1,1", tolerance=tol)
     return 0.0
 
 
-def _check_twisted_fusion(grid, tol, parallelism):
+def _check_twisted_fusion(grid, tol):
     for name, order, kmax in grid["foldings"]:
         folding = build_folding(parse_type(name, AFFINE_R1), order or None)
         for k in range(1, kmax + 1):
-            fusion_table(folding, k, "1,s,s", tolerance=tol,
-                         parallelism=parallelism)
+            fusion_table(folding, k, "1,s,s", tolerance=tol)
     return 0.0
 
 
@@ -322,11 +311,9 @@ def _selfcheck_properties(grid, cfg):
         ("smatrix-unitarity-symmetry", lambda: _check_smatrix(grid)),
         ("twisted-a-unitarity", lambda: _check_twisted_a(grid)),
         ("verlinde-equals-kac-walton",
-         lambda: _check_verlinde_vs_kw(grid, cfg.integer_tolerance,
-                                       cfg.parallelism)),
+         lambda: _check_verlinde_vs_kw(grid, cfg.integer_tolerance)),
         ("twisted-verlinde-equals-twisted-kac-walton",
-         lambda: _check_twisted_fusion(grid, cfg.integer_tolerance,
-                                       cfg.parallelism)),
+         lambda: _check_twisted_fusion(grid, cfg.integer_tolerance)),
         ("folding-identities-and-anomaly", lambda: _check_fold_identities(grid)),
         ("vacuum-unit-laws",
          lambda: _check_unit_laws(grid, cfg.integer_tolerance)),
@@ -390,7 +377,7 @@ def build_parser():
         p.add_argument("--unitarity-tolerance", type=float, default=1e-9)
         p.add_argument("--output", choices=["json", "table"], default="json")
         p.add_argument("--parallelism", type=int, default=1,
-                       help="threads for the pairs of a fusion table")
+                       help="ignored; accepted so that older scripts still run")
 
     p = sub.add_parser("smatrix", help="modular S-matrices")
     common(p)
@@ -449,10 +436,7 @@ def main(argv=None):
         if args.command == "selfcheck":
             return cmd_selfcheck(cfg, args.grid)
         parser.error(f"unknown command {args.command}")
-    except (MethodMismatch, NotInteger, NegativeCoefficient, IntegralityFailure,
-            MassMismatch, NegativeMultiplicity, RootCountMismatch,
-            UnknownWeight, LatticeIndexMismatch, SectorLabelMismatch,
-            ConformalMismatch) as exc:
+    except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2
     except TwistfuseError as exc:

@@ -5,6 +5,11 @@ class TwistfuseError(Exception):
     """Base class for all twistfuse errors."""
 
 
+class CheckFailed(TwistfuseError):
+    """Base class of the gates: an exact or numeric check of the library's
+    own results failed.  The CLI exits 2 on any of them."""
+
+
 class UnsupportedType(TwistfuseError):
     """The (family, rank, kind) triple does not name a supported diagram."""
 
@@ -17,11 +22,11 @@ class NotAffine(TwistfuseError):
     """An affine datum was required."""
 
 
-class NotSublattice(TwistfuseError):
+class NotSublattice(CheckFailed):
     """Lattice containment check failed."""
 
 
-class DegenerateLattice(TwistfuseError):
+class DegenerateLattice(CheckFailed):
     """A lattice basis is not rank-many independent vectors, or a lattice
     index is not a positive integer."""
 
@@ -38,36 +43,36 @@ class DimensionCap(TwistfuseError):
     """A representation exceeds the configured dimension bound."""
 
 
-class NegativeMultiplicity(TwistfuseError):
+class NegativeMultiplicity(CheckFailed):
     """A tensor or branching multiplicity came out negative (for branching,
     a bad restriction matrix)."""
 
 
-class IntegralityFailure(TwistfuseError):
+class IntegralityFailure(CheckFailed):
     """An exact quotient that must be a non-negative integer, a Weyl
     dimension or a Freudenthal multiplicity, is not one."""
 
 
-class RootCountMismatch(TwistfuseError):
+class RootCountMismatch(CheckFailed):
     """The reflection closure of the simple roots does not have the
     datum's number of positive roots."""
 
 
-class LatticeIndexMismatch(TwistfuseError):
+class LatticeIndexMismatch(CheckFailed):
     """The S-matrix normalisation [M*:tM] = t^rank [M*:M] does not hold."""
 
 
-class SectorLabelMismatch(TwistfuseError):
+class SectorLabelMismatch(CheckFailed):
     """The Pstar images of the twisted-a columns are not the symmetric
     weights, in order."""
 
 
-class ConformalMismatch(TwistfuseError):
+class ConformalMismatch(CheckFailed):
     """Conformal data fail the strange formula, h - m = c/24, or h >= 0 with
     equality exactly at the vacuum."""
 
 
-class MassMismatch(TwistfuseError):
+class MassMismatch(CheckFailed):
     """A weight system, tensor product or branching does not conserve
     dimension."""
 
@@ -90,15 +95,16 @@ class NonTermination(TwistfuseError):
     reflection walk need not end."""
 
 
-class NotInteger(TwistfuseError):
+class NotInteger(CheckFailed):
     """A Verlinde sum failed the integrality tolerance."""
 
 
-class UnknownWeight(TwistfuseError):
-    """A Kac-Walton row named a weight outside the labels of its table."""
+class UnknownWeight(CheckFailed):
+    """A Kac-Walton component folded to a weight outside the labels of its
+    table."""
 
 
-class NegativeCoefficient(TwistfuseError):
+class NegativeCoefficient(CheckFailed):
     """A fusion coefficient rounded to a negative integer."""
 
 
@@ -110,7 +116,7 @@ class UnsupportedSectorPattern(TwistfuseError):
     """The sector pattern is admissible but not computable in scope."""
 
 
-class MethodMismatch(TwistfuseError):
+class MethodMismatch(CheckFailed):
     """Two fusion methods disagreed on a triple."""
 
     def __init__(self, triple, value_a, value_b):

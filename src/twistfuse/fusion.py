@@ -4,19 +4,20 @@ Routes:
   verlinde            untwisted modules through the S-matrix
   kac_walton          untwisted modules through alcove-folded tensor products
   twisted_verlinde    mixed untwisted/twisted sectors through S-matrix blocks
-  twisted_kac_walton  the same coefficients through branch + tensor + fold
+  twisted_kac_walton  the same coefficients through restriction + tensor + fold
 
 A `FusionTable` holds one label tuple per slot and one int64 array
 N[i, j, m], which the Verlinde route fills one first-slot row at a time,
-rounded and gated in bulk.  Where a second route applies, its rows fill a
-second array that must equal the first before the table is returned.  The
-Kac-Walton side computes each piece once per table, in a `KacWaltonMemo`
-that lives as long as the table build: one row per unordered pair of
-untwisted weights (the tensor product is commutative), one alcove fold per
-tensor component, one branched system per untwisted weight and one tensor
-product per unordered pair of twisted factors.  Nothing is cached across
-tables.  `FusionTable.to_json` encodes each slot label once and writes the
-entries from the array in C order.
+rounded and gated in bulk.  Where a second route applies, the Kac-Walton
+side fills a second array that must equal the first before the table is
+returned.  That side is one numpy kernel, `_klimyk_fold`, over blocks of
+pairs: the Klimyk sum with its per-pair negativity and mass gates, then one
+alcove fold per distinct component and a scatter through the label index.
+An untwisted table runs each unordered pair once; a twisted one runs
+Res V(lam1) (x) V(lam2^dag), whose restricted weights are W-invariant.
+`kac_walton_row` and `twisted_kac_walton_row` are one-pair calls of it.
+Nothing is cached across tables.  `FusionTable.to_json` encodes each slot
+label once and writes the entries from the array in C order.
 """
 
 import itertools
@@ -26,14 +27,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartan import LeveledWeight
-from .errors import (MethodMismatch, NegativeCoefficient, NegativeMultiplicity,
-                     NotInteger, SectorRuleViolation, UnknownWeight,
-                     UnsupportedSectorPattern)
+from .cartan import LeveledWeight, simple_roots
+from .errors import (MassMismatch, MethodMismatch, NegativeCoefficient,
+                     NegativeMultiplicity, NotInteger, SectorRuleViolation,
+                     UnknownWeight, UnsupportedSectorPattern)
 from .fold import symmetric_weights
-from .rep import branch, dominant_level_weights, is_level_dominant, tensor_labels
+from .rep import dim, dominant_level_weights, is_level_dominant, weight_arrays
 from .smatrix import _label_json, twisted_sector_S, untwisted_S
-from .weyl import alcove_fold
 
 INTEGER_TOLERANCE = 1e-6
 
@@ -150,86 +150,167 @@ def verlinde(s_matrix, lam1, lam2, lam3, tolerance=INTEGER_TOLERANCE):
     return int(_verlinde_blocks(a, b, c, s[0], tolerance)[0, 0, 0])
 
 
-class KacWaltonMemo:
-    """Kac-Walton pieces shared by the rows of one table.
-
-    Bound to one affine datum, whose alcove the folds are in, and one level
-    k.  It holds the alcove fold of each tensor component, the branched
-    system of each untwisted weight and the tensor product of each
-    unordered pair of factors, all keyed by label tuples.  A table builds
-    one and drops it when it returns.  Pool threads may fill it at once: a
-    race only repeats a computation and stores an equal value.
-    """
-
-    def __init__(self, affine_datum, k):
-        self.affine = affine_datum
-        self.k = k
-        self._folds = {}
-        self._branches = {}
-        self._tensors = {}
-
-    def fold(self, mu):
-        """(sign, labels) of mu + rho folded into the alcove, less rho;
-        (0, None) when it lands on a wall."""
-        hit = self._folds.get(mu)
-        if hit is None:
-            shifted = self.affine.finite.weight(tuple(c + 1 for c in mu))
-            res = alcove_fold(self.affine, self.k, shifted)
-            hit = self._folds[mu] = (
-                (0, None) if res.sign == 0
-                else (res.sign, tuple(c - 1 for c in res.rep.coords)))
-        return hit
-
-    def branch(self, folding, lam):
-        """{labels: multiplicity} of the untwisted weight lam restricted to
-        the twisted finite part."""
-        hit = self._branches.get(lam)
-        if hit is None:
-            table = branch(folding.base.finite, folding.twisted.finite,
-                           folding.iota_dual, lam)
-            hit = self._branches[lam] = {nu.coords: b for nu, b in table.entries.items()}
-        return hit
-
-    def tensor(self, a, b):
-        """{labels: multiplicity} of the tensor product of a and b."""
-        key = (a, b) if a <= b else (b, a)
-        hit = self._tensors.get(key)
-        if hit is None:
-            hit = self._tensors[key] = tensor_labels(self.affine.finite, *key)
-        return hit
-
-
-def _memo_for(affine_datum, k, memo):
-    if memo is None:
-        return KacWaltonMemo(affine_datum, k)
-    if memo.affine is not affine_datum or memo.k != k:
-        raise ValueError(f"memo of {memo.affine.type} at level {memo.k} used for "
-                         f"{affine_datum.type} at level {k}")
-    return memo
-
-
 def _require_level_dominant(affine_datum, lw):
     if not is_level_dominant(affine_datum, lw):
         raise ValueError(f"{lw} is not a level-{lw.level} dominant weight "
                          f"of {affine_datum.type}")
 
 
-def _fold_row(memo, components):
-    """Fold each tensor component (labels, multiplicity) into the alcove and
-    sum the multiplicities with the fold signs.  Zero sums are dropped; a
-    negative one raises NegativeMultiplicity."""
-    out = {}
-    for mu, mult in components:
-        sign, target = memo.fold(mu)
-        if sign:
-            out[target] = out.get(target, 0) + sign * mult
-    row = {key: v for key, v in out.items() if v}
-    for key, v in row.items():
-        if v < 0:
+# Points of the Klimyk sum per block; a pair whose weight system alone is
+# larger makes a block by itself.  Each point holds rank + 1 int64 labels,
+# so a block's arrays stay near 100 KB.  At 2^14 points the kw-grid job's
+# peak RSS was 0.4 MB higher than at 2^11, where the A3 k = 8 table takes
+# 2.3 s instead of 1.9 s.
+_POINTS = 1 << 11
+
+
+def _reflect(points, simple):
+    """`cartan.reflect_to_dominant` on each row of the int64 array points, in
+    place, with the simple roots as the rows of simple.  Returns the signs:
+    the parity of the reflections, 0 for a row that ends on a wall."""
+    signs = np.ones(len(points), dtype=np.int64)
+    live = np.flatnonzero(points.min(axis=1) < 0)
+    while live.size:
+        cur = points[live]
+        i = cur.argmin(axis=1)
+        cur -= cur[np.arange(len(cur)), i, None] * simple[i]
+        points[live] = cur
+        signs[live] *= -1
+        live = live[cur.min(axis=1) < 0]
+    signs[points.min(axis=1) == 0] = 0
+    return signs
+
+
+def _alcove(affine, k, shifted):
+    """`weyl.alcove_fold` of each row of rho-shifted labels, by `_reflect` on
+    (x0, x) with the affine simple roots.  Returns (signs, folded labels)."""
+    x0 = k + affine.hdual - shifted @ np.array(affine.comarks[1:], dtype=np.int64)
+    labels = np.column_stack([x0, shifted])
+    signs = _reflect(labels, np.array(simple_roots(affine.A), dtype=np.int64))
+    return signs, labels[:, 1:]
+
+
+def _group_sums(rows, values):
+    """The distinct rows of a 2-d int64 array, sorted, with the sum of values
+    over each, less those that sum to 0.  The columns are packed into one
+    int64 key by mixed radix, renumbered densely before it could overflow."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    span = 1
+    for col in rows.T:
+        low = int(col.min(initial=0))
+        radix = int(col.max(initial=0)) - low + 1
+        if span * radix >= 2 ** 63:
+            key = np.unique(key, return_inverse=True)[1].ravel()
+            span = len(rows)
+        key = key * radix + (col - low)
+        span *= radix
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sums = np.add.reduceat(values[order], starts)
+    return rows[order[starts[sums != 0]]], sums[sums != 0]
+
+
+def _base(fin, coords):
+    return tuple(c + 1 for c in coords), dim(fin, coords)
+
+
+def _system(fin, coords):
+    """(coords, weights, multiplicities, dim) of the irreducible coords."""
+    return (coords, *weight_arrays(fin, coords), dim(fin, coords))
+
+
+def _restricted(folding, coords):
+    """`_system` of the base irreducible coords restricted to the twisted
+    finite part: its weights pi tau through iota_dual, merged."""
+    _, tau, mult, d = _system(folding.base.finite, coords)
+    pi = np.array(folding.iota_dual, dtype=np.int64)
+    return (coords, *_group_sums(tau @ pi.T, mult), d)
+
+
+def _klimyk_fold(affine, k, index, bases, systems, b, s):
+    """Kac-Walton coefficients of the pairs (bases[b[p]], systems[s[p]]).
+
+    bases[i] is (lam + rho, dim lam), systems[j] a `_system`.  The Klimyk
+    sum V(lam) (x) V = sum_tau m(tau) eps(w) V(w(lam + rho + tau) - rho)
+    runs over blocks of at most _POINTS points, reflected by `_reflect`.
+    Per pair, a negative multiplicity raises NegativeMultiplicity and
+    sum c dim(nu) must be the product of the dims (MassMismatch).  Each
+    distinct component is folded once (`_alcove`) and looked up in index
+    (UnknownWeight); a negative folded sum raises NegativeMultiplicity.
+    Returns int64 arrays (p, m, n): N = n at third-slot index m of pair p.
+    """
+    fin = affine.finite
+    simple = np.array(simple_roots(fin.A), dtype=np.int64)
+    lam_rho = np.array([x for x, _ in bases], dtype=np.int64).reshape(-1, fin.rank)
+    taus, mults = (np.concatenate([x[i] for x in systems]) for i in (1, 2))
+    size = np.array([len(x[2]) for x in systems])
+    first, ends = np.cumsum(size) - size, np.cumsum(size[s])
+    want = [bases[i][1] * systems[j][3] for i, j in zip(b.tolist(), s.tolist())]
+
+    def name(p):
+        return f"{tuple(x - 1 for x in bases[b[p]][0])} x {systems[s[p]][0]}"
+
+    # comps numbers the distinct components in order of appearance; dims and
+    # folds (fold sign, third-slot index) are indexed by that number.
+    comps, dims, folds, cells, lo = {}, [], np.zeros((0, 2), dtype=np.int64), [], 0
+    while lo < len(b):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - size[s[lo]] + _POINTS,
+                                             "right")))
+        npts = size[s[lo:hi]]
+        pair = np.repeat(np.arange(lo, hi), npts)
+        at = (np.arange(len(pair)) - np.repeat(np.cumsum(npts) - npts, npts)
+              + first[s[pair]])
+        pts = lam_rho[b[pair]] + taus[at]
+        signs = _reflect(pts, simple)
+        hit = signs != 0
+        grp, c = _group_sums(np.column_stack([pair[hit], pts[hit]]),
+                             (signs * mults[at])[hit])
+        if (c < 0).any():
+            p, *nu = grp[c.argmin()].tolist()
+            raise NegativeMultiplicity(f"tensor product {name(p)} has multiplicity "
+                                       f"{c.min()} at {tuple(x - 1 for x in nu)}")
+        ids, fresh = [], []
+        for nu in map(tuple, grp[:, 1:].tolist()):
+            if nu not in comps:
+                comps[nu] = len(dims)
+                dims.append(dim(fin, tuple(x - 1 for x in nu)))
+                fresh.append(nu)
+            ids.append(comps[nu])
+        ids = np.array(ids, dtype=np.int64)
+        # Exact mass sums: int64 where the bound allows, Python ints otherwise.
+        kind = np.int64 if int(c.sum()) * max(dims, default=0) < 2 ** 63 else object
+        mass = np.zeros(hi - lo, dtype=kind)
+        np.add.at(mass, grp[:, 0] - lo, c.astype(kind) * np.array(dims, dtype=kind)[ids])
+        for p, (got, expect) in enumerate(zip(mass.tolist(), want[lo:hi])):
+            if got != expect:
+                raise MassMismatch(f"tensor product {name(lo + p)}", got, expect)
+        if fresh:
+            folds = np.concatenate([folds, _fold_labels(affine, k, index, fresh)])
+        cell, n = _group_sums(np.column_stack([grp[:, 0], folds[ids, 1]]),
+                              c * folds[ids, 0])
+        if (n < 0).any():
             raise NegativeMultiplicity(
-                f"folded multiplicity {v} at {key} ({memo.affine.type}, "
-                f"level {memo.k})")
-    return row
+                f"folded multiplicity {n.min()} in {name(cell[n.argmin(), 0])} "
+                f"({affine.type}, level {k})")
+        cells.append((cell[:, 0], cell[:, 1], n))
+        lo = hi
+    return tuple(np.concatenate(x) for x in zip(*cells))
+
+
+def _fold_labels(affine, k, index, shifted):
+    """(sign, third-slot index) of each rho-shifted component folded into the
+    alcove; UnknownWeight for a fold outside index."""
+    signs, folded = _alcove(affine, k, np.array(shifted, dtype=np.int64))
+    out = np.zeros((len(signs), 2), dtype=np.int64)
+    out[:, 0] = signs
+    for x, y in zip(np.flatnonzero(signs).tolist(), folded[signs != 0].tolist()):
+        m = index.get(tuple(v - 1 for v in y))
+        if m is None:
+            raise UnknownWeight(f"a Kac-Walton component of {affine.type} at level "
+                                f"{k} folds to {tuple(v - 1 for v in y)}, not a "
+                                f"label of the third slot")
+        out[x, 1] = m
+    return out
 
 
 def kac_walton(affine_datum, k, lam1, lam2, lam3):
@@ -238,17 +319,15 @@ def kac_walton(affine_datum, k, lam1, lam2, lam3):
     return row.get(tuple(lam3.finite.coords), 0)
 
 
-def kac_walton_row(affine_datum, k, lam1, lam2, memo=None):
+def kac_walton_row(affine_datum, k, lam1, lam2):
     """All coefficients N_{lam1, lam2}^{*} at once; keys are label tuples.
-
-    memo: a KacWaltonMemo of (affine_datum, k) shared by the rows of one
-    table, or None for a fresh one.
-    """
-    memo = _memo_for(affine_datum, k, memo)
+    One pair of `_klimyk_fold`, over the weights of the smaller factor."""
     for lw in (lam1, lam2):
         _require_level_dominant(affine_datum, lw)
-    decomp = tensor_labels(affine_datum.finite, lam1.finite.coords, lam2.finite.coords)
-    return _fold_row(memo, decomp.items())
+    fin = affine_datum.finite
+    big, small = sorted((lam1.finite.coords, lam2.finite.coords),
+                        key=lambda c: dim(fin, c), reverse=True)
+    return _one_pair(affine_datum, k, _base(fin, big), _system(fin, small))
 
 
 def twisted_kac_walton(folding, k, lam1, lam2_dag, lam3_dag):
@@ -256,21 +335,22 @@ def twisted_kac_walton(folding, k, lam1, lam2_dag, lam3_dag):
     return row.get(tuple(lam3_dag.finite.coords), 0)
 
 
-def twisted_kac_walton_row(folding, k, lam1, lam2_dag, memo=None):
-    """Coefficients N_{lam1, lam2^dag}^{*}: restrict lam1 to the twisted
-    finite part, tensor with lam2^dag there, fold over the twisted alcove.
-
-    memo: a KacWaltonMemo of (folding.twisted, k), or None for a fresh one.
-    """
-    memo = _memo_for(folding.twisted, k, memo)
+def twisted_kac_walton_row(folding, k, lam1, lam2_dag):
+    """Coefficients N_{lam1, lam2^dag}^{*}: Res lam1 (x) V(lam2^dag) over the
+    twisted finite part, whose W-invariant weights (`_restricted`) enter the
+    Klimyk sum of one pair of `_klimyk_fold`."""
     _require_level_dominant(folding.base, lam1)
     _require_level_dominant(folding.twisted, lam2_dag)
-    lam2 = tuple(lam2_dag.finite.coords)
-    totals = {}
-    for nu, b in memo.branch(folding, tuple(lam1.finite.coords)).items():
-        for mu, m in memo.tensor(nu, lam2).items():
-            totals[mu] = totals.get(mu, 0) + b * m
-    return _fold_row(memo, totals.items())
+    return _one_pair(folding.twisted, k,
+                     _base(folding.twisted.finite, lam2_dag.finite.coords),
+                     _restricted(folding, tuple(lam1.finite.coords)))
+
+
+def _one_pair(affine, k, base, system):
+    labels = dominant_level_weights(affine, k)
+    zero = np.zeros(1, dtype=np.int64)
+    _, m, n = _klimyk_fold(affine, k, _index(labels), [base], [system], zero, zero)
+    return {labels[x].finite.coords: v for x, v in zip(m.tolist(), n.tolist())}
 
 
 class SectorMatrices:
@@ -389,21 +469,19 @@ def check_pattern(source, pattern):
     return key, sectors
 
 
-def fusion_table(folding_or_datum, k, pattern="1,1,1", tolerance=INTEGER_TOLERANCE,
-                 parallelism=1):
+def fusion_table(folding_or_datum, k, pattern="1,1,1", tolerance=INTEGER_TOLERANCE):
     """Batch driver over all weight triples of one sector pattern.
 
     When both the S-matrix route and the folding route apply, every entry is
     computed twice and equality is checked before the table is returned.
-    parallelism spreads the Kac-Walton rows over that many threads.
     """
     key, sectors = check_pattern(folding_or_datum, pattern)
     if key == "1,1,1":
         datum = getattr(folding_or_datum, "base", folding_or_datum)
         header = (str(datum.type), k, "none", key)
-        return _untwisted_table(datum, k, header, tolerance, parallelism)
+        return _untwisted_table(datum, k, header, tolerance)
     header = (str(folding_or_datum.base.type), k, "diagram", key)
-    return _twisted_table(folding_or_datum, k, header, sectors, tolerance, parallelism)
+    return _twisted_table(folding_or_datum, k, header, sectors, tolerance)
 
 
 def _vacuum_table(header, vacua):
@@ -413,27 +491,29 @@ def _vacuum_table(header, vacua):
                        np.ones((1, 1, 1), dtype=np.int64), "kac-walton")
 
 
-def _untwisted_table(datum, k, header, tolerance, parallelism):
+def _untwisted_table(datum, k, header, tolerance):
     if k == 0:
         return _vacuum_table(header, dominant_level_weights(datum, 0) * 3)
     s = untwisted_S(datum, k)
     labels = s.rows
     nv = _verlinde_blocks(s.entries, s.entries, s.entries, s.entries[0], tolerance)
-    memo = KacWaltonMemo(datum, k)
-
-    def one_pair(i, j):
-        # V_i (x) V_j = V_j (x) V_i: one Kac-Walton row fills both orders.
-        return ((i, j), (j, i)), kac_walton_row(datum, k, labels[i], labels[j],
-                                                memo=memo)
-
-    n = len(labels)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    fin = datum.finite
+    systems = [_system(fin, lw.finite.coords) for lw in labels]
+    bases = [_base(fin, lw.finite.coords) for lw in labels]
+    # V_i (x) V_j = V_j (x) V_i: one pair per unordered {i, j}, over the
+    # weights of the smaller factor j, fills both orders.
+    order = sorted(range(len(labels)), key=lambda i: (bases[i][1], i))
+    i, j = np.array([(i, j) for p, j in enumerate(order) for i in order[p:]]).T
+    p, m, n = _klimyk_fold(datum, k, _index(labels), bases, systems, i, j)
+    nk = np.zeros_like(nv)
+    nk[i[p], j[p], m] = n
+    nk[j[p], i[p], m] = n
     slots = (labels,) * 3
-    _cross_check(one_pair, pairs, _index(labels), slots, nv, parallelism)
+    _cross_check(nv, nk, slots)
     return FusionTable(*header, slots, nv, "verlinde+kac-walton")
 
 
-def _twisted_table(folding, k, header, sectors, tolerance, parallelism):
+def _twisted_table(folding, k, header, sectors, tolerance):
     if k == 0:
         vacua = [dominant_level_weights(d, 0)[0]
                  for d in (folding.base, folding.twisted)]
@@ -447,53 +527,25 @@ def _twisted_table(folding, k, header, sectors, tolerance, parallelism):
     nv = _verlinde_blocks(*(blocks[c] for c in sectors), mats.vac, tolerance)
     if sectors == (1, 1, 0):
         return FusionTable(*header, slots, nv, "verlinde-only")
-    memo = KacWaltonMemo(folding.twisted, k)
-
-    def one_pair(i, j):
-        u, t = (i, j) if sectors[0] == 0 else (j, i)
-        return ((i, j),), twisted_kac_walton_row(folding, k, labels[0][u], labels[1][t],
-                                                 memo=memo)
-
-    pairs = list(itertools.product(range(nv.shape[0]), range(nv.shape[1])))
-    _cross_check(one_pair, pairs, mats.twisted_index, slots, nv, parallelism)
+    # Res V(lam1) (x) V(lam2^dag) for every untwisted lam1 and twisted lam2^dag.
+    systems = [_restricted(folding, lw.finite.coords) for lw in labels[0]]
+    bases = [_base(folding.twisted.finite, lw.finite.coords) for lw in labels[1]]
+    u, t = np.divmod(np.arange(len(systems) * len(bases)), len(bases))
+    p, m, n = _klimyk_fold(folding.twisted, k, mats.twisted_index, bases, systems, t, u)
+    nk = np.zeros_like(nv)
+    if sectors[0] == 0:
+        nk[u[p], t[p], m] = n
+    else:
+        nk[t[p], u[p], m] = n
+    _cross_check(nv, nk, slots)
     return FusionTable(*header, slots, nv, "twisted-verlinde+twisted-kac-walton")
 
 
-def _cross_check(one_pair, pairs, index, slots, nv, parallelism):
-    """Scatter the Kac-Walton rows into an array and compare it with nv.
-
-    one_pair(i, j) returns the (first, second) slot positions its row fills
-    and the row, {label tuple: coefficient}; index maps a label tuple to its
-    third-slot position, and a label outside it raises UnknownWeight.  The
-    first triple in C order where the arrays differ raises MethodMismatch.
-    """
-    nk = np.zeros_like(nv)
-    for cells, row in _run_pairs(one_pair, pairs, parallelism):
-        for coords, n in row.items():
-            m = index.get(coords)
-            if m is None:
-                i, j = cells[0]
-                raise UnknownWeight(f"the Kac-Walton row of {slots[0][i]}, "
-                                    f"{slots[1][j]} names {coords}, not a label "
-                                    f"of the third slot")
-            for i, j in cells:
-                nk[i, j, m] = n
+def _cross_check(nv, nk, slots):
+    """MethodMismatch at the first triple, in C order, where the Verlinde
+    array nv and the Kac-Walton array nk differ."""
     diff = np.flatnonzero(nv != nk)
     if diff.size:
         i, j, m = np.unravel_index(diff[0], nv.shape)
         raise MethodMismatch((slots[0][i], slots[1][j], slots[2][m]),
                              int(nv[i, j, m]), int(nk[i, j, m]))
-
-
-def _run_pairs(fn, pairs, parallelism):
-    """Evaluate fn over index pairs, optionally on a thread pool.
-
-    Results are yielded in the submission order regardless of scheduling.
-    """
-    if parallelism <= 1:
-        for i, j in pairs:
-            yield fn(i, j)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        yield from pool.map(lambda ij: fn(*ij), pairs)

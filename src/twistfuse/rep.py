@@ -18,8 +18,10 @@ taken in order of depth, the height of lam - mu.  Each m(mu + j alpha) is
 read at its dominant representative, which is higher and so already
 known.  Every other multiplicity follows by W-invariance: `_orbit`
 expands each dominant weight's orbit, bounded by the dimension cap that
-`freudenthal` checks first.  The Klimyk sum reflects each shifted weight
-to the dominant chamber with its sign.  Both kernels,
+`freudenthal` checks first.  The Klimyk sum of `tensor_labels` reflects
+each shifted weight to the dominant chamber with its sign, one pair at a
+time; the fusion tables run it vectorised in `fusion`, over the
+`weight_arrays` of each system.  Both kernels,
 `reflect_to_dominant` and `_orbit`, live in `cartan` and are imported here
 under their own names.  All caches, the weight-system cache too, are
 bounded.
@@ -38,6 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
+
+import numpy as np
 
 from .cartan import (LeveledWeight, Weight, _orbit, reflect_to_dominant,
                      simple_roots)
@@ -291,6 +295,14 @@ def _weight_system(fin, coords):
     if total != d:
         raise MassMismatch(f"Freudenthal weight system of {coords}", total, d)
     return WeightSystem(Weight(fin, coords), mults)
+
+
+def weight_arrays(fin, coords):
+    """The weight system of the irreducible coords of fin as int64 arrays:
+    weights (n, rank) and multiplicities (n,)."""
+    mults = freudenthal(fin, coords).label_mults
+    weights = np.array(list(mults), dtype=np.int64).reshape(len(mults), fin.rank)
+    return weights, np.fromiter(mults.values(), np.int64, len(mults))
 
 
 def tensor_decompose(datum, lam, mu, dim_cap=DIMENSION_CAP):

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _rational as rat
-from .cartan import LeveledWeight, dual_lattice, lattice_index, lattice_M
+from .cartan import LeveledWeight, lattice_index, lattice_M
 from .errors import (ConformalMismatch, ExponentOverflow, LatticeIndexMismatch,
                      NotSublattice, SectorLabelMismatch)
 from .fold import (pstar_apply, phi_apply_shifted, symmetric_weights,
@@ -261,9 +261,8 @@ def untwisted_S(affine_datum, k):
     t = k + affine_datum.hdual
     labels = dominant_level_weights(affine_datum, k)
     m_lat = lattice_M(affine_datum)
-    dual = dual_lattice(m_lat)
-    norm_sq = lattice_index(dual, m_lat.scaled(t))
-    index = lattice_index(dual, m_lat)
+    norm_sq = lattice_index(affine_datum.M_dual, m_lat.scaled(t))
+    index = affine_datum.M_index
     if norm_sq != t ** fin.rank * index:
         raise LatticeIndexMismatch(
             f"{affine_datum.type} level {k}: [M*:tM] = {norm_sq} != "
@@ -293,7 +292,7 @@ def twisted_a(folding, k):
         idx_pair = lattice_index(m_adj, m_dag)
     except NotSublattice:
         raise NotSublattice("phi(M') does not contain M^dag; folding data bug")
-    norm_sq = lattice_index(dual_lattice(m_dag), m_dag.scaled(t))
+    norm_sq = lattice_index(tw.M_dual, m_dag.scaled(t))
     row_shifted = [tuple(c + 1 for c in lw.finite.coords) for lw in rows]
     col_shifted = []
     for lw in cols:

@@ -14,7 +14,9 @@ so the steps depend on w alone and a stack of rows shares them.
 second on the columns of the affine Cartan matrix, which reduces a
 rho-shifted weight into the interior of the fundamental alcove at level
 t = k + h^vee, tracking the sign of the finite Weyl component
-(translations are even).
+(translations are even).  Both work on one weight at a time; the fusion
+tables fold with the vectorised form of the same walk in `fusion`, and
+`alcove_fold` is its scalar reference in the tests.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from operator import mul
 import numpy as np
 
 from .cartan import Weight, reflect_to_dominant, simple_roots
-from .errors import NonTermination, RankTooLarge
+from .errors import CheckFailed, NonTermination, RankTooLarge
 from .rep import root_table
 
 MAX_RANK = 6
@@ -194,7 +196,8 @@ class FoldResult:
     rep: object                  # Weight, or None when sign == 0
 
     def __post_init__(self):
-        assert (self.sign == 0) == (self.rep is None)
+        if (self.sign == 0) != (self.rep is None):
+            raise CheckFailed(f"fold sign {self.sign} with representative {self.rep}")
 
 
 def alcove_fold(affine_datum, k, x):

@@ -2,7 +2,9 @@
 
 Everything here is implemented from first principles (textbook algorithms,
 closed forms, exhaustive enumeration) without calling the code paths under
-test, so an agreement is meaningful.
+test, so an agreement is meaningful.  The scalar Kac-Walton rows call the
+library's one-pair tuple routines (`rep.tensor_labels`, `rep.branch`,
+`weyl.alcove_fold`), which the vectorised table kernel does not use.
 """
 
 import itertools
@@ -383,3 +385,38 @@ def fusion_table_json_dict(table):
              for (m1, m2, m3), n in table.items()]
     return {"schema": 1, "algebra": table.algebra, "level": table.level,
             "twist": table.twist, "pattern": table.pattern, "entries": items}
+
+
+def scalar_kac_walton_row(affine_datum, k, lam1, lam2):
+    """{label tuple: N} of the pair lam1, lam2 (label tuples) by the scalar
+    route: the Klimyk sum of `rep.tensor_labels`, then `weyl.alcove_fold` of
+    each tensor component, summed with the fold signs."""
+    from twistfuse.rep import tensor_labels
+    return _fold_components(affine_datum, k,
+                            tensor_labels(affine_datum.finite, lam1, lam2))
+
+
+def scalar_twisted_kac_walton_row(folding, k, lam1, lam2_dag):
+    """{label tuple: N} of the untwisted lam1 and the twisted lam2_dag (label
+    tuples) by the scalar route: `rep.branch` of lam1 to the twisted finite
+    part, `rep.tensor_labels` of each branch component with lam2_dag, then
+    the signed fold over the twisted alcove."""
+    from twistfuse.rep import branch, tensor_labels
+    totals = {}
+    for nu, b in branch(folding.base.finite, folding.twisted.finite,
+                        folding.iota_dual, lam1).entries.items():
+        for mu, m in tensor_labels(folding.twisted.finite, nu.coords, lam2_dag).items():
+            totals[mu] = totals.get(mu, 0) + b * m
+    return _fold_components(folding.twisted, k, totals)
+
+
+def _fold_components(affine_datum, k, components):
+    from twistfuse.weyl import alcove_fold
+    out = {}
+    for mu, mult in components.items():
+        res = alcove_fold(affine_datum, k,
+                          affine_datum.finite.weight(tuple(c + 1 for c in mu)))
+        if res.sign:
+            key = tuple(c - 1 for c in res.rep.coords)
+            out[key] = out.get(key, 0) + res.sign * mult
+    return {key: v for key, v in out.items() if v}

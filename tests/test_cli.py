@@ -7,6 +7,7 @@ import pytest
 
 import twistfuse
 import twistfuse.cli as cli_mod
+import twistfuse.errors as errors
 import twistfuse.smatrix as smatrix_mod
 from twistfuse.cli import main
 
@@ -162,6 +163,30 @@ class TestFusionCommand:
         assert "mass 7 != expected 4" in err
 
 
+# Every gate of the library; each must exit 2 ("failed check").
+GATES = ["CheckFailed", "ConformalMismatch", "DegenerateLattice",
+         "IntegralityFailure", "LatticeIndexMismatch", "MassMismatch",
+         "MethodMismatch", "NegativeCoefficient", "NegativeMultiplicity",
+         "NotInteger", "NotSublattice", "RootCountMismatch",
+         "SectorLabelMismatch", "UnknownWeight"]
+
+
+@pytest.mark.parametrize("name", GATES)
+def test_failed_check_exit_code(capsys, monkeypatch, name):
+    cls = getattr(errors, name)
+    assert issubclass(cls, errors.CheckFailed)
+    exc = cls.__new__(cls)
+    Exception.__init__(exc, "injected fault")
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "fusion_table", fail)
+    rc, _, err = run(capsys, "fusion", "A1", "--level", "1")
+    assert rc == 2
+    assert "check failed: injected fault" in err
+
+
 class TestOtherCommands:
     def test_weights(self, capsys):
         rc, out, _ = run(capsys, "weights", "A3", "--level", "1",
@@ -241,11 +266,12 @@ class TestOtherCommands:
         assert s1 == s2
 
     def test_parallelism_matches_serial(self, capsys):
-        _, out1, _ = run(capsys, "fusion", "A2", "--level", "2",
-                         "--parallelism", "1")
-        _, out4, _ = run(capsys, "fusion", "A2", "--level", "2",
-                         "--parallelism", "4")
-        assert out1 == out4
+        # The flag is accepted and ignored: every value gives the same bytes.
+        _, out, _ = run(capsys, "fusion", "A2", "--level", "2")
+        for n in ("1", "4"):
+            rc, out_n, _ = run(capsys, "fusion", "A2", "--level", "2",
+                               "--parallelism", n)
+            assert rc == 0 and out_n == out
 
 
 class TestParserReuse:

@@ -1,14 +1,16 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import twistfuse
 import twistfuse.fusion as fusion_mod
-from twistfuse.cartan import AFFINE_R1, LieType, build_cartan, parse_type
+from twistfuse.cartan import AFFINE_R1, AFFINE_R2, LieType, build_cartan, parse_type
 from twistfuse.errors import (MethodMismatch, NegativeCoefficient, NotInteger,
                               SectorRuleViolation, UnsupportedSectorPattern)
 from twistfuse.fold import build_folding
@@ -18,7 +20,8 @@ from twistfuse.fusion import (SectorLabel, fusion_table, kac_walton,
 from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import untwisted_S
 
-from oracles import fusion_table_json_dict
+from oracles import (fusion_table_json_dict, scalar_kac_walton_row,
+                     scalar_twisted_kac_walton_row)
 
 
 @pytest.fixture(scope="module")
@@ -87,17 +90,18 @@ class TestKacWalton:
         assert len(list(table.items())) == n ** 3
 
     def test_method_mismatch_surfaces(self, monkeypatch):
-        real = fusion_mod.kac_walton_row
+        real = fusion_mod._klimyk_fold
 
-        def corrupted(datum, k, lam1, lam2, **kwargs):
-            # Only rows of two different weights, which serve both orders.
-            row = dict(real(datum, k, lam1, lam2, **kwargs))
-            if lam1 != lam2:
-                key = next(iter(row))
-                row[key] += 1
-            return row
+        def corrupted(*args):
+            # One cell of a pair of two different weights, which serves
+            # both orders.
+            b, s = args[-2:]
+            p, m, n = real(*args)
+            n = n.copy()
+            n[np.flatnonzero(b[p] != s[p])[0]] += 1
+            return p, m, n
 
-        monkeypatch.setattr(fusion_mod, "kac_walton_row", corrupted)
+        monkeypatch.setattr(fusion_mod, "_klimyk_fold", corrupted)
         with pytest.raises(MethodMismatch) as info:
             fusion_table(build_cartan(parse_type("A2", AFFINE_R1)), 2)
         assert info.value.value_a != info.value.value_b
@@ -173,15 +177,15 @@ class TestTwistedRoutes:
             assert all(n >= 0 for _, n in table.items())
 
     def test_method_mismatch_surfaces(self, a3_folding, monkeypatch):
-        real = fusion_mod.twisted_kac_walton_row
+        real = fusion_mod._klimyk_fold
 
-        def corrupted(*args, **kwargs):
-            row = dict(real(*args, **kwargs))
-            key = next(iter(row))
-            row[key] += 1
-            return row
+        def corrupted(*args):
+            p, m, n = real(*args)
+            n = n.copy()
+            n[0] += 1
+            return p, m, n
 
-        monkeypatch.setattr(fusion_mod, "twisted_kac_walton_row", corrupted)
+        monkeypatch.setattr(fusion_mod, "_klimyk_fold", corrupted)
         with pytest.raises(MethodMismatch) as info:
             fusion_table(a3_folding, 1, "1,s,s")
         assert info.value.value_a != info.value.value_b
@@ -205,30 +209,32 @@ def _recorded(monkeypatch, name):
     return calls
 
 
-def _coords(x):
-    return tuple(getattr(x, "coords", x))
-
-
 class TestComputeOnce:
-    """A table computes each piece of Kac-Walton work once."""
+    """A table runs the Kac-Walton kernel once: one weight system per slot
+    weight, every pair once, and one alcove fold of each distinct tensor
+    component."""
 
-    def assert_each_component_folded_once(self, folds, tensors):
-        folded = [args[2].coords for args, _ in folds]
+    def record(self, monkeypatch, system):
+        return (_recorded(monkeypatch, system), _recorded(monkeypatch, "_klimyk_fold"),
+                _recorded(monkeypatch, "_alcove"))
+
+    def assert_kernel_once(self, kernel, folds):
+        assert len(kernel) == 1
+        folded = [tuple(x) for (_, _, shifted), _ in folds for x in shifted.tolist()]
         assert len(folded) == len(set(folded))
-        components = {tuple(c + 1 for c in mu) for _, decomp in tensors for mu in decomp}
-        assert set(folded) == components
+        (_, _, _, _, _, b, s), _ = kernel[0]
+        return list(zip(b.tolist(), s.tolist()))
 
     @pytest.mark.parametrize("name,k", [("A2", 3), ("B2", 2), ("G2", 2)])
     def test_untwisted_rows(self, monkeypatch, name, k):
         d = build_cartan(parse_type(name, AFFINE_R1))
-        tensors = _recorded(monkeypatch, "tensor_labels")
-        folds = _recorded(monkeypatch, "alcove_fold")
+        systems, kernel, folds = self.record(monkeypatch, "_system")
         fusion_table(d, k)
         n = len(dominant_level_weights(d, k))
-        assert len(tensors) == n * (n + 1) // 2
-        pairs = {frozenset((_coords(a), _coords(b))) for (_, a, b), _ in tensors}
-        assert len(pairs) == len(tensors)
-        self.assert_each_component_folded_once(folds, tensors)
+        assert sorted(args[1] for args, _ in systems) == sorted(
+            lw.finite.coords for lw in dominant_level_weights(d, k))
+        pairs = [frozenset(p) for p in self.assert_kernel_once(kernel, folds)]
+        assert len(pairs) == len(set(pairs)) == n * (n + 1) // 2
 
     @pytest.mark.parametrize("type_,order,k,pattern", [
         (LieType("A", 3, AFFINE_R1), None, 2, "1,s,s"),
@@ -237,24 +243,100 @@ class TestComputeOnce:
     ])
     def test_twisted_rows(self, monkeypatch, type_, order, k, pattern):
         f = build_folding(type_, order)
-        branches = _recorded(monkeypatch, "branch")
-        tensors = _recorded(monkeypatch, "tensor_labels")
-        folds = _recorded(monkeypatch, "alcove_fold")
+        systems, kernel, folds = self.record(monkeypatch, "_restricted")
         fusion_table(f, k, pattern)
-        branched = [_coords(args[3]) for args, _ in branches]
-        assert sorted(branched) == sorted(_coords(lw.finite)
-                                          for lw in dominant_level_weights(f.base, k))
-        pairs = [frozenset((_coords(a), _coords(b))) for (_, a, b), _ in tensors]
-        assert len(pairs) == len(set(pairs))
-        self.assert_each_component_folded_once(folds, tensors)
+        assert sorted(args[1] for args, _ in systems) == sorted(
+            lw.finite.coords for lw in dominant_level_weights(f.base, k))
+        pairs = self.assert_kernel_once(kernel, folds)
+        assert len(pairs) == len(set(pairs)) == len(systems) * len(
+            dominant_level_weights(f.twisted, k))
 
-    def test_memo_bound_to_its_table(self, a1):
-        c2 = build_cartan(parse_type("C2", AFFINE_R1))
-        vac = c2.leveled(1, (0, 0))
-        with pytest.raises(ValueError, match="memo"):
-            kac_walton_row(c2, 1, vac, vac, memo=fusion_mod.KacWaltonMemo(a1, 1))
-        with pytest.raises(ValueError, match="memo"):
-            kac_walton_row(c2, 1, vac, vac, memo=fusion_mod.KacWaltonMemo(c2, 2))
+
+def _scalar_table(table, row):
+    """N of a table rebuilt from scalar rows: row(a, b) for the first-slot
+    label a and second-slot label b gives {third-slot label: N}."""
+    coords = [[getattr(x, "weight", x).finite.coords for x in slot]
+              for slot in table.slots]
+    index = {c: m for m, c in enumerate(coords[2])}
+    n = np.zeros_like(table.N)
+    for i, a in enumerate(coords[0]):
+        for j, b in enumerate(coords[1]):
+            for key, v in row(a, b).items():
+                n[i, j, index[key]] = v
+    return n
+
+
+@pytest.mark.parametrize("name,k", [
+    ("A1", 3), ("A2", 3), ("A3", 3), ("B2", 3), ("C2", 3), ("G2", 3),
+    ("D4", 2), ("B3", 2),
+])
+def test_untwisted_table_matches_scalar_rows(name, k):
+    d = build_cartan(parse_type(name, AFFINE_R1))
+    table = fusion_table(d, k)
+    n = _scalar_table(table, lambda a, b: scalar_kac_walton_row(d, k, a, b))
+    assert (n == table.N).all()
+
+
+@pytest.mark.parametrize("type_,order,k", [
+    (LieType("A", 3, AFFINE_R1), None, 2),
+    (LieType("D", 4, AFFINE_R1), 2, 2),
+    (LieType("D", 4, AFFINE_R1), 3, 2),
+    (LieType("D", 5, AFFINE_R1), None, 1),
+    (LieType("E", 6, AFFINE_R1), None, 1),
+])
+@pytest.mark.parametrize("pattern", ["1,s,s", "s,1,s"])
+def test_twisted_table_matches_scalar_rows(type_, order, k, pattern):
+    f = build_folding(type_, order)
+    table = fusion_table(f, k, pattern)
+    if pattern == "1,s,s":
+        row = lambda a, b: scalar_twisted_kac_walton_row(f, k, a, b)
+    else:
+        row = lambda a, b: scalar_twisted_kac_walton_row(f, k, b, a)
+    assert (_scalar_table(table, row) == table.N).all()
+
+
+def test_block_budget_does_not_change_tables(monkeypatch):
+    """A budget below every weight system makes one block per pair."""
+    a2 = build_cartan(parse_type("A2", AFFINE_R1))
+    a3 = build_folding(LieType("A", 3, AFFINE_R1))
+    jobs = [(a2, 3, "1,1,1"), (a3, 2, "1,s,s")]
+    wide = [fusion_table(src, k, p).to_json() for src, k, p in jobs]
+    monkeypatch.setattr(fusion_mod, "_POINTS", 2)
+    assert [fusion_table(src, k, p).to_json() for src, k, p in jobs] == wide
+
+
+def test_group_sums_match_a_dict():
+    rng = np.random.default_rng(7)
+    # Labels near 2**40 overflow a mixed-radix key of four columns, so the
+    # key is renumbered on the way.
+    pool = np.concatenate([rng.integers(-3, 4, (40, 4)),
+                           rng.integers(-2 ** 40, 2 ** 40, (40, 4))])
+    rows = pool[rng.integers(0, len(pool), 300)]
+    values = rng.integers(-2, 3, len(rows))
+    sums = {}
+    for row, v in zip(map(tuple, rows.tolist()), values.tolist()):
+        sums[row] = sums.get(row, 0) + v
+    expect = sorted((row, v) for row, v in sums.items() if v)
+    got_rows, got = fusion_mod._group_sums(rows, values)
+    assert list(zip(map(tuple, got_rows.tolist()), got.tolist())) == expect
+
+
+@pytest.mark.parametrize("type_,k,window", [
+    (LieType("A", 1, AFFINE_R1), 3, 8),
+    (LieType("A", 2, AFFINE_R1), 3, 5),
+    (LieType("A", 3, AFFINE_R2), 2, 4),
+    (LieType("G", 2, AFFINE_R1), 2, 4),
+])
+def test_vectorised_fold_matches_alcove_fold(type_, k, window):
+    from twistfuse.weyl import alcove_fold
+    d = build_cartan(type_)
+    pts = np.array(list(itertools.product(range(-window, window + 1), repeat=d.rank)))
+    signs, folded = fusion_mod._alcove(d, k, pts.copy())
+    for x, sign, y in zip(pts.tolist(), signs.tolist(), folded.tolist()):
+        res = alcove_fold(d, k, d.finite.weight(tuple(x)))
+        assert res.sign == sign
+        if sign:
+            assert res.rep.coords == tuple(y)
 
 
 def _emitter_cases():
@@ -280,12 +362,13 @@ def test_emitter_matches_dict_oracle(name, order, k, pattern):
 
 def test_gates_fire_without_asserts():
     script = textwrap.dedent("""
+        import numpy as np
         import twistfuse.fusion as fusion
         from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
-        from twistfuse.errors import MethodMismatch, TwistfuseError
+        from twistfuse.errors import (MethodMismatch, NegativeMultiplicity,
+                                      TwistfuseError)
         from twistfuse.fold import build_folding
         from twistfuse.smatrix import untwisted_S
-        from twistfuse.weyl import FoldResult
 
         a2 = build_cartan(LieType("A", 2, AFFINE_R1))
         a3 = build_folding(LieType("A", 3, AFFINE_R1))
@@ -297,21 +380,30 @@ def test_gates_fire_without_asserts():
             except MethodMismatch as exc:
                 print(type(exc).__name__, [lw.finite.coords for lw in exc.triple],
                       exc.value_a, exc.value_b)
+            except NegativeMultiplicity as exc:
+                print(type(exc).__name__, str(exc).split()[0])
             except (TwistfuseError, ValueError) as exc:
                 print(type(exc).__name__)
             else:
                 print("no error")
 
-        true_fold = fusion.alcove_fold
+        def both_tables():
+            run(lambda: fusion.fusion_table(a2, 1))
+            run(lambda: fusion.fusion_table(a3, 1, "1,s,s"))
 
-        def sign_flipped(affine, k, x):
-            res = true_fold(affine, k, x)
-            return FoldResult(-res.sign, res.rep)
+        def patched(name, fn):
+            true = getattr(fusion, name)
+            setattr(fusion, name, lambda *args: fn(true(*args)))
+            both_tables()
+            setattr(fusion, name, true)
 
-        fusion.alcove_fold = sign_flipped
-        run(lambda: fusion.fusion_table(a2, 1))
-        run(lambda: fusion.fusion_table(a3, 1, "1,s,s"))
-        fusion.alcove_fold = true_fold
+        # Each fault is injected into one step of the kernel: the finite
+        # reflection signs, the alcove fold signs, the weight multiplicities
+        # and the folded labels.
+        patched("_reflect", lambda signs: -signs)
+        patched("_alcove", lambda fold: (-fold[0], fold[1]))
+        patched("_system", lambda sys: (sys[0], sys[1], 2 * sys[2], sys[3]))
+        patched("_alcove", lambda fold: (fold[0], fold[1] + 5))
         run(lambda: fusion.kac_walton_row(a2, 1, a2.leveled(1, (1, 1)), vac))
         run(lambda: fusion.twisted_kac_walton_row(
             a3, 1, a3.base.leveled(1, (0, 0, 0)), a3.twisted.leveled(1, (0, 1))))
@@ -320,32 +412,20 @@ def test_gates_fire_without_asserts():
         run(lambda: fusion.verlinde(s, vac, vac, vac))
         run(lambda: fusion._rounded([2.0, -1.0]))
 
-        true_row = fusion.kac_walton_row
-        true_twisted_row = fusion.twisted_kac_walton_row
+        # The pair of (0,1) and (1,0) fills the triples ((0,1), (1,0), .)
+        # and ((1,0), (0,1), .); the first in C order is named.
+        true_kernel = fusion._klimyk_fold
 
-        def corrupt_row(edit):
-            def row(datum, k, lam1, lam2, **kwargs):
-                out = dict(true_row(datum, k, lam1, lam2, **kwargs))
-                if (lam1.finite.coords, lam2.finite.coords) == ((0, 1), (1, 0)):
-                    edit(out)
-                return out
-            return row
+        def cell_set_to_two(*args):
+            b, s = args[-2:]
+            p, m, n = true_kernel(*args)
+            n = n.copy()
+            n[(b[p] + s[p] == 3) & (m == 0)] = 2
+            return p, m, n
 
-        # The row of the off-diagonal pair (0,1), (1,0) fills the triples
-        # ((0,1), (1,0), .) and ((1,0), (0,1), .); the first in C order is
-        # named.
-        fusion.kac_walton_row = corrupt_row(lambda row: row.update({(0, 0): 2}))
+        fusion._klimyk_fold = cell_set_to_two
         run(lambda: fusion.fusion_table(a2, 1))
-        fusion.kac_walton_row = corrupt_row(lambda row: row.update({(5, 5): 1}))
-        run(lambda: fusion.fusion_table(a2, 1))
-        fusion.kac_walton_row = true_row
-
-        def twisted_row_with_stray_key(*args, **kwargs):
-            return {**true_twisted_row(*args, **kwargs), (9, 9): 1}
-
-        fusion.twisted_kac_walton_row = twisted_row_with_stray_key
-        run(lambda: fusion.fusion_table(a3, 1, "1,s,s"))
-        fusion.twisted_kac_walton_row = true_twisted_row
+        fusion._klimyk_fold = true_kernel
 
         def corrupt_s(datum, k):
             s = untwisted_S(datum, k)
@@ -362,25 +442,11 @@ def test_gates_fire_without_asserts():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "NegativeMultiplicity", "NegativeMultiplicity", "ValueError", "ValueError",
-        "ValueError", "NegativeCoefficient",
-        "MethodMismatch [(0, 1), (1, 0), (0, 0)] 1 2",
-        "UnknownWeight", "UnknownWeight", "NotInteger"]
-
-
-def test_shared_memo_under_thread_switching():
-    a2 = build_cartan(parse_type("A2", AFFINE_R1))
-    a3 = build_folding(LieType("A", 3, AFFINE_R1))
-    jobs = [(a2, 3, "1,1,1"), (a3, 2, "1,s,s")]
-    serial = [fusion_table(src, k, p).to_json() for src, k, p in jobs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threaded = [fusion_table(src, k, p, parallelism=4).to_json()
-                    for src, k, p in jobs]
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
+        "NegativeMultiplicity tensor", "NegativeMultiplicity tensor",
+        "NegativeMultiplicity folded", "NegativeMultiplicity folded",
+        "MassMismatch", "MassMismatch", "UnknownWeight", "UnknownWeight",
+        "ValueError", "ValueError", "ValueError", "NegativeCoefficient",
+        "MethodMismatch [(0, 1), (1, 0), (0, 0)] 1 2", "NotInteger"]
 
 
 class TestFusionTableOutput:
@@ -396,7 +462,7 @@ class TestFusionTableOutput:
         assert len({line.index("[") for line in text.splitlines()}) == 1
 
 
-def test_pool_shares_one_sector_build(monkeypatch):
+def test_table_builds_sector_matrices_once(monkeypatch):
     calls = []
 
     def counted(*args):
@@ -406,6 +472,6 @@ def test_pool_shares_one_sector_build(monkeypatch):
     folding = build_folding(LieType("A", 3, AFFINE_R1))
     monkeypatch.setattr(fusion_mod, "untwisted_S", counted)
     fusion_mod._sector_matrices.cache_clear()
-    fusion_table(folding, 2, "1,s,s", parallelism=2)
+    fusion_table(folding, 2, "1,s,s")
     fusion_mod._sector_matrices.cache_clear()
     assert len(calls) == 1

@@ -272,6 +272,7 @@ class TestAlcoveFold:
         # the patched kernel would print if the walk started.
         script = textwrap.dedent("""
             import twistfuse.weyl as weyl
+            from twistfuse._rational import mat_mul
             from twistfuse.cartan import AFFINE_R1, AFFINE_R2, LieType, build_cartan
             from twistfuse.errors import TwistfuseError
 
@@ -291,10 +292,14 @@ class TestAlcoveFold:
                 run(lambda: weyl.alcove_fold(d, -d.hdual - 1, x))
             a2 = build_cartan(LieType("A", 2))
             run(lambda: weyl.alcove_fold(a2, 1, a2.weight((1, 1))))
+            run(lambda: weyl.FoldResult(0, a2.weight((1, 1))))
+            run(lambda: weyl.FoldResult(1, None))
+            run(lambda: mat_mul(((1, 2),), ((1, 2),)))
         """)
         src = os.path.dirname(os.path.dirname(twistfuse.__file__))
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True, timeout=120,
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["NonTermination"] * 4 + ["ValueError"]
+        assert proc.stdout.split() == (["NonTermination"] * 4 + ["ValueError"]
+                                       + ["CheckFailed"] * 3)
