@@ -10,7 +10,8 @@ from .cartan import (CartanDatum, LatticeBasis, LeveledWeight, LieType,
                      Weight, build_cartan, dual_lattice, inner_product,
                      lattice_M, lattice_index, parse_type)
 from .errors import (CheckFailed, ConformalMismatch, DegenerateLattice,
-                     DimensionCap, ExponentOverflow, IntegralityFailure,
+                     DimensionCap, ExponentOverflow, FoldingIdentityFailure,
+                     IntegralityFailure,
                      LatticeIndexMismatch,
                      MassMismatch, MethodMismatch, MixedDatum,
                      NegativeCoefficient, NegativeMultiplicity,
@@ -36,7 +37,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CartanDatum", "CheckFailed", "ConformalData", "ConformalMismatch", "DecompTable",
     "DegenerateLattice", "DiagramAutomorphism", "DimensionCap",
-    "ExponentOverflow", "FoldResult", "FoldingData", "FusionTable", "IntegralityFailure", "LatticeBasis",
+    "ExponentOverflow", "FoldResult", "FoldingData", "FoldingIdentityFailure",
+    "FusionTable", "IntegralityFailure", "LatticeBasis",
     "LatticeIndexMismatch", "LeveledWeight", "LieType",
     "MassMismatch", "MethodMismatch",
     "MixedDatum", "ModularMatrix", "NegativeCoefficient",

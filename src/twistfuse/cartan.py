@@ -24,9 +24,11 @@ The Weyl-reflection kernels of the package live here, the one module that
 the columns of a Cartan matrix; `reflect_to_dominant` is the one
 reflect-to-dominant loop and `_orbit` the one tuple orbit walk.  Here they
 give the highest root and the span of its orbit, the lattice M; `rep` uses
-them for the Freudenthal lookups, the Klimyk sum and the orbit expansion,
-`weyl.to_dominant` for the finite group, and `weyl.alcove_fold` for the
-affine one, on the columns of the affine Cartan matrix.
+them for the Freudenthal lookups and the orbit expansion, `weyl.to_dominant`
+for the finite group, and `weyl.alcove_fold` for the affine one, on the
+columns of the affine Cartan matrix.  The Klimyk sum, of tensor products
+and branching alike, runs the numpy form of the reflect-to-dominant loop,
+`rep._reflect`, in `rep.klimyk_blocks`.
 
 All arithmetic in this module is exact rational.
 """

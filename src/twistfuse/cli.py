@@ -7,7 +7,6 @@ JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -29,15 +28,14 @@ class RunConfig:
     level: int = 0
     twist: str = "none"
     twist_order: int = 0          # 0 = default order for the type
-    integer_tolerance: float = 1e-6
     unitarity_tolerance: float = 1e-9
     output: str = "json"
 
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("level must be >= 0")
-        if self.integer_tolerance <= 0 or self.unitarity_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.unitarity_tolerance <= 0:
+            raise ValueError("the unitarity tolerance must be positive")
 
 
 def _dump(obj):
@@ -52,7 +50,6 @@ def _config(args):
     return RunConfig(
         type=args.type, level=args.level, twist=args.twist,
         twist_order=getattr(args, "twist_order", 0),
-        integer_tolerance=args.integer_tolerance,
         unitarity_tolerance=args.unitarity_tolerance,
         output=args.output)
 
@@ -98,7 +95,7 @@ def cmd_fusion(cfg, pattern, triple, method):
         else:
             print(value)
         return 0
-    table = fusion_table(source, cfg.level, pattern, tolerance=cfg.integer_tolerance)
+    table = fusion_table(source, cfg.level, pattern)
     if cfg.output == "json":
         print(table.to_json())
     else:
@@ -119,7 +116,7 @@ def _single_fusion(cfg, source, pattern, triple, method):
     if len(triple) != 3:
         raise ValueError(f"a single coefficient takes three weights, "
                          f"not {len(triple)}")
-    level, tol = cfg.level, cfg.integer_tolerance
+    level = cfg.level
     if key == "1,1,1":
         datum = getattr(source, "base", source)
         labels = [_leveled(datum, level, spec) for spec in triple]
@@ -137,11 +134,9 @@ def _single_fusion(cfg, source, pattern, triple, method):
     # Routes in the order they run under --method both.
     if key == "1,1,1":
         routes = {"kac-walton": lambda: kac_walton(datum, level, *labels),
-                  "verlinde": lambda: verlinde(untwisted_S(datum, level), *labels,
-                                               tolerance=tol)}
+                  "verlinde": lambda: verlinde(untwisted_S(datum, level), *labels)}
     else:
-        routes = {"verlinde": lambda: twisted_verlinde(source, level, *labels,
-                                                       tolerance=tol)}
+        routes = {"verlinde": lambda: twisted_verlinde(source, level, *labels)}
         if key != "s,s,1":
             untw, tw = labels[:2] if key == "1,s,s" else (labels[1], labels[0])
             routes["kac-walton"] = lambda: twisted_kac_walton(
@@ -249,19 +244,19 @@ def _check_twisted_a(grid):
     return worst
 
 
-def _check_verlinde_vs_kw(grid, tol):
+def _check_verlinde_vs_kw(grid):
     for name, kmax in grid["verlinde"]:
         datum = build_cartan(parse_type(name, AFFINE_R1))
         for k in range(1, kmax + 1):
-            fusion_table(datum, k, "1,1,1", tolerance=tol)
+            fusion_table(datum, k, "1,1,1")
     return 0.0
 
 
-def _check_twisted_fusion(grid, tol):
+def _check_twisted_fusion(grid):
     for name, order, kmax in grid["foldings"]:
         folding = build_folding(parse_type(name, AFFINE_R1), order or None)
         for k in range(1, kmax + 1):
-            fusion_table(folding, k, "1,s,s", tolerance=tol)
+            fusion_table(folding, k, "1,s,s")
     return 0.0
 
 
@@ -288,7 +283,7 @@ def _check_fold_identities(grid):
     return 0.0
 
 
-def _check_unit_laws(grid, tol):
+def _check_unit_laws(grid):
     for name, order, kmax in grid["foldings"]:
         folding = build_folding(parse_type(name, AFFINE_R1), order or None)
         k = min(kmax, 1)
@@ -297,37 +292,30 @@ def _check_unit_laws(grid, tol):
             for mu in dominant_level_weights(folding.twisted, k):
                 n = twisted_verlinde(
                     folding, k, SectorLabel("untwisted", vac),
-                    SectorLabel("sigma", lw), SectorLabel("sigma", mu),
-                    tolerance=tol)
+                    SectorLabel("sigma", lw), SectorLabel("sigma", mu))
                 if n != (1 if lw == mu else 0):
                     raise TwistfuseError(
                         f"vacuum unit law failed at {lw}, {mu}: N = {n}")
     return 0.0
 
 
-def _selfcheck_properties(grid, cfg):
+def _selfcheck_properties(grid):
     return [
         ("cartan-lattice-invariants", lambda: _check_cartan(grid)),
         ("smatrix-unitarity-symmetry", lambda: _check_smatrix(grid)),
         ("twisted-a-unitarity", lambda: _check_twisted_a(grid)),
-        ("verlinde-equals-kac-walton",
-         lambda: _check_verlinde_vs_kw(grid, cfg.integer_tolerance)),
+        ("verlinde-equals-kac-walton", lambda: _check_verlinde_vs_kw(grid)),
         ("twisted-verlinde-equals-twisted-kac-walton",
-         lambda: _check_twisted_fusion(grid, cfg.integer_tolerance)),
+         lambda: _check_twisted_fusion(grid)),
         ("folding-identities-and-anomaly", lambda: _check_fold_identities(grid)),
-        ("vacuum-unit-laws",
-         lambda: _check_unit_laws(grid, cfg.integer_tolerance)),
+        ("vacuum-unit-laws", lambda: _check_unit_laws(grid)),
     ]
 
 
 def cmd_selfcheck(cfg, grid_name):
-    grid_name = os.environ.get("TWISTFUSE_GRID", grid_name)
-    if grid_name not in GRIDS:
-        print(f"unknown grid {grid_name!r}", file=sys.stderr)
-        return 1
     grid = GRIDS[grid_name]
     failed = None
-    for name, fn in _selfcheck_properties(grid, cfg):
+    for name, fn in _selfcheck_properties(grid):
         t0 = time.time()
         try:
             residual = fn()
@@ -373,7 +361,6 @@ def build_parser():
         p.add_argument("--twist", choices=["none", "diagram"], default="none")
         p.add_argument("--twist-order", type=int, default=0,
                        help="2 or 3 for D4; default picks the triality")
-        p.add_argument("--integer-tolerance", type=float, default=1e-6)
         p.add_argument("--unitarity-tolerance", type=float, default=1e-9)
         p.add_argument("--output", choices=["json", "table"], default="json")
         p.add_argument("--parallelism", type=int, default=1,

@@ -63,8 +63,13 @@ class LatticeIndexMismatch(CheckFailed):
 
 
 class SectorLabelMismatch(CheckFailed):
-    """The Pstar images of the twisted-a columns are not the symmetric
-    weights, in order."""
+    """The Pstar images of the adjacent level-k weights are not exactly the
+    sigma-fixed weights of the base, the S-matrix columns of the twisted
+    sector."""
+
+
+class FoldingIdentityFailure(CheckFailed):
+    """A coordinate identity relating Pstar, phi and iota_dual fails."""
 
 
 class ConformalMismatch(CheckFailed):

@@ -8,7 +8,8 @@ type, and assembles the three coordinate bridges used downstream:
     phi        adjacent-type weights  ->  twisted-type weights
     iota_dual  base weights           ->  twisted-type weights (restriction)
 
-All identities relating them are checked exactly at construction time.
+All identities relating them are checked exactly at construction time;
+these checks and that of `symmetric_weights` raise typed errors.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,8 @@ from itertools import permutations
 from . import _rational as rat
 from .cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, LatticeBasis, LieType,
                      build_cartan, lattice_M)
-from .errors import NoBuiltinAutomorphism, UnrecognizedFoldedType
+from .errors import (FoldingIdentityFailure, NoBuiltinAutomorphism,
+                     SectorLabelMismatch, UnrecognizedFoldedType)
 from .rep import dominant_level_weights
 
 
@@ -261,21 +263,25 @@ def build_folding(type_, order=None):
 
 
 def _check_folding(f):
-    """All coordinate identities, exactly in rational arithmetic."""
+    """All coordinate identities, exactly in rational arithmetic; a failed
+    one raises FoldingIdentityFailure."""
     base, tw, adj = f.base, f.twisted, f.adjacent
     lb, l = base.rank, adj.rank
-    # Pstar(rhobar') = rhobar.
-    assert rat.mat_vec(f.Pstar, (1,) * l) == (1,) * lb
+
+    def require(holds, what):
+        if not holds:
+            raise FoldingIdentityFailure(f"{base.type}, order {f.r}: {what}")
+    require(rat.mat_vec(f.Pstar, (1,) * l) == (1,) * lb, "Pstar does not fix rho")
     # (Pstar x, Pstar y) = (x, y)' on the fundamental weights.
     g_base = base.gram_weights
     g_adj = adj.gram_weights
     lhs = rat.mat_mul(rat.transpose(f.Pstar), rat.mat_mul(g_base, f.Pstar))
-    assert lhs == rat.frac_matrix(g_adj), "Pstar is not isometric"
+    require(lhs == rat.frac_matrix(g_adj), "Pstar is not isometric")
     # (phi x, phi y)^dag = (1/r)(x, y)'.
     g_tw = tw.gram_weights
     lhs = rat.mat_mul(rat.transpose(f.phi), rat.mat_mul(g_tw, f.phi))
     rhs = tuple(tuple(x / f.r for x in row) for row in rat.frac_matrix(g_adj))
-    assert lhs == rhs, "phi does not scale the form by 1/r"
+    require(lhs == rhs, "phi does not scale the form by 1/r")
     # nu o iota o nu^dag^-1 = Pstar o phi^-1 on finite labels.
     d_dag = [tw.d_fin[i] for i in range(l)]
     rt = rat.transpose(f.iota_dual)  # base x twisted 0/1 matrix
@@ -283,7 +289,7 @@ def _check_folding(f):
     t1 = rat.mat_mul(rat.frac_matrix(base.A_fin),
                      rat.mat_mul(mid, rat.mat_inverse(tw.A_fin)))
     t2 = rat.mat_mul(f.Pstar, rat.mat_inverse(f.phi))
-    assert t1 == t2, "iota and Pstar/phi bridges disagree"
+    require(t1 == t2, "iota and Pstar/phi bridges disagree")
     # sigma-invariance of the base matrix is checked by DiagramAutomorphism.
 
 
@@ -294,21 +300,18 @@ def pstar_apply(folding, lw):
 
 
 def symmetric_weights(folding, k):
-    """Sigma-fixed level-k weights of the base, in adjacent enumeration order.
-
-    Bijectivity with the fixed-point set is asserted.
-    """
+    """Sigma-fixed level-k weights of the base, in adjacent enumeration order:
+    the Pstar images of the adjacent level-k weights, which must be the
+    fixed-point set, each once (SectorLabelMismatch)."""
     adj_weights = dominant_level_weights(build_cartan(folding.adjacent.type), k)
     images = [pstar_apply(folding, lw) for lw in adj_weights]
     perm = folding.finite_perm()
-    fixed = {
-        lw.finite.coords
-        for lw in dominant_level_weights(folding.base, k)
-        if all(lw.finite.coords[perm[i]] == lw.finite.coords[i]
-               for i in range(folding.base.rank))
-    }
-    assert {w.finite.coords for w in images} == fixed, "Pstar misses fixed points"
-    assert len(images) == len(fixed)
+    base_weights = (lw.finite.coords for lw in dominant_level_weights(folding.base, k))
+    fixed = {c for c in base_weights if tuple(c[i] for i in perm) == c}
+    if len(images) != len(fixed) or {w.finite.coords for w in images} != fixed:
+        raise SectorLabelMismatch(
+            f"{folding.base.type} level {k}: the Pstar images of the adjacent "
+            f"weights are not the symmetric weights, each once")
     return images
 
 

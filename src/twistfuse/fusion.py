@@ -2,16 +2,17 @@
 
 Routes:
   verlinde            untwisted modules through the S-matrix
-  kac_walton          untwisted modules through alcove-folded tensor products
+  kac_walton          untwisted modules through the Klimyk sum, alcove-folded
   twisted_verlinde    mixed untwisted/twisted sectors through S-matrix blocks
-  twisted_kac_walton  the same coefficients through restriction + tensor + fold
+  twisted_kac_walton  the same coefficients through the Klimyk sum of a
+                      restricted module and a twisted one, folded
 
 A `FusionTable` holds one label tuple per slot and one int64 array
 N[i, j, m], which the Verlinde route fills one first-slot row at a time,
 rounded and gated in bulk.  Where a second route applies, the Kac-Walton
 side fills a second array that must equal the first before the table is
-returned.  That side is one numpy kernel, `_klimyk_fold`, over blocks of
-pairs: the Klimyk sum with its per-pair negativity and mass gates, then one
+returned.  That side is `_klimyk_fold`, over blocks of pairs: the gated
+blocks of the package's one Klimyk sum, `rep.klimyk_blocks`, then one
 alcove fold per distinct component and a scatter through the label index.
 An untwisted table runs each unordered pair once; a twisted one runs
 Res V(lam1) (x) V(lam2^dag), whose restricted weights are W-invariant.
@@ -28,11 +29,12 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import LeveledWeight, simple_roots
-from .errors import (MassMismatch, MethodMismatch, NegativeCoefficient,
+from .errors import (MethodMismatch, NegativeCoefficient,
                      NegativeMultiplicity, NotInteger, SectorRuleViolation,
                      UnknownWeight, UnsupportedSectorPattern)
 from .fold import symmetric_weights
-from .rep import dim, dominant_level_weights, is_level_dominant, weight_arrays
+from . import rep
+from .rep import dim, dominant_level_weights, is_level_dominant
 from .smatrix import _label_json, twisted_sector_S, untwisted_S
 
 INTEGER_TOLERANCE = 1e-6
@@ -102,29 +104,28 @@ class FusionTable:
                          for (m1, m2, m3), n in self.items())
 
 
-def _rounded(values, tolerance=INTEGER_TOLERANCE):
+def _rounded(values):
     """Verlinde sums rounded to int64 in bulk.  NotInteger names the sum
-    farthest from an integer when it is off by more than the tolerance (a
-    NaN always fails); NegativeCoefficient names the most negative one."""
+    farthest from an integer when it is off by more than INTEGER_TOLERANCE
+    (a NaN always fails); NegativeCoefficient names the most negative one."""
     values = np.asarray(values)
     n = np.rint(values.real)
     off = np.abs(values - n)
     worst = off.argmax()
-    if not off.flat[worst] <= tolerance:
+    if not off.flat[worst] <= INTEGER_TOLERANCE:
         raise NotInteger(f"Verlinde sum {values.flat[worst]} is off an integer by "
-                         f"{off.flat[worst]:.3e} (tolerance {tolerance})")
+                         f"{off.flat[worst]:.3e} (tolerance {INTEGER_TOLERANCE})")
     if n.min() < 0:
         raise NegativeCoefficient(f"fusion coefficient rounded to {int(n.min())}")
     return n.astype(np.int64)
 
 
-def _verlinde_blocks(a, b, c, vac, tolerance):
+def _verlinde_blocks(a, b, c, vac):
     """N[i, j, m] = sum_x a[i, x] b[j, x] conj(c[m, x]) / vac[x], one
     first-slot row at a time, each block rounded and gated by `_rounded`."""
     b_over_vac = b / vac
     c_conj_t = np.conj(c).T
-    return np.stack([_rounded((row * b_over_vac) @ c_conj_t, tolerance)
-                     for row in a])
+    return np.stack([_rounded((row * b_over_vac) @ c_conj_t) for row in a])
 
 
 def _index(labels):
@@ -139,7 +140,7 @@ def _position(index, lw, level):
     return i
 
 
-def verlinde(s_matrix, lam1, lam2, lam3, tolerance=INTEGER_TOLERANCE):
+def verlinde(s_matrix, lam1, lam2, lam3):
     """Fusion coefficient from a square unitary untwisted S-matrix."""
     rows = s_matrix.rows
     if any(x != 0 for x in rows[0].finite.coords):
@@ -147,7 +148,7 @@ def verlinde(s_matrix, lam1, lam2, lam3, tolerance=INTEGER_TOLERANCE):
     index = _index(rows)
     s = s_matrix.entries
     a, b, c = (s[[_position(index, lw, rows[0].level)]] for lw in (lam1, lam2, lam3))
-    return int(_verlinde_blocks(a, b, c, s[0], tolerance)[0, 0, 0])
+    return int(_verlinde_blocks(a, b, c, s[0])[0, 0, 0])
 
 
 def _require_level_dominant(affine_datum, lw):
@@ -156,144 +157,33 @@ def _require_level_dominant(affine_datum, lw):
                          f"of {affine_datum.type}")
 
 
-# Points of the Klimyk sum per block; a pair whose weight system alone is
-# larger makes a block by itself.  Each point holds rank + 1 int64 labels,
-# so a block's arrays stay near 100 KB.  At 2^14 points the kw-grid job's
-# peak RSS was 0.4 MB higher than at 2^11, where the A3 k = 8 table takes
-# 2.3 s instead of 1.9 s.
-_POINTS = 1 << 11
-
-
-def _reflect(points, simple):
-    """`cartan.reflect_to_dominant` on each row of the int64 array points, in
-    place, with the simple roots as the rows of simple.  Returns the signs:
-    the parity of the reflections, 0 for a row that ends on a wall."""
-    signs = np.ones(len(points), dtype=np.int64)
-    live = np.flatnonzero(points.min(axis=1) < 0)
-    while live.size:
-        cur = points[live]
-        i = cur.argmin(axis=1)
-        cur -= cur[np.arange(len(cur)), i, None] * simple[i]
-        points[live] = cur
-        signs[live] *= -1
-        live = live[cur.min(axis=1) < 0]
-    signs[points.min(axis=1) == 0] = 0
-    return signs
-
-
 def _alcove(affine, k, shifted):
-    """`weyl.alcove_fold` of each row of rho-shifted labels, by `_reflect` on
+    """`weyl.alcove_fold` of each row of rho-shifted labels, by `rep._reflect` on
     (x0, x) with the affine simple roots.  Returns (signs, folded labels)."""
     x0 = k + affine.hdual - shifted @ np.array(affine.comarks[1:], dtype=np.int64)
     labels = np.column_stack([x0, shifted])
-    signs = _reflect(labels, np.array(simple_roots(affine.A), dtype=np.int64))
+    signs = rep._reflect(labels, np.array(simple_roots(affine.A), dtype=np.int64))
     return signs, labels[:, 1:]
 
 
-def _group_sums(rows, values):
-    """The distinct rows of a 2-d int64 array, sorted, with the sum of values
-    over each, less those that sum to 0.  The columns are packed into one
-    int64 key by mixed radix, renumbered densely before it could overflow."""
-    key = np.zeros(len(rows), dtype=np.int64)
-    span = 1
-    for col in rows.T:
-        low = int(col.min(initial=0))
-        radix = int(col.max(initial=0)) - low + 1
-        if span * radix >= 2 ** 63:
-            key = np.unique(key, return_inverse=True)[1].ravel()
-            span = len(rows)
-        key = key * radix + (col - low)
-        span *= radix
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    sums = np.add.reduceat(values[order], starts)
-    return rows[order[starts[sums != 0]]], sums[sums != 0]
-
-
-def _base(fin, coords):
-    return tuple(c + 1 for c in coords), dim(fin, coords)
-
-
-def _system(fin, coords):
-    """(coords, weights, multiplicities, dim) of the irreducible coords."""
-    return (coords, *weight_arrays(fin, coords), dim(fin, coords))
-
-
-def _restricted(folding, coords):
-    """`_system` of the base irreducible coords restricted to the twisted
-    finite part: its weights pi tau through iota_dual, merged."""
-    _, tau, mult, d = _system(folding.base.finite, coords)
-    pi = np.array(folding.iota_dual, dtype=np.int64)
-    return (coords, *_group_sums(tau @ pi.T, mult), d)
-
-
 def _klimyk_fold(affine, k, index, bases, systems, b, s):
-    """Kac-Walton coefficients of the pairs (bases[b[p]], systems[s[p]]).
-
-    bases[i] is (lam + rho, dim lam), systems[j] a `_system`.  The Klimyk
-    sum V(lam) (x) V = sum_tau m(tau) eps(w) V(w(lam + rho + tau) - rho)
-    runs over blocks of at most _POINTS points, reflected by `_reflect`.
-    Per pair, a negative multiplicity raises NegativeMultiplicity and
-    sum c dim(nu) must be the product of the dims (MassMismatch).  Each
-    distinct component is folded once (`_alcove`) and looked up in index
-    (UnknownWeight); a negative folded sum raises NegativeMultiplicity.
-    Returns int64 arrays (p, m, n): N = n at third-slot index m of pair p.
-    """
-    fin = affine.finite
-    simple = np.array(simple_roots(fin.A), dtype=np.int64)
-    lam_rho = np.array([x for x, _ in bases], dtype=np.int64).reshape(-1, fin.rank)
-    taus, mults = (np.concatenate([x[i] for x in systems]) for i in (1, 2))
-    size = np.array([len(x[2]) for x in systems])
-    first, ends = np.cumsum(size) - size, np.cumsum(size[s])
-    want = [bases[i][1] * systems[j][3] for i, j in zip(b.tolist(), s.tolist())]
-
-    def name(p):
-        return f"{tuple(x - 1 for x in bases[b[p]][0])} x {systems[s[p]][0]}"
-
-    # comps numbers the distinct components in order of appearance; dims and
-    # folds (fold sign, third-slot index) are indexed by that number.
-    comps, dims, folds, cells, lo = {}, [], np.zeros((0, 2), dtype=np.int64), [], 0
-    while lo < len(b):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - size[s[lo]] + _POINTS,
-                                             "right")))
-        npts = size[s[lo:hi]]
-        pair = np.repeat(np.arange(lo, hi), npts)
-        at = (np.arange(len(pair)) - np.repeat(np.cumsum(npts) - npts, npts)
-              + first[s[pair]])
-        pts = lam_rho[b[pair]] + taus[at]
-        signs = _reflect(pts, simple)
-        hit = signs != 0
-        grp, c = _group_sums(np.column_stack([pair[hit], pts[hit]]),
-                             (signs * mults[at])[hit])
-        if (c < 0).any():
-            p, *nu = grp[c.argmin()].tolist()
-            raise NegativeMultiplicity(f"tensor product {name(p)} has multiplicity "
-                                       f"{c.min()} at {tuple(x - 1 for x in nu)}")
-        ids, fresh = [], []
-        for nu in map(tuple, grp[:, 1:].tolist()):
-            if nu not in comps:
-                comps[nu] = len(dims)
-                dims.append(dim(fin, tuple(x - 1 for x in nu)))
-                fresh.append(nu)
-            ids.append(comps[nu])
-        ids = np.array(ids, dtype=np.int64)
-        # Exact mass sums: int64 where the bound allows, Python ints otherwise.
-        kind = np.int64 if int(c.sum()) * max(dims, default=0) < 2 ** 63 else object
-        mass = np.zeros(hi - lo, dtype=kind)
-        np.add.at(mass, grp[:, 0] - lo, c.astype(kind) * np.array(dims, dtype=kind)[ids])
-        for p, (got, expect) in enumerate(zip(mass.tolist(), want[lo:hi])):
-            if got != expect:
-                raise MassMismatch(f"tensor product {name(lo + p)}", got, expect)
+    """Kac-Walton coefficients of the pairs (bases[b[p]], systems[s[p]]):
+    each distinct component of the gated `rep.klimyk_blocks` is folded into
+    the alcove once (`_fold_labels`).  A negative folded sum raises
+    NegativeMultiplicity.  Returns int64 arrays (p, m, n): N = n at
+    third-slot index m of pair p."""
+    folds, cells = np.zeros((0, 2), dtype=np.int64), []
+    for pair, comp, c, fresh in rep.klimyk_blocks(affine.finite, bases, systems, b, s):
         if fresh:
             folds = np.concatenate([folds, _fold_labels(affine, k, index, fresh)])
-        cell, n = _group_sums(np.column_stack([grp[:, 0], folds[ids, 1]]),
-                              c * folds[ids, 0])
+        cell, n = rep._group_sums(np.column_stack([pair, folds[comp, 1]]),
+                                  c * folds[comp, 0])
         if (n < 0).any():
+            p = cell[n.argmin(), 0]
             raise NegativeMultiplicity(
-                f"folded multiplicity {n.min()} in {name(cell[n.argmin(), 0])} "
-                f"({affine.type}, level {k})")
+                f"folded multiplicity {n.min()} in "
+                f"{rep._pair(bases, systems, b[p], s[p])} ({affine.type}, level {k})")
         cells.append((cell[:, 0], cell[:, 1], n))
-        lo = hi
     return tuple(np.concatenate(x) for x in zip(*cells))
 
 
@@ -327,7 +217,7 @@ def kac_walton_row(affine_datum, k, lam1, lam2):
     fin = affine_datum.finite
     big, small = sorted((lam1.finite.coords, lam2.finite.coords),
                         key=lambda c: dim(fin, c), reverse=True)
-    return _one_pair(affine_datum, k, _base(fin, big), _system(fin, small))
+    return _one_pair(affine_datum, k, rep._base(fin, big), rep._system(fin, small))
 
 
 def twisted_kac_walton(folding, k, lam1, lam2_dag, lam3_dag):
@@ -337,13 +227,14 @@ def twisted_kac_walton(folding, k, lam1, lam2_dag, lam3_dag):
 
 def twisted_kac_walton_row(folding, k, lam1, lam2_dag):
     """Coefficients N_{lam1, lam2^dag}^{*}: Res lam1 (x) V(lam2^dag) over the
-    twisted finite part, whose W-invariant weights (`_restricted`) enter the
-    Klimyk sum of one pair of `_klimyk_fold`."""
+    twisted finite part, whose W-invariant weights (`rep._restricted`) enter
+    the Klimyk sum of one pair of `_klimyk_fold`."""
     _require_level_dominant(folding.base, lam1)
     _require_level_dominant(folding.twisted, lam2_dag)
     return _one_pair(folding.twisted, k,
-                     _base(folding.twisted.finite, lam2_dag.finite.coords),
-                     _restricted(folding, tuple(lam1.finite.coords)))
+                     rep._base(folding.twisted.finite, lam2_dag.finite.coords),
+                     rep._restricted(folding.base.finite, lam1.finite.coords,
+                                     folding.iota_dual))
 
 
 def _one_pair(affine, k, base, system):
@@ -407,7 +298,7 @@ def check_sector_rule(folding, sectors):
             f"sectors ({g1},{g2}->{g3}) violate g3 = g1*g2 for order {p}")
 
 
-def twisted_verlinde(folding, k, m1, m2, m3, tolerance=INTEGER_TOLERANCE):
+def twisted_verlinde(folding, k, m1, m2, m3):
     """Fusion coefficient for mixed sectors via S-matrix blocks.
 
     Supported patterns: (1,s->s) and (s,1->s) for any order; (s,s->1) only
@@ -424,7 +315,7 @@ def twisted_verlinde(folding, k, m1, m2, m3, tolerance=INTEGER_TOLERANCE):
                         else (mats.a, mats.twisted_index))
         return block[[_position(index, label.weight, k)]]
 
-    n = _verlinde_blocks(row(m1), row(m2), row(m3), mats.vac, tolerance)
+    n = _verlinde_blocks(row(m1), row(m2), row(m3), mats.vac)
     return int(n[0, 0, 0])
 
 
@@ -469,7 +360,7 @@ def check_pattern(source, pattern):
     return key, sectors
 
 
-def fusion_table(folding_or_datum, k, pattern="1,1,1", tolerance=INTEGER_TOLERANCE):
+def fusion_table(folding_or_datum, k, pattern="1,1,1"):
     """Batch driver over all weight triples of one sector pattern.
 
     When both the S-matrix route and the folding route apply, every entry is
@@ -479,9 +370,9 @@ def fusion_table(folding_or_datum, k, pattern="1,1,1", tolerance=INTEGER_TOLERAN
     if key == "1,1,1":
         datum = getattr(folding_or_datum, "base", folding_or_datum)
         header = (str(datum.type), k, "none", key)
-        return _untwisted_table(datum, k, header, tolerance)
+        return _untwisted_table(datum, k, header)
     header = (str(folding_or_datum.base.type), k, "diagram", key)
-    return _twisted_table(folding_or_datum, k, header, sectors, tolerance)
+    return _twisted_table(folding_or_datum, k, header, sectors)
 
 
 def _vacuum_table(header, vacua):
@@ -491,15 +382,15 @@ def _vacuum_table(header, vacua):
                        np.ones((1, 1, 1), dtype=np.int64), "kac-walton")
 
 
-def _untwisted_table(datum, k, header, tolerance):
+def _untwisted_table(datum, k, header):
     if k == 0:
         return _vacuum_table(header, dominant_level_weights(datum, 0) * 3)
     s = untwisted_S(datum, k)
     labels = s.rows
-    nv = _verlinde_blocks(s.entries, s.entries, s.entries, s.entries[0], tolerance)
+    nv = _verlinde_blocks(s.entries, s.entries, s.entries, s.entries[0])
     fin = datum.finite
-    systems = [_system(fin, lw.finite.coords) for lw in labels]
-    bases = [_base(fin, lw.finite.coords) for lw in labels]
+    systems = [rep._system(fin, lw.finite.coords) for lw in labels]
+    bases = [rep._base(fin, lw.finite.coords) for lw in labels]
     # V_i (x) V_j = V_j (x) V_i: one pair per unordered {i, j}, over the
     # weights of the smaller factor j, fills both orders.
     order = sorted(range(len(labels)), key=lambda i: (bases[i][1], i))
@@ -513,7 +404,7 @@ def _untwisted_table(datum, k, header, tolerance):
     return FusionTable(*header, slots, nv, "verlinde+kac-walton")
 
 
-def _twisted_table(folding, k, header, sectors, tolerance):
+def _twisted_table(folding, k, header, sectors):
     if k == 0:
         vacua = [dominant_level_weights(d, 0)[0]
                  for d in (folding.base, folding.twisted)]
@@ -524,12 +415,13 @@ def _twisted_table(folding, k, header, sectors, tolerance):
     labels = (mats.base_labels, mats.twisted_labels)
     slots = tuple(tuple(SectorLabel(_SECTOR_NAME[c], lw) for lw in labels[c])
                   for c in sectors)
-    nv = _verlinde_blocks(*(blocks[c] for c in sectors), mats.vac, tolerance)
+    nv = _verlinde_blocks(*(blocks[c] for c in sectors), mats.vac)
     if sectors == (1, 1, 0):
         return FusionTable(*header, slots, nv, "verlinde-only")
     # Res V(lam1) (x) V(lam2^dag) for every untwisted lam1 and twisted lam2^dag.
-    systems = [_restricted(folding, lw.finite.coords) for lw in labels[0]]
-    bases = [_base(folding.twisted.finite, lw.finite.coords) for lw in labels[1]]
+    systems = [rep._restricted(folding.base.finite, lw.finite.coords, folding.iota_dual)
+               for lw in labels[0]]
+    bases = [rep._base(folding.twisted.finite, lw.finite.coords) for lw in labels[1]]
     u, t = np.divmod(np.arange(len(systems) * len(bases)), len(bases))
     p, m, n = _klimyk_fold(folding.twisted, k, mats.twisted_index, bases, systems, t, u)
     nk = np.zeros_like(nv)

@@ -1,9 +1,8 @@
 """Finite-dimensional representation combinatorics.
 
 Weight systems via the Freudenthal recursion, dimensions via the Weyl
-product formula, tensor decomposition by the Klimyk orbit-shift method, and
-branching to a folded subalgebra by restrict-and-peel.  All multiplicities
-are exact integers; weights are integer Dynkin-label tuples internally.
+product formula, and the package's one Klimyk sum, for tensor products and
+branching alike.  All multiplicities are exact integers, on label tuples.
 
 The hot path is integer-only.  `root_table` prepares, once per finite
 datum and on first use, the simple and positive roots with their
@@ -18,22 +17,28 @@ taken in order of depth, the height of lam - mu.  Each m(mu + j alpha) is
 read at its dominant representative, which is higher and so already
 known.  Every other multiplicity follows by W-invariance: `_orbit`
 expands each dominant weight's orbit, bounded by the dimension cap that
-`freudenthal` checks first.  The Klimyk sum of `tensor_labels` reflects
-each shifted weight to the dominant chamber with its sign, one pair at a
-time; the fusion tables run it vectorised in `fusion`, over the
-`weight_arrays` of each system.  Both kernels,
-`reflect_to_dominant` and `_orbit`, live in `cartan` and are imported here
-under their own names.  All caches, the weight-system cache too, are
-bounded.
+`freudenthal` checks first; the system is stored once, as label tuples
+(`WeightSystem.mults` builds Weight keys on first use).  The tuple kernels
+`reflect_to_dominant` and `_orbit` live in `cartan`.  All caches are bounded.
+
+`klimyk_blocks` runs the Klimyk sum over blocks of pairs with numpy: it
+stacks lam + rho + tau over the weights tau of V, reflects the stack into
+the dominant chamber (`_reflect`) and sums the signed multiplicities per
+component.  Only the W-invariance of the weights tau is used, and the
+restriction of V(lam) to a folded subalgebra is W_sub-invariant, so
+Res V(lam) (x) V(0) is the branching rule: the Racah-Speiser argument
+applied to restriction (Fulton and Harris, Representation Theory, 25.3).
+`tensor_decompose` and `branch` are one-pair calls; `fusion` folds the
+blocks of its tables and rows into the alcove.
 
 Gates, all typed errors that survive `python -O`: the Freudenthal divmod
 raises IntegralityFailure at each dominant weight, the only weights the
-recursion computes; the mass of the whole expanded system, the tensor
-product and the branching is checked against `dim` (MassMismatch);
-negative tensor or branching multiplicities raise NegativeMultiplicity;
-`root_table` raises RootCountMismatch when the reflection closure misses
-a positive root.  The Fraction inner product `_ip` remains for the
-conformal data.
+recursion computes; the mass of the whole expanded system is checked
+against `dim`, and that of every Klimyk pair against the product of its
+dims, for a branching dim lam (MassMismatch); a negative Klimyk
+multiplicity raises NegativeMultiplicity; `root_table` raises
+RootCountMismatch when the reflection closure misses a positive root.
+The Fraction inner product `_ip` remains for the conformal data.
 """
 
 from dataclasses import dataclass
@@ -54,15 +59,15 @@ DIMENSION_CAP = 10**6
 @dataclass(frozen=True)
 class WeightSystem:
     highest: Weight
-    mults: dict  # Weight -> positive int
+    label_mults: dict  # label tuple -> positive int; read only
 
     def total(self):
-        return sum(self.mults.values())
+        return sum(self.label_mults.values())
 
     @cached_property
-    def label_mults(self):
-        """{label tuple: multiplicity}, built once per system; read only."""
-        return {w.coords: m for w, m in self.mults.items()}
+    def mults(self):
+        """{Weight: multiplicity}, built on first use; read only."""
+        return {Weight(self.highest.datum, u): m for u, m in self.label_mults.items()}
 
 
 @dataclass(frozen=True)
@@ -167,12 +172,6 @@ def positive_roots(datum):
 
 
 @lru_cache(maxsize=64)
-def _ainv(fin):
-    from . import _rational as rat
-    return rat.mat_inverse(fin.A)
-
-
-@lru_cache(maxsize=64)
 def _gram_int(fin):
     """Weight-space Gram matrix as (integer matrix, common denominator)."""
     from . import _rational as rat
@@ -215,7 +214,7 @@ def _dim(fin, coords):
 def freudenthal(datum, lam, dim_cap=DIMENSION_CAP):
     """Full weight system of the irreducible with highest weight lam."""
     fin = datum.finite
-    coords = tuple(int(c) for c in (lam.coords if isinstance(lam, Weight) else lam))
+    coords = _labels(lam)
     if any(c < 0 for c in coords):
         raise ValueError(f"highest weight {coords} must be dominant")
     d = dim(fin, coords)
@@ -289,7 +288,7 @@ def _weight_system(fin, coords):
                 f"is {2 * acc}/{denom}, not a non-negative integer")
         if m:
             dominant[mu] = m
-    mults = {Weight(fin, u): m for mu, m in dominant.items() for u in _orbit(simple, mu)}
+    mults = {u: m for mu, m in dominant.items() for u in _orbit(simple, mu)}
     total = sum(mults.values())
     d = dim(fin, coords)
     if total != d:
@@ -297,93 +296,163 @@ def _weight_system(fin, coords):
     return WeightSystem(Weight(fin, coords), mults)
 
 
-def weight_arrays(fin, coords):
-    """The weight system of the irreducible coords of fin as int64 arrays:
-    weights (n, rank) and multiplicities (n,)."""
-    mults = freudenthal(fin, coords).label_mults
+def _labels(lam):
+    return tuple(int(c) for c in (lam.coords if isinstance(lam, Weight) else lam))
+
+
+# Points of the Klimyk sum per block; a pair whose weight system alone is
+# larger makes a block by itself.  Each point holds rank + 1 int64 labels,
+# so a block's arrays stay near 100 KB.  At 2^14 points the kw-grid job's
+# peak RSS was 0.4 MB higher than at 2^11, where the A3 k = 8 table takes
+# 2.3 s instead of 1.9 s.
+_POINTS = 1 << 11
+
+
+def _reflect(points, simple):
+    """`cartan.reflect_to_dominant` on each row of the int64 array points, in
+    place, with the simple roots as the rows of simple.  Returns the signs:
+    the parity of the reflections, 0 for a row that ends on a wall."""
+    signs = np.ones(len(points), dtype=np.int64)
+    live = np.flatnonzero(points.min(axis=1) < 0)
+    while live.size:
+        cur = points[live]
+        i = cur.argmin(axis=1)
+        cur -= cur[np.arange(len(cur)), i, None] * simple[i]
+        points[live] = cur
+        signs[live] *= -1
+        live = live[cur.min(axis=1) < 0]
+    signs[points.min(axis=1) == 0] = 0
+    return signs
+
+
+def _group_sums(rows, values):
+    """The distinct rows of a 2-d int64 array, sorted, with the sum of values
+    over each, less those that sum to 0.  The columns are packed into one
+    int64 key by mixed radix, renumbered densely before it could overflow."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    span = 1
+    for col in rows.T:
+        low = int(col.min(initial=0))
+        radix = int(col.max(initial=0)) - low + 1
+        if span * radix >= 2 ** 63:
+            key = np.unique(key, return_inverse=True)[1].ravel()
+            span = len(rows)
+        key = key * radix + (col - low)
+        span *= radix
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sums = np.add.reduceat(values[order], starts)
+    return rows[order[starts[sums != 0]]], sums[sums != 0]
+
+
+def _base(fin, coords):
+    """(lam + rho, dim lam) of the irreducible coords: a first factor."""
+    return tuple(c + 1 for c in coords), dim(fin, coords)
+
+
+def _system(fin, coords, dim_cap=DIMENSION_CAP):
+    """(name, weights, multiplicities, dim) of the irreducible coords: its
+    weight system as int64 arrays (n, rank) and (n,).  A second factor."""
+    mults = freudenthal(fin, coords, dim_cap).label_mults
     weights = np.array(list(mults), dtype=np.int64).reshape(len(mults), fin.rank)
-    return weights, np.fromiter(mults.values(), np.int64, len(mults))
+    return (coords, weights, np.fromiter(mults.values(), np.int64, len(mults)),
+            dim(fin, coords))
+
+
+def _restricted(fin, coords, restriction_matrix, dim_cap=DIMENSION_CAP):
+    """`_system` of the irreducible coords of fin restricted to a subalgebra:
+    its weights through restriction_matrix, equal images merged."""
+    _, tau, mult, d = _system(fin, coords, dim_cap)
+    pi = np.array(restriction_matrix, dtype=np.int64)
+    return (f"Res {coords}", *_group_sums(tau @ pi.T, mult), d)
+
+
+def _pair(bases, systems, i, j):
+    """The pair (bases[i], systems[j]), named for error messages."""
+    return f"{tuple(x - 1 for x in bases[i][0])} x {systems[j][0]}"
+
+
+def klimyk_blocks(fin, bases, systems, b, s):
+    """Klimyk sums of the pairs (bases[b[p]], systems[s[p]]), block by block.
+
+    bases[i] is a `_base`, systems[j] a `_system` or `_restricted`.  The sum
+    V(lam) (x) V = sum_tau m(tau) eps(w) V(w(lam + rho + tau) - rho) runs over
+    blocks of at most _POINTS points (a pair is never split).  Per pair, a
+    negative multiplicity raises NegativeMultiplicity and sum c dim(nu) must
+    be the product of the dims (MassMismatch).  Yields (pair, comp, c, fresh)
+    per block: pair pair[x] has component number comp[x] c[x] times; fresh
+    holds the rho-shifted labels of the components first seen in the block,
+    numbered on from those of the blocks before.
+    """
+    simple = np.array(simple_roots(fin.A), dtype=np.int64)
+    lam_rho = np.array([x for x, _ in bases], dtype=np.int64).reshape(-1, fin.rank)
+    taus, mults = (np.concatenate([x[i] for x in systems]) for i in (1, 2))
+    size = np.array([len(x[2]) for x in systems])
+    first, ends = np.cumsum(size) - size, np.cumsum(size[s])
+    want = [bases[i][1] * systems[j][3] for i, j in zip(b.tolist(), s.tolist())]
+    comps, dims, lo = {}, [], 0
+    while lo < len(b):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - size[s[lo]] + _POINTS,
+                                             "right")))
+        npts = size[s[lo:hi]]
+        pair = np.repeat(np.arange(lo, hi), npts)
+        at = (np.arange(len(pair)) - np.repeat(np.cumsum(npts) - npts, npts)
+              + first[s[pair]])
+        pts = lam_rho[b[pair]] + taus[at]
+        signs = _reflect(pts, simple)
+        hit = signs != 0
+        grp, c = _group_sums(np.column_stack([pair[hit], pts[hit]]),
+                             (signs * mults[at])[hit])
+        if (c < 0).any():
+            p, *nu = grp[c.argmin()].tolist()
+            raise NegativeMultiplicity(
+                f"tensor product {_pair(bases, systems, b[p], s[p])} has "
+                f"multiplicity {c.min()} at {tuple(x - 1 for x in nu)}")
+        ids, fresh = [], []
+        for nu in map(tuple, grp[:, 1:].tolist()):
+            if nu not in comps:
+                comps[nu] = len(dims)
+                dims.append(dim(fin, tuple(x - 1 for x in nu)))
+                fresh.append(nu)
+            ids.append(comps[nu])
+        ids = np.array(ids, dtype=np.int64)
+        # Exact mass sums: int64 where the bound allows, Python ints otherwise.
+        kind = np.int64 if int(c.sum()) * max(dims, default=0) < 2 ** 63 else object
+        mass = np.zeros(hi - lo, dtype=kind)
+        np.add.at(mass, grp[:, 0] - lo, c.astype(kind) * np.array(dims, dtype=kind)[ids])
+        for p, (got, expect) in enumerate(zip(mass.tolist(), want[lo:hi]), lo):
+            if got != expect:
+                raise MassMismatch(f"tensor product {_pair(bases, systems, b[p], s[p])}",
+                                   got, expect)
+        yield grp[:, 0], ids, c, fresh
+        lo = hi
+
+
+def _decompose(fin, base, system):
+    """DecompTable of one Klimyk pair, which makes one block."""
+    zero = np.zeros(1, dtype=np.int64)
+    ((_, comp, c, shifted),) = klimyk_blocks(fin, [base], [system], zero, zero)
+    return DecompTable({Weight(fin, tuple(x - 1 for x in shifted[i])): v
+                        for i, v in zip(comp.tolist(), c.tolist())})
 
 
 def tensor_decompose(datum, lam, mu, dim_cap=DIMENSION_CAP):
-    """Klimyk decomposition of lam (x) mu into dominant weights."""
+    """Klimyk decomposition of lam (x) mu into dominant weights: one pair of
+    `klimyk_blocks`, over the weights of the smaller factor."""
     fin = datum.finite
-    lam_c = tuple(int(c) for c in (lam.coords if isinstance(lam, Weight) else lam))
-    mu_c = tuple(int(c) for c in (mu.coords if isinstance(mu, Weight) else mu))
-    out = tensor_labels(fin, lam_c, mu_c, dim_cap)
-    return DecompTable({Weight(fin, k): v for k, v in out.items()})
-
-
-def tensor_labels(fin, lam_c, mu_c, dim_cap=DIMENSION_CAP):
-    """`tensor_decompose` on label tuples: {labels: multiplicity} of the
-    dominant components of lam (x) mu, for the finite datum fin, with the
-    same positivity and mass gates."""
-    if dim(fin, lam_c) < dim(fin, mu_c):
-        lam_c, mu_c = mu_c, lam_c  # enumerate weights of the smaller factor
-    sys_small = freudenthal(fin, mu_c, dim_cap).label_mults
-    simple = root_table(fin).simple
-    lam_rho = tuple(c + 1 for c in lam_c)
-    out = {}
-    for tau, m in sys_small.items():
-        shifted, sign = reflect_to_dominant(simple, tuple(map(add, lam_rho, tau)))
-        if sign:
-            target = tuple(c - 1 for c in shifted)
-            out[target] = out.get(target, 0) + sign * m
-    out = {k: v for k, v in out.items() if v != 0}
-    for k, v in out.items():
-        if v < 0:
-            raise NegativeMultiplicity(
-                f"tensor product {lam_c} x {mu_c} has multiplicity {v} at {k}")
-    total = sum(v * dim(fin, k) for k, v in out.items())
-    expect = dim(fin, lam_c) * dim(fin, mu_c)
-    if total != expect:
-        raise MassMismatch(f"tensor product {lam_c} x {mu_c}", total, expect)
-    return out
+    big, small = sorted((_labels(lam), _labels(mu)), key=lambda c: dim(fin, c),
+                        reverse=True)
+    return _decompose(fin, _base(fin, big), _system(fin, small, dim_cap))
 
 
 def branch(ambient_datum, sub_datum, restriction_matrix, lam, dim_cap=DIMENSION_CAP):
-    """Restrict the ambient irreducible lam and peel into sub-irreducibles.
+    """Branching of the ambient irreducible lam to the subalgebra: the Klimyk
+    sum Res V(lam) (x) V(0), one pair of `klimyk_blocks`.
 
     restriction_matrix maps ambient Dynkin labels to subalgebra labels (the
     Cartan-level dual of the subalgebra embedding).
     """
-    amb = ambient_datum.finite
     sub = sub_datum.finite
-    lam_c = tuple(int(c) for c in (lam.coords if isinstance(lam, Weight) else lam))
-    amb_sys = freudenthal(amb, lam_c, dim_cap).label_mults
-    rmat = [tuple(int(x) for x in row) for row in restriction_matrix]
-    ls = sub.rank
-    rest = {}
-    for w, m in amb_sys.items():
-        y = tuple(sum(rmat[i][j] * w[j] for j in range(len(w))) for i in range(ls))
-        rest[y] = rest.get(y, 0) + m
-    ainv = _ainv(sub)
-
-    def height(y):
-        return sum(sum(ainv[i][j] * y[j] for j in range(ls)) for i in range(ls))
-
-    out = {}
-    guard = sum(rest.values())
-    while True:
-        dominant = [(y, m) for y, m in rest.items() if m != 0 and all(c >= 0 for c in y)]
-        if not dominant:
-            break
-        if any(m < 0 for _, m in dominant) or guard < 0:
-            raise NegativeMultiplicity("branching produced a negative multiplicity")
-        # Highest weight first: maximal height, then lexicographically highest.
-        y, m = max(dominant, key=lambda item: (height(item[0]), item[0]))
-        if m < 0:
-            raise NegativeMultiplicity("branching produced a negative multiplicity")
-        out[y] = m
-        for w, mw in freudenthal(sub, y, dim_cap).label_mults.items():
-            rest[w] = rest.get(w, 0) - m * mw
-            if rest[w] < 0:
-                raise NegativeMultiplicity("branching produced a negative multiplicity")
-        guard -= m * dim(sub, y)
-    if any(m != 0 for m in rest.values()):
-        raise NegativeMultiplicity("branching left unresolved non-dominant mass")
-    total = sum(m * dim(sub, y) for y, m in out.items())
-    expect = dim(amb, lam_c)
-    if total != expect:
-        raise MassMismatch(f"branching of {lam_c}", total, expect)
-    return DecompTable({Weight(sub, y): m for y, m in out.items()})
+    return _decompose(sub, _base(sub, (0,) * sub.rank),
+                      _restricted(ambient_datum.finite, _labels(lam),
+                                  restriction_matrix, dim_cap))

@@ -28,9 +28,8 @@ import numpy as np
 from . import _rational as rat
 from .cartan import LeveledWeight, lattice_index, lattice_M
 from .errors import (ConformalMismatch, ExponentOverflow, LatticeIndexMismatch,
-                     NotSublattice, SectorLabelMismatch)
-from .fold import (pstar_apply, phi_apply_shifted, symmetric_weights,
-                   transported_adjacent_M)
+                     NotSublattice)
+from .fold import phi_apply_shifted, symmetric_weights, transported_adjacent_M
 from .rep import dominant_level_weights, _gram_int, _ip
 from .weyl import signed_orbit, weyl_order
 
@@ -306,12 +305,8 @@ def twisted_a(folding, k):
 
 def twisted_sector_S(folding, k):
     """S-matrix block from the twisted sector to the sigma-stable untwisted
-    modules: the twisted-a matrix with columns relabeled through Pstar."""
+    modules: the twisted-a matrix with its columns, the adjacent level-k
+    weights, relabeled as their Pstar images (`fold.symmetric_weights`)."""
     a = twisted_a(folding, k)
-    new_cols = tuple(pstar_apply(folding, lw) for lw in a.cols)
-    sym = symmetric_weights(folding, k)
-    if [w.finite.coords for w in new_cols] != [w.finite.coords for w in sym]:
-        raise SectorLabelMismatch(
-            f"{folding.base.type} level {k}: the Pstar images of the twisted-a "
-            f"columns are not the symmetric weights, in order")
-    return ModularMatrix(a.rows, new_cols, a.entries, ORBIFOLD_BLOCK)
+    return ModularMatrix(a.rows, tuple(symmetric_weights(folding, k)), a.entries,
+                         ORBIFOLD_BLOCK)

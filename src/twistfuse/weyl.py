@@ -14,9 +14,11 @@ so the steps depend on w alone and a stack of rows shares them.
 second on the columns of the affine Cartan matrix, which reduces a
 rho-shifted weight into the interior of the fundamental alcove at level
 t = k + h^vee, tracking the sign of the finite Weyl component
-(translations are even).  Both work on one weight at a time; the fusion
-tables fold with the vectorised form of the same walk in `fusion`, and
-`alcove_fold` is its scalar reference in the tests.
+(translations are even).  Both work on one weight at a time.  The
+vectorised form of the same walk is `rep._reflect`: the Klimyk sum of
+`rep.klimyk_blocks` runs it on the finite simple roots, and the fusion
+tables fold with it in `fusion`, for which `alcove_fold` is the scalar
+reference in the tests.
 """
 
 from dataclasses import dataclass

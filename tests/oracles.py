@@ -2,9 +2,11 @@
 
 Everything here is implemented from first principles (textbook algorithms,
 closed forms, exhaustive enumeration) without calling the code paths under
-test, so an agreement is meaningful.  The scalar Kac-Walton rows call the
-library's one-pair tuple routines (`rep.tensor_labels`, `rep.branch`,
-`weyl.alcove_fold`), which the vectorised table kernel does not use.
+test, so an agreement is meaningful.  The scalar Kac-Walton rows and the
+branching reference decompose a character product or restriction by
+peeling off highest weights with `rep.freudenthal`, and fold with
+`weyl.alcove_fold`; the library's Klimyk kernel and its vectorised fold
+are used by neither.
 """
 
 import itertools
@@ -387,27 +389,70 @@ def fusion_table_json_dict(table):
             "twist": table.twist, "pattern": table.pattern, "entries": items}
 
 
+def peel(fin, weights):
+    """{highest weight: multiplicity} of a W-invariant weight multiset
+    {labels: m} of the finite datum fin: take a dominant weight of largest
+    |x + rho|^2, which is a highest weight of the multiset, remove its
+    character (`rep.freudenthal`) as often as it occurs, and repeat."""
+    from twistfuse.rep import freudenthal
+
+    def norm_rho(w):
+        x = tuple(c + 1 for c in w)
+        return _fraction_ip(fin, x, x)
+
+    rest = {w: m for w, m in weights.items() if m}
+    out = {}
+    while rest:
+        top = max((w for w in rest if min(w) >= 0), key=lambda w: (norm_rho(w), w))
+        m = rest[top]
+        assert m > 0, f"{top} has multiplicity {m} at the top"
+        out[top] = m
+        for w, mw in freudenthal(fin, top).label_mults.items():
+            rest[w] = rest.get(w, 0) - m * mw
+            if not rest[w]:
+                del rest[w]
+    return out
+
+
+def restricted_weights(folding, lam):
+    """{labels: m} of the weights of the base irreducible lam restricted to
+    the twisted finite part through iota_dual."""
+    from twistfuse.rep import freudenthal
+    out = {}
+    for w, m in freudenthal(folding.base.finite, lam).label_mults.items():
+        y = tuple(sum(int(r) * c for r, c in zip(row, w)) for row in folding.iota_dual)
+        out[y] = out.get(y, 0) + m
+    return out
+
+
+def peel_branch(folding, lam):
+    """Branching of the base irreducible lam to the twisted finite part, by
+    restricting its weights and peeling."""
+    return peel(folding.twisted.finite, restricted_weights(folding, lam))
+
+
 def scalar_kac_walton_row(affine_datum, k, lam1, lam2):
     """{label tuple: N} of the pair lam1, lam2 (label tuples) by the scalar
-    route: the Klimyk sum of `rep.tensor_labels`, then `weyl.alcove_fold` of
-    each tensor component, summed with the fold signs."""
-    from twistfuse.rep import tensor_labels
-    return _fold_components(affine_datum, k,
-                            tensor_labels(affine_datum.finite, lam1, lam2))
+    route: the character product of lam1 and lam2, peeled into
+    irreducibles, then `weyl.alcove_fold` of each component, summed with
+    the fold signs."""
+    from twistfuse.rep import freudenthal
+    fin = affine_datum.finite
+    product = convolve_weight_dicts(freudenthal(fin, lam1).label_mults,
+                                    freudenthal(fin, lam2).label_mults)
+    return _fold_components(affine_datum, k, peel(fin, product))
 
 
 def scalar_twisted_kac_walton_row(folding, k, lam1, lam2_dag):
     """{label tuple: N} of the untwisted lam1 and the twisted lam2_dag (label
-    tuples) by the scalar route: `rep.branch` of lam1 to the twisted finite
-    part, `rep.tensor_labels` of each branch component with lam2_dag, then
-    the signed fold over the twisted alcove."""
-    from twistfuse.rep import branch, tensor_labels
-    totals = {}
-    for nu, b in branch(folding.base.finite, folding.twisted.finite,
-                        folding.iota_dual, lam1).entries.items():
-        for mu, m in tensor_labels(folding.twisted.finite, nu.coords, lam2_dag).items():
-            totals[mu] = totals.get(mu, 0) + b * m
-    return _fold_components(folding.twisted, k, totals)
+    tuples) by the scalar route: the restricted weights of lam1 times the
+    character of lam2_dag, peeled into irreducibles of the twisted finite
+    part, then the signed fold over the twisted alcove."""
+    from twistfuse.rep import freudenthal
+    fin = folding.twisted.finite
+    product = convolve_weight_dicts(restricted_weights(folding, lam1),
+                                    freudenthal(fin, lam2_dag).label_mults)
+    return _fold_components(folding.twisted, k, peel(fin, product))
 
 
 def _fold_components(affine_datum, k, components):

@@ -179,7 +179,7 @@ def test_criterion_10_sigma_sigma_untwisted():
     t0 = time.monotonic()
     f = build_folding(LieType("A", 3, AFFINE_R1))
     for k in (1, 2):
-        table = fusion_table(f, k, "s,s,1", tolerance=1e-6)
+        table = fusion_table(f, k, "s,s,1")
         assert all(n >= 0 for _, n in table.items())
         # vacuum unit law on the patterns that admit a vacuum slot
         vac = SectorLabel("untwisted", f.base.leveled(k, (0,) * 3))

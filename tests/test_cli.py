@@ -155,8 +155,8 @@ class TestFusionCommand:
 
         def top_weight_doubled(datum, lam, dim_cap=rep.DIMENSION_CAP):
             ws = true_freudenthal(datum, lam, dim_cap)
-            return rep.WeightSystem(ws.highest, {w: m + (w == ws.highest)
-                                                 for w, m in ws.mults.items()})
+            return rep.WeightSystem(ws.highest, {w: m + (w == ws.highest.coords)
+                                                 for w, m in ws.label_mults.items()})
         monkeypatch.setattr(rep, "freudenthal", top_weight_doubled)
         rc, _, err = run(capsys, "fusion", "A1", "--level", "2", "1", "1", "2")
         assert rc == 2
@@ -165,7 +165,7 @@ class TestFusionCommand:
 
 # Every gate of the library; each must exit 2 ("failed check").
 GATES = ["CheckFailed", "ConformalMismatch", "DegenerateLattice",
-         "IntegralityFailure", "LatticeIndexMismatch", "MassMismatch",
+         "FoldingIdentityFailure", "IntegralityFailure", "LatticeIndexMismatch", "MassMismatch",
          "MethodMismatch", "NegativeCoefficient", "NegativeMultiplicity",
          "NotInteger", "NotSublattice", "RootCountMismatch",
          "SectorLabelMismatch", "UnknownWeight"]
@@ -229,8 +229,9 @@ class TestOtherCommands:
         assert "selfcheck passed" in err
 
     def test_grid_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("TWISTFUSE_GRID", "tiny")
-        rc, _, err = run(capsys, "selfcheck")
+        # The grid is chosen by --grid alone; the environment has no say.
+        monkeypatch.setenv("TWISTFUSE_GRID", "no-such-grid")
+        rc, _, err = run(capsys, "selfcheck", "--grid", "tiny")
         assert rc == 0
 
     def test_selfcheck_surfaces_fold_bug(self, capsys, monkeypatch):
@@ -272,6 +273,12 @@ class TestOtherCommands:
             rc, out_n, _ = run(capsys, "fusion", "A2", "--level", "2",
                                "--parallelism", n)
             assert rc == 0 and out_n == out
+
+    def test_integer_tolerance_is_gone(self, capsys):
+        # The integrality gate has one value, fusion.INTEGER_TOLERANCE.
+        with pytest.raises(SystemExit):
+            main(["fusion", "A2", "--level", "2", "--integer-tolerance", "1e-3"])
+        assert "--integer-tolerance" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -1,7 +1,12 @@
 from fractions import Fraction
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import twistfuse
 import twistfuse.cartan as cartan_mod
 from twistfuse._rational import (frac_matrix, mat_inverse, mat_mul, mat_vec,
                                  transpose)
@@ -161,3 +166,54 @@ class TestSymmetricWeights:
         for lw in dominant_level_weights(adj, k):
             image = pstar_apply(f, lw)
             assert conformal(adj, k, lw).m == conformal(f.base, k, image).m
+
+
+def test_folding_checks_fire_without_asserts():
+    # Each coordinate identity of the folding data, and the fixed-point check
+    # of the symmetric weights, is a typed error that python -O keeps.
+    script = textwrap.dedent("""
+        import dataclasses
+        from fractions import Fraction
+        import twistfuse.fold as fold
+        from twistfuse.cartan import AFFINE_R1, LieType
+        from twistfuse.errors import TwistfuseError
+
+        f = fold.build_folding(LieType("A", 3, AFFINE_R1))
+
+        def run(call):
+            try:
+                call()
+            except TwistfuseError as exc:
+                print(f"{type(exc).__name__}: {exc}")
+            else:
+                print("no error")
+
+        def scaled(m, c):
+            return tuple(tuple(Fraction(c) * x for x in row) for row in m)
+
+        def check(**fields):
+            run(lambda: fold._check_folding(dataclasses.replace(f, **fields)))
+
+        check(Pstar=scaled(f.Pstar, 2))
+        check(Pstar=tuple(row[::-1] for row in f.Pstar))
+        check(phi=scaled(f.phi, 2))
+        check(iota_dual=f.iota_dual[::-1])
+        check()
+        type(f).finite_perm = lambda self: tuple(range(self.base.rank))
+        run(lambda: fold.symmetric_weights(f, 1))
+    """)
+    src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    expected = [("FoldingIdentityFailure", "rho"),
+                ("FoldingIdentityFailure", "isometric"),
+                ("FoldingIdentityFailure", "1/r"),
+                ("FoldingIdentityFailure", "bridges"),
+                ("no error", ""),
+                ("SectorLabelMismatch", "symmetric weights")]
+    assert len(lines) == len(expected), lines
+    for line, (name, what) in zip(lines, expected):
+        assert line.startswith(name) and what in line, line

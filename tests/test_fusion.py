@@ -10,6 +10,7 @@ import pytest
 
 import twistfuse
 import twistfuse.fusion as fusion_mod
+import twistfuse.rep as rep_mod
 from twistfuse.cartan import AFFINE_R1, AFFINE_R2, LieType, build_cartan, parse_type
 from twistfuse.errors import (MethodMismatch, NegativeCoefficient, NotInteger,
                               SectorRuleViolation, UnsupportedSectorPattern)
@@ -195,9 +196,9 @@ class TestTwistedRoutes:
         assert [n for _, n in table.items()] == [1]
 
 
-def _recorded(monkeypatch, name):
-    """Replace fusion_mod.<name> by a wrapper that records (args, result)."""
-    real = getattr(fusion_mod, name)
+def _recorded(monkeypatch, module, name):
+    """Replace module.<name> by a wrapper that records (args, result)."""
+    real = getattr(module, name)
     calls = []
 
     def recording(*args, **kwargs):
@@ -205,7 +206,7 @@ def _recorded(monkeypatch, name):
         calls.append((args, result))
         return result
 
-    monkeypatch.setattr(fusion_mod, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
@@ -215,8 +216,9 @@ class TestComputeOnce:
     component."""
 
     def record(self, monkeypatch, system):
-        return (_recorded(monkeypatch, system), _recorded(monkeypatch, "_klimyk_fold"),
-                _recorded(monkeypatch, "_alcove"))
+        return (_recorded(monkeypatch, rep_mod, system),
+                _recorded(monkeypatch, fusion_mod, "_klimyk_fold"),
+                _recorded(monkeypatch, fusion_mod, "_alcove"))
 
     def assert_kernel_once(self, kernel, folds):
         assert len(kernel) == 1
@@ -301,7 +303,7 @@ def test_block_budget_does_not_change_tables(monkeypatch):
     a3 = build_folding(LieType("A", 3, AFFINE_R1))
     jobs = [(a2, 3, "1,1,1"), (a3, 2, "1,s,s")]
     wide = [fusion_table(src, k, p).to_json() for src, k, p in jobs]
-    monkeypatch.setattr(fusion_mod, "_POINTS", 2)
+    monkeypatch.setattr(rep_mod, "_POINTS", 2)
     assert [fusion_table(src, k, p).to_json() for src, k, p in jobs] == wide
 
 
@@ -317,7 +319,7 @@ def test_group_sums_match_a_dict():
     for row, v in zip(map(tuple, rows.tolist()), values.tolist()):
         sums[row] = sums.get(row, 0) + v
     expect = sorted((row, v) for row, v in sums.items() if v)
-    got_rows, got = fusion_mod._group_sums(rows, values)
+    got_rows, got = rep_mod._group_sums(rows, values)
     assert list(zip(map(tuple, got_rows.tolist()), got.tolist())) == expect
 
 
@@ -364,6 +366,7 @@ def test_gates_fire_without_asserts():
     script = textwrap.dedent("""
         import numpy as np
         import twistfuse.fusion as fusion
+        import twistfuse.rep as rep
         from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
         from twistfuse.errors import (MethodMismatch, NegativeMultiplicity,
                                       TwistfuseError)
@@ -391,19 +394,19 @@ def test_gates_fire_without_asserts():
             run(lambda: fusion.fusion_table(a2, 1))
             run(lambda: fusion.fusion_table(a3, 1, "1,s,s"))
 
-        def patched(name, fn):
-            true = getattr(fusion, name)
-            setattr(fusion, name, lambda *args: fn(true(*args)))
+        def patched(module, name, fn):
+            true = getattr(module, name)
+            setattr(module, name, lambda *args: fn(true(*args)))
             both_tables()
-            setattr(fusion, name, true)
+            setattr(module, name, true)
 
         # Each fault is injected into one step of the kernel: the finite
         # reflection signs, the alcove fold signs, the weight multiplicities
         # and the folded labels.
-        patched("_reflect", lambda signs: -signs)
-        patched("_alcove", lambda fold: (-fold[0], fold[1]))
-        patched("_system", lambda sys: (sys[0], sys[1], 2 * sys[2], sys[3]))
-        patched("_alcove", lambda fold: (fold[0], fold[1] + 5))
+        patched(rep, "_reflect", lambda signs: -signs)
+        patched(fusion, "_alcove", lambda fold: (-fold[0], fold[1]))
+        patched(rep, "_system", lambda sys: (sys[0], sys[1], 2 * sys[2], sys[3]))
+        patched(fusion, "_alcove", lambda fold: (fold[0], fold[1] + 5))
         run(lambda: fusion.kac_walton_row(a2, 1, a2.leveled(1, (1, 1)), vac))
         run(lambda: fusion.twisted_kac_walton_row(
             a3, 1, a3.base.leveled(1, (0, 0, 0)), a3.twisted.leveled(1, (0, 1))))

@@ -24,7 +24,7 @@ from twistfuse.weyl import apply_matrix, generate_weyl
 
 from oracles import (clebsch_gordan_range, convolve_weight_dicts,
                      fraction_dim, fraction_freudenthal, lattice_freudenthal,
-                     sl2_string)
+                     peel_branch, sl2_string)
 
 
 def coords_dict(table):
@@ -256,8 +256,8 @@ class TestGates:
             ws = true_freudenthal(datum, lam, dim_cap)
             if ws.highest.coords != highest:
                 return ws
-            return rep.WeightSystem(ws.highest, {w: m + delta * (w.coords == weight)
-                                                 for w, m in ws.mults.items()})
+            return rep.WeightSystem(ws.highest, {w: m + delta * (w == weight)
+                                                 for w, m in ws.label_mults.items()})
         monkeypatch.setattr(rep, "freudenthal", corrupted)
 
     def test_tensor_mass(self, monkeypatch):
@@ -293,8 +293,8 @@ class TestGates:
                 ws = true_freudenthal(datum, lam, dim_cap)
                 if ws.highest.coords not in [(1, 1), (1, 0, 1)]:
                     return ws
-                return rep.WeightSystem(ws.highest, {w: m + (not any(w.coords))
-                                                     for w, m in ws.mults.items()})
+                return rep.WeightSystem(ws.highest, {w: m + (not any(w))
+                                                     for w, m in ws.label_mults.items()})
 
             def run(call):
                 rep._dim.cache_clear()
@@ -438,8 +438,18 @@ class TestTensor:
 
     @pytest.mark.parametrize("name,pairs", [
         ("A2", [((1, 0), (1, 0)), ((1, 1), (1, 0)), ((1, 1), (1, 1)),
-                ((2, 0), (0, 2))]),
-        ("B2", [((1, 0), (0, 1)), ((0, 1), (0, 1)), ((1, 1), (1, 0))]),
+                ((2, 0), (0, 2)), ((3, 0), (1, 1)), ((2, 1), (1, 2))]),
+        ("B2", [((1, 0), (0, 1)), ((0, 1), (0, 1)), ((1, 1), (1, 0)),
+                ((2, 0), (1, 1)), ((0, 3), (1, 1))]),
+        ("C2", [((1, 0), (0, 1)), ((1, 1), (1, 1)), ((2, 0), (0, 2))]),
+        ("G2", [((1, 0), (0, 1)), ((0, 1), (0, 1)), ((1, 1), (1, 0)),
+                ((0, 2), (1, 0))]),
+        ("A3", [((1, 0, 0), (0, 0, 1)), ((1, 0, 1), (0, 1, 0)),
+                ((1, 1, 0), (0, 1, 1)), ((2, 0, 0), (0, 0, 2))]),
+        ("B3", [((1, 0, 0), (0, 0, 1)), ((0, 0, 1), (0, 0, 1)),
+                ((0, 1, 0), (1, 0, 1))]),
+        ("D4", [((1, 0, 0, 0), (0, 0, 1, 0)), ((0, 1, 0, 0), (0, 1, 0, 0)),
+                ((1, 0, 0, 1), (0, 0, 1, 0))]),
     ])
     def test_against_character_product(self, name, pairs):
         d = build_cartan(parse_type(name))
@@ -494,6 +504,19 @@ class TestBranch:
             t = branch(amb, sub, f.iota_dual, amb.weight(coords))
             total = sum(m * dim(sub, w.coords) for w, m in t.entries.items())
             assert total == dim(amb, coords)
+
+    @pytest.mark.parametrize("type_,order,k", [
+        (LieType("A", 3, AFFINE_R1), None, 5), (LieType("A", 5, AFFINE_R1), None, 3),
+        (LieType("D", 5, AFFINE_R1), None, 3), (LieType("D", 4, AFFINE_R1), 2, 3),
+        (LieType("D", 4, AFFINE_R1), 3, 3), (LieType("E", 6, AFFINE_R1), None, 2),
+    ])
+    def test_against_restrict_and_peel(self, type_, order, k):
+        """Every level-k weight, against restricting the weight system and
+        peeling off highest weights."""
+        f = build_folding(type_, order)
+        for lw in dominant_level_weights(f.base, k):
+            t = branch(f.base.finite, f.twisted.finite, f.iota_dual, lw.finite)
+            assert coords_dict(t) == peel_branch(f, lw.finite.coords)
 
     def test_bad_restriction_matrix(self):
         f = build_folding(LieType("A", 3, AFFINE_R1))
