@@ -38,8 +38,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import _rational as rat
-from .errors import (DegenerateLattice, MixedDatum, NotAffine, NotSublattice,
-                     UnsupportedType)
+from .errors import (CheckFailed, DegenerateLattice, MixedDatum, NotAffine,
+                     NotSublattice, UnsupportedType)
 
 FINITE = "finite"
 AFFINE_R1 = "affine-r1"
@@ -156,6 +156,11 @@ def _finite_cartan(family, l):
     return tuple(tuple(row) for row in a)
 
 
+def _require(holds, what):
+    if not holds:
+        raise CheckFailed(what)
+
+
 def _symmetrizers(a):
     """Positive rationals d with diag(d) @ a symmetric, normalized d[0] = 1.
 
@@ -171,10 +176,9 @@ def _symmetrizers(a):
             if i != j and a[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * a[i][j] / a[j][i]
                 todo.append(j)
-    assert all(x is not None and x > 0 for x in d)
-    for i in range(n):
-        for j in range(n):
-            assert d[i] * a[i][j] == d[j] * a[j][i], "not symmetrizable"
+    _require(all(x is not None and x > 0 for x in d), "symmetrizers not positive")
+    _require(all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(n) for j in range(n)),
+             "not symmetrizable")
     return tuple(d)
 
 
@@ -232,7 +236,8 @@ class Weight:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
-        assert len(self.coords) == self.datum.rank
+        if len(self.coords) != self.datum.rank:
+            raise ValueError(f"{len(self.coords)} labels for a weight of {self.datum.type}")
 
     def __str__(self):
         return "(" + ",".join(str(x) for x in self.coords) + ")"
@@ -307,8 +312,8 @@ class CartanDatum:
             d_fin = d[1:]
             self.marks = rat.nullspace_primitive(A)
             self.comarks = rat.nullspace_primitive(rat.transpose(A))
-            assert all(x > 0 for x in self.marks) and all(x > 0 for x in self.comarks)
-            assert self.marks[0] == 1, "a_0 = 1 required (A_2l^(2) excluded upstream)"
+            _require(min(self.marks + self.comarks) > 0, f"{type_}: (co)marks not positive")
+            _require(self.marks[0] == 1, "a_0 = 1 required (A_2l^(2) excluded upstream)")
         self.A_fin = a_fin
         self.d_fin = d_fin
         self.gram_roots = tuple(
@@ -336,7 +341,7 @@ class CartanDatum:
             covec = tuple(d_fin[i] * marks_fin[i] for i in range(self.rank))
             self.hdual = sum(self.comarks)
         self.theta = Weight(self.finite, tuple(int(x) for x in theta_labels))
-        assert all(x.denominator == 1 for x in map(Fraction, covec))
+        _require(all(Fraction(x).denominator == 1 for x in covec), "theta_covec not integral")
         self.theta_covec = tuple(int(x) for x in covec)
         if type_.kind == FINITE:
             self.marks = tuple(int(x) for x in marks_fin)
@@ -392,25 +397,25 @@ class CartanDatum:
 def _check_invariants(datum):
     a, d = datum.A, datum.d
     n = len(a)
-    for i in range(n):
-        for j in range(n):
-            assert d[i] * a[i][j] == d[j] * a[j][i]
+    _require(all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(n) for j in range(n)),
+             f"{datum.type}: diag(d) A not symmetric")
     if datum.is_affine():
-        assert all(sum(a[i][j] * datum.marks[j] for j in range(n)) == 0 for i in range(n))
-        assert all(sum(a[j][i] * datum.comarks[j] for j in range(n)) == 0 for i in range(n))
-        assert datum.hdual == sum(datum.comarks)
+        _require(rat.mat_vec(a, datum.marks) == (0,) * n, "A marks != 0")
+        _require(rat.mat_vec(rat.transpose(a), datum.comarks) == (0,) * n, "comarks A != 0")
+        _require(datum.hdual == sum(datum.comarks), "h^vee != sum of the comarks")
         # d_i = comark_i / mark_i holds for every supported affine type.
-        assert all(d[i] == Fraction(datum.comarks[i], datum.marks[i]) for i in range(n))
+        _require(all(d[i] == Fraction(datum.comarks[i], datum.marks[i]) for i in range(n)),
+                 f"{datum.type}: d_i != comark_i / mark_i")
     # (theta, theta) = 2 a_0 with a_0 = 1 for every supported affine type.
     # Finite theta is the dominant long root, norm 2 max(d); max(d) exceeds 1
     # only on the scaled finite part of a twisted affine datum.
     tt = inner_product(datum.theta, datum.theta)
     if datum.is_affine():
-        assert tt == 2, f"(theta,theta) = {tt} != 2 for {datum.type}"
+        _require(tt == 2, f"(theta,theta) = {tt} != 2 for {datum.type}")
         if datum.type.kind == AFFINE_R1:
-            assert max(datum.d_fin) == 1
+            _require(max(datum.d_fin) == 1, f"{datum.type}: scaled finite part")
     else:
-        assert tt == 2 * max(datum.d), f"bad long-root norm for {datum.type}"
+        _require(tt == 2 * max(datum.d), f"bad long-root norm for {datum.type}")
 
 
 def _affine_matrix_from_theta(fin):
@@ -443,6 +448,7 @@ def _finite_type_of(t):
     return LieType(family, rank(t.rank), FINITE)
 
 
+# Unbounded: data are interned, and inner_product detects MixedDatum by identity.
 @lru_cache(maxsize=None)
 def build_cartan(type_):
     """Construct the CartanDatum for a LieType.  Results are interned."""
@@ -495,7 +501,7 @@ def _orbit_lattice(datum):
     fin = datum.finite
     orbit = _orbit(simple_roots(fin.A), datum.theta.coords)
     rows = rat.lattice_basis_rows(sorted(orbit))
-    assert len(rows) == fin.rank, "orbit of theta must span the weight space"
+    _require(len(rows) == fin.rank, "orbit of theta must span the weight space")
     return LatticeBasis(fin, rows)
 
 
@@ -519,10 +525,9 @@ def lattice_index(l1, l2):
     return int(idx)
 
 
-def dual_lattice(lat, datum=None):
+def dual_lattice(lat):
     """Dual lattice with respect to the weight-space inner product."""
-    datum = datum or lat.datum
-    g = datum.gram_weights
+    g = lat.datum.gram_weights
     bg = rat.mat_mul(lat.basis, g)
     dual = rat.mat_inverse(rat.transpose(bg))
     return LatticeBasis(lat.datum, dual)

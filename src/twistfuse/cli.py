@@ -9,66 +9,37 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _rational as rat
 from .cartan import AFFINE_R1, build_cartan, lattice_M, parse_type
-from .errors import CheckFailed, MethodMismatch, TwistfuseError
+from .errors import CheckFailed, TwistfuseError
 from .fold import build_folding, pstar_apply, symmetric_weights
-from .fusion import (SectorLabel, SectorMatrices, check_pattern, fusion_table,
-                     kac_walton, twisted_kac_walton, twisted_verlinde, verlinde)
+from .fusion import (SectorLabel, SectorMatrices, check_pattern, coefficient,
+                     fusion_table, slot_data, twisted_verlinde)
 from .rep import branch, dim, dominant_level_weights
 from .smatrix import complex_json, conformal, twisted_a, untwisted_S
-
-
-@dataclass
-class RunConfig:
-    type: str = ""
-    level: int = 0
-    twist: str = "none"
-    twist_order: int = 0          # 0 = default order for the type
-    unitarity_tolerance: float = 1e-9
-    output: str = "json"
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
-        if self.unitarity_tolerance <= 0:
-            raise ValueError("the unitarity tolerance must be positive")
 
 
 def _dump(obj):
     print(json.dumps(obj, separators=(",", ":"), sort_keys=False))
 
 
-def _parse_weight(spec):
-    return tuple(int(x) for x in spec.split(","))
+def _folding_for(args):
+    base_type = parse_type(args.type, AFFINE_R1)
+    return build_folding(base_type, args.twist_order or None)
 
 
-def _config(args):
-    return RunConfig(
-        type=args.type, level=args.level, twist=args.twist,
-        twist_order=getattr(args, "twist_order", 0),
-        unitarity_tolerance=args.unitarity_tolerance,
-        output=args.output)
-
-
-def _folding_for(cfg):
-    base_type = parse_type(cfg.type, AFFINE_R1)
-    return build_folding(base_type, cfg.twist_order or None)
-
-
-def cmd_smatrix(cfg):
-    datum = build_cartan(parse_type(cfg.type, AFFINE_R1))
-    out = {"schema": 1, "algebra": cfg.type, "level": cfg.level}
+def cmd_smatrix(args):
+    datum = build_cartan(parse_type(args.type, AFFINE_R1))
+    out = {"schema": 1, "algebra": args.type, "level": args.level}
     worst = 0.0
-    if cfg.twist == "none":
-        s = untwisted_S(datum, cfg.level)
+    if args.twist == "none":
+        s = untwisted_S(datum, args.level)
         worst = max(s.unitarity_defect(), s.symmetry_defect())
         out["S"] = s.to_json_dict()
     else:
-        mats = SectorMatrices(_folding_for(cfg), cfg.level)
+        mats = SectorMatrices(_folding_for(args), args.level)
         out["S_symmetric_columns"] = {
             "rows": [[int(x) for x in w.finite.coords] for w in mats.base_labels],
             "cols": [[int(x) for x in w.finite.coords] for w in mats.sym],
@@ -79,108 +50,72 @@ def cmd_smatrix(cfg):
                     mats.sector_S.unitarity_defect())
     out["unitarity_defect"] = worst
     _dump(out)
-    return 0 if worst < cfg.unitarity_tolerance else 2
+    return 0 if worst < args.unitarity_tolerance else 2
 
 
-def cmd_fusion(cfg, pattern, triple, method):
-    if pattern == "1,1,1" and cfg.twist == "none":
-        source = build_cartan(parse_type(cfg.type, AFFINE_R1))
+def cmd_fusion(args):
+    if args.pattern == "1,1,1" and args.twist == "none":
+        source = build_cartan(parse_type(args.type, AFFINE_R1))
     else:
-        source = _folding_for(cfg)
-    if triple:
-        value = _single_fusion(cfg, source, pattern, triple, method)
-        if cfg.output == "json":
-            _dump({"schema": 1, "algebra": cfg.type, "level": cfg.level,
-                   "pattern": pattern, "N": value})
-        else:
-            print(value)
+        source = _folding_for(args)
+    if not args.triple:
+        table = fusion_table(source, args.level, args.pattern)
+        print(table.to_json() if args.output == "json" else table.to_text())
         return 0
-    table = fusion_table(source, cfg.level, pattern)
-    if cfg.output == "json":
-        print(table.to_json())
+    sectors = check_pattern(source, args.pattern)
+    if len(args.triple) != 3:
+        raise ValueError(f"a single coefficient takes three weights, "
+                         f"not {len(args.triple)}")
+    labels = [_dynkin_labels(datum, spec)
+              for datum, spec in zip(slot_data(source, sectors), args.triple)]
+    value = coefficient(source, args.level, sectors, labels, args.method)
+    if args.output == "json":
+        _dump({"schema": 1, "algebra": args.type, "level": args.level,
+               "pattern": args.pattern, "N": value})
     else:
-        print(table.to_text())
+        print(value)
     return 0
 
 
-def _leveled(datum, level, spec):
-    coords = _parse_weight(spec)
+def _dynkin_labels(datum, spec):
+    """The Dynkin labels of a comma-separated weight spec of datum."""
+    coords = tuple(int(x) for x in spec.split(","))
     if len(coords) != datum.rank:
         raise ValueError(f"weight {spec!r} has {len(coords)} labels; "
                          f"{datum.type} needs {datum.rank}")
-    return datum.leveled(level, coords)
+    return coords
 
 
-def _single_fusion(cfg, source, pattern, triple, method):
-    key, sectors = check_pattern(source, pattern)
-    if len(triple) != 3:
-        raise ValueError(f"a single coefficient takes three weights, "
-                         f"not {len(triple)}")
-    level = cfg.level
-    if key == "1,1,1":
-        datum = getattr(source, "base", source)
-        labels = [_leveled(datum, level, spec) for spec in triple]
-    else:
-        labels = [SectorLabel("untwisted", _leveled(source.base, level, spec))
-                  if cls == 0 else
-                  SectorLabel("sigma", _leveled(source.twisted, level, spec))
-                  for cls, spec in zip(sectors, triple)]
-    if level == 0:
-        # No modular matrix exists at level 0: read the tables' special case.
-        ((vacua, n),) = fusion_table(source, 0, key).items()
-        if tuple(labels) != vacua:
-            raise ValueError("at level 0 the only weight is the vacuum")
-        return n
-    # Routes in the order they run under --method both.
-    if key == "1,1,1":
-        routes = {"kac-walton": lambda: kac_walton(datum, level, *labels),
-                  "verlinde": lambda: verlinde(untwisted_S(datum, level), *labels)}
-    else:
-        routes = {"verlinde": lambda: twisted_verlinde(source, level, *labels)}
-        if key != "s,s,1":
-            untw, tw = labels[:2] if key == "1,s,s" else (labels[1], labels[0])
-            routes["kac-walton"] = lambda: twisted_kac_walton(
-                source, level, untw.weight, tw.weight, labels[2].weight)
-    if method != "both":
-        if method not in routes:
-            raise TwistfuseError(f"no folding route for pattern {key}")
-        return routes[method]()
-    values = {name: route() for name, route in routes.items()}
-    if len(set(values.values())) > 1:
-        raise MethodMismatch(tuple(labels), values["verlinde"], values["kac-walton"])
-    return values["verlinde"]
-
-
-def cmd_fold_info(cfg):
-    folding = _folding_for(cfg)
+def cmd_fold_info(args):
+    folding = _folding_for(args)
     _dump({"schema": 1, **folding.to_json_dict()})
     return 0
 
 
-def cmd_weights(cfg):
-    datum = build_cartan(parse_type(cfg.type, AFFINE_R1))
-    out = {"schema": 1, "algebra": cfg.type, "level": cfg.level}
-    weights = dominant_level_weights(datum, cfg.level)
+def cmd_weights(args):
+    datum = build_cartan(parse_type(args.type, AFFINE_R1))
+    out = {"schema": 1, "algebra": args.type, "level": args.level}
+    weights = dominant_level_weights(datum, args.level)
     out["weights"] = [[int(x) for x in w.finite.coords] for w in weights]
     out["conformal"] = [
         {"weight": [int(x) for x in w.finite.coords], "h": str(c.h), "m": str(c.m)}
-        for w, c in ((w, conformal(datum, cfg.level, w)) for w in weights)]
-    if cfg.twist == "diagram":
-        folding = _folding_for(cfg)
+        for w, c in ((w, conformal(datum, args.level, w)) for w in weights)]
+    if args.twist == "diagram":
+        folding = _folding_for(args)
         out["symmetric"] = [[int(x) for x in w.finite.coords]
-                            for w in symmetric_weights(folding, cfg.level)]
+                            for w in symmetric_weights(folding, args.level)]
         out["twisted"] = [[int(x) for x in w.finite.coords]
-                          for w in dominant_level_weights(folding.twisted, cfg.level)]
+                          for w in dominant_level_weights(folding.twisted, args.level)]
     _dump(out)
     return 0
 
 
-def cmd_branch(cfg, weight_spec):
-    folding = _folding_for(cfg)
-    lam = folding.base.weight(_parse_weight(weight_spec))
+def cmd_branch(args):
+    folding = _folding_for(args)
+    lam = folding.base.weight(_dynkin_labels(folding.base, args.weight))
     table = branch(folding.base.finite, folding.twisted.finite,
                    folding.iota_dual, lam)
-    _dump({"schema": 1, "algebra": cfg.type,
+    _dump({"schema": 1, "algebra": args.type,
            "weight": [int(x) for x in lam.coords],
            "components": [{"weight": [int(x) for x in w.coords], "mult": m,
                            "dim": dim(folding.twisted.finite, w.coords)}
@@ -312,15 +247,15 @@ def _selfcheck_properties(grid):
     ]
 
 
-def cmd_selfcheck(cfg, grid_name):
-    grid = GRIDS[grid_name]
+def cmd_selfcheck(args):
+    grid = GRIDS[args.grid]
     failed = None
     for name, fn in _selfcheck_properties(grid):
         t0 = time.time()
         try:
             residual = fn()
             status = "PASS"
-            if residual > cfg.unitarity_tolerance:
+            if residual > args.unitarity_tolerance:
                 status, failed = "FAIL", failed or name
         except (AssertionError, TwistfuseError) as exc:
             residual = float("nan")
@@ -408,21 +343,15 @@ def main(argv=None):
         args.command = "fusion"
     else:
         args = parser.parse_args(argv)
+    commands = {"smatrix": cmd_smatrix, "fusion": cmd_fusion,
+                "fold-info": cmd_fold_info, "weights": cmd_weights,
+                "branch": cmd_branch, "selfcheck": cmd_selfcheck}
     try:
-        cfg = _config(args)
-        if args.command == "smatrix":
-            return cmd_smatrix(cfg)
-        if args.command == "fusion":
-            return cmd_fusion(cfg, args.pattern, args.triple, args.method)
-        if args.command == "fold-info":
-            return cmd_fold_info(cfg)
-        if args.command == "weights":
-            return cmd_weights(cfg)
-        if args.command == "branch":
-            return cmd_branch(cfg, args.weight)
-        if args.command == "selfcheck":
-            return cmd_selfcheck(cfg, args.grid)
-        parser.error(f"unknown command {args.command}")
+        if args.level < 0:
+            raise ValueError("level must be >= 0")
+        if args.unitarity_tolerance <= 0:
+            raise ValueError("the unitarity tolerance must be positive")
+        return commands[args.command](args)
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2

@@ -212,6 +212,7 @@ def _phi_label_matrix(folding_twisted, folding_adjacent, reversal):
     return rat.mat_mul(a_dag, rat.mat_mul(tuple(map(tuple, coeff)), a_adj_inv))
 
 
+# Unbounded, as build_cartan: its data are interned, compared by identity.
 @lru_cache(maxsize=None)
 def build_folding(type_, order=None):
     """Assemble all folding data for a supported untwisted affine type."""

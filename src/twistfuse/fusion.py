@@ -19,6 +19,11 @@ Res V(lam1) (x) V(lam2^dag), whose restricted weights are W-invariant.
 `kac_walton_row` and `twisted_kac_walton_row` are one-pair calls of it.
 Nothing is cached across tables.  `FusionTable.to_json` encodes each slot
 label once and writes the entries from the array in C order.
+
+`check_pattern` reads a sector pattern once, into sector classes (0
+untwisted, 1 sigma, 2 sigma^2) that `_check_sectors` checks, as it checks
+SectorLabels.  `fusion_table` builds a table; `coefficient`, the dispatcher
+of one coefficient, applies the level-0 vacuum rule or runs every route.
 """
 
 import itertools
@@ -31,7 +36,7 @@ import numpy as np
 from .cartan import LeveledWeight, simple_roots
 from .errors import (MethodMismatch, NegativeCoefficient,
                      NegativeMultiplicity, NotInteger, SectorRuleViolation,
-                     UnknownWeight, UnsupportedSectorPattern)
+                     TwistfuseError, UnknownWeight, UnsupportedSectorPattern)
 from .fold import symmetric_weights
 from . import rep
 from .rep import dim, dominant_level_weights, is_level_dominant
@@ -39,11 +44,10 @@ from .smatrix import _label_json, twisted_sector_S, untwisted_S
 
 INTEGER_TOLERANCE = 1e-6
 
-UNTWISTED = "untwisted"
-SIGMA = "sigma"
-SIGMA2 = "sigma2"
-_SECTOR_CLASS = {UNTWISTED: 0, "1": 0, SIGMA: 1, "s": 1, SIGMA2: 2, "s2": 2}
-_SECTOR_NAME = (UNTWISTED, SIGMA)
+# The pattern token and the SectorLabel name of each sector class g, the
+# power of the twist: 0 untwisted, 1 sigma, 2 sigma^2 (no S-matrix block).
+_TOKENS = ("1", "s", "s2")
+_NAMES = ("untwisted", "sigma", "sigma2")
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class SectorLabel:
     weight: LeveledWeight
 
     def __str__(self):
-        tag = "1" if self.sector == UNTWISTED else "s"
+        tag = "1" if self.sector == _NAMES[0] else "s"
         return f"[{tag}]{self.weight}"
 
 
@@ -277,18 +281,34 @@ def _sector_matrices(folding, k):
     return SectorMatrices(folding, k)
 
 
-def _sector_classes(folding, labels):
-    out = []
-    for lab in labels:
-        cls = _SECTOR_CLASS.get(lab.sector if isinstance(lab, SectorLabel) else lab)
-        if cls is None:
-            raise UnsupportedSectorPattern(f"unknown sector {lab!r}")
-        out.append(cls)
-    return tuple(out)
+def twisted_verlinde(folding, k, m1, m2, m3):
+    """Fusion coefficient for mixed sectors via S-matrix blocks.
+
+    Supported patterns: (1,s->s) and (s,1->s) for any order; (s,s->1) only
+    for order 2.  The SectorLabels are checked as a pattern is.
+    """
+    for m in (m1, m2, m3):
+        if m.sector not in _NAMES:
+            raise UnsupportedSectorPattern(f"unknown sector {m.sector!r}")
+    sectors = tuple(_NAMES.index(m.sector) for m in (m1, m2, m3))
+    if sectors == (0, 0, 0):
+        raise SectorRuleViolation("use the untwisted routes for (1,1->1)")
+    _check_sectors(folding, sectors)
+    mats = _sector_matrices(folding, k)
+    blocks = ((mats.scol, mats.base_index), (mats.a, mats.twisted_index))
+
+    def row(g, label):
+        block, index = blocks[g]
+        return block[[_position(index, label.weight, k)]]
+
+    n = _verlinde_blocks(*map(row, sectors, (m1, m2, m3)), mats.vac)
+    return int(n[0, 0, 0])
 
 
-def check_sector_rule(folding, sectors):
-    """Enforce g3 = g1 g2 in the cyclic group generated by the twist."""
+def _check_sectors(folding, sectors):
+    """Sector classes (g1, g2, g3) must obey g3 = g1 g2 in the cyclic group
+    generated by the twist and have S-matrix blocks: a sigma^2 sector has
+    none, so (s,s->1) is left, at order 2 only, beside (1,s->s) and (s,1->s)."""
     p = folding.r
     g1, g2, g3 = sectors
     if any(g >= p and g > 1 for g in sectors):
@@ -296,68 +316,83 @@ def check_sector_rule(folding, sectors):
     if (g1 + g2) % p != g3 % p:
         raise SectorRuleViolation(
             f"sectors ({g1},{g2}->{g3}) violate g3 = g1*g2 for order {p}")
-
-
-def twisted_verlinde(folding, k, m1, m2, m3):
-    """Fusion coefficient for mixed sectors via S-matrix blocks.
-
-    Supported patterns: (1,s->s) and (s,1->s) for any order; (s,s->1) only
-    for order 2.  Patterns needing a sigma^2 block are rejected.
-    """
-    sectors = _sector_classes(folding, (m1, m2, m3))
-    if sectors == (0, 0, 0):
-        raise SectorRuleViolation("use the untwisted routes for (1,1->1)")
-    _check_sectors(folding, sectors)
-    mats = _sector_matrices(folding, k)
-
-    def row(label):
-        block, index = ((mats.scol, mats.base_index) if label.sector == UNTWISTED
-                        else (mats.a, mats.twisted_index))
-        return block[[_position(index, label.weight, k)]]
-
-    n = _verlinde_blocks(row(m1), row(m2), row(m3), mats.vac)
-    return int(n[0, 0, 0])
-
-
-# Sector classes of the patterns 1,1,1  1,s,s  s,1,s  s,s,1: those with
-# S-matrix blocks.  A sigma^2 sector has none.
-_COMPUTABLE = {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
-_TOKEN = {"1": 0, "s": 1, "s2": 2}
-
-
-def parse_pattern(pattern):
-    key = pattern.replace(" ", "").lower()
-    toks = key.split(",")
-    if len(toks) != 3 or any(t not in _TOKEN for t in toks):
-        raise UnsupportedSectorPattern(
-            f"pattern {pattern!r} not recognized; tokens are 1, s, s2")
-    return key, tuple(_TOKEN[t] for t in toks)
-
-
-def _check_sectors(folding, sectors):
-    """Sector classes (g1, g2, g3) must obey the sector rule and have
-    S-matrix blocks; (s,s->1) is limited to order-2 twists."""
-    check_sector_rule(folding, sectors)
-    if sectors not in _COMPUTABLE:
-        g1, g2, g3 = sectors
+    if 2 in sectors:
         raise UnsupportedSectorPattern(
             f"sectors ({g1},{g2}->{g3}) are admissible but need an unavailable "
             f"S-matrix block")
-    if sectors == (1, 1, 0) and folding.r != 2:
-        raise UnsupportedSectorPattern("(s,s->1) is limited to order-2 twists")
 
 
 def check_pattern(source, pattern):
-    """Parse a sector pattern and check that it is computable; returns
-    (key, sector classes).
+    """Parse a sector pattern of three tokens 1, s, s2 and check that it is
+    computable; returns its sector classes, (0, 0, 0) for 1,1,1.
 
     source is the CartanDatum or FoldingData the coefficients are taken
     over; any pattern but 1,1,1 needs a FoldingData.
     """
-    key, sectors = parse_pattern(pattern)
-    if key != "1,1,1":
+    toks = pattern.replace(" ", "").lower().split(",")
+    if len(toks) != 3 or any(t not in _TOKENS for t in toks):
+        raise UnsupportedSectorPattern(
+            f"pattern {pattern!r} not recognized; tokens are 1, s, s2")
+    sectors = tuple(map(_TOKENS.index, toks))
+    if sectors != (0, 0, 0):
         _check_sectors(source, sectors)
-    return key, sectors
+    return sectors
+
+
+def slot_data(source, sectors):
+    """The affine datum of each slot: untwisted for class 0, else twisted."""
+    sides = (getattr(source, "base", source), getattr(source, "twisted", None))
+    return [sides[g] for g in sectors]
+
+
+def _labels(source, sectors, k, coords):
+    """Slot labels at level k: leveled weights for 1,1,1, else SectorLabels."""
+    lws = tuple(d.leveled(k, c) for d, c in zip(slot_data(source, sectors), coords))
+    if sectors == (0, 0, 0):
+        return lws
+    return tuple(SectorLabel(_NAMES[g], lw) for g, lw in zip(sectors, lws))
+
+
+def _vacua(source, sectors):
+    """Level 0, where no modular matrix exists: each slot holds only the
+    vacuum, which fuses with itself once."""
+    return _labels(source, sectors, 0,
+                   [(0,) * d.rank for d in slot_data(source, sectors)])
+
+
+def coefficient(source, k, sectors, labels, method="both"):
+    """The one coefficient N of `sectors` (from `check_pattern`) at level k
+    whose slots have the Dynkin label tuples `labels`.
+
+    method "both" runs every route that applies and raises MethodMismatch
+    unless they agree; "verlinde" or "kac-walton" runs one.  (s,s->1) has
+    no Kac-Walton route.
+    """
+    triple = _labels(source, sectors, k, labels)
+    if k == 0:
+        if triple != _vacua(source, sectors):
+            raise ValueError("at level 0 the only weight is the vacuum")
+        return 1
+    # Routes in the order they run under method "both".
+    if sectors == (0, 0, 0):
+        datum = slot_data(source, sectors)[0]
+        routes = {"kac-walton": lambda: kac_walton(datum, k, *triple),
+                  "verlinde": lambda: verlinde(untwisted_S(datum, k), *triple)}
+    else:
+        routes = {"verlinde": lambda: twisted_verlinde(source, k, *triple)}
+        if sectors != (1, 1, 0):
+            untw, tw = triple[:2] if sectors[0] == 0 else triple[1::-1]
+            routes["kac-walton"] = lambda: twisted_kac_walton(
+                source, k, untw.weight, tw.weight, triple[2].weight)
+    if method != "both":
+        if method not in routes:
+            raise TwistfuseError(f"no folding route for pattern "
+                                 f"{','.join(_TOKENS[g] for g in sectors)}")
+        return routes[method]()
+    values = {name: route() for name, route in routes.items()}
+    if len(set(values.values())) > 1:
+        raise MethodMismatch(triple, values["verlinde"], values["kac-walton"])
+    return values["verlinde"]
 
 
 def fusion_table(folding_or_datum, k, pattern="1,1,1"):
@@ -366,25 +401,21 @@ def fusion_table(folding_or_datum, k, pattern="1,1,1"):
     When both the S-matrix route and the folding route apply, every entry is
     computed twice and equality is checked before the table is returned.
     """
-    key, sectors = check_pattern(folding_or_datum, pattern)
-    if key == "1,1,1":
-        datum = getattr(folding_or_datum, "base", folding_or_datum)
-        header = (str(datum.type), k, "none", key)
+    sectors = check_pattern(folding_or_datum, pattern)
+    untwisted = sectors == (0, 0, 0)
+    datum = getattr(folding_or_datum, "base", folding_or_datum)
+    header = (str(datum.type), k, "none" if untwisted else "diagram",
+              ",".join(_TOKENS[g] for g in sectors))
+    if k == 0:
+        vacua = _vacua(folding_or_datum, sectors)
+        return FusionTable(*header, tuple((v,) for v in vacua),
+                           np.ones((1, 1, 1), dtype=np.int64), "kac-walton")
+    if untwisted:
         return _untwisted_table(datum, k, header)
-    header = (str(folding_or_datum.base.type), k, "diagram", key)
     return _twisted_table(folding_or_datum, k, header, sectors)
 
 
-def _vacuum_table(header, vacua):
-    """Level 0, where no modular matrix exists: each slot holds only the
-    vacuum, which fuses with itself once."""
-    return FusionTable(*header, tuple((v,) for v in vacua),
-                       np.ones((1, 1, 1), dtype=np.int64), "kac-walton")
-
-
 def _untwisted_table(datum, k, header):
-    if k == 0:
-        return _vacuum_table(header, dominant_level_weights(datum, 0) * 3)
     s = untwisted_S(datum, k)
     labels = s.rows
     nv = _verlinde_blocks(s.entries, s.entries, s.entries, s.entries[0])
@@ -405,15 +436,10 @@ def _untwisted_table(datum, k, header):
 
 
 def _twisted_table(folding, k, header, sectors):
-    if k == 0:
-        vacua = [dominant_level_weights(d, 0)[0]
-                 for d in (folding.base, folding.twisted)]
-        return _vacuum_table(header, [SectorLabel(_SECTOR_NAME[c], vacua[c])
-                                      for c in sectors])
     mats = _sector_matrices(folding, k)
     blocks = (mats.scol, mats.a)
     labels = (mats.base_labels, mats.twisted_labels)
-    slots = tuple(tuple(SectorLabel(_SECTOR_NAME[c], lw) for lw in labels[c])
+    slots = tuple(tuple(SectorLabel(_NAMES[c], lw) for lw in labels[c])
                   for c in sectors)
     nv = _verlinde_blocks(*(blocks[c] for c in sectors), mats.vac)
     if sectors == (1, 1, 0):

@@ -73,7 +73,8 @@ def simple_reflect(datum, i, lam):
     return Weight(lam.datum, tuple(x - c * col[r] for r, x in enumerate(lam.coords)))
 
 
-@lru_cache(maxsize=None)
+# W(E6) alone is 51,840 matrices: keep only the last few groups.
+@lru_cache(maxsize=4)
 def _generate(datum):
     """W by breadth-first closure under the simple reflections.
 

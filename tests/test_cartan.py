@@ -212,6 +212,54 @@ class TestLattices:
         for line, (name, what) in zip(lines, expected):
             assert line.startswith(name) and what in line, line
 
+    @staticmethod
+    def run_optimized(body):
+        """Run body under python -O, after the imports the checks need; it
+        prints one line per call."""
+        script = textwrap.dedent("""
+            from fractions import Fraction
+            from twistfuse.cartan import CartanDatum, LieType, Weight, build_cartan
+
+            def run(call, expected):
+                try:
+                    call()
+                except expected as exc:
+                    print(f"{type(exc).__name__}: {exc}")
+                else:
+                    print("no error")
+        """) + textwrap.dedent(body)
+        src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_datum_invariants_fire_without_asserts(self):
+        # d = (1, 1) does not symmetrise the B2 or G2 Cartan matrix.
+        lines = self.run_optimized("""
+            from twistfuse.errors import CheckFailed
+            for name in ("B2", "G2"):
+                d = build_cartan(LieType(name[0], int(name[1])))
+                run(lambda: CartanDatum(d.type, d.A, (Fraction(1), Fraction(1))),
+                    CheckFailed)
+            run(lambda: build_cartan(LieType("B", 2)), CheckFailed)
+        """)
+        assert lines == ["CheckFailed: B2: diag(d) A not symmetric",
+                         "CheckFailed: G2: diag(d) A not symmetric",
+                         "no error"]
+
+    def test_weight_rank_fires_without_asserts(self):
+        lines = self.run_optimized("""
+            a2 = build_cartan(LieType("A", 2))
+            run(lambda: Weight(a2, (1, 0, 0)), ValueError)
+            run(lambda: a2.weight((1,)), ValueError)
+            run(lambda: a2.weight((1, 0)), ValueError)
+        """)
+        assert lines == ["ValueError: 3 labels for a weight of A2",
+                         "ValueError: 1 labels for a weight of A2",
+                         "no error"]
+
     def test_dual_a1(self):
         d = build_cartan(LieType("A", 1))
         alpha = LatticeBasis(d, ((2,),))

@@ -142,12 +142,41 @@ class TestFusionCommand:
         assert json.loads(out)["N"] == 1
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
-        import twistfuse.cli as cli_mod
-        monkeypatch.setattr(cli_mod, "kac_walton",
+        import twistfuse.fusion as fusion_mod
+        monkeypatch.setattr(fusion_mod, "kac_walton",
                             lambda *args, **kw: 7)
         rc, _, err = run(capsys, "fusion", "A1", "--level", "1", "1", "1", "0")
         assert rc == 2
         assert "disagreement" in err
+
+    def test_no_kac_walton_route_for_ss1(self, capsys):
+        rc, _, err = run(capsys, "fusion", "A3", "--level", "1", "--twist",
+                         "diagram", "--pattern", "s,s,1", "--method",
+                         "kac-walton", "0,0", "0,0", "0,0,0")
+        assert rc == 1
+        assert "error: no folding route for pattern s,s,1" in err
+
+    def test_single_coefficient_call_counts(self, capsys, monkeypatch):
+        # The traced benchmark's self-test expects these counts: one
+        # Kac-Walton row, one S-matrix and no table for one coefficient.
+        import twistfuse.fusion as fusion_mod
+        calls = {name: 0 for name in ("kac_walton_row", "untwisted_S",
+                                      "fusion_table")}
+        for name in calls:
+            true = getattr(fusion_mod, name)
+
+            def counted(*args, _name=name, _true=true, **kw):
+                calls[_name] += 1
+                return _true(*args, **kw)
+            # Every alias of the function in the package, as the tracer does.
+            for mod in [m for n, m in sys.modules.items()
+                        if n == "twistfuse" or n.startswith("twistfuse.")]:
+                for attr, value in list(vars(mod).items()):
+                    if value is true:
+                        monkeypatch.setattr(mod, attr, counted)
+        rc, out, _ = run(capsys, "fusion", "A1", "--level", "1", "1", "1", "0")
+        assert rc == 0 and json.loads(out)["N"] == 1
+        assert calls == {"kac_walton_row": 1, "untwisted_S": 1, "fusion_table": 0}
 
     def test_mass_check_exit_code(self, capsys, monkeypatch):
         import twistfuse.rep as rep
@@ -185,6 +214,23 @@ def test_failed_check_exit_code(capsys, monkeypatch, name):
     rc, _, err = run(capsys, "fusion", "A1", "--level", "1")
     assert rc == 2
     assert "check failed: injected fault" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["smatrix", "A1", "--level", "-1"], "level must be >= 0"),
+    (["weights", "A1", "--level", "-1"], "level must be >= 0"),
+    (["fusion", "A1", "--level", "-1"], "level must be >= 0"),
+    (["fusion", "A1", "--level", "-1", "1", "1", "0"], "level must be >= 0"),
+    (["fusion", "A3", "--level", "-1", "--twist", "diagram", "--pattern",
+      "1,s,s"], "level must be >= 0"),
+    (["smatrix", "A1", "--level", "1", "--unitarity-tolerance", "0"],
+     "the unitarity tolerance must be positive"),
+    (["branch", "A3", "1,1"], "weight '1,1' has 2 labels; A3^(1) needs 3"),
+], ids=["smatrix", "weights", "fusion-table", "fusion-single", "fusion-twisted",
+        "unitarity-tolerance", "branch-rank"])
+def test_input_checks_exit_1(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestOtherCommands:

@@ -13,11 +13,12 @@ import twistfuse.fusion as fusion_mod
 import twistfuse.rep as rep_mod
 from twistfuse.cartan import AFFINE_R1, AFFINE_R2, LieType, build_cartan, parse_type
 from twistfuse.errors import (MethodMismatch, NegativeCoefficient, NotInteger,
-                              SectorRuleViolation, UnsupportedSectorPattern)
+                              SectorRuleViolation, TwistfuseError,
+                              UnsupportedSectorPattern)
 from twistfuse.fold import build_folding
-from twistfuse.fusion import (SectorLabel, fusion_table, kac_walton,
-                              kac_walton_row, twisted_kac_walton,
-                              twisted_verlinde, verlinde)
+from twistfuse.fusion import (SectorLabel, check_pattern, coefficient,
+                              fusion_table, kac_walton, kac_walton_row,
+                              twisted_kac_walton, twisted_verlinde, verlinde)
 from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import untwisted_S
 
@@ -478,3 +479,66 @@ def test_table_builds_sector_matrices_once(monkeypatch):
     fusion_table(folding, 2, "1,s,s")
     fusion_mod._sector_matrices.cache_clear()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name,order,pattern", [
+    ("A3", "datum", "1,1,1"),
+    ("A3", None, "1,1,1"), ("A3", None, "1,s,s"), ("A3", None, "s,1,s"),
+    ("A3", None, "s,s,1"),
+    ("D4", 3, "1,1,1"), ("D4", 3, "1,s,s"), ("D4", 3, "s,1,s"),
+])
+@pytest.mark.parametrize("k", [0, 1])
+def test_coefficient_equals_table(name, order, pattern, k):
+    """The single-coefficient dispatcher gives every entry of the table under
+    each method that applies; s,s,1 has no Kac-Walton route."""
+    type_ = parse_type(name, AFFINE_R1)
+    source = build_cartan(type_) if order == "datum" else build_folding(type_, order)
+    sectors = check_pattern(source, pattern)
+    methods = ["both", "verlinde"] + ["kac-walton"] * (sectors != (1, 1, 0))
+    table = fusion_table(source, k, pattern)
+    for triple, n in table.items():
+        labels = [getattr(x, "weight", x).finite.coords for x in triple]
+        for method in methods:
+            assert coefficient(source, k, sectors, labels, method) == n
+    if sectors == (1, 1, 0) and k:
+        with pytest.raises(TwistfuseError, match="no folding route for pattern s,s,1"):
+            coefficient(source, k, sectors, labels, "kac-walton")
+
+
+def test_coefficient_level_zero_is_the_vacuum_rule(a3_folding):
+    sectors = check_pattern(a3_folding, "1,s,s")
+    assert coefficient(a3_folding, 0, sectors, [(0, 0, 0), (0, 0), (0, 0)]) == 1
+    with pytest.raises(ValueError, match="only weight is the vacuum"):
+        coefficient(a3_folding, 0, sectors, [(0, 0, 0), (1, 0), (0, 0)])
+
+
+def test_coefficient_method_mismatch(a3_folding, monkeypatch):
+    monkeypatch.setattr(fusion_mod, "twisted_kac_walton", lambda *args: 5)
+    sectors = check_pattern(a3_folding, "s,1,s")
+    with pytest.raises(MethodMismatch) as info:
+        coefficient(a3_folding, 1, sectors, [(0, 0), (0, 0, 0), (0, 0)])
+    assert (info.value.value_a, info.value.value_b) == (1, 5)
+    assert coefficient(a3_folding, 1, sectors, [(0, 0), (0, 0, 0), (0, 0)],
+                       "verlinde") == 1
+
+
+@pytest.mark.parametrize("pattern,order,error,message", [
+    ("s,s,s", 2, SectorRuleViolation, "(1,1->1) violate g3 = g1*g2 for order 2"),
+    ("s,s,s2", 2, SectorRuleViolation, "sector power out of range for order 2"),
+    ("s,s,s2", 3, UnsupportedSectorPattern, "(1,1->2) are admissible but need"),
+    ("s,s,1", 3, SectorRuleViolation, "(1,1->0) violate g3 = g1*g2 for order 3"),
+    ("1,s,x", 2, UnsupportedSectorPattern, "not recognized; tokens are 1, s, s2"),
+    ("1,s", 3, UnsupportedSectorPattern, "not recognized; tokens are 1, s, s2"),
+])
+def test_check_pattern_errors(pattern, order, error, message):
+    folding = build_folding(LieType("D", 4, AFFINE_R1), order)
+    with pytest.raises(error) as info:
+        check_pattern(folding, pattern)
+    assert message in str(info.value)
+
+
+def test_check_pattern_classes():
+    folding = build_folding(LieType("D", 4, AFFINE_R1), 2)
+    assert check_pattern(folding, " S, 1 ,s") == (1, 0, 1)
+    assert check_pattern(folding, "s,s,1") == (1, 1, 0)
+    assert check_pattern(build_cartan(LieType("A", 1, AFFINE_R1)), "1,1,1") == (0, 0, 0)
