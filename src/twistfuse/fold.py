@@ -9,7 +9,8 @@ type, and assembles the three coordinate bridges used downstream:
     iota_dual  base weights           ->  twisted-type weights (restriction)
 
 All identities relating them are checked exactly at construction time;
-these checks and that of `symmetric_weights` raise typed errors.
+these checks, those of the automorphism and the orbit matrix, and that of
+`symmetric_weights` raise typed errors, so python -O keeps them.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from itertools import permutations
 from . import _rational as rat
 from .cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, LatticeBasis, LieType,
                      build_cartan, lattice_M)
-from .errors import (FoldingIdentityFailure, NoBuiltinAutomorphism,
+from .errors import (CheckFailed, FoldingIdentityFailure, NoBuiltinAutomorphism,
                      SectorLabelMismatch, UnrecognizedFoldedType)
 from .rep import dominant_level_weights
 
@@ -35,19 +36,25 @@ class DiagramAutomorphism:
         a = self.base.A
         n = len(a)
         p = self.perm
-        assert sorted(p) == list(range(n))
-        assert p[0] == 0, "node 0 must stay fixed"
-        assert self.order in (2, 3)
+        where = f"diagram automorphism {p} of {self.base.type}"
+        if sorted(p) != list(range(n)):
+            raise CheckFailed(f"{where}: not a permutation of the nodes 0..{n - 1}")
+        if p[0] != 0:
+            raise CheckFailed(f"{where}: node 0 must stay fixed")
+        if self.order not in (2, 3):
+            raise CheckFailed(f"{where}: order {self.order} is not 2 or 3")
         ident = list(range(n))
         q = [p[i] for i in ident]
         true_order = 1
         while q != ident:
             q = [p[i] for i in q]
             true_order += 1
-        assert true_order == self.order, "permutation order mismatch"
-        for i in range(n):
-            for j in range(n):
-                assert a[p[i]][p[j]] == a[i][j], "permutation does not fix A"
+        if true_order != self.order:
+            raise CheckFailed(f"{where}: the permutation has order {true_order}, "
+                              f"not {self.order}")
+        if any(a[p[i]][p[j]] != a[i][j] for i in range(n) for j in range(n)):
+            raise CheckFailed(f"{where}: the permutation does not fix the "
+                              f"Cartan matrix")
 
     def orbits(self):
         """Orbits keyed by their smallest element, in ascending order."""
@@ -114,9 +121,9 @@ def _orbit_matrix(auto):
     ahat = tuple(
         tuple(s[rj] * sum(a[ri][j] for j in members[rj]) for rj in reps)
         for ri in reps)
-    for row in ahat:
-        for x in row:
-            assert Fraction(x).denominator == 1
+    if any(Fraction(x).denominator != 1 for row in ahat for x in row):
+        raise CheckFailed(f"orbit Cartan matrix of {auto.base.type} is not "
+                          f"integral: {ahat}")
     return reps, members, s, tuple(tuple(int(x) for x in row) for row in ahat)
 
 
@@ -138,7 +145,9 @@ def _identify(auto):
 def _match_relabeling(ahat, target):
     """Permutation pi with ahat[pi^-1(i)][pi^-1(j)] = target[i][j], pi(0) = 0."""
     n = len(ahat)
-    assert len(target) == n
+    if len(target) != n:
+        raise CheckFailed(f"orbit matrix of size {n} matched against a "
+                          f"matrix of size {len(target)}")
     for perm in permutations(range(1, n)):
         pi = (0,) + perm
         if all(target[pi[i]][pi[j]] == ahat[i][j] for i in range(n) for j in range(n)):

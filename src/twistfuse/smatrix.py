@@ -1,14 +1,20 @@
 """Conformal data and Kac-Peterson modular matrices.
 
 The untwisted S-matrix and the twisted a-matrix are both Weyl sums
-sum_w eps(w) exp(-2 pi i (w(row), col) / t), evaluated by one kernel from
-the signed orbits of the rho-shifted rows (`weyl.signed_orbit`), one walk
-per block of rows: for a regular dominant row x the label
-(w x, alpha_i^vee) is positive exactly when l(r_i w) > l(w), so every step
-of the walk depends on w alone, and all rows of a block share the steps
-and one sign vector.  The Weyl group itself is never materialised.  Before
-any orbit point is made, |W| is priced from the root heights, and a group
-above `weyl.ELEMENT_CAP` raises RankTooLarge.  Every phase exponent is an
+sum_w eps(w) exp(-2 pi i (w(row), col) / t), evaluated by one kernel that
+factors W through its parabolic subgroup W_J, J all simple nodes but the
+last: w = u v with u a minimal coset representative
+(`weyl.coset_representatives`), v in W_J and eps(w) = eps(u) eps(v).  The
+cosets are folded into each block of columns once per call, as
+U^T G_int col, and the rho-shifted rows walk only W_J
+(`weyl.signed_orbit` with a node prefix), one walk per block of rows: for
+a regular dominant row x the label (v x, alpha_i^vee) is positive exactly
+when l(r_i v) > l(v), so every step of the walk depends on v alone, and
+all rows of a block share the steps and one sign vector.  E6 walks
+|W(A5)| = 720 points per row against 72 cosets, not the 51,840 points of
+W(E6).  The Weyl group itself is never materialised.  Before any orbit
+point is made, |W| is priced from the root heights, and a group above
+`weyl.ELEMENT_CAP` raises RankTooLarge.  Every phase exponent is an
 exact integer over N = gram_den * den * t, reduced mod N as an integer;
 the signs are counted per residue, exactly, and the counts are contracted
 with a table of N-th roots of unity by np.einsum, on the calling thread.
@@ -31,7 +37,7 @@ from .errors import (ConformalMismatch, ExponentOverflow, LatticeIndexMismatch,
                      NotSublattice)
 from .fold import phi_apply_shifted, symmetric_weights, transported_adjacent_M
 from .rep import dominant_level_weights, _gram_int, _ip
-from .weyl import signed_orbit, weyl_order
+from .weyl import coset_representatives, signed_orbit, weyl_order
 
 UNTWISTED_S = "untwisted-S"
 TWISTED_A = "twisted-a"
@@ -133,17 +139,21 @@ def _roots_of_unity(n):
     return np.exp(1j * (-2.0 * math.pi * (np.arange(n) / n)))
 
 
-# Budgets of the orbit kernel, in array entries.  A walk holds at most
-# _WALK orbit points (rows x |W|), so E6, with |W| = 51,840, walks one row
-# at a time.  A sub-block of the contraction holds rows x columns cells,
-# within _BLOCK exponents (|W| per cell, 2 MB of int64) and _COUNTS residue
-# counts (N per cell), but at least one row and one column.  The counts
-# stay at 64 KB of float64, 128 KB once cast to complex for the
-# contraction: four times that bought no time and raised the peak RSS of
-# the kw-grid benchmark by 0.3 MB.
+# Budgets of the orbit kernel, in array entries.  A walk of W_J holds at
+# most _WALK orbit points (rows x |W_J|), so E6, with |W_J| = |W(A5)| = 720,
+# walks 45 rows at a time.  A walk holds its levels and their concatenation
+# at once: at _BLOCK >> 2 points, `smatrix A7 --level 2` (|W_J| = 5,040,
+# 13 rows a walk) peaked at 52 MB RSS against 45 MB for the one walk of W,
+# at no gain in time.  A sub-block of the contraction holds rows x columns
+# cells, within _BLOCK exponents (|W| = |W_J| x cosets per cell, 2 MB of
+# int64) and _COUNTS residue counts (N per cell), but at least one row and
+# one column.  The counts stay at 64 KB of int64 for each sign, and 128 KB
+# once their difference is cast to complex for the contraction: four times
+# that bought no time and raised the peak RSS of the kw-grid benchmark by
+# 0.3 MB.
 _BLOCK = 1 << 18
 _COUNTS = _BLOCK >> 5
-_WALK = _BLOCK >> 2
+_WALK = _BLOCK >> 3
 
 
 def _column_blocks(ncols, width):
@@ -160,16 +170,21 @@ def _weyl_sum_matrix(fin, t, row_shifted, col_shifted):
                  (int tuple, den) pairs.
 
     Equal to the sum of eps(w) exp(-2 pi i (row, w(col)) / t), since W is
-    orthogonal and eps(w^-1) = eps(w).  One walk of W per block of rows:
-    for a regular dominant row x the label (w x, alpha_i^vee) is positive
-    exactly when l(r_i w) > l(w), so every step of the walk depends on w
-    alone, and `signed_orbit` walks a stack of up to _WALK / |W| rows at
-    once, point p of each row being the same w, with one shared sign.  For
-    the columns of one denominator d, the exponents orbit @ G_int @ cols.T
-    are integers taken mod N = gram_den * d * t, the signs are summed per
-    residue, and the exact integer residue counts are contracted with the
-    table of N-th roots of unity, in sub-blocks of rows and columns that
-    keep each work array within the _BLOCK and _COUNTS budgets.
+    orthogonal and eps(w^-1) = eps(w).  The sum is factored through the
+    parabolic subgroup W_J, J all simple nodes but the last: w = u v with
+    u a minimal coset representative (`weyl.coset_representatives`), v in
+    W_J and eps(w) = eps(u) eps(v), so the exponent (u v x) G_int col is
+    (v x) . (U^T G_int col).  For the columns of one denominator d,
+    N = gram_den * d * t, and each tile of columns folds the cosets in
+    once per call: part = U^T @ G_int @ cols.T mod N, stacked over u.  The
+    rows then walk W_J alone (`signed_orbit` with the node prefix J), a
+    block of up to _WALK / |W_J| rows at once: for a regular dominant row
+    the steps depend on v alone, so point p of each row is the same v.
+    The exponents (v x) @ part, mod N, are the |W| exponents of the one
+    walk of W, the signs eps(u) eps(v) are summed per residue, and the
+    exact integer residue counts are contracted with the table of N-th
+    roots of unity, in sub-blocks of rows and columns that keep each work
+    array within the _BLOCK and _COUNTS budgets.
     """
     gram_int, gram_den = _gram_int(fin)
     l = fin.rank
@@ -178,9 +193,10 @@ def _weyl_sum_matrix(fin, t, row_shifted, col_shifted):
         groups.setdefault(den, []).append((j, mu))
     _check_exponent_range(fin, row_shifted, gram_den * max(groups) * t)
     order = weyl_order(fin)
+    cosets, coset_signs = coset_representatives(fin)
     # One tile per block of columns of one denominator: (output columns, n,
-    # G_int @ cols.T reduced mod n exactly before the int64 cast, roots of
-    # unity, rows per sub-block).
+    # U^T @ G_int @ cols.T for every coset u, reduced mod n, as
+    # (rank, cosets x columns), roots of unity, rows per sub-block).
     tiles = []
     for den, members in groups.items():
         n = gram_den * den * t
@@ -190,35 +206,48 @@ def _weyl_sum_matrix(fin, t, row_shifted, col_shifted):
         roots = _roots_of_unity(n)
         cells = min(_BLOCK // order, _COUNTS // n)
         for lo, hi in _column_blocks(len(members), cells):
-            tiles.append((cols[lo:hi], n, gc[:, lo:hi], roots,
+            # part[a, (c, u)] = (U_u^T gc)[a, c], the cosets innermost.
+            part = np.einsum("uba,bc->acu", cosets, gc[:, lo:hi]) % n
+            tiles.append((cols[lo:hi], n, part.reshape(l, -1), roots,
                           max(1, cells // (hi - lo))))
     out = np.zeros((len(row_shifted), len(col_shifted)), dtype=complex)
-    walk = max(1, _WALK // order)
+    walk = max(1, _WALK // (order // len(cosets)))
     for start in range(0, len(row_shifted), walk):
-        pts, signs = signed_orbit(fin, row_shifted[start:start + walk])
-        signs = signs.astype(float)     # bincount weights, cast once per walk
+        pts, signs = signed_orbit(fin, row_shifted[start:start + walk], l - 1)
+        # The (v, u) pairs of sign eps(v) eps(u) = -1.
+        negative = (np.multiply.outer(signs, coset_signs) < 0)[:, None, None]
         for cols, n, part, roots, step in tiles:
             m = len(cols)
+            step = min(step, pts.shape[1])
+            # Residue r of cell c (row-major over rows x columns) lands in
+            # bin c * n + r, or in bin half + c * n + r for a negative
+            # term: the signed count of a residue is then a difference of
+            # two integer counts.  The bin offsets, in the (v, row, column,
+            # u) order of the exponents, are made once per tile and walk.
+            half = step * m * n
+            offsets = (n * np.arange(step * m).reshape(step, m, 1)
+                       + half * negative).reshape(len(pts), -1)
             for r0 in range(0, pts.shape[1], step):
                 block = pts[:, r0:r0 + step]
                 rows = block.shape[1]
-                # One (points x rows, rank) @ (rank, m) product; residue r
-                # of cell c (row-major over rows x columns) lands in bin
-                # c * n + r.
-                exps = (block.reshape(-1, l) @ part).reshape(len(block), -1)
-                exps %= n
-                exps += n * np.arange(rows * m)
-                counts = np.bincount(exps.ravel(),
-                                     weights=np.repeat(signs, rows * m),
-                                     minlength=rows * m * n)
+                # One (|W_J| x rows, rank) @ (rank, m x cosets) product: the
+                # exponents of (v, row, column, u).
+                exps = (block.reshape(-1, l) @ part).reshape(len(pts), -1)
+                # exps mod n, as exps - n * (exps // n): numpy divides an
+                # integer array by a scalar several times faster than it
+                # takes the remainder.
+                exps -= exps // n * n
+                exps += offsets[:, :exps.shape[1]]
+                counts = np.bincount(exps.ravel(), minlength=2 * half)
+                counts = counts[:rows * m * n] - counts[half:half + rows * m * n]
                 # einsum's own loops, not a BLAS gemv: each product is
                 # small, but large enough for a threaded BLAS to wake its
                 # pool, whose workers then spin far longer than the work.
                 # It also sums each cell alone, in one order under any
                 # budget (test_budgets_do_not_change_bits).
-                counts = np.rint(counts, out=counts).astype(complex)
                 out[start + r0:start + r0 + rows, cols] = np.einsum(
-                    "cr,r->c", counts.reshape(-1, n), roots).reshape(rows, m)
+                    "cr,r->c", counts.reshape(-1, n).astype(complex),
+                    roots).reshape(rows, m)
     return out
 
 
@@ -226,8 +255,14 @@ def _check_exponent_range(fin, row_shifted, n_max):
     """Raise ExponentOverflow unless every exponent fits in int64.
 
     An orbit label (w x, alpha_i^vee) is at most 2 |x| / |alpha_i| by
-    Cauchy-Schwarz, and an exponent is a sum of rank such labels times
-    entries of G_int @ cols.T, which are reduced below N <= n_max.
+    Cauchy-Schwarz, so every label of W x is below label_bound, and the
+    bound l * label_bound * n_max covers both products of the factored
+    kernel.  U^T @ (G_int @ cols.T mod N): column b of U holds the labels
+    of u omega_b, in the orbit of omega_b, and |omega_b| <= |x| since x
+    has every label >= 1 and the Gram matrix of the fundamental weights
+    has positive entries; so each entry is a sum of rank terms below
+    label_bound * N.  (v x) @ part: part is reduced mod N <= n_max before
+    it meets v x, and v x, v in W_J, lies in the W-orbit of x.
     """
     g, _ = _gram_int(fin)
     l = fin.rank

@@ -5,10 +5,16 @@ Group elements are integer matrices acting on Dynkin-label coordinates;
 the simple reflection r_i subtracts coordinate i times column i of the
 Cartan matrix.  `signed_orbit` enumerates the orbits of regular dominant
 weights without materialising the group, once |W|, priced from the root
-heights, has passed the element cap; it is a numpy walk, vectorised over
-each length of W, and one walk per block of rows: for a regular dominant
-x the label (w x, alpha_i^vee) is positive exactly when l(r_i w) > l(w),
-so the steps depend on w alone and a stack of rows shares them.
+heights, has passed the element cap; it is a numpy walk, one vectorised
+step per length of W over all (node, point) pairs, and one walk per block
+of rows: for a regular dominant x the label (w x, alpha_i^vee) is positive
+exactly when l(r_i w) > l(w), so the steps depend on w alone and a stack
+of rows shares them.  A node prefix restricts the walk to the parabolic
+subgroup W_J of the first simple nodes.  `coset_representatives` runs the
+same walk down from the last fundamental weight, carrying the identity
+rows, and returns the minimal representatives of the cosets u W_J, J all
+nodes but the last, as matrices with their signs: the S-matrix kernel
+factors W = W^J W_J with them and never walks the whole group.
 `to_dominant` and `alcove_fold` run
 `cartan.reflect_to_dominant`: the first on the finite simple roots, the
 second on the columns of the affine Cartan matrix, which reduces a
@@ -57,10 +63,6 @@ def _reflection_matrix(a_fin, i):
         tuple((1 if r == c else 0) - (a_fin[r][i] if c == i else 0)
               for c in range(l))
         for r in range(l))
-
-
-def apply_matrix(m, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
 
 
 def simple_reflect(datum, i, lam):
@@ -133,53 +135,97 @@ def weyl_order(datum):
     return num // den
 
 
-def signed_orbit(datum, x):
-    """Orbits of integer, regular, dominant label vectors, with signs.
-
-    x is one label vector (rank,) or a stack of them (n, rank), walked
-    together: one walk of W per call.  The walk goes down from the dominant
-    chamber.  For v = w x, the label v_i = (x, w^-1 alpha_i^vee) has the
-    sign of the root w^-1 alpha_i, because x is regular dominant: it is
-    positive exactly when l(r_i w) > l(w).  So level d holds the points w x
-    with w of length d, their sign is (-1)^d, and every step depends on w
-    alone, not on x: the first row steers the walk, every row takes the
-    same steps, and point p of each row is the same w, with one shared
-    sign.  A point u of level d + 1 is reached from level d through each i
-    with u_i < 0; only the step through the smallest such i is kept, so
-    every point appears once without a sort.
-
-    Returns (points, signs) as int64 arrays, points of shape
-    (|W|, n, rank) for a stack and (|W|, rank) for one vector, signs of
-    shape (|W|,), in a fixed order.  Raises ValueError unless every row is
-    regular dominant, and RankTooLarge, before any point is made, when |W|
-    exceeds ELEMENT_CAP.
-    """
-    fin = datum.finite
+def _check_element_cap(fin):
+    """Raise RankTooLarge when |W|, priced from the root heights, exceeds
+    ELEMENT_CAP."""
     order = weyl_order(fin)
     if order > ELEMENT_CAP:
         raise RankTooLarge(
             f"{fin.type} (rank {fin.rank}) has a Weyl group of order {order}, "
             f"above the element cap {ELEMENT_CAP}")
+
+
+def _walk(fin, rows, nodes):
+    """Signed walk down from a stack of label vectors (n, rank) through the
+    simple reflections of the first `nodes` nodes, steered by the last row:
+    the step through node i is taken where its label i is positive and kept
+    where i is then its smallest negative label, so every point appears
+    once.  All rows take the same steps, one vectorised step per level over
+    all (node, point) pairs.  Returns (points, signs): points
+    (walk length, n, rank), signs (-1)^d for the points of level d.
+    """
+    alpha = np.array(fin.A, dtype=np.int64).T[:nodes, None]  # r_i v = v - v_i alpha_i
+    levels = [rows[None]]
+    while True:
+        level = levels[-1]
+        i, p = np.nonzero(level[:, -1, :nodes].T > 0)
+        if not len(i):
+            break
+        down = level[p] - level[p, :, i][:, :, None] * alpha[i]
+        levels.append(down[(down[:, -1, :nodes] < 0).argmax(axis=1) == i])
+    signs = np.array([1, -1] * len(levels))[:len(levels)]
+    return np.concatenate(levels), signs.repeat([len(x) for x in levels])
+
+
+def signed_orbit(datum, x, nodes=None):
+    """Orbits of integer, regular, dominant label vectors, with signs.
+
+    x is one label vector (rank,) or a stack of them (n, rank), walked
+    together: one walk per call, of W, or of its parabolic subgroup W_J
+    generated by the first `nodes` simple reflections (default: all of
+    them).  The walk goes down from the dominant chamber.  For v = w x, the
+    label v_i = (x, w^-1 alpha_i^vee) has the sign of the root w^-1 alpha_i,
+    because x is regular dominant: it is positive exactly when
+    l(r_i w) > l(w).  So level d holds the points w x with w of length d,
+    their sign is (-1)^d, and every step depends on w alone, not on x: one
+    row steers the walk, every row takes the same steps, and point p of
+    each row is the same w, with one shared sign.  A point u of level d + 1
+    is reached from level d through each i with u_i < 0; only the step
+    through the smallest such i is kept, so every point appears once
+    without a sort.
+
+    Returns (points, signs) as int64 arrays, points of shape
+    (|W_J|, n, rank) for a stack and (|W_J|, rank) for one vector, signs of
+    shape (|W_J|,), in a fixed order (W_J = W without a prefix).  Raises
+    ValueError unless every row is regular dominant and the prefix is in
+    0..rank, and RankTooLarge, before any point is made, when |W| exceeds
+    ELEMENT_CAP.
+    """
+    fin = datum.finite
+    _check_element_cap(fin)
+    nodes = fin.rank if nodes is None else nodes
+    if not 0 <= nodes <= fin.rank:
+        raise ValueError(f"node prefix {nodes} out of range 0..{fin.rank}")
     rows = np.array(x, dtype=np.int64)
     if (rows.ndim not in (1, 2) or rows.shape[-1] != fin.rank or not rows.size
             or (rows <= 0).any()):
         raise ValueError(f"signed_orbit needs regular dominant weights, got {x}")
-    level = rows.reshape(1, -1, fin.rank)
-    cartan = np.array(fin.A, dtype=np.int64)
-    points, signs = [], []
-    sign = 1
-    while len(level):
-        points.append(level)
-        signs.append(np.full(len(level), sign, dtype=np.int64))
-        steps = []
-        for i in range(fin.rank):
-            up = level[level[:, 0, i] > 0]
-            down = up - up[:, :, i:i + 1] * cartan[:, i]
-            steps.append(down[(down[:, 0, :i] >= 0).all(axis=1)])
-        level = np.concatenate(steps)
-        sign = -sign
-    points = np.concatenate(points)
-    return points[:, 0] if rows.ndim == 1 else points, np.concatenate(signs)
+    points, signs = _walk(fin, rows.reshape(-1, fin.rank), nodes)
+    return points[:, 0] if rows.ndim == 1 else points, signs
+
+
+def coset_representatives(datum):
+    """Minimal representatives u of the cosets u W_J, J all simple nodes
+    but the last, as integer matrices on label vectors, with eps(u).
+
+    Every w in W is uniquely u v with v in W_J and l(w) = l(u) + l(v), so
+    eps(w) = eps(u) eps(v) (Humphreys, Reflection Groups and Coxeter Groups,
+    sec. 1.10).  W_J is the stabiliser of the last fundamental weight
+    omega, so u -> u omega is a bijection onto its orbit, and the walk down
+    from omega reaches u omega at level l(u): a positive label i of
+    u omega means l(r_i u) > l(u) with r_i u again minimal, a zero label
+    means r_i u lies in u W_J.  The walk carries the identity rows, whose
+    last row is omega and steers, so row j of point u is u omega_j, column
+    j of the matrix U of u.
+
+    Returns (mats, signs): mats (|W| / |W_J|, rank, rank) int64 with
+    u(lam) = U @ lam, signs (-1)^l(u).  Raises RankTooLarge, before any
+    point is made, when |W| exceeds ELEMENT_CAP.
+    """
+    fin = datum.finite
+    _check_element_cap(fin)
+    points, signs = _walk(fin, np.eye(fin.rank, dtype=np.int64), fin.rank)
+    return points.transpose(0, 2, 1), signs
 
 
 def to_dominant(datum, lam):

@@ -148,7 +148,8 @@ def brute_force_fold(affine_datum, k, coords, box=4):
     orbit point lands in the closed fundamental alcove.
     """
     from twistfuse.cartan import lattice_M
-    from twistfuse.weyl import apply_matrix, generate_weyl
+    from twistfuse._rational import mat_vec
+    from twistfuse.weyl import generate_weyl
 
     t = k + affine_datum.hdual
     fin = affine_datum.finite
@@ -168,7 +169,7 @@ def brute_force_fold(affine_datum, k, coords, box=4):
             translations.append(tuple(int(v) for v in tr))
     hits = []
     for w, sign in zip(weyl.elements, weyl.signs):
-        wx = apply_matrix(w, coords)
+        wx = mat_vec(w, coords)
         assert all(Fraction(v).denominator == 1 for v in wx)
         for tr in translations:
             y = tuple(int(a + b) for a, b in zip(wx, tr))
@@ -218,6 +219,62 @@ def materialised_weyl_sum(fin, t, row_shifted, col_shifted, bits=53):
         assert l * int(abs(u).max()) * int(abs(wv).max()) < 2 ** 62
         num = (u @ wv.T) % den                             # (rows, |W|)
         out[:, j] = (signs * np.exp(1j * (-2.0 * math.pi * (num / den)))).sum(axis=1)
+    return out
+
+
+def one_walk_weyl_sum(fin, t, row_shifted, col_shifted):
+    """sum_w eps(w) exp(-2 pi i (w(row), col) / t) by one walk of all of W
+    per block of rows: the orbit kernel of the S- and a-matrices before the
+    parabolic factorisation, with its budgets.
+
+    Same arguments as `twistfuse.smatrix._weyl_sum_matrix`, whose results
+    it must match bit for bit: the exponents of one cell are the same |W|
+    integers mod N, so the signed residue counts are the same exact
+    integers, contracted in the same order.  `weyl.signed_orbit` walks a
+    stack of up to 2^16 / |W| rows over the full group at once.
+    """
+    import numpy as np
+    from twistfuse.rep import _gram_int
+    from twistfuse.weyl import signed_orbit, weyl_order
+
+    block, counts_cap, walk_cap = 1 << 18, 1 << 13, 1 << 16
+    gram_int, gram_den = _gram_int(fin)
+    l = fin.rank
+    groups = {}
+    for j, (mu, den) in enumerate(col_shifted):
+        groups.setdefault(den, []).append((j, mu))
+    order = weyl_order(fin)
+    tiles = []
+    for den, members in groups.items():
+        n = gram_den * den * t
+        gc = np.array([[sum(gram_int[a][b] * mu[b] for b in range(l)) % n
+                        for _, mu in members] for a in range(l)], dtype=np.int64)
+        cols = np.array([j for j, _ in members])
+        roots = np.exp(1j * (-2.0 * math.pi * (np.arange(n) / n)))
+        cells = max(1, min(block // order, counts_cap // n))
+        for lo in range(0, len(members), cells):
+            hi = min(lo + cells, len(members))
+            tiles.append((cols[lo:hi], n, gc[:, lo:hi], roots,
+                          max(1, cells // (hi - lo))))
+    out = np.zeros((len(row_shifted), len(col_shifted)), dtype=complex)
+    walk = max(1, walk_cap // order)
+    for start in range(0, len(row_shifted), walk):
+        pts, signs = signed_orbit(fin, row_shifted[start:start + walk])
+        signs = signs.astype(float)
+        for cols, n, part, roots, step in tiles:
+            m = len(cols)
+            for r0 in range(0, pts.shape[1], step):
+                sub = pts[:, r0:r0 + step]
+                rows = sub.shape[1]
+                exps = (sub.reshape(-1, l) @ part).reshape(len(sub), -1)
+                exps %= n
+                exps += n * np.arange(rows * m)
+                counts = np.bincount(exps.ravel(),
+                                     weights=np.repeat(signs, rows * m),
+                                     minlength=rows * m * n)
+                counts = np.rint(counts, out=counts).astype(complex)
+                out[start + r0:start + r0 + rows, cols] = np.einsum(
+                    "cr,r->c", counts.reshape(-1, n), roots).reshape(rows, m)
     return out
 
 

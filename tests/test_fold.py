@@ -12,7 +12,8 @@ from twistfuse._rational import (frac_matrix, mat_inverse, mat_mul, mat_vec,
                                  transpose)
 from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, LieType,
                               build_cartan)
-from twistfuse.errors import NoBuiltinAutomorphism, UnrecognizedFoldedType
+from twistfuse.errors import (CheckFailed, NoBuiltinAutomorphism,
+                              UnrecognizedFoldedType)
 from twistfuse.fold import (DiagramAutomorphism, build_folding, builtin_sigma,
                             orbit_cartan, pstar_apply, symmetric_weights)
 from twistfuse.rep import dominant_level_weights
@@ -50,7 +51,7 @@ class TestBuiltinSigma:
 
     def test_identity_rejected(self):
         base = build_cartan(LieType("A", 3, AFFINE_R1))
-        with pytest.raises(AssertionError):
+        with pytest.raises(CheckFailed, match="order 1, not 2"):
             DiagramAutomorphism(base, (0, 1, 2, 3), 2)
 
 
@@ -217,3 +218,49 @@ def test_folding_checks_fire_without_asserts():
     assert len(lines) == len(expected), lines
     for line, (name, what) in zip(lines, expected):
         assert line.startswith(name) and what in line, line
+
+
+def test_automorphism_checks_fire_without_asserts():
+    # The checks of a diagram automorphism, of the orbit Cartan matrix and of
+    # the relabelling are CheckFailed errors that python -O keeps.
+    script = textwrap.dedent("""
+        from types import SimpleNamespace
+        import twistfuse.fold as fold
+        from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
+        from twistfuse.errors import CheckFailed
+
+        a3 = build_cartan(LieType("A", 3, AFFINE_R1))
+
+        def run(call):
+            try:
+                call()
+            except CheckFailed as exc:
+                print(f"{type(exc).__name__}: {exc}")
+            else:
+                print("no error")
+
+        for perm, order in [((0, 1, 1, 3), 2), ((1, 0, 2, 3), 2),
+                            ((0, 3, 2, 1), 4), ((0, 3, 2, 1), 3),
+                            ((0, 2, 1, 3), 2), ((0, 3, 2, 1), 2)]:
+            run(lambda: fold.DiagramAutomorphism(a3, perm, order))
+        # An orbit {1, 2} whose diagonal sum 3 does not divide a_11 = 2.
+        fake = SimpleNamespace(
+            base=SimpleNamespace(type="fake", A=((2, -1, -1), (-1, 2, 1),
+                                                 (-1, 1, 2))),
+            orbits=lambda: [(0, (0,)), (1, (1, 2))])
+        run(lambda: fold._orbit_matrix(fake))
+        run(lambda: fold._match_relabeling(((2, -2), (-1, 2)), a3.A))
+    """)
+    src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    expected = ["not a permutation", "node 0 must stay fixed", "order 4 is not",
+                "has order 2, not 3", "does not fix the Cartan matrix",
+                "no error", "not integral", "matched against a matrix of size 4"]
+    assert len(lines) == len(expected), lines
+    for line, what in zip(lines[:5] + lines[6:], expected[:5] + expected[6:]):
+        assert line.startswith("CheckFailed: ") and what in line, line
+    assert lines[5] == "no error"

@@ -18,9 +18,9 @@ from twistfuse.fold import build_folding, symmetric_weights
 from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import (conformal, twisted_a, twisted_sector_S,
                                untwisted_S)
-from twistfuse.weyl import generate_weyl, weyl_order
+from twistfuse.weyl import coset_representatives, generate_weyl, weyl_order
 
-from oracles import a1_s_matrix, materialised_weyl_sum
+from oracles import a1_s_matrix, materialised_weyl_sum, one_walk_weyl_sum
 
 
 class TestConformal:
@@ -176,10 +176,47 @@ class TestOrbitKernel:
             fast, slow = _with_oracle_kernel(monkeypatch, lambda: twisted_a(f, k))
             assert np.abs(fast - slow).max() < 1e-12
 
+    # The S- and a-matrices of the kw-grid benchmark (its fusion tables, the
+    # untwisted S beside each twisted one, and its two smatrix calls), and
+    # the E6 ones of twisted-e6 and beyond.
+    @pytest.mark.parametrize("kind,name,order,k", [
+        ("S", n, None, k) for n in ("A1", "A2", "A3", "B2", "C2", "G2", "D4")
+        for k in (1, 2, 3)] + [
+        ("S", "B3", None, 3), ("S", "B2", None, 16), ("S", "A3", None, 8),
+        ("S", "E6", None, 1), ("S", "E6", None, 2),
+        ("a", "A3", None, 1), ("a", "A3", None, 2), ("a", "A3", None, 8),
+        ("a", "D4", 2, 1), ("a", "D4", 3, 1), ("a", "E6", None, 1),
+    ])
+    def test_bits_equal_the_one_walk_kernel(self, monkeypatch, kind, name,
+                                            order, k):
+        # Each cell sums the same |W| exponents mod N as one walk of all of
+        # W: the residue counts are the same integers, so every entry is
+        # the same double.
+        _, build = _build(kind, name, order, k)
+        factored = np.asarray(build().entries)
+        with monkeypatch.context() as m:
+            m.setattr(smatrix_mod, "_weyl_sum_matrix", one_walk_weyl_sum)
+            one_walk = np.asarray(build().entries)
+        assert np.array_equal(factored, one_walk)
+
     def test_overflow_guard(self):
         fin = build_cartan(LieType("A", 2))
         with pytest.raises(ExponentOverflow):
             smatrix_mod._weyl_sum_matrix(fin, 4, [(2 ** 61, 1)], [((1, 1), 1)])
+
+    @pytest.mark.parametrize("name", ["B2", "D4", "E6"])
+    def test_overflow_guard_fires_before_any_walk(self, monkeypatch, name):
+        # Groups with cosets u != 1: the gate bounds U^T G_int cols.T and
+        # (v x) @ part alike, and raises before either walk starts.
+        fin = build_cartan(parse_type(name))
+        walks = _counted_walks(monkeypatch)
+        big = (2 ** 40,) + (1,) * (fin.rank - 1)
+        with pytest.raises(ExponentOverflow, match="int64"):
+            smatrix_mod._weyl_sum_matrix(fin, 2 ** 20, [big], [(big, 1)])
+        assert walks == []
+        row = (3,) * fin.rank
+        smatrix_mod._weyl_sum_matrix(fin, 3, [row], [(row, 1)])
+        assert walks == ["cosets", (1, fin.rank - 1)]
 
 
 def _build(kind, name, order, k):
@@ -192,15 +229,23 @@ def _build(kind, name, order, k):
 
 
 def _counted_walks(monkeypatch):
-    """Patch the kernel's orbit walk to record the rows of each walk."""
+    """Patch the kernel's two walks to record them: the rows and node prefix
+    of each walk of W_J, and "cosets" for each walk of the coset
+    representatives."""
     walks = []
     true_orbit = smatrix_mod.signed_orbit
+    true_cosets = smatrix_mod.coset_representatives
 
-    def counted(fin, rows):
-        walks.append(len(rows))
-        return true_orbit(fin, rows)
+    def counted(fin, rows, nodes):
+        walks.append((len(rows), nodes))
+        return true_orbit(fin, rows, nodes)
+
+    def counted_cosets(fin):
+        walks.append("cosets")
+        return true_cosets(fin)
 
     monkeypatch.setattr(smatrix_mod, "signed_orbit", counted)
+    monkeypatch.setattr(smatrix_mod, "coset_representatives", counted_cosets)
     return walks
 
 
@@ -213,22 +258,24 @@ class TestBlockBoundaries:
         fin, build = _build(kind, name, order, k)
         default = np.asarray(build().entries)
         size = weyl_order(fin)
-        # Two rows per walk with five cells (rows x columns) per sub-block,
-        # bound by the exponents; then one row per walk with 100 residue
-        # counts per sub-block, fewer than one column's N at some
-        # denominators.  B2 k=6 has 28 columns, so they span six blocks
-        # under either budget.
-        for walk, block, counts in [(2 * size, 5 * size, 1 << 62),
-                                    (size, 1 << 62, 100)]:
+        sub = size // len(coset_representatives(fin)[0])    # |W_J|
+        # Two rows per walk of W_J with five cells (rows x columns) per
+        # sub-block, bound by the exponents (|W| per cell); then one row per
+        # walk with 100 residue counts per sub-block, fewer than one
+        # column's N at some denominators.  B2 k=6 has 28 columns, so they
+        # span six blocks under either budget.
+        for walk, block, counts in [(2 * sub, 5 * size, 1 << 62),
+                                    (sub, 1 << 62, 100)]:
             with monkeypatch.context() as m:
                 m.setattr(smatrix_mod, "_WALK", walk)
                 m.setattr(smatrix_mod, "_BLOCK", block)
                 m.setattr(smatrix_mod, "_COUNTS", counts)
                 walks = _counted_walks(m)
                 got = np.asarray(build().entries)
-            rows = walk // size
-            assert walks == [min(rows, len(default) - lo)
-                             for lo in range(0, len(default), rows)]
+            rows = walk // sub
+            assert walks == ["cosets"] + [
+                (min(rows, len(default) - lo), fin.rank - 1)
+                for lo in range(0, len(default), rows)]
             assert np.array_equal(got, default)
 
     def test_column_blocks(self):
@@ -244,10 +291,11 @@ class TestBlockBoundaries:
         walks = _counted_walks(monkeypatch)
         assert cli.main(["smatrix", "B2", "--level", "16"]) == 0
         capsys.readouterr()
-        assert walks == [153]
+        assert walks == ["cosets", (153, 1)]
         walks.clear()
+        # |W_J| = |W(A5)| = 720: the three rows of E6 k=1 walk together.
         untwisted_S(build_cartan(parse_type("E6", AFFINE_R1)), 1)
-        assert walks == [1, 1, 1]
+        assert walks == ["cosets", (3, 5)]
 
 
 def test_s_path_stays_on_the_calling_thread():

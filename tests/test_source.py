@@ -6,14 +6,10 @@ from pathlib import Path
 
 import twistfuse
 
-# The only assert statements left in the package, by (module, enclosing
-# function) and count.  Every other check must raise: python -O strips
-# asserts, so a gate written as one is silently off.
-ASSERT_ALLOWLIST = {
-    ("fold.py", "DiagramAutomorphism.__post_init__"): 5,
-    ("fold.py", "_orbit_matrix"): 1,
-    ("fold.py", "_match_relabeling"): 1,
-}
+# Assert statements allowed in the package, by (module, enclosing function)
+# and count: none.  Every check must raise: python -O strips asserts, so a
+# gate written as one is silently off.
+ASSERT_ALLOWLIST = {}
 
 
 def _asserts(path):

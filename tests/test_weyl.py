@@ -13,7 +13,8 @@ import twistfuse
 from twistfuse.cartan import AFFINE_R1, AFFINE_R2, LieType, build_cartan, parse_type
 from twistfuse.errors import RankTooLarge
 from twistfuse.rep import dominant_level_weights
-from twistfuse.weyl import (ELEMENT_CAP, alcove_fold, apply_matrix,
+from twistfuse._rational import mat_vec
+from twistfuse.weyl import (ELEMENT_CAP, alcove_fold, coset_representatives,
                             generate_weyl, signed_orbit, simple_reflect,
                             to_dominant, weyl_order)
 
@@ -118,7 +119,7 @@ class TestSignedOrbit:
         x = tuple(data.draw(st.integers(1, 7)) for _ in range(d.rank))
         pts, signs = signed_orbit(d, x)
         W = generate_weyl(d)
-        expected = {apply_matrix(w, x): eps for w, eps in zip(W.elements, W.signs)}
+        expected = {mat_vec(w, x): eps for w, eps in zip(W.elements, W.signs)}
         got = {tuple(int(c) for c in p): int(s) for p, s in zip(pts, signs)}
         assert len(got) == len(pts) == len(W)
         assert got == expected
@@ -141,14 +142,14 @@ class TestSignedOrbit:
         assert pts.shape == (len(W), n, d.rank) and signs.shape == (len(W),)
         # Row 0 is regular, so its point names the element w; point p of
         # every row must be w of that row, with the sign of w.
-        element = {apply_matrix(w, rows[0]): (w, eps)
+        element = {mat_vec(w, rows[0]): (w, eps)
                    for w, eps in zip(W.elements, W.signs)}
         assert {tuple(int(c) for c in q) for q in pts[:, 0]} == set(element)
         for p in range(len(W)):
             w, eps = element[tuple(int(c) for c in pts[p, 0])]
             assert signs[p] == eps
             for i, x in enumerate(rows):
-                assert tuple(int(c) for c in pts[p, i]) == apply_matrix(w, x)
+                assert tuple(int(c) for c in pts[p, i]) == mat_vec(w, x)
         for i, x in enumerate(rows):
             pts_i, signs_i = signed_orbit(d, x)
             assert np.array_equal(pts_i, pts[:, i])
@@ -170,6 +171,92 @@ class TestSignedOrbit:
         assert order > ELEMENT_CAP
         with pytest.raises(RankTooLarge, match=f"rank {d.rank}.*{order}"):
             signed_orbit(d, (1,) * d.rank)
+
+
+def _lengths(gens):
+    """{element: length} of the group generated by the integer matrices
+    gens, by breadth-first products from the identity."""
+    rank = len(gens[0])
+    ident = tuple(tuple(int(r == c) for c in range(rank)) for r in range(rank))
+    length = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                gw = mat_mul_int(g, w)
+                if gw not in length:
+                    length[gw] = length[w] + 1
+                    nxt.append(gw)
+        frontier = nxt
+    return length
+
+
+class TestCosetRepresentatives:
+    @pytest.mark.parametrize("name,cosets,sub", [
+        ("A1", 2, 1), ("B2", 4, 2), ("D4", 8, 24), ("F4", 24, 48),
+        ("E6", 72, 720),
+    ])
+    def test_sizes(self, name, cosets, sub):
+        d = build_cartan(parse_type(name))
+        mats, signs = coset_representatives(d)
+        assert mats.shape == (cosets, d.rank, d.rank) and signs.shape == (cosets,)
+        pts, sub_signs = signed_orbit(d, (1,) * d.rank, d.rank - 1)
+        assert len(pts) == len(sub_signs) == sub == weyl_order(d) // cosets
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "C3", "D4"])
+    def test_matches_materialised_group(self, name):
+        # W_J is generated by the reflections of all nodes but the last.
+        d = build_cartan(parse_type(name))
+        W = generate_weyl(d)
+        gens = [tuple(map(tuple, g)) for g in W.to_json_dict()["generators"]]
+        length = _lengths(gens)
+        sub = _lengths(gens[:-1])
+        assert set(length) == set(W.elements)
+        mats, signs = coset_representatives(d)
+        reps = [tuple(tuple(int(c) for c in row) for row in u) for u in mats]
+        assert len(set(reps)) == len(reps) == len(W) // len(sub)
+        products = [mat_mul_int(u, v) for u in reps for v in sub]
+        assert len(set(products)) == len(products) == len(W)
+        for u, sign in zip(reps, signs):
+            # u is the shortest element of u W_J, with sign (-1)^l(u).
+            assert length[u] == min(length[mat_mul_int(u, v)] for v in sub)
+            assert sign == (-1) ** length[u]
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "C3", "D4"])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_factored_orbit_is_the_signed_orbit(self, name, data):
+        # {u v x} with eps(u) eps(v), v x from the walk of W_J, is the
+        # signed orbit of x under all of W.
+        d = build_cartan(parse_type(name))
+        x = tuple(data.draw(st.integers(1, 7)) for _ in range(d.rank))
+        sub_pts, sub_signs = signed_orbit(d, x, d.rank - 1)
+        mats, signs = coset_representatives(d)
+        got = {}
+        for u, su in zip(mats, signs):
+            for vx, sv in zip(sub_pts, sub_signs):
+                got[tuple(int(c) for c in u @ vx)] = int(su * sv)
+        pts, full_signs = signed_orbit(d, x)
+        assert len(got) == len(pts) == weyl_order(d)
+        assert got == {tuple(int(c) for c in p): int(s)
+                       for p, s in zip(pts, full_signs)}
+
+    def test_node_prefix_range(self):
+        d = build_cartan(LieType("A", 2))
+        for nodes in (-1, 3):
+            with pytest.raises(ValueError, match="node prefix"):
+                signed_orbit(d, (1, 1), nodes)
+        pts, signs = signed_orbit(d, (2, 3), 0)
+        assert pts.tolist() == [[2, 3]] and signs.tolist() == [1]
+
+    @pytest.mark.parametrize("name", ["E7", "A20"])
+    def test_cost_gate(self, name):
+        d = build_cartan(parse_type(name))
+        with pytest.raises(RankTooLarge, match=f"rank {d.rank}"):
+            coset_representatives(d)
+        with pytest.raises(RankTooLarge, match=f"rank {d.rank}"):
+            signed_orbit(d, (1,) * d.rank, d.rank - 1)
 
 
 class TestToDominant:
@@ -198,7 +285,7 @@ class TestToDominant:
         rep0, sign0 = to_dominant(d, d.weight(v))
         W = generate_weyl(d)
         for w, eps in zip(W.elements, W.signs):
-            rep, sign = to_dominant(d, d.weight(apply_matrix(w, v)))
+            rep, sign = to_dominant(d, d.weight(mat_vec(w, v)))
             assert rep == rep0
             assert sign == (0 if sign0 == 0 else sign0 * eps)
 
