@@ -2,11 +2,11 @@
 
 Commands: smatrix, fusion, fold-info, weights, branch, selfcheck.
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 bad input, 2 failed check.
+1 bad input, 2 failed check.  `smatrix.compact_json` writes every JSON
+document, S-matrix blocks included (as float64 arrays).
 """
 
 import argparse
-import json
 import sys
 import time
 from functools import lru_cache
@@ -18,11 +18,11 @@ from .fold import build_folding, pstar_apply, symmetric_weights
 from .fusion import (SectorLabel, SectorMatrices, check_pattern, coefficient,
                      fusion_table, slot_data, twisted_verlinde)
 from .rep import branch, dim, dominant_level_weights
-from .smatrix import complex_json, conformal, twisted_a, untwisted_S
+from .smatrix import compact_json, complex_json, conformal, twisted_a, untwisted_S
 
 
 def _dump(obj):
-    print(json.dumps(obj, separators=(",", ":"), sort_keys=False))
+    print(compact_json(obj))
 
 
 def _folding_for(args):

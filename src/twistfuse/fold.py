@@ -221,10 +221,14 @@ def _phi_label_matrix(folding_twisted, folding_adjacent, reversal):
     return rat.mat_mul(a_dag, rat.mat_mul(tuple(map(tuple, coeff)), a_adj_inv))
 
 
+def build_folding(type_, order=None):
+    """All folding data of a supported untwisted affine type, cached by resolved order."""
+    return _build_folding(type_, builtin_sigma(type_, order).order)
+
+
 # Unbounded, as build_cartan: its data are interned, compared by identity.
 @lru_cache(maxsize=None)
-def build_folding(type_, order=None):
-    """Assemble all folding data for a supported untwisted affine type."""
+def _build_folding(type_, order):
     auto = builtin_sigma(type_, order)
     base = auto.base
     reps, members, s_by_rep, ahat = _orbit_matrix(auto)

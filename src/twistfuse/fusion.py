@@ -27,7 +27,6 @@ of one coefficient, applies the level-0 vacuum rule or runs every route.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,7 +39,7 @@ from .errors import (MethodMismatch, NegativeCoefficient,
 from .fold import symmetric_weights
 from . import rep
 from .rep import dim, dominant_level_weights, is_level_dominant
-from .smatrix import _label_json, twisted_sector_S, untwisted_S
+from .smatrix import _label_json, compact_json, twisted_sector_S, untwisted_S
 
 INTEGER_TOLERANCE = 1e-6
 
@@ -58,10 +57,6 @@ class SectorLabel:
     def __str__(self):
         tag = "1" if self.sector == _NAMES[0] else "s"
         return f"[{tag}]{self.weight}"
-
-
-def _compact(obj):
-    return json.dumps(obj, separators=(",", ":"))
 
 
 @dataclass(eq=False)  # N is an array; compare tables through items()
@@ -84,21 +79,21 @@ class FusionTable:
     def to_json(self):
         """Schema-1 JSON of the table, compact, without a trailing newline.
 
-        Each slot label and the method tag are encoded once by the json
-        module; the entries are spliced from those fragments and the values
-        of N, in C order.
+        Each slot label and the method tag are encoded once by
+        `compact_json`; the entries are spliced from those fragments and the
+        values of N, in C order.
         """
-        first, second, third = ([_compact(_label_json(x)) for x in slot]
+        first, second, third = ([compact_json(_label_json(x)) for x in slot]
                                 for slot in self.slots)
         thirds = [f'"m3":{x},"N":' for x in third]
-        end = f',"method":{_compact(self.method)}}}'
+        end = f',"method":{compact_json(self.method)}}}'
         items = []
         for m1, plane in zip(first, self.N.tolist()):
             for m2, row in zip(second, plane):
                 head = f'{{"m1":{m1},"m2":{m2},'
                 items.extend(f"{head}{m3}{n}{end}" for m3, n in zip(thirds, row))
-        head = _compact({"schema": 1, "algebra": self.algebra, "level": self.level,
-                         "twist": self.twist, "pattern": self.pattern})
+        head = compact_json({"schema": 1, "algebra": self.algebra, "level": self.level,
+                             "twist": self.twist, "pattern": self.pattern})
         return f'{head[:-1]},"entries":[{",".join(items)}]}}'
 
     def to_text(self):

@@ -22,9 +22,12 @@ Exponents that could leave the int64 range raise ExponentOverflow.  The
 numeric field is double-precision complex: exactness lives in the integer
 exponents and counts, and a root of unity is the only floating-point value
 the kernel reads.  The checks of the conformal data and of the S-matrix
-normalisation raise typed errors, so python -O keeps them.
+normalisation raise typed errors, so python -O keeps them.  S is written
+to JSON from its distinct doubles by `compact_json`: S is symmetric bit for
+bit and the Galois action permutes its entries up to sign, so they are few.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,8 +124,30 @@ class ModularMatrix:
 
 
 def complex_json(entries):
-    """{"re": ..., "im": ...}: the doubles of a complex array as nested lists."""
-    return {"re": entries.real.tolist(), "im": entries.imag.tolist()}
+    """{"re": ..., "im": ...}: the doubles of a complex array, as C-contiguous arrays."""
+    return {"re": np.ascontiguousarray(entries.real), "im": np.ascontiguousarray(entries.imag)}
+
+
+def compact_json(obj):
+    """json.dumps(obj, separators=(",", ":")), but a numpy array in obj or its
+    (string-keyed) dicts is written as json writes its float64 tolist(): json
+    formats each distinct int64 bit pattern once (-0.0 and 0.0 print apart, NaN
+    != NaN), and the rows are joined from a gather.  The worst case, all values
+    distinct, costs about 1.3 times json; a symmetric S has at most n(n+1)/2 values."""
+    if isinstance(obj, dict):
+        return "{%s}" % ",".join(f"{compact_json(str(k))}:{compact_json(v)}"
+                                 for k, v in obj.items())
+    if not isinstance(obj, np.ndarray):
+        return json.dumps(obj, separators=(",", ":"))
+    a = np.ascontiguousarray(obj, dtype=np.float64)
+    bits, inverse = np.unique(a.ravel().view(np.int64), return_inverse=True)
+    distinct = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    cells = np.array(distinct, dtype=object)[inverse].tolist()
+    for axis in range(a.ndim - 1, -1, -1):
+        n = a.shape[axis]
+        cells = ["[%s]" % ",".join(cells[i * n:i * n + n])
+                 for i in range(math.prod(a.shape[:axis]))]
+    return cells[0]
 
 
 def _label_json(label):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import functools
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import twistfuse
 import twistfuse.cartan as cartan_mod
+import twistfuse.fold as fold_mod
 from twistfuse._rational import (frac_matrix, mat_inverse, mat_mul, mat_vec,
                                  transpose)
 from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, LieType,
@@ -125,6 +127,25 @@ class TestBuildFolding:
         t1 = mat_mul(frac_matrix(base.A_fin), mat_mul(mid, mat_inverse(tw.A_fin)))
         t2 = mat_mul(f.Pstar, mat_inverse(f.phi))
         assert t1 == t2
+
+    def test_one_entry_per_folding(self, monkeypatch):
+        # The order is resolved before the cache is read, so every call form
+        # of one folding shares one FoldingData.
+        fresh = functools.lru_cache(maxsize=None)(fold_mod._build_folding.__wrapped__)
+        monkeypatch.setattr(fold_mod, "_build_folding", fresh)
+        a3, d4 = LieType("A", 3, AFFINE_R1), LieType("D", 4, AFFINE_R1)
+        forms = [[build_folding(a3), build_folding(a3, None),
+                  build_folding(a3, order=None), build_folding(a3, 2)],
+                 [build_folding(d4), build_folding(d4, 3), build_folding(d4, None)],
+                 [build_folding(d4, 2), build_folding(d4, order=2)]]
+        for same in forms:
+            assert all(f is same[0] for f in same)
+        assert fresh.cache_info().currsize == len(forms)
+        with pytest.raises(NoBuiltinAutomorphism):
+            build_folding(a3, 3)
+        with pytest.raises(NoBuiltinAutomorphism):
+            build_folding(LieType("E", 6, AFFINE_R1), 3)
+        assert fresh.cache_info().currsize == len(forms)
 
     def test_iota_dual_is_orbit_sum(self):
         f = build_folding(LieType("E", 6, AFFINE_R1))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,9 +16,10 @@ from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, LieType, build_cartan,
                               parse_type)
 from twistfuse.errors import ExponentOverflow
 from twistfuse.fold import build_folding, symmetric_weights
+from twistfuse.fusion import SectorMatrices
 from twistfuse.rep import dominant_level_weights
-from twistfuse.smatrix import (conformal, twisted_a, twisted_sector_S,
-                               untwisted_S)
+from twistfuse.smatrix import (compact_json, complex_json, conformal,
+                               twisted_a, twisted_sector_S, untwisted_S)
 from twistfuse.weyl import coset_representatives, generate_weyl, weyl_order
 
 from oracles import a1_s_matrix, materialised_weyl_sum, one_walk_weyl_sum
@@ -84,7 +86,7 @@ class TestUntwistedS:
 
     def test_json_roundtrip(self):
         s = untwisted_S(build_cartan(LieType("A", 1, AFFINE_R1)), 1)
-        blob = json.loads(json.dumps(s.to_json_dict()))
+        blob = json.loads(compact_json(s.to_json_dict()))
         assert blob["provenance"] == "untwisted-S"
         assert blob["precision"] == 53
         assert len(blob["re"]) == 2 and len(blob["im"]) == 2
@@ -393,3 +395,60 @@ def test_gates_fire_without_asserts():
     assert len(lines) == len(expected), lines
     for line, (name, what) in zip(lines, expected):
         assert line.startswith(name) and what in line, line
+
+
+class TestCompactJson:
+    """compact_json writes arrays as json writes their nested lists."""
+
+    @staticmethod
+    def assert_as_json(a):
+        assert compact_json(a) == json.dumps(a.tolist(), separators=(",", ":"))
+
+    def test_all_distinct(self):
+        self.assert_as_json(np.random.default_rng(15).standard_normal((37, 53)))
+
+    def test_bit_patterns(self):
+        # -0.0 == 0.0 and NaN != NaN, but each prints its own way.
+        a = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]])
+        assert compact_json(a) == "[[0.0,-0.0,NaN,Infinity,-Infinity,5e-324]]"
+        self.assert_as_json(a)
+        self.assert_as_json(np.array([[np.nan, -np.nan, 0.0, -0.0, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (), (3,), (2, 0), (0, 3), (2, 3, 4)])
+    def test_shapes(self, shape):
+        self.assert_as_json(np.arange(math.prod(shape), dtype=float).reshape(shape) % 3)
+
+    def test_non_contiguous(self):
+        a = np.arange(60.0).reshape(6, 10) / 7
+        for view in (a[::2, 1::3], a.T, (a + 1j * a).real, (a + 1j * a).imag):
+            assert not view.flags.c_contiguous
+            self.assert_as_json(view)
+
+    def test_values_and_plain_lists(self):
+        obj = {"a": [1, 2.5, None, "x\u00e9"], "b": {"c": True, "d": [[0.1]]},
+               "e": 1e300, "f": {}}
+        assert compact_json(obj) == json.dumps(obj, separators=(",", ":"))
+
+    @pytest.mark.parametrize("argv", [
+        ["B2", "--level", "16"],
+        ["A3", "--level", "8", "--twist", "diagram"],
+        ["E6", "--level", "2", "--twist", "diagram"],
+        ["D4", "--level", "3", "--twist", "diagram", "--twist-order", "3"],
+    ], ids=["B2-k16", "A3-k8-twisted", "E6-k2-twisted", "D4-k3-order3"])
+    def test_smatrix_blocks(self, argv, capsys):
+        assert cli.main(["smatrix", *argv]) == 0
+        out = capsys.readouterr().out
+        type_ = parse_type(argv[0], AFFINE_R1)
+        if "--twist" in argv:
+            order = int(argv[-1]) if "--twist-order" in argv else None
+            mats = SectorMatrices(build_folding(type_, order), int(argv[2]))
+            blocks = [mats.scol, mats.sector_S.entries]
+        else:
+            blocks = [untwisted_S(build_cartan(type_), int(argv[2])).entries]
+        for block in blocks:
+            for part in complex_json(block).values():
+                self.assert_as_json(part)
+                assert compact_json(part) in out
+        # The whole output is json's writing of the same values as lists.
+        blob = json.loads(out)
+        assert out == json.dumps(blob, separators=(",", ":")) + "\n"
