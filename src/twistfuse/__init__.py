@@ -29,8 +29,7 @@ from .rep import (DecompTable, WeightSystem, branch, dim,
                   dominant_level_weights, freudenthal, tensor_decompose)
 from .smatrix import (ConformalData, ModularMatrix, conformal, twisted_a,
                       twisted_sector_S, untwisted_S)
-from .weyl import (FoldResult, WeylGroup, alcove_fold, generate_weyl,
-                   simple_reflect, to_dominant)
+from .weyl import FoldResult, WeylGroup, alcove_fold, generate_weyl, to_dominant
 
 __version__ = "0.1.0"
 
@@ -53,7 +52,7 @@ __all__ = [
     "dim", "dominant_level_weights", "dual_lattice", "freudenthal",
     "fusion_table", "generate_weyl", "inner_product", "kac_walton",
     "lattice_M", "lattice_index", "orbit_cartan",
-    "parse_type", "simple_reflect", "symmetric_weights", "tensor_decompose",
+    "parse_type", "symmetric_weights", "tensor_decompose",
     "to_dominant", "twisted_a", "twisted_kac_walton", "twisted_sector_S",
     "twisted_verlinde", "untwisted_S", "verlinde",
 ]

@@ -22,20 +22,25 @@ dual finite types, which keeps the node numbering canonical:
 The Weyl-reflection kernels of the package live here, the one module that
 `rep`, `weyl` and `fold` all import without a cycle.  `simple_roots` gives
 the columns of a Cartan matrix; `reflect_to_dominant` is the one
-reflect-to-dominant loop and `_orbit` the one tuple orbit walk.  Here they
-give the highest root and the span of its orbit, the lattice M; `rep` uses
-them for the Freudenthal lookups and the orbit expansion, `weyl.to_dominant`
-for the finite group, and `weyl.alcove_fold` for the affine one, on the
-columns of the affine Cartan matrix.  The Klimyk sum, of tensor products
-and branching alike, runs the numpy form of the reflect-to-dominant loop,
-`rep._reflect`, in `rep.klimyk_blocks`.
+reflect-to-dominant loop on a label tuple, and `orbit_walk` the one orbit
+walk, in numpy over a stack of points.  Here they give the highest root
+and the span of its orbit, the lattice M.  `rep` uses the loop for the
+Freudenthal lookups and the walk to spread the dominant multiplicities
+over their orbits, `weyl.to_dominant` and `weyl.alcove_fold` run the loop
+on the finite and the affine simple roots, and `weyl.signed_orbit` and
+`weyl.coset_representatives` run the walk for the S-matrix kernel.  The
+Klimyk sum, of tensor products and branching alike, runs the numpy form of
+the reflect-to-dominant loop, `rep._reflect`, in `rep.klimyk_blocks`.
 
-All arithmetic in this module is exact rational.
+Root data, forms and lattices are exact rationals; the orbit walk runs on
+int64 label arrays.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+
+import numpy as np
 
 from . import _rational as rat
 from .errors import (CheckFailed, DegenerateLattice, MixedDatum, NotAffine,
@@ -205,27 +210,38 @@ def reflect_to_dominant(simple, v):
     return v, sign if c else 0
 
 
-def _orbit(simple, v):
-    """Weyl orbit of the dominant label tuple v, each point once.
+def orbit_walk(simple, start, nodes=None):
+    """Orbits of a stack of points under W_J, the reflections of the first
+    `nodes` nodes (default: all), each point once.
 
-    Walks down from the dominant chamber, as `weyl.signed_orbit` does, but
-    for a singular v too: from a point u, every r_i u with u_i > 0 is one
-    step further down, and r_i u is kept only when i is its smallest
-    negative label, so no point is reached twice.
+    start is an int64 array (n, m, rank): n points of m label rows, each
+    steered by its own last row, dominant on J (zero labels allowed).  The
+    walk steps from u through node i where that row's label u_i is
+    positive, to u - u_i alpha_i on every row (simple: the labels of the
+    alpha_i), and keeps the step where i is then the first negative label
+    on J.  So every point w is reached once, from r_j w for its first
+    negative label j, one vectorised step per level over all (node, point)
+    pairs, without a sort.  For a regular last row level d holds the w x
+    with l(w) = d.
+
+    Returns (points, depth, origin): points (N, m, rank), the level of
+    each (N,), so the sign (-1)^depth on a regular row, and the index in
+    start of the point each came from (N,).
     """
-    out = [v]
-    level = [v]
-    while level:
-        nxt = []
-        for u in level:
-            for i, c in enumerate(u):
-                if c > 0:
-                    w = tuple([x - c * y for x, y in zip(u, simple[i])])
-                    if min(w[:i], default=0) >= 0:
-                        nxt.append(w)
-        out += nxt
-        level = nxt
-    return out
+    alpha = np.array(simple, dtype=np.int64)[:nodes, None]
+    level, origin = start, np.arange(len(start))
+    levels, origins = [level], [origin]
+    while True:
+        i, p = np.nonzero(level[:, -1, :nodes].T > 0)
+        if not len(i):
+            break
+        down = level[p] - level[p, :, i][:, :, None] * alpha[i]
+        keep = (down[:, -1, :nodes] < 0).argmax(axis=1) == i
+        level, origin = down[keep], origin[p[keep]]
+        levels.append(level)
+        origins.append(origin)
+    depth = np.arange(len(levels)).repeat([len(x) for x in levels])
+    return np.concatenate(levels), depth, np.concatenate(origins)
 
 
 @dataclass(frozen=True)
@@ -499,8 +515,9 @@ def inner_product(lam, mu):
 def _orbit_lattice(datum):
     """Lattice M: span of the finite Weyl orbit of nu(theta^vee) = theta."""
     fin = datum.finite
-    orbit = _orbit(simple_roots(fin.A), datum.theta.coords)
-    rows = rat.lattice_basis_rows(sorted(orbit))
+    theta = np.array(datum.theta.coords, dtype=np.int64)[None, None]
+    orbit = orbit_walk(simple_roots(fin.A), theta)[0][:, 0].tolist()
+    rows = rat.lattice_basis_rows(sorted(map(tuple, orbit)))
     _require(len(rows) == fin.rank, "orbit of theta must span the weight space")
     return LatticeBasis(fin, rows)
 

@@ -2,7 +2,7 @@
 
 Weight systems via the Freudenthal recursion, dimensions via the Weyl
 product formula, and the package's one Klimyk sum, for tensor products and
-branching alike.  All multiplicities are exact integers, on label tuples.
+branching alike.  All multiplicities are exact integers.
 
 The hot path is integer-only.  `root_table` prepares, once per finite
 datum and on first use, the simple and positive roots with their
@@ -15,11 +15,12 @@ Patera, Bull. AMS 7, 1982).  They are found from the highest weight by
 subtracting positive roots and keeping the dominant results, and are
 taken in order of depth, the height of lam - mu.  Each m(mu + j alpha) is
 read at its dominant representative, which is higher and so already
-known.  Every other multiplicity follows by W-invariance: `_orbit`
-expands each dominant weight's orbit, bounded by the dimension cap that
-`freudenthal` checks first; the system is stored once, as label tuples
-(`WeightSystem.mults` builds Weight keys on first use).  The tuple kernels
-`reflect_to_dominant` and `_orbit` live in `cartan`.  All caches are bounded.
+known.  Every other multiplicity follows by W-invariance: one
+`cartan.orbit_walk` over all the dominant weights spreads each
+multiplicity over its orbit, bounded by the dimension cap that
+`freudenthal` checks first.  The system is stored once, as read-only int64
+arrays of weights and multiplicities, which the Klimyk sum reads as they
+are.  All caches are bounded.
 
 `klimyk_blocks` runs the Klimyk sum over blocks of pairs with numpy: it
 stacks lam + rho + tau over the weights tau of V, reflects the stack into
@@ -43,12 +44,12 @@ The Fraction inner product `_ip` remains for the conformal data.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add, mul, sub
 
 import numpy as np
 
-from .cartan import (LeveledWeight, Weight, _orbit, reflect_to_dominant,
+from .cartan import (LeveledWeight, Weight, orbit_walk, reflect_to_dominant,
                      simple_roots)
 from .errors import (DimensionCap, IntegralityFailure, MassMismatch,
                      NegativeMultiplicity, RootCountMismatch)
@@ -56,18 +57,15 @@ from .errors import (DimensionCap, IntegralityFailure, MassMismatch,
 DIMENSION_CAP = 10**6
 
 
-@dataclass(frozen=True)
+# Compared by identity: == of array fields has no single truth value.
+@dataclass(frozen=True, eq=False)
 class WeightSystem:
     highest: Weight
-    label_mults: dict  # label tuple -> positive int; read only
+    weights: np.ndarray  # int64 (n, rank), each weight once; read only
+    mults: np.ndarray    # int64 (n,), positive; read only
 
     def total(self):
-        return sum(self.label_mults.values())
-
-    @cached_property
-    def mults(self):
-        """{Weight: multiplicity}, built on first use; read only."""
-        return {Weight(self.highest.datum, u): m for u, m in self.label_mults.items()}
+        return int(self.mults.sum())
 
 
 @dataclass(frozen=True)
@@ -288,12 +286,18 @@ def _weight_system(fin, coords):
                 f"is {2 * acc}/{denom}, not a non-negative integer")
         if m:
             dominant[mu] = m
-    mults = {u: m for mu, m in dominant.items() for u in _orbit(simple, mu)}
-    total = sum(mults.values())
+    points, _, origin = orbit_walk(
+        simple, np.array(list(dominant), dtype=np.int64).reshape(-1, 1, l))
+    weights = points[:, 0]
+    mults = np.fromiter(dominant.values(), np.int64, len(dominant))[origin]
+    total = int(mults.sum())
     d = dim(fin, coords)
     if total != d:
         raise MassMismatch(f"Freudenthal weight system of {coords}", total, d)
-    return WeightSystem(Weight(fin, coords), mults)
+    # Cached and shared by every caller.
+    weights.setflags(write=False)
+    mults.setflags(write=False)
+    return WeightSystem(Weight(fin, coords), weights, mults)
 
 
 def _labels(lam):
@@ -353,10 +357,8 @@ def _base(fin, coords):
 def _system(fin, coords, dim_cap=DIMENSION_CAP):
     """(name, weights, multiplicities, dim) of the irreducible coords: its
     weight system as int64 arrays (n, rank) and (n,).  A second factor."""
-    mults = freudenthal(fin, coords, dim_cap).label_mults
-    weights = np.array(list(mults), dtype=np.int64).reshape(len(mults), fin.rank)
-    return (coords, weights, np.fromiter(mults.values(), np.int64, len(mults)),
-            dim(fin, coords))
+    ws = freudenthal(fin, coords, dim_cap)
+    return coords, ws.weights, ws.mults, dim(fin, coords)
 
 
 def _restricted(fin, coords, restriction_matrix, dim_cap=DIMENSION_CAP):

@@ -5,12 +5,12 @@ Group elements are integer matrices acting on Dynkin-label coordinates;
 the simple reflection r_i subtracts coordinate i times column i of the
 Cartan matrix.  `signed_orbit` enumerates the orbits of regular dominant
 weights without materialising the group, once |W|, priced from the root
-heights, has passed the element cap; it is a numpy walk, one vectorised
-step per length of W over all (node, point) pairs, and one walk per block
-of rows: for a regular dominant x the label (w x, alpha_i^vee) is positive
-exactly when l(r_i w) > l(w), so the steps depend on w alone and a stack
-of rows shares them.  A node prefix restricts the walk to the parabolic
-subgroup W_J of the first simple nodes.  `coset_representatives` runs the
+heights, has passed the element cap; it runs `cartan.orbit_walk`, one
+vectorised step per length of W over all (node, point) pairs, and one walk
+per block of rows: for a regular dominant x the label (w x, alpha_i^vee)
+is positive exactly when l(r_i w) > l(w), so the steps depend on w alone
+and a stack of rows shares them.  A node prefix restricts the walk to the
+parabolic subgroup W_J of the first simple nodes.  `coset_representatives` runs the
 same walk down from the last fundamental weight, carrying the identity
 rows, and returns the minimal representatives of the cosets u W_J, J all
 nodes but the last, as matrices with their signs: the S-matrix kernel
@@ -33,7 +33,7 @@ from operator import mul
 
 import numpy as np
 
-from .cartan import Weight, reflect_to_dominant, simple_roots
+from .cartan import Weight, orbit_walk, reflect_to_dominant, simple_roots
 from .errors import CheckFailed, NonTermination, RankTooLarge
 from .rep import root_table
 
@@ -63,16 +63,6 @@ def _reflection_matrix(a_fin, i):
         tuple((1 if r == c else 0) - (a_fin[r][i] if c == i else 0)
               for c in range(l))
         for r in range(l))
-
-
-def simple_reflect(datum, i, lam):
-    """Fundamental reflection r_i, 1-based node index on the finite part."""
-    fin = datum.finite
-    if not 1 <= i <= fin.rank:
-        raise IndexError(f"node index {i} out of range 1..{fin.rank}")
-    c = lam.coords[i - 1]
-    col = tuple(fin.A[r][i - 1] for r in range(fin.rank))
-    return Weight(lam.datum, tuple(x - c * col[r] for r, x in enumerate(lam.coords)))
 
 
 # W(E6) alone is 51,840 matrices: keep only the last few groups.
@@ -145,28 +135,6 @@ def _check_element_cap(fin):
             f"above the element cap {ELEMENT_CAP}")
 
 
-def _walk(fin, rows, nodes):
-    """Signed walk down from a stack of label vectors (n, rank) through the
-    simple reflections of the first `nodes` nodes, steered by the last row:
-    the step through node i is taken where its label i is positive and kept
-    where i is then its smallest negative label, so every point appears
-    once.  All rows take the same steps, one vectorised step per level over
-    all (node, point) pairs.  Returns (points, signs): points
-    (walk length, n, rank), signs (-1)^d for the points of level d.
-    """
-    alpha = np.array(fin.A, dtype=np.int64).T[:nodes, None]  # r_i v = v - v_i alpha_i
-    levels = [rows[None]]
-    while True:
-        level = levels[-1]
-        i, p = np.nonzero(level[:, -1, :nodes].T > 0)
-        if not len(i):
-            break
-        down = level[p] - level[p, :, i][:, :, None] * alpha[i]
-        levels.append(down[(down[:, -1, :nodes] < 0).argmax(axis=1) == i])
-    signs = np.array([1, -1] * len(levels))[:len(levels)]
-    return np.concatenate(levels), signs.repeat([len(x) for x in levels])
-
-
 def signed_orbit(datum, x, nodes=None):
     """Orbits of integer, regular, dominant label vectors, with signs.
 
@@ -200,8 +168,9 @@ def signed_orbit(datum, x, nodes=None):
     if (rows.ndim not in (1, 2) or rows.shape[-1] != fin.rank or not rows.size
             or (rows <= 0).any()):
         raise ValueError(f"signed_orbit needs regular dominant weights, got {x}")
-    points, signs = _walk(fin, rows.reshape(-1, fin.rank), nodes)
-    return points[:, 0] if rows.ndim == 1 else points, signs
+    points, depth, _ = orbit_walk(simple_roots(fin.A), rows.reshape(1, -1, fin.rank),
+                                  nodes)
+    return points[:, 0] if rows.ndim == 1 else points, (-1) ** depth
 
 
 def coset_representatives(datum):
@@ -224,8 +193,9 @@ def coset_representatives(datum):
     """
     fin = datum.finite
     _check_element_cap(fin)
-    points, signs = _walk(fin, np.eye(fin.rank, dtype=np.int64), fin.rank)
-    return points.transpose(0, 2, 1), signs
+    points, depth, _ = orbit_walk(simple_roots(fin.A),
+                                  np.eye(fin.rank, dtype=np.int64)[None])
+    return points.transpose(0, 2, 1), (-1) ** depth
 
 
 def to_dominant(datum, lam):

@@ -88,6 +88,14 @@ def clebsch_gordan_range(a, b):
     return list(range(abs(a - b), a + b + 1, 2))
 
 
+def weight_dict(ws):
+    """{label tuple: multiplicity} of a `rep.WeightSystem`, whose weights
+    must be distinct."""
+    out = dict(zip(map(tuple, ws.weights.tolist()), ws.mults.tolist()))
+    assert len(out) == len(ws.mults), "a weight occurs twice"
+    return out
+
+
 def convolve_weight_dicts(s1, s2):
     out = {}
     for w1, m1 in s1.items():
@@ -118,16 +126,17 @@ def highest_root_labels(a_fin, d_fin):
             labels[j] -= c * a_fin[j][i]
 
 
-def weyl_orbit_set(a_fin, v):
+def weyl_orbit_set(a_fin, v, nodes=None):
     """Finite Weyl orbit of the label tuple v, by a breadth-first search that
-    applies every simple reflection to every point found."""
+    applies every simple reflection to every point found; with `nodes`, the
+    orbit of the subgroup generated by the reflections of the first nodes."""
     l = len(a_fin)
     seen = {tuple(v)}
     frontier = [tuple(v)]
     while frontier:
         nxt = []
         for u in frontier:
-            for i in range(l):
+            for i in range(l if nodes is None else nodes):
                 c = u[i]
                 if c == 0:
                     continue
@@ -464,7 +473,7 @@ def peel(fin, weights):
         m = rest[top]
         assert m > 0, f"{top} has multiplicity {m} at the top"
         out[top] = m
-        for w, mw in freudenthal(fin, top).label_mults.items():
+        for w, mw in weight_dict(freudenthal(fin, top)).items():
             rest[w] = rest.get(w, 0) - m * mw
             if not rest[w]:
                 del rest[w]
@@ -476,7 +485,7 @@ def restricted_weights(folding, lam):
     the twisted finite part through iota_dual."""
     from twistfuse.rep import freudenthal
     out = {}
-    for w, m in freudenthal(folding.base.finite, lam).label_mults.items():
+    for w, m in weight_dict(freudenthal(folding.base.finite, lam)).items():
         y = tuple(sum(int(r) * c for r, c in zip(row, w)) for row in folding.iota_dual)
         out[y] = out.get(y, 0) + m
     return out
@@ -495,8 +504,8 @@ def scalar_kac_walton_row(affine_datum, k, lam1, lam2):
     the fold signs."""
     from twistfuse.rep import freudenthal
     fin = affine_datum.finite
-    product = convolve_weight_dicts(freudenthal(fin, lam1).label_mults,
-                                    freudenthal(fin, lam2).label_mults)
+    product = convolve_weight_dicts(weight_dict(freudenthal(fin, lam1)),
+                                    weight_dict(freudenthal(fin, lam2)))
     return _fold_components(affine_datum, k, peel(fin, product))
 
 
@@ -508,7 +517,7 @@ def scalar_twisted_kac_walton_row(folding, k, lam1, lam2_dag):
     from twistfuse.rep import freudenthal
     fin = folding.twisted.finite
     product = convolve_weight_dicts(restricted_weights(folding, lam1),
-                                    freudenthal(fin, lam2_dag).label_mults)
+                                    weight_dict(freudenthal(fin, lam2_dag)))
     return _fold_components(folding.twisted, k, peel(fin, product))
 
 

@@ -5,14 +5,16 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import twistfuse
 from twistfuse._rational import lattice_basis_rows
 from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, FINITE,
-                              LatticeBasis, LieType, _orbit, build_cartan,
+                              LatticeBasis, LieType, build_cartan,
                               dual_lattice, inner_product, lattice_M,
-                              lattice_index, parse_type, simple_roots)
+                              lattice_index, orbit_walk, parse_type,
+                              simple_roots)
 from twistfuse.errors import MixedDatum, NotAffine, NotSublattice, UnsupportedType
 
 from oracles import (highest_root_labels, inverse_times_diag,
@@ -318,7 +320,9 @@ class TestReflectionKernel:
     @staticmethod
     def check_lattice(d):
         theta = d.theta.coords
-        orbit = _orbit(simple_roots(d.finite.A), theta)
+        start = np.array(theta, dtype=np.int64)[None, None]
+        points = orbit_walk(simple_roots(d.finite.A), start)[0]
+        orbit = [tuple(p) for p in points[:, 0].tolist()]
         expected = weyl_orbit_set(d.finite.A, theta)
         assert len(orbit) == len(expected) and set(orbit) == expected
         assert lattice_M(d).basis == LatticeBasis(
@@ -334,3 +338,42 @@ class TestReflectionKernel:
     @pytest.mark.parametrize("type_", TWISTED, ids=str)
     def test_twisted(self, type_):
         self.check_lattice(build_cartan(type_))
+
+
+def walk_starts(fin):
+    """Dominant start points: theta, regular weights, and singular ones
+    (zero labels): each fundamental weight and a weight with a zero label."""
+    l = fin.rank
+    fundamental = [tuple(int(i == j) for j in range(l)) for i in range(l)]
+    return ([fin.theta.coords, (1,) * l, tuple(range(1, l + 1))] + fundamental
+            + [(0, 2) + (1,) * (l - 2)])
+
+
+class TestOrbitWalk:
+    """The one orbit walk against the set-based orbit search, one start
+    point at a time and all at once, with and without a node prefix."""
+
+    @staticmethod
+    def walk(fin, starts, nodes):
+        start = np.array(starts, dtype=np.int64)[:, None]
+        points, depth, origin = orbit_walk(simple_roots(fin.A), start, nodes)
+        assert points.shape == (len(depth), 1, fin.rank) and depth.shape == origin.shape
+        return [tuple(p) for p in points[:, 0].tolist()], depth.tolist(), origin.tolist()
+
+    @pytest.mark.parametrize("nodes", [None, "prefix"])
+    @pytest.mark.parametrize("name", ["A5", "B3", "D5", "E6", "F4", "G2"])
+    def test_against_orbit_set(self, name, nodes):
+        fin = build_cartan(parse_type(name))
+        nodes = None if nodes is None else fin.rank - 1
+        starts = walk_starts(fin)
+        alone = [self.walk(fin, [x], nodes) for x in starts]
+        for x, (orbit, depth, origin) in zip(starts, alone):
+            assert orbit[0] == x and depth[0] == 0 and set(origin) == {0}
+            assert depth == sorted(depth)
+            assert len(orbit) == len(set(orbit))
+            assert set(orbit) == weyl_orbit_set(fin.A, x, nodes)
+        # All start points in one walk: the same orbits, told apart by origin.
+        orbit, depth, origin = self.walk(fin, starts, nodes)
+        for j, (one, one_depth, _) in enumerate(alone):
+            mine = [(p, d) for p, d, o in zip(orbit, depth, origin) if o == j]
+            assert mine == list(zip(one, one_depth))

@@ -184,8 +184,8 @@ class TestFusionCommand:
 
         def top_weight_doubled(datum, lam, dim_cap=rep.DIMENSION_CAP):
             ws = true_freudenthal(datum, lam, dim_cap)
-            return rep.WeightSystem(ws.highest, {w: m + (w == ws.highest.coords)
-                                                 for w, m in ws.label_mults.items()})
+            top = (ws.weights == ws.highest.coords).all(axis=1)
+            return rep.WeightSystem(ws.highest, ws.weights, ws.mults + top)
         monkeypatch.setattr(rep, "freudenthal", top_weight_doubled)
         rc, _, err = run(capsys, "fusion", "A1", "--level", "2", "1", "1", "2")
         assert rc == 2

@@ -6,12 +6,13 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, LeveledWeight,
-                              LieType, build_cartan, parse_type)
+                              LieType, build_cartan, orbit_walk, parse_type)
 import twistfuse
 import twistfuse.rep as rep
 from twistfuse.errors import (DimensionCap, IntegralityFailure, MassMismatch,
@@ -25,7 +26,7 @@ from twistfuse.weyl import generate_weyl
 
 from oracles import (clebsch_gordan_range, convolve_weight_dicts,
                      fraction_dim, fraction_freudenthal, lattice_freudenthal,
-                     peel_branch, sl2_string)
+                     peel_branch, sl2_string, weight_dict)
 
 
 def coords_dict(table):
@@ -92,18 +93,18 @@ class TestFreudenthal:
         d = build_cartan(LieType("A", 1))
         for k in range(5):
             ws = freudenthal(d, d.weight((k,)))
-            assert {w.coords: m for w, m in ws.mults.items()} == sl2_string(k)
+            assert weight_dict(ws) == sl2_string(k)
 
     def test_trivial(self):
         d = build_cartan(LieType("F", 4))
         ws = freudenthal(d, d.weight((0, 0, 0, 0)))
-        assert {w.coords: m for w, m in ws.mults.items()} == {(0, 0, 0, 0): 1}
+        assert weight_dict(ws) == {(0, 0, 0, 0): 1}
 
     def test_a2_adjoint(self):
         d = build_cartan(LieType("A", 2))
         ws = freudenthal(d, d.weight((1, 1)))
         assert ws.total() == 8
-        assert {w.coords: m for w, m in ws.mults.items()}[(0, 0)] == 2
+        assert weight_dict(ws)[(0, 0)] == 2
 
     @pytest.mark.parametrize("name,coords", [
         ("A2", (2, 1)), ("B2", (1, 1)), ("G2", (0, 1)), ("A3", (1, 0, 1)),
@@ -113,7 +114,7 @@ class TestFreudenthal:
         d = build_cartan(parse_type(name))
         ws = freudenthal(d, d.weight(coords))
         assert ws.total() == dim(d, coords)
-        mults = {w.coords: m for w, m in ws.mults.items()}
+        mults = weight_dict(ws)
         W = generate_weyl(d)
         for v, m in mults.items():
             for w in W.elements:
@@ -132,10 +133,6 @@ class TestFreudenthal:
 
 
 ORACLE_GRID = [(n, 3) for n in ("A1", "A2", "A3", "B2", "B3", "C2", "G2", "D4")] + [("E6", 1)]
-
-
-def weight_dict(ws):
-    return {w.coords: m for w, m in ws.mults.items()}
 
 
 class TestAgainstFractionOracles:
@@ -257,8 +254,8 @@ class TestGates:
             ws = true_freudenthal(datum, lam, dim_cap)
             if ws.highest.coords != highest:
                 return ws
-            return rep.WeightSystem(ws.highest, {w: m + delta * (w == weight)
-                                                 for w, m in ws.label_mults.items()})
+            hit = (ws.weights == weight).all(axis=1)
+            return rep.WeightSystem(ws.highest, ws.weights, ws.mults + delta * hit)
         monkeypatch.setattr(rep, "freudenthal", corrupted)
 
     def test_tensor_mass(self, monkeypatch):
@@ -294,8 +291,8 @@ class TestGates:
                 ws = true_freudenthal(datum, lam, dim_cap)
                 if ws.highest.coords not in [(1, 1), (1, 0, 1)]:
                     return ws
-                return rep.WeightSystem(ws.highest, {w: m + (not any(w))
-                                                     for w, m in ws.label_mults.items()})
+                return rep.WeightSystem(ws.highest, ws.weights,
+                                        ws.mults + ~ws.weights.any(axis=1))
 
             def run(call):
                 rep._dim.cache_clear()
@@ -329,6 +326,14 @@ class TestGates:
                                        "MassMismatch", "IntegralityFailure"]
 
 
+def drop_last_orbit_points(simple, start):
+    """`orbit_walk` less the last point of each start point's orbit."""
+    points, depth, origin = orbit_walk(simple, start)
+    last = {o: n for n, o in enumerate(origin.tolist())}
+    keep = np.setdiff1d(np.arange(len(origin)), list(last.values()))
+    return points[keep], depth[keep], origin[keep]
+
+
 class TestOrbitExpansion:
     @pytest.fixture(autouse=True)
     def fresh_caches(self):
@@ -341,20 +346,33 @@ class TestOrbitExpansion:
     ])
     def test_orbit_against_materialised_group(self, name, coords):
         fin = build_cartan(parse_type(name))
-        orbit = rep._orbit(root_table(fin).simple, coords)
+        start = np.array(coords, dtype=np.int64)[None, None]
+        points = orbit_walk(root_table(fin).simple, start)[0]
+        orbit = [tuple(p) for p in points[:, 0].tolist()]
         assert len(orbit) == len(set(orbit))
         assert set(orbit) == {mat_vec(w, coords) for w in generate_weyl(fin).elements}
 
     def test_dropped_orbit_point(self, monkeypatch):
-        true_orbit = rep._orbit
-        monkeypatch.setattr(rep, "_orbit", lambda simple, v: true_orbit(simple, v)[:-1])
+        monkeypatch.setattr(rep, "orbit_walk", drop_last_orbit_points)
         d = build_cartan(LieType("A", 2))
         with pytest.raises(MassMismatch, match="5 != expected 8"):
             freudenthal(d, (1, 1))
 
+    def test_arrays_are_read_only(self):
+        d = build_cartan(LieType("B", 3))
+        ws = freudenthal(d, (1, 0, 1))
+        with pytest.raises(ValueError, match="read-only"):
+            ws.weights[0, 0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            ws.mults += 1
+        again = freudenthal(d, (1, 0, 1))
+        assert again is ws
+        assert weight_dict(again) == fraction_freudenthal(d, (1, 0, 1))
+
     def test_gates_fire_without_asserts(self):
         script = textwrap.dedent("""
             import copy
+            import numpy as np
             import twistfuse.rep as rep
             from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
             from twistfuse.errors import TwistfuseError
@@ -373,8 +391,15 @@ class TestOrbitExpansion:
             miscounted = copy.copy(a2)
             miscounted.npos += 1
             run(lambda: rep.root_table(miscounted))
-            true_orbit = rep._orbit
-            rep._orbit = lambda simple, v: true_orbit(simple, v)[:-1]
+            true_walk = rep.orbit_walk
+
+            def drop_last_orbit_points(simple, start):
+                points, depth, origin = true_walk(simple, start)
+                last = {o: n for n, o in enumerate(origin.tolist())}
+                keep = np.setdiff1d(np.arange(len(origin)), list(last.values()))
+                return points[keep], depth[keep], origin[keep]
+
+            rep.orbit_walk = drop_last_orbit_points
             run(lambda: rep.freudenthal(a2, (1, 1)))
         """)
         src = os.path.dirname(os.path.dirname(twistfuse.__file__))
@@ -401,7 +426,7 @@ class TestDim:
         # weights of the second exterior power of the defining module
         d = build_cartan(LieType("A", 3))
         vec = freudenthal(d, d.weight((1, 0, 0)))
-        pts = [w.coords for w, m in vec.mults.items() for _ in range(m)]
+        pts = [w for w, m in weight_dict(vec).items() for _ in range(m)]
         wedge = [tuple(a + b for a, b in zip(p, q))
                  for i, p in enumerate(pts) for q in pts[i + 1:]]
         assert dim(d, (0, 1, 0)) == len(wedge) == 6
@@ -455,15 +480,15 @@ class TestTensor:
     def test_against_character_product(self, name, pairs):
         d = build_cartan(parse_type(name))
         for lc, mc in pairs:
-            sys1 = {w.coords: m for w, m in freudenthal(d, d.weight(lc)).mults.items()}
-            sys2 = {w.coords: m for w, m in freudenthal(d, d.weight(mc)).mults.items()}
+            sys1 = weight_dict(freudenthal(d, d.weight(lc)))
+            sys2 = weight_dict(freudenthal(d, d.weight(mc)))
             product = convolve_weight_dicts(sys1, sys2)
             t = tensor_decompose(d, d.weight(lc), d.weight(mc))
             rebuilt = {}
             for w, mult in t.entries.items():
                 comp = freudenthal(d, w)
-                for v, m in comp.mults.items():
-                    rebuilt[v.coords] = rebuilt.get(v.coords, 0) + mult * m
+                for v, m in weight_dict(comp).items():
+                    rebuilt[v] = rebuilt.get(v, 0) + mult * m
             assert rebuilt == product
 
 
@@ -488,14 +513,14 @@ class TestBranch:
         assert coords_dict(t) == {(1, 0): 1, (0, 0): 1}
         # weight-restriction oracle: restricted multiset equals the union
         restricted = {}
-        for w, m in freudenthal(amb, amb.weight((1, 0, 0, 0))).mults.items():
-            y = tuple(sum(int(r) * c for r, c in zip(row, w.coords))
+        for w, m in weight_dict(freudenthal(amb, amb.weight((1, 0, 0, 0)))).items():
+            y = tuple(sum(int(r) * c for r, c in zip(row, w))
                       for row in f.iota_dual)
             restricted[y] = restricted.get(y, 0) + m
         rebuilt = {}
         for w, mult in t.entries.items():
-            for v, m in freudenthal(sub, w).mults.items():
-                rebuilt[v.coords] = rebuilt.get(v.coords, 0) + mult * m
+            for v, m in weight_dict(freudenthal(sub, w)).items():
+                rebuilt[v] = rebuilt.get(v, 0) + mult * m
         assert rebuilt == restricted
 
     def test_conservation(self):

@@ -15,8 +15,8 @@ from twistfuse.errors import RankTooLarge
 from twistfuse.rep import dominant_level_weights
 from twistfuse._rational import mat_vec
 from twistfuse.weyl import (ELEMENT_CAP, alcove_fold, coset_representatives,
-                            generate_weyl, signed_orbit, simple_reflect,
-                            to_dominant, weyl_order)
+                            generate_weyl, signed_orbit, to_dominant,
+                            weyl_order)
 
 from oracles import brute_force_fold, mat_mul_int
 
@@ -24,32 +24,6 @@ CLASSICAL_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "B3": 48, "C3": 48,
     "G2": 12, "D4": 192, "F4": 1152,
 }
-
-
-class TestSimpleReflect:
-    def test_a1(self):
-        d = build_cartan(LieType("A", 1))
-        assert simple_reflect(d, 1, d.weight((1,))).coords == (-1,)
-
-    def test_fixed_point(self):
-        d = build_cartan(LieType("C", 2))
-        z = d.weight((0, 5))
-        assert simple_reflect(d, 1, z) == z
-
-    def test_a2(self):
-        d = build_cartan(LieType("A", 2))
-        assert simple_reflect(d, 1, d.weight((1, 0))).coords == (-1, 1)
-
-    def test_involution(self):
-        d = build_cartan(LieType("G", 2))
-        w = d.weight((2, -3))
-        for i in (1, 2):
-            assert simple_reflect(d, i, simple_reflect(d, i, w)) == w
-
-    def test_index_range(self):
-        d = build_cartan(LieType("A", 2))
-        with pytest.raises(IndexError):
-            simple_reflect(d, 3, d.weight((1, 0)))
 
 
 class TestGenerateWeyl:
