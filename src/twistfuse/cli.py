@@ -3,7 +3,8 @@
 Commands: smatrix, fusion, fold-info, weights, branch, selfcheck.
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 bad input, 2 failed check.  `smatrix.compact_json` writes every JSON
-document, S-matrix blocks included (as float64 arrays).
+document, S-matrix blocks included (as float64 arrays).  A fusion table is
+written one first-slot plane at a time (`FusionTable.json_chunks`).
 """
 
 import argparse
@@ -60,7 +61,10 @@ def cmd_fusion(args):
         source = _folding_for(args)
     if not args.triple:
         table = fusion_table(source, args.level, args.pattern)
-        print(table.to_json() if args.output == "json" else table.to_text())
+        # One first-slot plane of text at a time, then print's newline.
+        sys.stdout.writelines(table.json_chunks() if args.output == "json"
+                              else table.text_chunks())
+        sys.stdout.write("\n")
         return 0
     sectors = check_pattern(source, args.pattern)
     if len(args.triple) != 3:
@@ -281,6 +285,8 @@ def build_parser():
 
     Parsing leaves both unchanged: parse_intermixed_args restores the
     nargs, defaults, required flags and usage it switches, in a finally.
+    The fusion usage is formatted here, once: parse_intermixed_args formats
+    it on every call where it is unset, and sets it to the same text.
     """
     parser = argparse.ArgumentParser(
         prog="twistfuse",
@@ -313,6 +319,7 @@ def build_parser():
                    help="sector pattern: 1,1,1  1,s,s  s,1,s  s,s,1")
     p.add_argument("--method", choices=["both", "verlinde", "kac-walton"],
                    default="both")
+    p.usage = p.format_usage()[len("usage: "):]
 
     p = sub.add_parser("fold-info", help="diagram automorphism and folding maps")
     common(p, need_level=False)

@@ -17,8 +17,11 @@ alcove fold per distinct component and a scatter through the label index.
 An untwisted table runs each unordered pair once; a twisted one runs
 Res V(lam1) (x) V(lam2^dag), whose restricted weights are W-invariant.
 `kac_walton_row` and `twisted_kac_walton_row` are one-pair calls of it.
-Nothing is cached across tables.  `FusionTable.to_json` encodes each slot
-label once and writes the entries from the array in C order.
+Nothing is cached across tables.  `FusionTable.json_chunks` encodes each
+slot label once and yields the entries from the array in C order, one
+first-slot plane at a time, and `text_chunks` yields the text lines the
+same way: the CLI writes the chunks as they come, so the array, not its
+text, sets the peak memory of a table.  `to_json` and `to_text` join them.
 
 `check_pattern` reads a sector pattern once, into sector classes (0
 untwisted, 1 sigma, 2 sigma^2) that `_check_sectors` checks, as it checks
@@ -76,31 +79,50 @@ class FusionTable:
         """((m1, m2, m3), coefficient) for every entry, in C order."""
         return zip(itertools.product(*self.slots), self.N.ravel().tolist())
 
-    def to_json(self):
-        """Schema-1 JSON of the table, compact, without a trailing newline.
+    def json_chunks(self):
+        """Schema-1 JSON of the table, compact, without a trailing newline,
+        as an iterator of strings: the header, then the entries of one
+        first-slot plane at a time, then the closing brackets.
 
         Each slot label and the method tag are encoded once by
         `compact_json`; the entries are spliced from those fragments and the
-        values of N, in C order.
+        values of N, in C order.  No more than one plane of entries is held
+        as text at once.
         """
         first, second, third = ([compact_json(_label_json(x)) for x in slot]
                                 for slot in self.slots)
         thirds = [f'"m3":{x},"N":' for x in third]
         end = f',"method":{compact_json(self.method)}}}'
-        items = []
-        for m1, plane in zip(first, self.N.tolist()):
-            for m2, row in zip(second, plane):
-                head = f'{{"m1":{m1},"m2":{m2},'
-                items.extend(f"{head}{m3}{n}{end}" for m3, n in zip(thirds, row))
         head = compact_json({"schema": 1, "algebra": self.algebra, "level": self.level,
                              "twist": self.twist, "pattern": self.pattern})
-        return f'{head[:-1]},"entries":[{",".join(items)}]}}'
+        yield f'{head[:-1]},"entries":['
+        for i, (m1, plane) in enumerate(zip(first, self.N)):
+            items = []
+            for m2, row in zip(second, plane.tolist()):
+                pair = f'{{"m1":{m1},"m2":{m2},'
+                items.extend(f"{pair}{m3}{n}{end}" for m3, n in zip(thirds, row))
+            yield ("," if i else "") + ",".join(items)
+        yield "]}"
+
+    def to_json(self):
+        """The chunks of `json_chunks`, joined."""
+        return "".join(self.json_chunks())
+
+    def text_chunks(self):
+        """One line per entry, in C order, without a trailing newline, as an
+        iterator of strings: the lines of one first-slot plane at a time."""
+        width = max(len(str(x)) for slot in self.slots for x in slot)
+        second, third = ([f"{str(x):<{width}}  " for x in slot] for slot in self.slots[1:])
+        tail = f"  [{self.method}]"
+        for i, (m1, plane) in enumerate(zip(self.slots[0], self.N)):
+            m1 = f"{str(m1):<{width}}  "
+            yield ("\n" if i else "") + "\n".join(
+                f"{m1}{m2}{m3}{n}{tail}" for m2, row in zip(second, plane.tolist())
+                for m3, n in zip(third, row))
 
     def to_text(self):
-        width = max(len(str(x)) for slot in self.slots for x in slot)
-        return "\n".join(f"{str(m1):<{width}}  {str(m2):<{width}}  "
-                         f"{str(m3):<{width}}  {n}  [{self.method}]"
-                         for (m1, m2, m3), n in self.items())
+        """The chunks of `text_chunks`, joined."""
+        return "".join(self.text_chunks())
 
 
 def _rounded(values):

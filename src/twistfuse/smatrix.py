@@ -18,6 +18,11 @@ point is made, |W| is priced from the root heights, and a group above
 exact integer over N = gram_den * den * t, reduced mod N as an integer;
 the signs are counted per residue, exactly, and the counts are contracted
 with a table of N-th roots of unity by np.einsum, on the calling thread.
+The kernel's working set is fixed: each sub-block of cells computes its
+exponents, their reduction mod N and their bin offsets in three int64
+buffers of at most `_BLOCK` entries, made once per call and reused, and a
+cell whose |W| exponents pass that budget takes its cosets in chunks,
+whose exact counts add up before the cell's one contraction.
 Exponents that could leave the int64 range raise ExponentOverflow.  The
 numeric field is double-precision complex: exactness lives in the integer
 exponents and counts, and a root of unity is the only floating-point value
@@ -164,21 +169,28 @@ def _roots_of_unity(n):
     return np.exp(1j * (-2.0 * math.pi * (np.arange(n) / n)))
 
 
-# Budgets of the orbit kernel, in array entries.  A walk of W_J holds at
-# most _WALK orbit points (rows x |W_J|), so E6, with |W_J| = |W(A5)| = 720,
-# walks 45 rows at a time.  A walk holds its levels and their concatenation
-# at once: at _BLOCK >> 2 points, `smatrix A7 --level 2` (|W_J| = 5,040,
-# 13 rows a walk) peaked at 52 MB RSS against 45 MB for the one walk of W,
-# at no gain in time.  A sub-block of the contraction holds rows x columns
-# cells, within _BLOCK exponents (|W| = |W_J| x cosets per cell, 2 MB of
-# int64) and _COUNTS residue counts (N per cell), but at least one row and
-# one column.  The counts stay at 64 KB of int64 for each sign, and 128 KB
-# once their difference is cast to complex for the contraction: four times
-# that bought no time and raised the peak RSS of the kw-grid benchmark by
-# 0.3 MB.
-_BLOCK = 1 << 18
-_COUNTS = _BLOCK >> 5
-_WALK = _BLOCK >> 3
+# Budgets of the orbit kernel, in array entries: module constants, not
+# settings.  A walk of W_J holds at most _WALK orbit points (rows x |W_J|),
+# so E6, with |W_J| = |W(A5)| = 720, walks 45 rows at a time.  A walk holds
+# its levels and their concatenation at once: at twice this budget,
+# `smatrix A7 --level 2` (|W_J| = 5,040, 6 rows a walk) peaked at 52 MB RSS
+# against 45 MB for the one walk of W, and at a quarter of it, with six
+# times the walks, it took 24 % more CPU.  A sub-block of the contraction
+# works in three int64 buffers of at most _BLOCK entries (512 KB), made once
+# per call and reused: its exponents (|W| = |W_J| x cosets per cell), their
+# quotients by N, and their bin offsets.  Its bins, 2 N per cell, hold at
+# most 2 _COUNTS <= _BLOCK counts.  A sub-block holds at least one cell, and
+# a cell whose |W| exponents pass _BLOCK takes its cosets in chunks, of at
+# least one coset, whose counts add up before its one contraction.  The
+# counts stay at 64 KB of int64 for each sign, and 128 KB once their
+# difference is cast to complex for the contraction: four times that bought
+# no time and raised the peak RSS of the kw-grid benchmark by 0.3 MB.  At
+# four times this _BLOCK, with every sub-block's arrays made afresh, the
+# first untwisted_S(E6, 1) lifted a bare process from 30.3 to 35.4 MB; in
+# these buffers it lifts it to 32.3 MB.
+_BLOCK = 1 << 16
+_COUNTS = 1 << 13
+_WALK = 1 << 15
 
 
 def _column_blocks(ncols, width):
@@ -208,8 +220,11 @@ def _weyl_sum_matrix(fin, t, row_shifted, col_shifted):
     The exponents (v x) @ part, mod N, are the |W| exponents of the one
     walk of W, the signs eps(u) eps(v) are summed per residue, and the
     exact integer residue counts are contracted with the table of N-th
-    roots of unity, in sub-blocks of rows and columns that keep each work
-    array within the _BLOCK and _COUNTS budgets.
+    roots of unity, in sub-blocks of rows and columns whose work arrays
+    are buffers reused within the _BLOCK and _COUNTS budgets.  A cell
+    whose |W| exponents pass _BLOCK takes its cosets in chunks, and its
+    counts, exact integers, add up over the chunks before the contraction,
+    so every budget gives the same bits.
     """
     gram_int, gram_den = _gram_int(fin)
     l = fin.rank
@@ -219,9 +234,13 @@ def _weyl_sum_matrix(fin, t, row_shifted, col_shifted):
     _check_exponent_range(fin, row_shifted, gram_den * max(groups) * t)
     order = weyl_order(fin)
     cosets, coset_signs = coset_representatives(fin)
+    sub = order // len(cosets)                              # |W_J|
+    chunk = len(cosets) if order <= _BLOCK else max(1, _BLOCK // sub)
     # One tile per block of columns of one denominator: (output columns, n,
-    # U^T @ G_int @ cols.T for every coset u, reduced mod n, as
-    # (rank, cosets x columns), roots of unity, rows per sub-block).
+    # pieces, roots of unity, rows per sub-block).  A piece is U^T @ G_int
+    # @ cols.T for one chunk of cosets u, reduced mod n, as (rank, columns
+    # x cosets), with the slice of the chunk; a tile of more than one
+    # piece has one column.
     tiles = []
     for den, members in groups.items():
         n = gram_den * den * t
@@ -231,40 +250,59 @@ def _weyl_sum_matrix(fin, t, row_shifted, col_shifted):
         roots = _roots_of_unity(n)
         cells = min(_BLOCK // order, _COUNTS // n)
         for lo, hi in _column_blocks(len(members), cells):
-            # part[a, (c, u)] = (U_u^T gc)[a, c], the cosets innermost.
+            # part[a, c, u] = (U_u^T gc)[a, c], the cosets innermost.
             part = np.einsum("uba,bc->acu", cosets, gc[:, lo:hi]) % n
-            tiles.append((cols[lo:hi], n, part.reshape(l, -1), roots,
+            pieces = [(part[:, :, u:u + chunk].reshape(l, -1), slice(u, u + chunk))
+                      for u in range(0, len(cosets), chunk)]
+            tiles.append((cols[lo:hi], n, pieces, roots,
                           max(1, cells // (hi - lo))))
     out = np.zeros((len(row_shifted), len(col_shifted)), dtype=complex)
-    walk = max(1, _WALK // (order // len(cosets)))
+    walk = max(1, _WALK // sub)
+    rows_max = min(walk, len(row_shifted))
+    size = sub * max(min(step, rows_max) * pieces[0][0].shape[1]
+                     for _, _, pieces, _, step in tiles)
+    exps_buf, scratch_buf, offsets_buf = (np.empty(size, dtype=np.int64)
+                                          for _ in range(3))
     for start in range(0, len(row_shifted), walk):
         pts, signs = signed_orbit(fin, row_shifted[start:start + walk], l - 1)
-        # The (v, u) pairs of sign eps(v) eps(u) = -1.
-        negative = (np.multiply.outer(signs, coset_signs) < 0)[:, None, None]
-        for cols, n, part, roots, step in tiles:
+        for cols, n, pieces, roots, step in tiles:
             m = len(cols)
             step = min(step, pts.shape[1])
             # Residue r of cell c (row-major over rows x columns) lands in
             # bin c * n + r, or in bin half + c * n + r for a negative
             # term: the signed count of a residue is then a difference of
-            # two integer counts.  The bin offsets, in the (v, row, column,
-            # u) order of the exponents, are made once per tile and walk.
+            # two integer counts.
             half = step * m * n
-            offsets = (n * np.arange(step * m).reshape(step, m, 1)
-                       + half * negative).reshape(len(pts), -1)
+            cell_bins = n * np.arange(step * m).reshape(step, m, 1)
             for r0 in range(0, pts.shape[1], step):
-                block = pts[:, r0:r0 + step]
-                rows = block.shape[1]
-                # One (|W_J| x rows, rank) @ (rank, m x cosets) product: the
-                # exponents of (v, row, column, u).
-                exps = (block.reshape(-1, l) @ part).reshape(len(pts), -1)
-                # exps mod n, as exps - n * (exps // n): numpy divides an
-                # integer array by a scalar several times faster than it
-                # takes the remainder.
-                exps -= exps // n * n
-                exps += offsets[:, :exps.shape[1]]
-                counts = np.bincount(exps.ravel(), minlength=2 * half)
-                counts = counts[:rows * m * n] - counts[half:half + rows * m * n]
+                rows = min(step, pts.shape[1] - r0)
+                counts = None
+                for part, us in pieces:
+                    width = part.shape[1]
+                    offsets = offsets_buf[:sub * step * width].reshape(sub, step, m, -1)
+                    if r0 == 0 or len(pieces) > 1:
+                        # The bin offsets, in the (v, row, column, u) order
+                        # of the exponents, from the (v, u) pairs of sign
+                        # eps(v) eps(u) = -1: once per tile and walk, or
+                        # once per chunk of cosets.
+                        negative = np.multiply.outer(signs, coset_signs[us]) < 0
+                        np.multiply(negative[:, None, None], half, out=offsets)
+                        offsets += cell_bins
+                    # One (rows, rank) @ (rank, m x cosets) product per v:
+                    # the exponents of (v, row, column, u).
+                    exps = exps_buf[:sub * rows * width].reshape(sub, rows, width)
+                    np.matmul(pts[:, r0:r0 + rows], part, out=exps)
+                    # exps mod n, as exps - n * (exps // n): numpy divides
+                    # an integer array by a scalar several times faster
+                    # than it takes the remainder.
+                    scratch = scratch_buf[:exps.size].reshape(exps.shape)
+                    np.floor_divide(exps, n, out=scratch)
+                    scratch *= n
+                    exps -= scratch
+                    exps += offsets.reshape(sub, step, -1)[:, :rows]
+                    bins = np.bincount(exps.ravel(), minlength=2 * half)
+                    signed = bins[:rows * m * n] - bins[half:half + rows * m * n]
+                    counts = signed if counts is None else counts + signed
                 # einsum's own loops, not a BLAS gemv: each product is
                 # small, but large enough for a threaded BLAS to wake its
                 # pool, whose workers then spin far longer than the work.

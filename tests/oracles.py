@@ -455,6 +455,15 @@ def fusion_table_json_dict(table):
             "twist": table.twist, "pattern": table.pattern, "entries": items}
 
 
+def fusion_table_text(table):
+    """A FusionTable as text, one line per entry, formatted label by label
+    for every entry: the text its streamed text emitter must reproduce."""
+    width = max(len(str(x)) for slot in table.slots for x in slot)
+    return "\n".join(f"{str(m1):<{width}}  {str(m2):<{width}}  "
+                     f"{str(m3):<{width}}  {n}  [{table.method}]"
+                     for (m1, m2, m3), n in table.items())
+
+
 def peel(fin, weights):
     """{highest weight: multiplicity} of a W-invariant weight multiset
     {labels: m} of the finite datum fin: take a dominant weight of largest

@@ -1,7 +1,10 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,7 @@ import twistfuse.errors as errors
 import twistfuse.smatrix as smatrix_mod
 from twistfuse.cli import main
 
-from oracles import repr17_complex_json
+from oracles import fusion_table_text, repr17_complex_json
 
 
 def run(capsys, *argv):
@@ -360,3 +363,113 @@ class TestParserReuse:
         assert "invalid choice" in fresh[3][2]
         assert "--level" in fresh[4][2]
         assert cli_mod.build_parser() is cli_mod.build_parser()
+
+
+class TestFusionUsage:
+    """The fusion subparser's usage is formatted once, when the parser is
+    built; argparse's intermixed parsing would format it on every call."""
+
+    BAD = ["fusion", "A2", "--level", "2", "--method", "nope", "1,0", "0,1", "0,0"]
+    USAGE = """\
+usage: twistfuse fusion [-h] --level LEVEL [--twist {none,diagram}]
+                        [--twist-order TWIST_ORDER]
+                        [--unitarity-tolerance UNITARITY_TOLERANCE]
+                        [--output {json,table}] [--parallelism PARALLELISM]
+                        [--pattern PATTERN]
+                        [--method {both,verlinde,kac-walton}]
+                        type [triple ...]
+"""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self, monkeypatch):
+        # argparse wraps the usage at $COLUMNS.
+        monkeypatch.setenv("COLUMNS", "80")
+        cli_mod.build_parser.cache_clear()
+        yield
+        cli_mod.build_parser.cache_clear()
+
+    @staticmethod
+    def error_text(capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [BAD, ["fusion", "A2"],
+                                      ["fusion", "--level", "1"]])
+    def test_error_text_unchanged(self, capsys, argv):
+        preset = self.error_text(capsys, argv)
+        # With the usage unset, argparse formats it itself, as it did
+        # before the parser set it.
+        cli_mod.build_parser()[1].usage = None
+        assert self.error_text(capsys, argv) == preset
+        assert preset.startswith(self.USAGE + "twistfuse fusion: error: ")
+
+    def test_usage_formatted_once(self, capsys, monkeypatch):
+        calls = []
+        format_usage = argparse.ArgumentParser.format_usage
+
+        def counted(parser):
+            calls.append(parser.prog)
+            return format_usage(parser)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "format_usage", counted)
+        for _ in range(3):
+            assert main(["fusion", "A1", "--level", "1", "1", "1", "0"]) == 0
+        assert calls == ["twistfuse fusion"]
+        # An error prints the usage, which formats it once more.
+        self.error_text(capsys, self.BAD)
+        assert calls == ["twistfuse fusion"] * 2
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+def _recorded_tables():
+    """(argv, sha256 of stdout) of every fusion table the benchmark records."""
+    with open(REFERENCE / "outputs.json") as fh:
+        return sorted(json.load(fh)["fusion"].items())
+
+
+class TestStreamedTables:
+    """The CLI writes a table one first-slot plane at a time, then print's
+    newline: the bytes are those the benchmark records, and those of the
+    whole-table emitters."""
+
+    @pytest.mark.parametrize("key,digest", _recorded_tables(),
+                             ids=[key for key, _ in _recorded_tables()])
+    def test_chunks_equal_the_recorded_output(self, capsys, monkeypatch, key,
+                                              digest):
+        tables = []
+        build = cli_mod.fusion_table
+        monkeypatch.setattr(cli_mod, "fusion_table",
+                            lambda *a: tables.append(build(*a)) or tables[-1])
+        rc, out, _ = run(capsys, *key.split())
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        (table,) = tables
+        chunks = list(table.json_chunks())
+        assert len(chunks) == len(table.slots[0]) + 2
+        assert "".join(chunks) + "\n" == out
+        assert table.to_json() + "\n" == out
+        rc, text, _ = run(capsys, *key.split(), "--output", "table")
+        assert rc == 0
+        assert text == fusion_table_text(table) + "\n" == table.to_text() + "\n"
+
+    def test_table_peak_memory(self):
+        # A3 k=6: 84 labels, 592,704 entries, 84 MB of JSON.  Joined into
+        # one string before it was printed, it peaked at 319 MB.  The peak
+        # RSS of a process survives exec, so the CLI runs as the child of a
+        # small interpreter, not of this one, and that one reports it.
+        script = ("import resource, subprocess, sys\n"
+                  "rc = subprocess.call([sys.executable, '-m', 'twistfuse.cli',\n"
+                  "                      'fusion', 'A3', '--level', '6'],\n"
+                  "                     stdout=subprocess.DEVNULL)\n"
+                  "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=src))
+        rc, peak_kb = proc.stdout.split()
+        assert rc == "0", proc.stderr
+        assert int(peak_kb) / 1024 < 120

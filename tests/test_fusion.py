@@ -22,8 +22,8 @@ from twistfuse.fusion import (SectorLabel, check_pattern, coefficient,
 from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import untwisted_S
 
-from oracles import (fusion_table_json_dict, scalar_kac_walton_row,
-                     scalar_twisted_kac_walton_row)
+from oracles import (fusion_table_json_dict, fusion_table_text,
+                     scalar_kac_walton_row, scalar_twisted_kac_walton_row)
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +361,22 @@ def test_emitter_matches_dict_oracle(name, order, k, pattern):
     table = fusion_table(source, k, pattern)
     expected = json.dumps(fusion_table_json_dict(table), separators=(",", ":"))
     assert table.to_json() == expected
+
+
+@pytest.mark.parametrize("name,order,k,pattern", _emitter_cases())
+def test_chunks_are_first_slot_planes(name, order, k, pattern):
+    type_ = parse_type(name, AFFINE_R1)
+    source = build_cartan(type_) if order is None and pattern == "1,1,1" \
+        else build_folding(type_, order)
+    table = fusion_table(source, k, pattern)
+    # One chunk per first-slot label, between the header and the brackets.
+    chunks = list(table.json_chunks())
+    assert len(chunks) == len(table.slots[0]) + 2
+    assert chunks[0].endswith('"entries":[') and chunks[-1] == "]}"
+    assert "".join(chunks) == table.to_json()
+    text = list(table.text_chunks())
+    assert len(text) == len(table.slots[0])
+    assert "".join(text) == table.to_text() == fusion_table_text(table)
 
 
 def test_gates_fire_without_asserts():

@@ -157,6 +157,19 @@ def _with_oracle_kernel(monkeypatch, build):
     return fast, slow
 
 
+# The S- and a-matrices of the kw-grid benchmark (its fusion tables, the
+# untwisted S beside each twisted one, and its two smatrix calls), and the
+# E6 ones of twisted-e6 and beyond.
+BENCHMARK_MATRICES = [
+    ("S", n, None, k) for n in ("A1", "A2", "A3", "B2", "C2", "G2", "D4")
+    for k in (1, 2, 3)] + [
+    ("S", "B3", None, 3), ("S", "B2", None, 16), ("S", "A3", None, 8),
+    ("S", "E6", None, 1), ("S", "E6", None, 2),
+    ("a", "A3", None, 1), ("a", "A3", None, 2), ("a", "A3", None, 8),
+    ("a", "D4", 2, 1), ("a", "D4", 3, 1), ("a", "E6", None, 1),
+]
+
+
 class TestOrbitKernel:
     @pytest.mark.parametrize("name,kmax", [
         ("A1", 3), ("A2", 3), ("A3", 3), ("B2", 3), ("C2", 3), ("G2", 3),
@@ -178,17 +191,7 @@ class TestOrbitKernel:
             fast, slow = _with_oracle_kernel(monkeypatch, lambda: twisted_a(f, k))
             assert np.abs(fast - slow).max() < 1e-12
 
-    # The S- and a-matrices of the kw-grid benchmark (its fusion tables, the
-    # untwisted S beside each twisted one, and its two smatrix calls), and
-    # the E6 ones of twisted-e6 and beyond.
-    @pytest.mark.parametrize("kind,name,order,k", [
-        ("S", n, None, k) for n in ("A1", "A2", "A3", "B2", "C2", "G2", "D4")
-        for k in (1, 2, 3)] + [
-        ("S", "B3", None, 3), ("S", "B2", None, 16), ("S", "A3", None, 8),
-        ("S", "E6", None, 1), ("S", "E6", None, 2),
-        ("a", "A3", None, 1), ("a", "A3", None, 2), ("a", "A3", None, 8),
-        ("a", "D4", 2, 1), ("a", "D4", 3, 1), ("a", "E6", None, 1),
-    ])
+    @pytest.mark.parametrize("kind,name,order,k", BENCHMARK_MATRICES)
     def test_bits_equal_the_one_walk_kernel(self, monkeypatch, kind, name,
                                             order, k):
         # Each cell sums the same |W| exponents mod N as one walk of all of
@@ -251,10 +254,23 @@ def _counted_walks(monkeypatch):
     return walks
 
 
+def _counted_bincounts(monkeypatch):
+    """Patch np.bincount to record the (input length, bins) of each call."""
+    calls = []
+    bincount = np.bincount
+
+    def counted(x, minlength=0):
+        calls.append((len(x), minlength))
+        return bincount(x, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    return calls
+
+
 class TestBlockBoundaries:
     @pytest.mark.parametrize("kind,name,order,k", [
         ("S", "B2", None, 6), ("a", "A3", None, 3), ("a", "D4", 3, 2),
-        ("S", "E6", None, 1),
+        ("S", "E6", None, 1), ("S", "D4", None, 1),
     ])
     def test_budgets_do_not_change_bits(self, monkeypatch, kind, name, order, k):
         fin, build = _build(kind, name, order, k)
@@ -265,9 +281,13 @@ class TestBlockBoundaries:
         # sub-block, bound by the exponents (|W| per cell); then one row per
         # walk with 100 residue counts per sub-block, fewer than one
         # column's N at some denominators.  B2 k=6 has 28 columns, so they
-        # span six blocks under either budget.
+        # span six blocks under either budget.  Then exponent budgets below
+        # one cell's |W|, which split each cell's cosets into chunks: of
+        # all cosets but one and one, and of one coset each, below |W_J|.
         for walk, block, counts in [(2 * sub, 5 * size, 1 << 62),
-                                    (sub, 1 << 62, 100)]:
+                                    (sub, 1 << 62, 100),
+                                    (2 * sub, size - 1, 1 << 62),
+                                    (sub, sub - 1, 1 << 62)]:
             with monkeypatch.context() as m:
                 m.setattr(smatrix_mod, "_WALK", walk)
                 m.setattr(smatrix_mod, "_BLOCK", block)
@@ -279,6 +299,32 @@ class TestBlockBoundaries:
                 (min(rows, len(default) - lo), fin.rank - 1)
                 for lo in range(0, len(default), rows)]
             assert np.array_equal(got, default)
+
+    @pytest.mark.parametrize("kind,name,order,k", BENCHMARK_MATRICES)
+    def test_bincount_inputs_within_budget(self, monkeypatch, kind, name,
+                                           order, k):
+        # Every sub-block's exponents and bins fit the _BLOCK budget.
+        _, build = _build(kind, name, order, k)
+        calls = _counted_bincounts(monkeypatch)
+        build()
+        assert calls
+        assert max(max(c) for c in calls) <= smatrix_mod._BLOCK
+
+    @pytest.mark.parametrize("name,chunks", [("E6", 3), ("D4", 2)])
+    def test_coset_chunks_within_budget(self, monkeypatch, name, chunks):
+        # A budget below |W| splits each cell's cosets into chunks whose
+        # counts add up, and every chunk's exponents fit the budget.
+        fin, build = _build("S", name, None, 1)
+        default = np.asarray(build().entries)
+        size = weyl_order(fin)
+        ncosets = len(coset_representatives(fin)[0])
+        block = size // ncosets * -(-ncosets // chunks)
+        monkeypatch.setattr(smatrix_mod, "_BLOCK", block)
+        calls = _counted_bincounts(monkeypatch)
+        got = np.asarray(build().entries)
+        assert np.array_equal(got, default)
+        assert len(calls) == default.size * chunks
+        assert max(max(c) for c in calls) <= block < size
 
     def test_column_blocks(self):
         for ncols in range(1, 12):
