@@ -80,52 +80,6 @@ def solve(a, b):
     return mat_vec(mat_inverse(a), b)
 
 
-def nullspace_primitive(a):
-    """One-dimensional integer kernel of an integer matrix, primitive vector.
-
-    Raises ValueError unless the kernel has dimension exactly one.  The sign
-    is normalized so the first nonzero entry is positive.
-    """
-    n = len(a)
-    cols = len(a[0])
-    m = [list(map(Fraction, row)) for row in a]
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, n) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(cols) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError(f"kernel dimension {len(free)}, expected 1")
-    fc = free[0]
-    v = [Fraction(0)] * cols
-    v[fc] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        v[pc] = -m[r][fc]
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
 def _int_hnf(rows):
     """Row Hermite normal form of an integer matrix; returns nonzero rows.
 

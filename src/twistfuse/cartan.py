@@ -12,12 +12,18 @@ Node numbering follows Kac's tables.  Finite diagrams:
     F_4   1 - 2 => 3 - 4                    (3, 4 short)
     G_2   1 => 2 (triple edge; 2 short)
 
-Untwisted affine matrices are assembled from the highest root; the twisted
-tables Aff 2 and Aff 3 are the transposes of the untwisted tables of the
-dual finite types, which keeps the node numbering canonical:
+Untwisted affine matrices are assembled from the highest root, and their
+marks and comarks are (1, those of theta).  `_TWISTED` is the one table of
+twisted types: X_l^(r) names its partner P_p, whose untwisted table,
+transposed, is Kac's table Aff 2 or Aff 3 of X_l^(r) in canonical node
+numbering, and l as a function of p:
 
-    A_{2l-1}^{(2)} = (B_l^{(1)})^T     D_{l+1}^{(2)} = (C_l^{(1)})^T
+    A_{2p-1}^{(2)} = (B_p^{(1)})^T     D_{p+1}^{(2)} = (C_p^{(1)})^T
     E_6^{(2)}      = (F_4^{(1)})^T     D_4^{(3)}     = (G_2^{(1)})^T
+
+X_l^(r) exists when P_p does, its (co)marks are the partner's, swapped by
+the transpose, its finite part is the dual P_p^vee (B <-> C), and its
+adjacent type (the orbit algebra of `fold`) is partnered with P_p^vee.
 
 The Weyl-reflection kernels of the package live here, the one module that
 `rep`, `weyl` and `fold` all import without a cycle.  `simple_roots` gives
@@ -91,21 +97,8 @@ def validate_type(t):
         raise UnsupportedType(f"unknown family {t.family!r}")
     if t.kind in (FINITE, AFFINE_R1):
         ok = _valid_finite(t.family, t.rank)
-        if t.kind == AFFINE_R1 and t.family == "B":
-            ok = t.rank >= 2  # B_2^(1) is admitted (C_2^(1) with relabeled nodes)
-    elif t.kind == AFFINE_R2:
-        if t.family == "A":
-            if t.rank >= 2 and t.rank % 2 == 0:
-                raise UnsupportedType(f"A{t.rank}^(2) is excluded")
-            ok = t.rank >= 3 and t.rank % 2 == 1
-        elif t.family == "D":
-            ok = t.rank >= 3
-        elif t.family == "E":
-            ok = t.rank == 6
-        else:
-            ok = False
-    else:  # AFFINE_R3
-        ok = (t.family, t.rank) == ("D", 4)
+    else:
+        ok = partner(t.family, t.rank, t.kind) is not None
     if not ok:
         raise UnsupportedType(f"no diagram named ({t.family}, {t.rank}, {t.kind})")
 
@@ -310,26 +303,24 @@ class CartanDatum:
     refer to the finite part with the symmetrizers inherited from the affine
     normalization (d_0 = 1), which for twisted types scales the finite form
     by the twist order.  ``finite`` is the corresponding finite-part view.
+    Affine (co)marks come from build_cartan; _check_invariants gates them.
     """
 
-    def __init__(self, type_, A, d, finite_view=None):
+    def __init__(self, type_, A, d, finite_view=None, marks=None, comarks=None):
         self.type = type_
         self.A = A
         self.d = d
         self.rank = len(A) - (0 if type_.kind == FINITE else 1)
+        self.marks = marks
+        self.comarks = comarks
         if type_.kind == FINITE:
             self.finite = self
             a_fin, d_fin = A, d
-            self.marks = None
-            self.comarks = None
         else:
             self.finite = finite_view
             a_fin = tuple(tuple(row[1:]) for row in A[1:])
             d_fin = d[1:]
-            self.marks = rat.nullspace_primitive(A)
-            self.comarks = rat.nullspace_primitive(rat.transpose(A))
-            _require(min(self.marks + self.comarks) > 0, f"{type_}: (co)marks not positive")
-            _require(self.marks[0] == 1, "a_0 = 1 required (A_2l^(2) excluded upstream)")
+            _require(min(marks + comarks) > 0, f"{type_}: (co)marks not positive")
         self.A_fin = a_fin
         self.d_fin = d_fin
         self.gram_roots = tuple(
@@ -348,19 +339,18 @@ class CartanDatum:
             theta_labels = reflect_to_dominant(simple, simple[d_fin.index(max(d_fin))])[0]
             scale = max(d_fin)
             marks_fin = rat.solve(a_fin, theta_labels)
+            self.marks = tuple(int(x) for x in marks_fin)
             covec = tuple(d_fin[i] * marks_fin[i] / scale for i in range(self.rank))
             self.hdual = 1 + sum(int(x) for x in covec)
         else:
             # theta = delta - alpha_0; its norm is 2 a_0 = 2.
-            theta_labels = rat.mat_vec(a_fin, self.marks[1:])
-            marks_fin = rat.solve(a_fin, theta_labels)
-            covec = tuple(d_fin[i] * marks_fin[i] for i in range(self.rank))
+            theta_labels = rat.mat_vec(a_fin, marks[1:])
+            covec = tuple(d_fin[i] * marks[i + 1] for i in range(self.rank))
             self.hdual = sum(self.comarks)
         self.theta = Weight(self.finite, tuple(int(x) for x in theta_labels))
         _require(all(Fraction(x).denominator == 1 for x in covec), "theta_covec not integral")
         self.theta_covec = tuple(int(x) for x in covec)
         if type_.kind == FINITE:
-            self.marks = tuple(int(x) for x in marks_fin)
             self.comarks = self.theta_covec
         self.rhobar = Weight(self.finite, (1,) * self.rank)
         self.M_basis = _orbit_lattice(self) if type_.kind != FINITE else None
@@ -445,23 +435,44 @@ def _affine_matrix_from_theta(fin):
     return tuple(rows)
 
 
-# Twisted (kind, family) -> (partner family, finite-part family, their rank
-# from the twisted rank).  The twisted table is the transpose of the
-# partner's untwisted table; its finite part is the dual of the partner.
+# Twisted (kind, family) -> (partner family P, m, c): the table of X_l^(r)
+# is the transpose of that of P_p^(1), at the rank l = m p + c.
 _TWISTED = {
-    (AFFINE_R2, "A"): ("B", "C", lambda l: (l + 1) // 2),
-    (AFFINE_R2, "D"): ("C", "B", lambda l: l - 1),
-    (AFFINE_R2, "E"): ("F", "F", lambda l: 4),
-    (AFFINE_R3, "D"): ("G", "G", lambda l: 2),
+    (AFFINE_R2, "A"): ("B", 2, -1),
+    (AFFINE_R2, "D"): ("C", 1, 1),
+    (AFFINE_R2, "E"): ("F", 1, 2),
+    (AFFINE_R3, "D"): ("G", 1, 2),
 }
+_PARTNERED = {entry[0]: key for key, entry in _TWISTED.items()}
+_DUAL = {"B": "C", "C": "B"}
+TWISTED_KINDS = {2: AFFINE_R2, 3: AFFINE_R3}
+
+
+def partner(family, rank, kind):
+    """(P, p): the partner family and rank of the twisted type (family,
+    rank, kind), or None when the table holds no such type."""
+    entry = _TWISTED.get((kind, family))
+    if entry is None:
+        return None
+    p_family, m, c = entry
+    p, rest = divmod(rank - c, m)
+    return (p_family, p) if not rest and _valid_finite(p_family, p) else None
+
+
+def adjacent_type(t):
+    """The twisted type partnered with the dual of t's partner, at its rank."""
+    family, p = partner(t.family, t.rank, t.kind)
+    kind, adjacent = _PARTNERED[_DUAL.get(family, family)]
+    _, m, c = _TWISTED[kind, adjacent]
+    return LieType(adjacent, m * p + c, kind)
 
 
 def _finite_type_of(t):
     """Finite LieType of the finite part of t (t itself when finite)."""
     if t.kind in (FINITE, AFFINE_R1):
         return LieType(t.family, t.rank, FINITE)
-    _, family, rank = _TWISTED[t.kind, t.family]
-    return LieType(family, rank(t.rank), FINITE)
+    family, p = partner(t.family, t.rank, t.kind)
+    return LieType(_DUAL.get(family, family), p, FINITE)
 
 
 # Unbounded: data are interned, and inner_product detects MixedDatum by identity.
@@ -478,17 +489,19 @@ def build_cartan(type_):
     if t.kind == AFFINE_R1:
         fin = build_cartan(LieType(t.family, t.rank, FINITE))
         a = _affine_matrix_from_theta(fin)
+        marks, comarks = (1,) + fin.marks, (1,) + fin.comarks
     else:
-        family, _, rank = _TWISTED[t.kind, t.family]
-        partner = build_cartan(LieType(family, rank(t.rank), FINITE))
-        a = rat.transpose(_affine_matrix_from_theta(partner))
+        fin = build_cartan(LieType(*partner(t.family, t.rank, t.kind), FINITE))
+        a = rat.transpose(_affine_matrix_from_theta(fin))
+        # The transpose swaps the null vectors of A and of A^T.
+        marks, comarks = (1,) + fin.comarks, (1,) + fin.marks
     d = _symmetrizers(a)
     d = tuple(x / d[0] for x in d)  # normalization d_0 = 1
     # Finite view: same matrix block with the inherited symmetrizers.
     a_fin = tuple(tuple(row[1:]) for row in a[1:])
     d_fin = d[1:]
     view = _FiniteView(t, a_fin, d_fin)
-    return CartanDatum(t, a, d, finite_view=view)
+    return CartanDatum(t, a, d, view, marks, comarks)
 
 
 class _FiniteView(CartanDatum):

@@ -204,7 +204,7 @@ def _check_fold_identities(grid):
         folding = build_folding(parse_type(name, AFFINE_R1), order or None)
         for k in range(0, 4):
             sym = symmetric_weights(folding, k)
-            adj = build_cartan(folding.adjacent.type)
+            adj = folding.adjacent
             tw = folding.twisted
             n_adj = dominant_level_weights(adj, k)
             n_tw = dominant_level_weights(tw, k)

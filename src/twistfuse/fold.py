@@ -1,8 +1,9 @@
 """Diagram automorphisms and orbit Lie algebra folding.
 
-For an order-p automorphism of an untwisted affine diagram this module
-builds the orbit Cartan matrix, identifies it with the adjacent affine
-type, and assembles the three coordinate bridges used downstream:
+For an order-r automorphism of X_l^(1) this module builds the orbit Cartan
+matrix, matches it against the adjacent type, and assembles the three
+coordinate bridges used downstream.  X_l^(r), its adjacent type and phi's
+node reversal are read from cartan's table; the permutations live here:
 
     Pstar      adjacent-type weights  ->  symmetric weights of the base
     phi        adjacent-type weights  ->  twisted-type weights
@@ -19,8 +20,8 @@ from functools import lru_cache
 from itertools import permutations
 
 from . import _rational as rat
-from .cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, LatticeBasis, LieType,
-                     build_cartan, lattice_M)
+from .cartan import (AFFINE_R1, TWISTED_KINDS, LatticeBasis, LieType,
+                     adjacent_type, build_cartan, lattice_M, partner)
 from .errors import (CheckFailed, FoldingIdentityFailure, NoBuiltinAutomorphism,
                      SectorLabelMismatch, UnrecognizedFoldedType)
 from .rep import dominant_level_weights
@@ -78,34 +79,31 @@ class DiagramAutomorphism:
 def builtin_sigma(type_, order=None):
     """The standard nontrivial diagram automorphism for a supported type.
 
-    D4^(1) carries both an order-3 rotation (the default) and the order-2
-    swap of the last two nodes; pass order to select.
+    X_l^(1) carries one of order r exactly when cartan's table holds
+    X_l^(r).  D4^(1) carries both an order-3 rotation (the default) and the
+    order-2 swap of the last two nodes; pass order to select.
     """
     if type_.kind != AFFINE_R1:
         raise NoBuiltinAutomorphism(f"{type_} is not an untwisted affine type")
-    base = build_cartan(type_)
     fam, l = type_.family, type_.rank
-    if fam == "A" and l >= 3 and l % 2 == 1:
-        if order not in (None, 2):
-            raise NoBuiltinAutomorphism(f"{type_} has no order-{order} automorphism")
-        # i -> 2n - i mod 2n on the cycle 0..2n-1.
-        perm = tuple((l + 1 - i) % (l + 1) for i in range(l + 1))
-        return DiagramAutomorphism(base, perm, 2)
-    if fam == "D" and l == 4 and order in (None, 3):
-        perm = (0, 3, 2, 4, 1)  # 1 -> 3 -> 4 -> 1
-        return DiagramAutomorphism(base, perm, 3)
-    if fam == "D" and l >= 4:
-        if order not in (None, 2):
-            raise NoBuiltinAutomorphism(f"{type_} has no builtin order-{order} automorphism")
-        perm = list(range(l + 1))
-        perm[l - 1], perm[l] = l, l - 1
-        return DiagramAutomorphism(base, tuple(perm), 2)
-    if fam == "E" and l == 6:
-        if order not in (None, 2):
-            raise NoBuiltinAutomorphism(f"{type_} has no order-{order} automorphism")
-        perm = (0, 5, 4, 3, 2, 1, 6)
-        return DiagramAutomorphism(base, perm, 2)
-    raise NoBuiltinAutomorphism(f"no builtin diagram automorphism for {type_}")
+    orders = [r for r, kind in TWISTED_KINDS.items() if partner(fam, l, kind)]
+    if not orders:
+        raise NoBuiltinAutomorphism(f"no builtin diagram automorphism for {type_}")
+    if order is None:
+        order = max(orders)
+    elif order not in orders:
+        builtin = " builtin" if fam == "D" else ""
+        raise NoBuiltinAutomorphism(f"{type_} has no{builtin} order-{order} automorphism")
+    return DiagramAutomorphism(build_cartan(type_), _PERMS[fam, order](l), order)
+
+
+# Node permutations of X_l^(1) by (family, order), fixing node 0.
+_PERMS = {
+    ("A", 2): lambda l: tuple((l + 1 - i) % (l + 1) for i in range(l + 1)),  # i -> -i
+    ("D", 2): lambda l: tuple(range(l - 1)) + (l, l - 1),
+    ("D", 3): lambda l: (0, 3, 2, 4, 1),  # 1 -> 3 -> 4 -> 1
+    ("E", 2): lambda l: (0, 5, 4, 3, 2, 1, 6),
+}
 
 
 def _orbit_matrix(auto):
@@ -129,17 +127,8 @@ def _orbit_matrix(auto):
 
 def _identify(auto):
     """(twisted type, adjacent type) of the folding of auto's base."""
-    t = auto.base.type
-    l = t.rank
-    if t.family == "A":
-        return LieType("A", l, AFFINE_R2), LieType("D", (l + 1) // 2 + 1, AFFINE_R2)
-    if t.family == "D" and auto.order == 3:
-        return LieType("D", 4, AFFINE_R3), LieType("D", 4, AFFINE_R3)
-    if t.family == "D":
-        return LieType("D", l, AFFINE_R2), LieType("A", 2 * l - 3, AFFINE_R2)
-    if t.family == "E":
-        return LieType("E", 6, AFFINE_R2), LieType("E", 6, AFFINE_R2)
-    raise UnrecognizedFoldedType(f"no folding pairing for {t}")
+    t = LieType(auto.base.type.family, auto.base.type.rank, TWISTED_KINDS[auto.order])
+    return t, adjacent_type(t)
 
 
 def _match_relabeling(ahat, target):
@@ -158,8 +147,7 @@ def _match_relabeling(ahat, target):
 def orbit_cartan(auto):
     """Identify the orbit Lie algebra; returns the canonical CartanDatum."""
     _, _, _, ahat = _orbit_matrix(auto)
-    _, adjacent_type = _identify(auto)
-    datum = build_cartan(adjacent_type)
+    datum = build_cartan(_identify(auto)[1])
     _match_relabeling(ahat, datum.A)  # raises if the identification fails
     return datum
 
@@ -232,9 +220,9 @@ def _build_folding(type_, order):
     auto = builtin_sigma(type_, order)
     base = auto.base
     reps, members, s_by_rep, ahat = _orbit_matrix(auto)
-    twisted_type, adjacent_type = _identify(auto)
-    twisted = build_cartan(twisted_type)
-    adjacent = build_cartan(adjacent_type)
+    tw_type, adj_type = _identify(auto)
+    twisted = build_cartan(tw_type)
+    adjacent = build_cartan(adj_type)
     relabel_pi = _match_relabeling(ahat, adjacent.A)
     # relabel[idx] = canonical adjacent node of orbit representative reps[idx]
     relabel = {reps[idx]: relabel_pi[idx] for idx in range(len(reps))}
@@ -256,9 +244,8 @@ def _build_folding(type_, order):
               for i in range(l))
         for j in range(lb))
 
-    reversal = (twisted_type.kind == AFFINE_R3
-                or (twisted_type.kind == AFFINE_R2 and twisted_type.family == "E"))
-    phi = _phi_label_matrix(twisted, adjacent, reversal)
+    # phi reverses the nodes exactly when the type is its own adjacent type.
+    phi = _phi_label_matrix(twisted, adjacent, tw_type == adj_type)
 
     # iota_dual: twisted node i sums base labels over the i-th ascending orbit.
     fin_reps = [r_ for r_ in reps if r_ != 0]
@@ -317,7 +304,7 @@ def symmetric_weights(folding, k):
     """Sigma-fixed level-k weights of the base, in adjacent enumeration order:
     the Pstar images of the adjacent level-k weights, which must be the
     fixed-point set, each once (SectorLabelMismatch)."""
-    adj_weights = dominant_level_weights(build_cartan(folding.adjacent.type), k)
+    adj_weights = dominant_level_weights(folding.adjacent, k)
     images = [pstar_apply(folding, lw) for lw in adj_weights]
     perm = folding.finite_perm()
     base_weights = (lw.finite.coords for lw in dominant_level_weights(folding.base, k))
@@ -336,6 +323,6 @@ def phi_apply_shifted(folding, coords):
 
 def transported_adjacent_M(folding):
     """The adjacent translation lattice carried into twisted coordinates."""
-    m_adj = lattice_M(build_cartan(folding.adjacent.type))
+    m_adj = lattice_M(folding.adjacent)
     rows = [rat.mat_vec(folding.phi, v) for v in m_adj.basis]
     return LatticeBasis(folding.twisted.finite, rat.lattice_basis_rows(rows))

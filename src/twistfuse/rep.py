@@ -164,11 +164,6 @@ def root_table(fin):
                      simple)
 
 
-def positive_roots(datum):
-    """Positive roots as label tuples, sorted."""
-    return root_table(datum.finite).labels
-
-
 @lru_cache(maxsize=64)
 def _gram_int(fin):
     """Weight-space Gram matrix as (integer matrix, common denominator)."""

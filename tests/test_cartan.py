@@ -30,7 +30,18 @@ ALL_AFFINE = [
     LieType("A", 3, AFFINE_R2), LieType("A", 5, AFFINE_R2),
     LieType("D", 3, AFFINE_R2), LieType("D", 4, AFFINE_R2),
     LieType("E", 6, AFFINE_R2), LieType("D", 4, AFFINE_R3),
+    LieType("A", 7, AFFINE_R1), LieType("B", 5, AFFINE_R1),
+    LieType("C", 5, AFFINE_R1), LieType("D", 6, AFFINE_R1),
+    LieType("E", 7, AFFINE_R1), LieType("E", 8, AFFINE_R1),
+    LieType("A", 7, AFFINE_R2), LieType("A", 9, AFFINE_R2),
+    LieType("D", 5, AFFINE_R2), LieType("D", 6, AFFINE_R2),
 ]
+
+# The twisted types admitted over the families A-G and ranks 1-12.
+TWISTED_ADMITTED = (
+    {("A", l, AFFINE_R2) for l in (3, 5, 7, 9, 11)}
+    | {("D", l, AFFINE_R2) for l in range(3, 13)}
+    | {("E", 6, AFFINE_R2), ("D", 4, AFFINE_R3)})
 
 
 class TestLieType:
@@ -53,6 +64,18 @@ class TestLieType:
     def test_a_even_twisted_rejected(self, rank):
         with pytest.raises(UnsupportedType):
             LieType("A", rank, AFFINE_R2)
+
+    def test_twisted_admission(self):
+        admitted = set()
+        for kind in (AFFINE_R2, AFFINE_R3):
+            for family in "ABCDEFG":
+                for rank in range(1, 13):
+                    try:
+                        LieType(family, rank, kind)
+                    except UnsupportedType:
+                        continue
+                    admitted.add((family, rank, kind))
+        assert admitted == TWISTED_ADMITTED
 
     def test_parse(self):
         assert parse_type("A3") == LieType("A", 3)
@@ -249,6 +272,24 @@ class TestLattices:
         """)
         assert lines == ["CheckFailed: B2: diag(d) A not symmetric",
                          "CheckFailed: G2: diag(d) A not symmetric",
+                         "no error"]
+
+    def test_wrong_partner_mark_fires_without_asserts(self):
+        # A twisted datum reads its marks and comarks off its partner's
+        # finite datum; a wrong one there is caught by the invariant gate.
+        lines = self.run_optimized("""
+            from twistfuse.cartan import AFFINE_R2
+            from twistfuse.errors import CheckFailed
+            b3 = build_cartan(LieType("B", 3))
+            b3.comarks = (1, 2, 2)
+            run(lambda: build_cartan(LieType("A", 5, AFFINE_R2)), CheckFailed)
+            c3 = build_cartan(LieType("C", 3))
+            c3.marks = (2, 2, 2)
+            run(lambda: build_cartan(LieType("D", 4, AFFINE_R2)), CheckFailed)
+            run(lambda: build_cartan(LieType("D", 5, AFFINE_R2)), CheckFailed)
+        """)
+        assert lines == ["CheckFailed: A marks != 0",
+                         "CheckFailed: comarks A != 0",
                          "no error"]
 
     def test_weight_rank_fires_without_asserts(self):

@@ -236,6 +236,49 @@ def test_input_checks_exit_1(capsys, argv, message):
     assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
+EMPTY = hashlib.sha256(b"").hexdigest()
+# sha256 of the stdout and the stderr of fold-info calls, and their exit
+# codes: seven foldings, and refusals that each carry their own message.
+FOLD_INFO_SHA256 = {
+    "A3":
+        ("3397aff9bd0d637474df857a8141733290d5f48e686d6ad24d57ffcf6f07d433", EMPTY, 0),
+    "A5":
+        ("4b1cd1282b619c1cdfa9ed67cc4770bf7ef6218def3f99007d0066a45d376ea7", EMPTY, 0),
+    "A7":
+        ("84c5a5aa0e908defbe880320a39ea6b8c0dd68611bbfbe9546677b92b4381804", EMPTY, 0),
+    "D4 --twist-order 2":
+        ("572392742f8e7a700e85544b495c17f11e325d6f3933388870c5563bdfcf0442", EMPTY, 0),
+    "D4 --twist-order 3":
+        ("71a16e725ef5a7606834250e9a1130e8e837adbc7417055d7fe3cccdde7fd568", EMPTY, 0),
+    "D5":
+        ("1056a7f5a8b63f700338fe7aa061417587ddd801ce6f1c424b329b82bf1d2511", EMPTY, 0),
+    "E6":
+        ("f9f1d07555b68cf8cf6c5e1b670b75d1e6592ae62a2ac1847e9999bf66560a85", EMPTY, 0),
+    "A4":
+        (EMPTY, "24461a56d6069a5ccdaff5c285c9c83c0c7279acf46ad693db8591bec777898a", 1),
+    "G2":
+        (EMPTY, "659695a3a73ccd0a96f7f121b66b200ec5c8a79290f5aa0219971e0759cde15a", 1),
+    "B3":
+        (EMPTY, "4544d190e2cd00dc7da6d8f56a6f63bbf37c5e1e677995b1ed67a879ef7c30ba", 1),
+    "E7":
+        (EMPTY, "4ba5e4030325959ca1338fc0a3e8ca564c5f67c70a05184dd0b7f532f8d5f058", 1),
+    "A3 --twist-order 3":
+        (EMPTY, "b0d71682ff826812029221aaa3422fe507866c185c2e40e18db55954b32c2860", 1),
+    "E6 --twist-order 3":
+        (EMPTY, "ee04f188d2ecbae15e27aa5399bc4fdb1f32d9deb8e5a3882b336e4d1406704d", 1),
+    "D5 --twist-order 3":
+        (EMPTY, "d7ecf4b61ee7dccb601e36f19ccce476408aca00460877ee12367c7475824e64", 1),
+}
+
+
+@pytest.mark.parametrize("argv", FOLD_INFO_SHA256)
+def test_fold_info_bytes(capsys, argv):
+    rc = main(["fold-info", *argv.split()])
+    out, err = capsys.readouterr()
+    digests = tuple(hashlib.sha256(x.encode()).hexdigest() for x in (out, err))
+    assert digests + (rc,) == FOLD_INFO_SHA256[argv]
+
+
 class TestOtherCommands:
     def test_weights(self, capsys):
         rc, out, _ = run(capsys, "weights", "A3", "--level", "1",

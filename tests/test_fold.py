@@ -88,11 +88,15 @@ class TestBuildFolding:
         (LieType("E", 6, AFFINE_R1), None, "E6^(2)", "E6^(2)", 2),
         (LieType("D", 4, AFFINE_R1), 3, "D4^(3)", "D4^(3)", 3),
         (LieType("D", 4, AFFINE_R1), 2, "D4^(2)", "A5^(2)", 2),
+        (LieType("A", 5, AFFINE_R1), None, "A5^(2)", "D4^(2)", 2),
+        (LieType("A", 7, AFFINE_R1), None, "A7^(2)", "D5^(2)", 2),
+        (LieType("D", 5, AFFINE_R1), None, "D5^(2)", "A7^(2)", 2),
     ])
     def test_pairings(self, type_, order, twisted, adjacent, r):
         f = build_folding(type_, order)
         assert str(f.twisted.type) == twisted
         assert str(f.adjacent.type) == adjacent
+        assert f.adjacent is build_cartan(f.adjacent.type)
         assert f.r == r
 
     @pytest.mark.parametrize("type_,order", FOLDINGS)

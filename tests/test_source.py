@@ -36,3 +36,52 @@ def test_no_assert_outside_allowlist():
     extra = {site: n for site, n in found.items()
              if n > ASSERT_ALLOWLIST.get(site, 0)}
     assert not extra, f"assert statements outside the allowlist: {extra}"
+
+
+def _module_names(tree):
+    """The module-level functions, classes and constants a module defines,
+    each with its defining node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _used_names(tree, skip=None):
+    """Names read in tree, as names or attributes, outside the node skip."""
+    used = collections.Counter()
+
+    def walk(node):
+        if node is skip:
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        for child in ast.iter_child_nodes(node):
+            walk(child)
+
+    walk(tree)
+    return used
+
+
+def test_no_dead_module_names():
+    # A module-level name that no code in the package reads and that the
+    # package does not export is dead code; an import alone is no use.
+    paths = sorted(Path(twistfuse.__file__).parent.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    used = sum((_used_names(tree) for tree in trees.values()), collections.Counter())
+    dead = []
+    for path, tree in trees.items():
+        for name, node in _module_names(tree):
+            if name.startswith("__") or name in twistfuse.__all__:
+                continue
+            # Uses inside its own definition (recursion) do not count.
+            if used[name] == _used_names(node)[name]:
+                dead.append(f"{path.name}: {name}")
+    assert not dead, f"module-level names no code reads: {dead}"
