@@ -299,7 +299,7 @@ class LatticeBasis:
 class CartanDatum:
     """Immutable bundle of root data for one finite or affine type.
 
-    For affine types the weight-level fields (gram matrices, theta, rhobar)
+    For affine types the weight-level fields (gram matrix, theta)
     refer to the finite part with the symmetrizers inherited from the affine
     normalization (d_0 = 1), which for twisted types scales the finite form
     by the twist order.  ``finite`` is the corresponding finite-part view.
@@ -323,9 +323,6 @@ class CartanDatum:
             _require(min(marks + comarks) > 0, f"{type_}: (co)marks not positive")
         self.A_fin = a_fin
         self.d_fin = d_fin
-        self.gram_roots = tuple(
-            tuple(d_fin[i] * Fraction(a_fin[i][j]) for j in range(self.rank))
-            for i in range(self.rank))
         a_inv = rat.mat_inverse(a_fin)
         self.gram_weights = tuple(
             tuple(d_fin[j] * a_inv[j][i] for j in range(self.rank))
@@ -352,7 +349,6 @@ class CartanDatum:
         self.theta_covec = tuple(int(x) for x in covec)
         if type_.kind == FINITE:
             self.comarks = self.theta_covec
-        self.rhobar = Weight(self.finite, (1,) * self.rank)
         self.M_basis = _orbit_lattice(self) if type_.kind != FINITE else None
         _check_invariants(self)
 

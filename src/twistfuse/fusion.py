@@ -39,7 +39,6 @@ from .cartan import LeveledWeight, simple_roots
 from .errors import (MethodMismatch, NegativeCoefficient,
                      NegativeMultiplicity, NotInteger, SectorRuleViolation,
                      TwistfuseError, UnknownWeight, UnsupportedSectorPattern)
-from .fold import symmetric_weights
 from . import rep
 from .rep import dim, dominant_level_weights, is_level_dominant
 from .smatrix import _label_json, compact_json, twisted_sector_S, untwisted_S
@@ -268,23 +267,21 @@ def _one_pair(affine, k, base, system):
 class SectorMatrices:
     """The S-matrix blocks entering the twisted Verlinde sums.
 
-    scol: untwisted S restricted to the sigma-stable columns (rows over all
-    level-k weights, base_labels).  a: the twisted-sector block, rows over
-    the twisted weights (twisted_labels), columns aligned with scol's.
+    scol: untwisted S restricted to the sigma-stable columns sym (rows over
+    all level-k weights, base_labels).  a: the twisted-sector block, rows
+    over the twisted weights (twisted_labels), columns sym, the sector
+    block's own column labels (`fold.symmetric_weights`).
     """
 
     def __init__(self, folding, k):
-        self.folding = folding
-        self.k = k
-        self.sym = symmetric_weights(folding, k)
         full = untwisted_S(folding.base, k)
         self.full_S = full
         self.base_labels = full.rows
         self.base_index = _index(full.rows)
-        self.sym_idx = [self.base_index[w.finite.coords] for w in self.sym]
-        self.scol = full.entries[:, self.sym_idx]
         sector = twisted_sector_S(folding, k)
         self.sector_S = sector
+        self.sym = sector.cols
+        self.scol = full.entries[:, [self.base_index[w.finite.coords] for w in self.sym]]
         self.a = sector.entries
         self.twisted_labels = sector.rows
         self.twisted_index = _index(sector.rows)

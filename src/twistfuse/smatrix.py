@@ -1,9 +1,11 @@
 """Conformal data and Kac-Peterson modular matrices.
 
-The untwisted S-matrix and the twisted a-matrix are both Weyl sums
-sum_w eps(w) exp(-2 pi i (w(row), col) / t), evaluated by one kernel that
-factors W through its parabolic subgroup W_J, J all simple nodes but the
-last: w = u v with u a minimal coset representative
+The untwisted S-matrix and the twisted a-matrix share one assembly,
+`_kac_peterson` (level check, rows, the [M*:tM] gate, rho-shift, phase and
+scale); S is its case idx_pair = 1 with the columns equal to the rows.
+Both are Weyl sums sum_w eps(w) exp(-2 pi i (w(row), col) / t), evaluated
+by one kernel that factors W through its parabolic subgroup W_J, J all
+simple nodes but the last: w = u v with u a minimal coset representative
 (`weyl.coset_representatives`), v in W_J and eps(w) = eps(u) eps(v).  The
 cosets are folded into each block of columns once per call, as
 U^T G_int col, and the rho-shifted rows walk only W_J
@@ -343,9 +345,32 @@ def _check_exponent_range(fin, row_shifted, n_max):
             f"range of the orbit kernel")
 
 
-def _require_level(k):
+def _kac_peterson(datum, k, provenance, columns=None):
+    """i^npos sqrt(idx_pair / [M*:tM]) times the Weyl sum matrix of
+    `_weyl_sum_matrix`, rows over the level-k weights of datum.
+
+    The level is checked before any weight is enumerated, and [M*:tM] =
+    t^rank [M*:M] (LatticeIndexMismatch) before the columns are made.  The
+    columns are the rows, with idx_pair = 1, unless columns() gives them as
+    (labels, rho-shifted (int tuple, den) pairs, idx_pair).
+    """
     if k < 1:
         raise ValueError(f"modular matrices need level >= 1, not {k}")
+    fin = datum.finite
+    t = k + datum.hdual
+    rows = dominant_level_weights(datum, k)
+    norm_sq = lattice_index(datum.M_dual, lattice_M(datum).scaled(t))
+    if norm_sq != t ** fin.rank * datum.M_index:
+        raise LatticeIndexMismatch(
+            f"{datum.type} level {k}: [M*:tM] = {norm_sq} != "
+            f"t^{fin.rank} [M*:M] = {t ** fin.rank * datum.M_index}")
+    shifted = [tuple(c + 1 for c in lw.finite.coords) for lw in rows]
+    cols, col_shifted, idx_pair = (columns() if columns else
+                                   (rows, [(s, 1) for s in shifted], 1))
+    raw = _weyl_sum_matrix(fin, t, shifted, col_shifted)
+    scale = math.sqrt(idx_pair) / math.sqrt(norm_sq)
+    phase = (1, 1j, -1, -1j)[fin.npos % 4]
+    return ModularMatrix(tuple(rows), tuple(cols), raw * (phase * scale), provenance)
 
 
 def untwisted_S(affine_datum, k):
@@ -353,52 +378,26 @@ def untwisted_S(affine_datum, k):
     if affine_datum.type.kind != "affine-r1":
         raise ValueError(f"untwisted_S needs an untwisted affine datum, "
                          f"not {affine_datum.type}")
-    _require_level(k)
-    fin = affine_datum.finite
-    t = k + affine_datum.hdual
-    labels = dominant_level_weights(affine_datum, k)
-    m_lat = lattice_M(affine_datum)
-    norm_sq = lattice_index(affine_datum.M_dual, m_lat.scaled(t))
-    index = affine_datum.M_index
-    if norm_sq != t ** fin.rank * index:
-        raise LatticeIndexMismatch(
-            f"{affine_datum.type} level {k}: [M*:tM] = {norm_sq} != "
-            f"t^{fin.rank} [M*:M] = {t ** fin.rank * index}")
-    shifted = [tuple(c + 1 for c in lw.finite.coords) for lw in labels]
-    raw = _weyl_sum_matrix(fin, t, shifted, [(s, 1) for s in shifted])
-    scale = 1 / math.sqrt(norm_sq)
-    phase = (1, 1j, -1, -1j)[fin.npos % 4]
-    return ModularMatrix(tuple(labels), tuple(labels), raw * (phase * scale),
-                         UNTWISTED_S)
+    return _kac_peterson(affine_datum, k, UNTWISTED_S)
 
 
 def twisted_a(folding, k):
     """Modular coefficient matrix between twisted-type and adjacent-type
     characters; rows over the twisted weights, columns over the adjacent
-    weights."""
-    _require_level(k)
-    tw = folding.twisted
-    adj = folding.adjacent
-    fin = tw.finite
-    t = k + tw.hdual
-    rows = dominant_level_weights(tw, k)
-    cols = dominant_level_weights(adj, k)
-    m_dag = lattice_M(tw)
-    m_adj = transported_adjacent_M(folding)
-    try:
-        idx_pair = lattice_index(m_adj, m_dag)
-    except NotSublattice:
-        raise NotSublattice("phi(M') does not contain M^dag; folding data bug")
-    norm_sq = lattice_index(tw.M_dual, m_dag.scaled(t))
-    row_shifted = [tuple(c + 1 for c in lw.finite.coords) for lw in rows]
-    col_shifted = []
-    for lw in cols:
-        img = phi_apply_shifted(folding, tuple(c + 1 for c in lw.finite.coords))
-        col_shifted.append(rat.clear_denominators(img))
-    raw = _weyl_sum_matrix(fin, t, row_shifted, col_shifted)
-    scale = math.sqrt(idx_pair) / math.sqrt(norm_sq)
-    phase = (1, 1j, -1, -1j)[fin.npos % 4]
-    return ModularMatrix(tuple(rows), tuple(cols), raw * (phase * scale), TWISTED_A)
+    weights, taken to the twisted weight space by `fold.phi_apply_shifted`,
+    and idx_pair = [phi(M'):M^dag]."""
+    def columns():
+        cols = dominant_level_weights(folding.adjacent, k)
+        try:
+            idx_pair = lattice_index(transported_adjacent_M(folding),
+                                     lattice_M(folding.twisted))
+        except NotSublattice:
+            raise NotSublattice("phi(M') does not contain M^dag; folding data bug")
+        shifted = [rat.clear_denominators(phi_apply_shifted(
+            folding, tuple(c + 1 for c in lw.finite.coords))) for lw in cols]
+        return cols, shifted, idx_pair
+
+    return _kac_peterson(folding.twisted, k, TWISTED_A, columns)
 
 
 def twisted_sector_S(folding, k):

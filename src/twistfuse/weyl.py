@@ -15,6 +15,9 @@ same walk down from the last fundamental weight, carrying the identity
 rows, and returns the minimal representatives of the cosets u W_J, J all
 nodes but the last, as matrices with their signs: the S-matrix kernel
 factors W = W^J W_J with them and never walks the whole group.
+`generate_weyl` materialises W from the same walk, of the identity rows
+steered by rho, behind the same priced gate; no kernel reads it, and it is
+kept as documented scalar API.
 `to_dominant` and `alcove_fold` run
 `cartan.reflect_to_dominant`: the first on the finite simple roots, the
 second on the columns of the affine Cartan matrix, which reduces a
@@ -37,7 +40,6 @@ from .cartan import Weight, orbit_walk, reflect_to_dominant, simple_roots
 from .errors import CheckFailed, NonTermination, RankTooLarge
 from .rep import root_table
 
-MAX_RANK = 6
 ELEMENT_CAP = 100_000
 
 
@@ -65,50 +67,22 @@ def _reflection_matrix(a_fin, i):
         for r in range(l))
 
 
-# W(E6) alone is 51,840 matrices: keep only the last few groups.
-@lru_cache(maxsize=4)
-def _generate(datum):
-    """W by breadth-first closure under the simple reflections.
-
-    r_i w = w - A[:, i] (x) (row i of w) is a rank-one update: it changes
-    only the rows r with A[r][i] != 0, node i and its neighbours, so no
-    matrix product is formed.
+def generate_weyl(datum):
+    """Materialise the finite Weyl group of datum's finite part, the
+    identity first, by one `cartan.orbit_walk` of the identity rows with
+    rho appended as the steering last row.  rho is regular, so each w comes
+    once, at level l(w), with sign (-1)^l(w), and its rows w omega_j are
+    the columns of its matrix.  Raises RankTooLarge, before any point is
+    made, when |W| exceeds ELEMENT_CAP.
     """
     fin = datum.finite
+    _check_element_cap(fin)
     l = fin.rank
-    if l > MAX_RANK:
-        raise RankTooLarge(f"rank {l} exceeds the configured maximum {MAX_RANK}")
-    # Per generator i: (node i, the rows r and entries A[r][i] it changes).
-    gens = [(i, [(r, fin.A[r][i]) for r in range(l) if fin.A[r][i]])
-            for i in range(l)]
-    ident = tuple(tuple(int(r == c) for c in range(l)) for r in range(l))
-    signs = {ident: 1}
-    frontier = [ident]
-    order = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            s = -signs[w]
-            for i, col in gens:
-                wi = w[i]
-                gw = list(w)
-                for r, a in col:
-                    gw[r] = tuple(x - a * y for x, y in zip(w[r], wi))
-                gw = tuple(gw)
-                if gw not in signs:
-                    if len(signs) >= ELEMENT_CAP:
-                        raise RankTooLarge(
-                            f"Weyl group exceeds the element cap {ELEMENT_CAP}")
-                    signs[gw] = s
-                    order.append(gw)
-                    nxt.append(gw)
-        frontier = nxt
-    return WeylGroup(fin, tuple(order), tuple(signs[w] for w in order))
-
-
-def generate_weyl(datum):
-    """Materialize the finite Weyl group of datum's finite part."""
-    return _generate(datum.finite)
+    start = np.vstack([np.eye(l, dtype=np.int64), np.ones((1, l), dtype=np.int64)])
+    points, depth, _ = orbit_walk(simple_roots(fin.A), start[None])
+    mats = points[:, :l].transpose(0, 2, 1).tolist()
+    return WeylGroup(fin, tuple(tuple(map(tuple, m)) for m in mats),
+                     tuple(((-1) ** depth).tolist()))
 
 
 @lru_cache(maxsize=64)
@@ -205,7 +179,7 @@ def to_dominant(datum, lam):
     wall (the representative then has a zero coordinate), otherwise the
     parity of the reflections applied.
     """
-    labels, sign = reflect_to_dominant(root_table(datum.finite).simple, lam.coords)
+    labels, sign = reflect_to_dominant(simple_roots(datum.finite.A), lam.coords)
     return Weight(lam.datum, labels), sign
 
 

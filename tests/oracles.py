@@ -148,6 +148,41 @@ def weyl_orbit_set(a_fin, v, nodes=None):
     return seen
 
 
+def weyl_lengths(a_fin, nodes=None):
+    """{element: length} of the Weyl group of the finite Cartan matrix a_fin,
+    or of its subgroup generated by the reflections of the first `nodes`
+    nodes, by breadth-first matrix products from the identity: level d + 1
+    holds each r_i w, w of level d, not met before.  Elements are integer
+    matrices on label vectors, as tuples of row tuples; r_i subtracts
+    coordinate i times column i of a_fin."""
+    import numpy as np
+    l = len(a_fin)
+    eye = np.eye(l, dtype=np.int64)
+    a = np.array(a_fin, dtype=np.int64)
+    gens = np.array([eye - np.outer(a[:, i], eye[i])
+                     for i in range(l if nodes is None else nodes)]).reshape(-1, 1, l, l)
+    length = {}
+    level, depth = eye[None], 0
+    while len(level):
+        nxt = []
+        for w in level.tolist():
+            key = tuple(map(tuple, w))
+            if key not in length:
+                length[key] = depth
+                nxt.append(w)
+        level = np.matmul(gens, np.array(nxt, dtype=np.int64).reshape(-1, l, l)[None])
+        level = level.reshape(-1, l, l)
+        depth += 1
+    return length
+
+
+def materialised_weyl(fin):
+    """{element: (-1)^length} of the Weyl group of the finite datum fin, by
+    `weyl_lengths`: the materialised group the Weyl-sum, orbit and fold
+    kernels are checked against."""
+    return {w: (-1) ** n for w, n in weyl_lengths(fin.A).items()}
+
+
 def brute_force_fold(affine_datum, k, coords, box=4):
     """Exhaustive reduction of a rho-shifted weight modulo the level-shifted
     affine Weyl action: try every finite Weyl element and every translation
@@ -158,13 +193,11 @@ def brute_force_fold(affine_datum, k, coords, box=4):
     """
     from twistfuse.cartan import lattice_M
     from twistfuse._rational import mat_vec
-    from twistfuse.weyl import generate_weyl
 
     t = k + affine_datum.hdual
     fin = affine_datum.finite
     l = fin.rank
     covee = affine_datum.comarks[1:]
-    weyl = generate_weyl(fin)
     m_basis = [tuple(x for x in v) for v in lattice_M(affine_datum).basis]
 
     # w x is an integer vector for integer x, so w x + T is integral exactly
@@ -177,7 +210,7 @@ def brute_force_fold(affine_datum, k, coords, box=4):
         if all(Fraction(v).denominator == 1 for v in tr):
             translations.append(tuple(int(v) for v in tr))
     hits = []
-    for w, sign in zip(weyl.elements, weyl.signs):
+    for w, sign in materialised_weyl(fin).items():
         wx = mat_vec(w, coords)
         assert all(Fraction(v).denominator == 1 for v in wx)
         for tr in translations:
@@ -207,12 +240,11 @@ def materialised_weyl_sum(fin, t, row_shifted, col_shifted, bits=53):
     residue counting.
     """
     import numpy as np
-    from twistfuse.weyl import generate_weyl
 
     assert bits == 53, "the oracle evaluates in double precision only"
-    weyl = generate_weyl(fin)
-    mats = np.array(weyl.elements, dtype=np.int64)        # (|W|, l, l)
-    signs = np.array(weyl.signs, dtype=float)
+    weyl = materialised_weyl(fin)
+    mats = np.array(list(weyl), dtype=np.int64)           # (|W|, l, l)
+    signs = np.array(list(weyl.values()), dtype=float)
     l = fin.rank
     gram_den = 1
     for row in fin.gram_weights:

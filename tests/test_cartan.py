@@ -124,12 +124,13 @@ class TestBuildCartan:
         l = d.rank
         gw = inverse_times_diag(d.A_fin, d.d_fin)
         assert [list(r) for r in d.gram_weights] == gw
-        # alpha_i = sum_j A_ji omega_j carries one Gram matrix to the other
+        # alpha_i = sum_j A_ji omega_j carries gram_weights to the Gram
+        # matrix of the simple roots, (alpha_i, alpha_j) = d_i A_ij.
         for i in range(l):
             for j in range(l):
                 val = sum(d.A_fin[r][i] * Fraction(d.gram_weights[r][s]) * d.A_fin[s][j]
                           for r in range(l) for s in range(l))
-                assert val == d.gram_roots[i][j]
+                assert val == d.d_fin[i] * d.A_fin[i][j]
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedType):

@@ -22,11 +22,10 @@ from twistfuse.fusion import kac_walton
 from twistfuse.rep import (branch, dim, dominant_level_weights, freudenthal,
                            root_table, tensor_decompose)
 from twistfuse._rational import mat_vec
-from twistfuse.weyl import generate_weyl
 
 from oracles import (clebsch_gordan_range, convolve_weight_dicts,
                      fraction_dim, fraction_freudenthal, lattice_freudenthal,
-                     peel_branch, sl2_string, weight_dict)
+                     materialised_weyl, peel_branch, sl2_string, weight_dict)
 
 
 def coords_dict(table):
@@ -115,9 +114,9 @@ class TestFreudenthal:
         ws = freudenthal(d, d.weight(coords))
         assert ws.total() == dim(d, coords)
         mults = weight_dict(ws)
-        W = generate_weyl(d)
+        W = materialised_weyl(d)
         for v, m in mults.items():
-            for w in W.elements:
+            for w in W:
                 assert mults.get(mat_vec(w, v)) == m
 
     def test_dimension_cap(self):
@@ -349,7 +348,7 @@ class TestOrbitExpansion:
         points = orbit_walk(root_table(fin).simple, start)[0]
         orbit = [tuple(p) for p in points[:, 0].tolist()]
         assert len(orbit) == len(set(orbit))
-        assert set(orbit) == {mat_vec(w, coords) for w in generate_weyl(fin).elements}
+        assert set(orbit) == {mat_vec(w, coords) for w in materialised_weyl(fin)}
 
     def test_dropped_orbit_point(self, monkeypatch):
         monkeypatch.setattr(rep, "orbit_walk", drop_last_orbit_points)

@@ -402,6 +402,7 @@ def test_gates_fire_without_asserts():
         true_index = smatrix.lattice_index
         smatrix.lattice_index = lambda a, b: true_index(a, b) + 1
         run(lambda: smatrix.untwisted_S(a1, 2))
+        run(lambda: smatrix.twisted_a(a3, 1))
         print("exit", cli.main(["smatrix", "A1", "--level", "2"]))
         smatrix.lattice_index = true_index
 
@@ -431,7 +432,8 @@ def test_gates_fire_without_asserts():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    expected = [("LatticeIndexMismatch", "[M*:tM]"), ("exit 2", ""),
+    expected = [("LatticeIndexMismatch", "[M*:tM]"),
+                ("LatticeIndexMismatch", "[M*:tM]"), ("exit 2", ""),
                 ("SectorLabelMismatch", "symmetric weights"),
                 ("ConformalMismatch", "strange formula"),
                 ("ConformalMismatch", "c/24"),

@@ -2,6 +2,8 @@
 
 import ast
 import collections
+import importlib
+import importlib.util
 from pathlib import Path
 
 import twistfuse
@@ -85,3 +87,16 @@ def test_no_dead_module_names():
             if used[name] == _used_names(node)[name]:
                 dead.append(f"{path.name}: {name}")
     assert not dead, f"module-level names no code reads: {dead}"
+
+
+def test_traced_names_exist():
+    # The benchmark's tracer wraps package functions by name, and a traced
+    # run that misses one reports correct: false.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"twistfuse.{module}.{name}"
+               for module, names in tracer.TRACED.items() for name in names
+               if not hasattr(importlib.import_module(f"twistfuse.{module}"), name)]
+    assert not missing, f"traced names the package lacks: {missing}"

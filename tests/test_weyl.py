@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistfuse
+import twistfuse.weyl as weyl
 from twistfuse.cartan import AFFINE_R1, AFFINE_R2, LieType, build_cartan, parse_type
 from twistfuse.errors import RankTooLarge
 from twistfuse.rep import dominant_level_weights
@@ -18,7 +19,7 @@ from twistfuse.weyl import (ELEMENT_CAP, alcove_fold, coset_representatives,
                             generate_weyl, signed_orbit, to_dominant,
                             weyl_order)
 
-from oracles import brute_force_fold, mat_mul_int
+from oracles import brute_force_fold, mat_mul_int, materialised_weyl, weyl_lengths
 
 CLASSICAL_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "B3": 48, "C3": 48,
@@ -51,13 +52,25 @@ class TestGenerateWeyl:
             for g in gens:
                 assert sign_of[mat_mul_int(g, w)] == -sign
 
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                      "C3", "D4", "D5", "G2", "F4", "E6"])
+    def test_matches_materialised_group(self, name):
+        d = build_cartan(parse_type(name))
+        W = generate_weyl(d)
+        assert len(set(W.elements)) == len(W) == weyl_order(d)
+        assert dict(zip(W.elements, W.signs)) == materialised_weyl(d)
+
+    def test_admits_any_group_under_the_cap(self):
+        # A7 has rank 7 but only 8! elements.
+        assert len(generate_weyl(build_cartan(LieType("A", 7)))) == math.factorial(8)
+
     def test_contains_identity(self):
         W = generate_weyl(build_cartan(LieType("A", 3)))
         ident = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
         assert W.elements[0] == ident and W.signs[0] == 1
 
     def test_rank_cap(self):
-        with pytest.raises(RankTooLarge):
+        with pytest.raises(RankTooLarge, match="order 2903040"):
             generate_weyl(build_cartan(LieType("E", 7)))
 
     def test_debug_dump(self):
@@ -92,8 +105,8 @@ class TestSignedOrbit:
         d = build_cartan(parse_type(name))
         x = tuple(data.draw(st.integers(1, 7)) for _ in range(d.rank))
         pts, signs = signed_orbit(d, x)
-        W = generate_weyl(d)
-        expected = {mat_vec(w, x): eps for w, eps in zip(W.elements, W.signs)}
+        W = materialised_weyl(d)
+        expected = {mat_vec(w, x): eps for w, eps in W.items()}
         got = {tuple(int(c) for c in p): int(s) for p, s in zip(pts, signs)}
         assert len(got) == len(pts) == len(W)
         assert got == expected
@@ -112,12 +125,11 @@ class TestSignedOrbit:
         rows = [tuple(data.draw(st.integers(1, 7)) for _ in range(d.rank))
                 for _ in range(n)]
         pts, signs = signed_orbit(d, rows)
-        W = generate_weyl(d)
+        W = materialised_weyl(d)
         assert pts.shape == (len(W), n, d.rank) and signs.shape == (len(W),)
         # Row 0 is regular, so its point names the element w; point p of
         # every row must be w of that row, with the sign of w.
-        element = {mat_vec(w, rows[0]): (w, eps)
-                   for w, eps in zip(W.elements, W.signs)}
+        element = {mat_vec(w, rows[0]): (w, eps) for w, eps in W.items()}
         assert {tuple(int(c) for c in q) for q in pts[:, 0]} == set(element)
         for p in range(len(W)):
             w, eps = element[tuple(int(c) for c in pts[p, 0])]
@@ -139,31 +151,19 @@ class TestSignedOrbit:
                 signed_orbit(d, rows)
 
     @pytest.mark.parametrize("name", ["E7", "A20"])
-    def test_cost_gate(self, name):
+    def test_cost_gate(self, name, monkeypatch):
+        # The priced gate fires before the walk makes any point.
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the orbit walk started")
+
+        monkeypatch.setattr(weyl, "orbit_walk", no_walk)
         d = build_cartan(parse_type(name))
         order = weyl_order(d)
         assert order > ELEMENT_CAP
         with pytest.raises(RankTooLarge, match=f"rank {d.rank}.*{order}"):
             signed_orbit(d, (1,) * d.rank)
-
-
-def _lengths(gens):
-    """{element: length} of the group generated by the integer matrices
-    gens, by breadth-first products from the identity."""
-    rank = len(gens[0])
-    ident = tuple(tuple(int(r == c) for c in range(rank)) for r in range(rank))
-    length = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                gw = mat_mul_int(g, w)
-                if gw not in length:
-                    length[gw] = length[w] + 1
-                    nxt.append(gw)
-        frontier = nxt
-    return length
+        with pytest.raises(RankTooLarge, match=f"rank {d.rank}.*{order}"):
+            generate_weyl(d)
 
 
 class TestCosetRepresentatives:
@@ -182,16 +182,13 @@ class TestCosetRepresentatives:
     def test_matches_materialised_group(self, name):
         # W_J is generated by the reflections of all nodes but the last.
         d = build_cartan(parse_type(name))
-        W = generate_weyl(d)
-        gens = [tuple(map(tuple, g)) for g in W.to_json_dict()["generators"]]
-        length = _lengths(gens)
-        sub = _lengths(gens[:-1])
-        assert set(length) == set(W.elements)
+        length = weyl_lengths(d.A)
+        sub = weyl_lengths(d.A, d.rank - 1)
         mats, signs = coset_representatives(d)
         reps = [tuple(tuple(int(c) for c in row) for row in u) for u in mats]
-        assert len(set(reps)) == len(reps) == len(W) // len(sub)
+        assert len(set(reps)) == len(reps) == len(length) // len(sub)
         products = [mat_mul_int(u, v) for u in reps for v in sub]
-        assert len(set(products)) == len(products) == len(W)
+        assert set(products) == set(length) and len(products) == len(length)
         for u, sign in zip(reps, signs):
             # u is the shortest element of u W_J, with sign (-1)^l(u).
             assert length[u] == min(length[mat_mul_int(u, v)] for v in sub)
@@ -257,8 +254,7 @@ class TestToDominant:
         d = build_cartan(parse_type(name))
         v = coords[:d.rank]
         rep0, sign0 = to_dominant(d, d.weight(v))
-        W = generate_weyl(d)
-        for w, eps in zip(W.elements, W.signs):
+        for w, eps in materialised_weyl(d).items():
             rep, sign = to_dominant(d, d.weight(mat_vec(w, v)))
             assert rep == rep0
             assert sign == (0 if sign0 == 0 else sign0 * eps)
