@@ -16,7 +16,7 @@ from .errors import (CheckFailed, ConformalMismatch, DegenerateLattice,
                      MassMismatch, MethodMismatch, MixedDatum,
                      NegativeCoefficient, NegativeMultiplicity,
                      NoBuiltinAutomorphism, NonTermination, NotAffine,
-                     NotInteger, NotSublattice, RankTooLarge,
+                     NotInteger, NotOrthonormal, NotSublattice, RankTooLarge,
                      RootCountMismatch, SectorLabelMismatch,
                      SectorRuleViolation, TwistfuseError, UnknownWeight,
                      UnrecognizedFoldedType, UnsupportedSectorPattern,
@@ -42,8 +42,8 @@ __all__ = [
     "MassMismatch", "MethodMismatch",
     "MixedDatum", "ModularMatrix", "NegativeCoefficient",
     "NegativeMultiplicity", "NoBuiltinAutomorphism", "NonTermination",
-    "NotAffine", "NotInteger", "NotSublattice", "RankTooLarge",
-    "RootCountMismatch",
+    "NotAffine", "NotInteger", "NotOrthonormal", "NotSublattice",
+    "RankTooLarge", "RootCountMismatch",
     "SectorLabel", "SectorLabelMismatch", "SectorRuleViolation",
     "TwistfuseError", "UnknownWeight",
     "UnrecognizedFoldedType", "UnsupportedSectorPattern",

@@ -1,11 +1,21 @@
-"""Exact rational linear algebra helpers (Fraction matrices, integer lattices).
+"""Exact rational linear algebra on Python integers (Fraction matrices,
+integer lattices).
 
-Matrices are tuples of tuples of Fractions (or ints where exactness allows).
-Everything here is small and dense; no attempt at sparsity.
+Matrices are tuples of tuples of ints or Fractions.  The kernels
+(`mat_mul`, `mat_det`, `mat_inverse`, `solve`, `lattice_basis_rows`,
+`clear_denominators`) write each matrix as integer rows over one common
+denominator (`_int_rows`), work on those integers alone, and make one
+Fraction per output entry (`clear_denominators` returns the integers).
+`mat_det`, `mat_inverse` and `solve` share one fraction-free Gauss-Jordan
+elimination (`_bareiss`; Bareiss, Math. Comp. 22, 1968): each step scales
+the other rows by the pivot and divides them exactly by the previous
+pivot, so every intermediate is an integer minor of the input.  Nothing
+is rounded.  Everything here is small and dense; no attempt at sparsity.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import mul
 
 from .errors import CheckFailed
 
@@ -14,14 +24,60 @@ def frac_matrix(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+def _int_rows(a):
+    """(integer rows, d) with a == rows / d, d the least common denominator."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
+def _bareiss(a, b):
+    """Fraction-free Gauss-Jordan on the integer rows [a | b], a square.
+
+    Returns (sign, d, rows): d = sign * det(a) is the determinant of a with
+    its rows swapped to the pivots, and rows are the integer rows of
+    d a^-1 b; d = 0 and rows None when a is singular.
+    """
+    n = len(a)
+    m = [ra + rb for ra, rb in zip(a, b)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot is None:
+            return sign, 0, None
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+    return sign, prev, [row[n:] for row in m]
+
+
+def _left_divide(a, b):
+    """a^-1 b as Fraction rows; raises ValueError on singular a."""
+    ia, da = _int_rows(a)
+    ib, db = _int_rows(b)
+    _, d, rows = _bareiss(ia, ib)
+    if not d:
+        raise ValueError("singular matrix")
+    return tuple(tuple(Fraction(da * x, d * db) for x in row) for row in rows)
+
+
 def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
+    m = len(b)
     if len(a[0]) != m:
         raise CheckFailed(f"cannot multiply a matrix with {len(a[0])} columns "
                           f"by one with {m} rows")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p))
-        for i in range(n))
+    ia, da = _int_rows(a)
+    ib, db = _int_rows(b)
+    cols = tuple(zip(*ib))
+    den = da * db
+    return tuple(tuple(Fraction(sum(map(mul, row, col)), den) for col in cols)
+                 for row in ia)
 
 
 def mat_vec(a, v):
@@ -32,52 +88,21 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def identity(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
 def mat_inverse(a):
-    """Gauss-Jordan inverse; raises ValueError on singular input."""
+    """Inverse; raises ValueError on singular input."""
     n = len(a)
-    aug = [list(row) + list(ident_row)
-           for row, ident_row in zip(frac_matrix(a), identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return _left_divide(a, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def mat_det(a):
-    n = len(a)
-    m = [list(row) for row in frac_matrix(a)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+    rows, den = _int_rows(a)
+    sign, d, _ = _bareiss(rows, [[] for _ in rows])
+    return Fraction(sign * d, den ** len(rows))
 
 
 def solve(a, b):
     """Solve a @ x = b for a square nonsingular a; b is a vector."""
-    return mat_vec(mat_inverse(a), b)
+    return tuple(x for x, in _left_divide(a, [[x] for x in b]))
 
 
 def _int_hnf(rows):
@@ -120,22 +145,11 @@ def _int_hnf(rows):
 
 def lattice_basis_rows(vectors):
     """Canonical basis (HNF) of the lattice generated by rational row vectors."""
-    vecs = [tuple(Fraction(x) for x in v) for v in vectors]
-    if not vecs:
-        return ()
-    den = 1
-    for v in vecs:
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-    ints = [[int(x * den) for x in v] for v in vecs]
-    hnf = _int_hnf(ints)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in hnf)
+    ints, den = _int_rows(list(vectors))
+    return tuple(tuple(Fraction(x, den) for x in row) for row in _int_hnf(ints))
 
 
 def clear_denominators(vec):
     """Return (integer vector, positive denominator d) with vec == ints / d."""
-    den = 1
-    fracs = [Fraction(x) for x in vec]
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return tuple(int(x * den) for x in fracs), den
+    (ints,), den = _int_rows([tuple(vec)])
+    return tuple(ints), den

@@ -539,12 +539,13 @@ def lattice_M(datum):
 
 
 def lattice_index(l1, l2):
-    """Index [l1 : l2] for a sublattice l2 of l1; |det(B1^-1 B2)|."""
+    """Index [l1 : l2] for a sublattice l2 of l1; |det(B1^-1 B2)|.
+
+    l2 lies in l1 when the integer products of `rat.mat_mul` are divisible
+    by their one denominator, so that every coefficient has denominator 1."""
     coeffs = rat.mat_mul(l2.basis, l1.inverse)
-    for row in coeffs:
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise NotSublattice("second lattice is not contained in the first")
+    if any(x.denominator != 1 for row in coeffs for x in row):
+        raise NotSublattice("second lattice is not contained in the first")
     idx = abs(rat.mat_det(coeffs))
     if idx.denominator != 1 or idx <= 0:
         raise DegenerateLattice(f"index [l1 : l2] = {idx} is not a positive integer")

@@ -16,10 +16,11 @@ from . import _rational as rat
 from .cartan import AFFINE_R1, build_cartan, lattice_M, parse_type
 from .errors import CheckFailed, TwistfuseError
 from .fold import build_folding, pstar_apply, symmetric_weights
-from .fusion import (SectorLabel, SectorMatrices, check_pattern, coefficient,
+from .fusion import (SectorLabel, _index, check_pattern, coefficient,
                      fusion_table, slot_data, twisted_verlinde)
 from .rep import branch, dim, dominant_level_weights
-from .smatrix import compact_json, complex_json, conformal, twisted_a, untwisted_S
+from .smatrix import (compact_json, complex_json, conformal, twisted_a,
+                      twisted_sector_S, untwisted_S)
 
 
 def _dump(obj):
@@ -40,15 +41,21 @@ def cmd_smatrix(args):
         worst = max(s.unitarity_defect(), s.symmetry_defect())
         out["S"] = s.to_json_dict()
     else:
-        mats = SectorMatrices(_folding_for(args), args.level)
+        # The full S, for its unitarity and symmetry, read on its sigma-stable
+        # columns, the column labels of the sector block.
+        folding = _folding_for(args)
+        full = untwisted_S(folding.base, args.level)
+        sector = twisted_sector_S(folding, args.level)
+        index = _index(full.rows)
+        sym = [index[w.finite.coords] for w in sector.cols]
         out["S_symmetric_columns"] = {
-            "rows": [[int(x) for x in w.finite.coords] for w in mats.base_labels],
-            "cols": [[int(x) for x in w.finite.coords] for w in mats.sym],
-            **complex_json(mats.scol),
+            "rows": [[int(x) for x in w.finite.coords] for w in full.rows],
+            "cols": [[int(x) for x in w.finite.coords] for w in sector.cols],
+            **complex_json(full.entries[:, sym]),
         }
-        out["S_twisted_sector"] = mats.sector_S.to_json_dict()
-        worst = max(mats.full_S.unitarity_defect(), mats.full_S.symmetry_defect(),
-                    mats.sector_S.unitarity_defect())
+        out["S_twisted_sector"] = sector.to_json_dict()
+        worst = max(full.unitarity_defect(), full.symmetry_defect(),
+                    sector.unitarity_defect())
     out["unitarity_defect"] = worst
     _dump(out)
     return 0 if worst < args.unitarity_tolerance else 2

@@ -104,6 +104,10 @@ class NotInteger(CheckFailed):
     """A Verlinde sum failed the integrality tolerance."""
 
 
+class NotOrthonormal(CheckFailed):
+    """S-matrix columns fail orthonormality, S^H S = I, within tolerance."""
+
+
 class UnknownWeight(CheckFailed):
     """A Kac-Walton component folded to a weight outside the labels of its
     table."""

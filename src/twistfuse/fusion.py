@@ -36,14 +36,15 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import LeveledWeight, simple_roots
-from .errors import (MethodMismatch, NegativeCoefficient,
-                     NegativeMultiplicity, NotInteger, SectorRuleViolation,
+from .errors import (MethodMismatch, NegativeCoefficient, NegativeMultiplicity,
+                     NotInteger, NotOrthonormal, SectorRuleViolation,
                      TwistfuseError, UnknownWeight, UnsupportedSectorPattern)
 from . import rep
 from .rep import dim, dominant_level_weights, is_level_dominant
 from .smatrix import _label_json, compact_json, twisted_sector_S, untwisted_S
 
 INTEGER_TOLERANCE = 1e-6
+UNITARITY_TOLERANCE = 1e-9
 
 # The pattern token and the SectorLabel name of each sector class g, the
 # power of the twist: 0 untwisted, 1 sigma, 2 sigma^2 (no S-matrix block).
@@ -267,21 +268,30 @@ def _one_pair(affine, k, base, system):
 class SectorMatrices:
     """The S-matrix blocks entering the twisted Verlinde sums.
 
-    scol: untwisted S restricted to the sigma-stable columns sym (rows over
-    all level-k weights, base_labels).  a: the twisted-sector block, rows
-    over the twisted weights (twisted_labels), columns sym, the sector
-    block's own column labels (`fold.symmetric_weights`).
+    scol: untwisted S on the sigma-stable columns sym alone (rows over all
+    level-k weights, base_labels), built by `untwisted_S` with those column
+    labels, so a table never builds the full S; its columns are gated
+    orthonormal, scol^H scol = I within UNITARITY_TOLERANCE (NotOrthonormal).
+    a: the twisted-sector block, rows over the twisted weights
+    (twisted_labels), columns sym, the sector block's own column labels
+    (`fold.symmetric_weights`).
     """
 
     def __init__(self, folding, k):
-        full = untwisted_S(folding.base, k)
-        self.full_S = full
-        self.base_labels = full.rows
-        self.base_index = _index(full.rows)
         sector = twisted_sector_S(folding, k)
-        self.sector_S = sector
         self.sym = sector.cols
-        self.scol = full.entries[:, [self.base_index[w.finite.coords] for w in self.sym]]
+        s = untwisted_S(folding.base, k, self.sym)
+        self.base_labels = s.rows
+        self.base_index = _index(s.rows)
+        self.scol = s.entries
+        # np.einsum on the calling thread, as in ModularMatrix.unitarity_defect;
+        # a NaN fails.
+        gram = np.einsum("ij,ik->jk", self.scol.conj(), self.scol)
+        defect = np.abs(gram - np.eye(len(self.sym))).max()
+        if not defect <= UNITARITY_TOLERANCE:
+            raise NotOrthonormal(
+                f"{folding.base.type} level {k}: the sigma-stable columns of S are "
+                f"off orthonormal by {defect:.3e} (tolerance {UNITARITY_TOLERANCE})")
         self.a = sector.entries
         self.twisted_labels = sector.rows
         self.twisted_index = _index(sector.rows)

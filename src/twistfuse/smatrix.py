@@ -2,7 +2,9 @@
 
 The untwisted S-matrix and the twisted a-matrix share one assembly,
 `_kac_peterson` (level check, rows, the [M*:tM] gate, rho-shift, phase and
-scale); S is its case idx_pair = 1 with the columns equal to the rows.
+scale); S is its case idx_pair = 1 with the columns equal to the rows, or
+to a subset of them: a twisted fusion table reads only the sigma-stable
+columns (`fusion.SectorMatrices`), so it never builds the full S.
 Both are Weyl sums sum_w eps(w) exp(-2 pi i (w(row), col) / t), evaluated
 by one kernel that factors W through its parabolic subgroup W_J, J all
 simple nodes but the last: w = u v with u a minimal coset representative
@@ -46,7 +48,7 @@ from .cartan import LeveledWeight, lattice_index, lattice_M
 from .errors import (ConformalMismatch, ExponentOverflow, LatticeIndexMismatch,
                      NotSublattice)
 from .fold import phi_apply_shifted, symmetric_weights, transported_adjacent_M
-from .rep import dominant_level_weights, _gram_int, _ip
+from .rep import dominant_level_weights, is_level_dominant, _gram_int, _ip
 from .weyl import coset_representatives, signed_orbit, weyl_order
 
 UNTWISTED_S = "untwisted-S"
@@ -373,12 +375,25 @@ def _kac_peterson(datum, k, provenance, columns=None):
     return ModularMatrix(tuple(rows), tuple(cols), raw * (phase * scale), provenance)
 
 
-def untwisted_S(affine_datum, k):
-    """Kac-Peterson S-matrix over the level-k dominant weights."""
+def untwisted_S(affine_datum, k, cols=None):
+    """Kac-Peterson S-matrix over the level-k dominant weights.
+
+    Given cols, level-k dominant weights, only those columns are built:
+    each cell is its own exact count and contraction, so they equal the
+    same columns of the full S bit for bit, at a fraction of its cost.
+    """
     if affine_datum.type.kind != "affine-r1":
         raise ValueError(f"untwisted_S needs an untwisted affine datum, "
                          f"not {affine_datum.type}")
-    return _kac_peterson(affine_datum, k, UNTWISTED_S)
+
+    def columns():
+        for lw in cols:
+            if lw.level != k or not is_level_dominant(affine_datum, lw):
+                raise ValueError(f"{lw} is not a level-{k} dominant weight")
+        return cols, [(tuple(c + 1 for c in lw.finite.coords), 1) for lw in cols], 1
+
+    return _kac_peterson(affine_datum, k, UNTWISTED_S,
+                         None if cols is None else columns)
 
 
 def twisted_a(folding, k):

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 
 def mat_mul_int(a, b):
-    """Product of two integer matrices given as tuples of row tuples."""
+    """Product of two exact (int or Fraction) matrices given as tuples of
+    row tuples."""
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(ar, bc)) for bc in bt) for ar in a)
 
@@ -60,21 +61,50 @@ def primitive_null_vector(matrix):
     return tuple(ints)
 
 
+def fraction_mat_inverse(a):
+    """Gauss-Jordan inverse in Fractions, one division per pivot; raises
+    ValueError on singular input."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def fraction_mat_det(a):
+    """Determinant by Gaussian elimination in Fractions."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
 def inverse_times_diag(a, d):
     """A^-T  D as Fractions: the weight-space Gram matrix, independently."""
+    ainv = fraction_mat_inverse(a)
     n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    ainv = [row[n:] for row in aug]
     return [[Fraction(d[j]) * ainv[j][i] for j in range(n)] for i in range(n)]
 
 

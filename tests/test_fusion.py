@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import twistfuse
+import twistfuse.cli as cli
 import twistfuse.fusion as fusion_mod
 import twistfuse.rep as rep_mod
 from twistfuse.cartan import AFFINE_R1, AFFINE_R2, LieType, build_cartan, parse_type
@@ -20,7 +21,7 @@ from twistfuse.fusion import (SectorLabel, check_pattern, coefficient,
                               fusion_table, kac_walton, kac_walton_row,
                               twisted_kac_walton, twisted_verlinde, verlinde)
 from twistfuse.rep import dominant_level_weights
-from twistfuse.smatrix import untwisted_S
+from twistfuse.smatrix import twisted_a, untwisted_S
 
 from oracles import (fusion_table_json_dict, fusion_table_text,
                      scalar_kac_walton_row, scalar_twisted_kac_walton_row)
@@ -388,7 +389,7 @@ def test_gates_fire_without_asserts():
         from twistfuse.errors import (MethodMismatch, NegativeMultiplicity,
                                       TwistfuseError)
         from twistfuse.fold import build_folding
-        from twistfuse.smatrix import untwisted_S
+        from twistfuse.smatrix import twisted_a, untwisted_S
 
         a2 = build_cartan(LieType("A", 2, AFFINE_R1))
         a3 = build_folding(LieType("A", 3, AFFINE_R1))
@@ -482,19 +483,40 @@ class TestFusionTableOutput:
         assert len({line.index("[") for line in text.splitlines()}) == 1
 
 
-def test_table_builds_sector_matrices_once(monkeypatch):
+def _count_calls(monkeypatch, fn):
+    """Calls of fn through every package module attribute bound to it: the
+    alias sites that the benchmark's tracer (perfbench/tracer.py) wraps."""
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return untwisted_S(*args)
+        return fn(*args, **kwargs)
 
+    for name, mod in list(sys.modules.items()):
+        if name == "twistfuse" or name.startswith("twistfuse."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_table_builds_sector_matrices_once(monkeypatch, capsys):
+    """One untwisted_S per table, and one twisted_a per twisted table, as
+    the benchmark's traced self-test (perfbench/child.py SELFTEST) counts
+    them, so a refactor that fails that run fails here first."""
     folding = build_folding(LieType("A", 3, AFFINE_R1))
-    monkeypatch.setattr(fusion_mod, "untwisted_S", counted)
-    fusion_mod._sector_matrices.cache_clear()
-    fusion_table(folding, 2, "1,s,s")
-    fusion_mod._sector_matrices.cache_clear()
-    assert len(calls) == 1
+    twisted = ["A3", "--level", "1", "--twist", "diagram", "--pattern", "1,s,s",
+               "--parallelism", "1"]
+    for run, want in [(lambda: fusion_table(folding, 2, "1,s,s"), (1, 1)),
+                      (lambda: cli.main(["fusion", *twisted]), (1, 1)),
+                      (lambda: cli.main(["fusion", "A1", "--level", "1"]), (1, 0))]:
+        with monkeypatch.context() as patch:
+            calls = [_count_calls(patch, f) for f in (untwisted_S, twisted_a)]
+            fusion_mod._sector_matrices.cache_clear()
+            run()
+            fusion_mod._sector_matrices.cache_clear()
+        capsys.readouterr()
+        assert tuple(map(len, calls)) == want
 
 
 @pytest.mark.parametrize("name,order,pattern", [

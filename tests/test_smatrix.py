@@ -377,9 +377,10 @@ def test_s_path_stays_on_the_calling_thread():
 
 
 def test_gates_fire_without_asserts():
-    # Each check of conformal data and of the S- and a-matrix normalisation
-    # is a typed error that python -O keeps, and a failed check in the CLI.
+    # Each check of conformal data, of the S- and a-matrix normalisation and
+    # of the orthonormal sigma-stable columns of S is a typed error that python -O keeps, and a failed check in the CLI.
     script = textwrap.dedent("""
+        import twistfuse.fusion as fusion
         import twistfuse.smatrix as smatrix
         from twistfuse import cli
         from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
@@ -422,6 +423,19 @@ def test_gates_fire_without_asserts():
         run(lambda: smatrix.conformal(a1, 1, fund))
         smatrix._ip = true_ip
 
+        # One sigma-stable column of S scaled off unit norm.
+        true_S = fusion.untwisted_S
+
+        def skewed(*args):
+            s = true_S(*args)
+            s.entries[:, 1] *= 1 + 1e-6
+            return s
+
+        fusion.untwisted_S = skewed
+        run(lambda: fusion.SectorMatrices(a3, 2))
+        fusion.untwisted_S = true_S
+        run(lambda: fusion.SectorMatrices(a3, 2))
+
         run(lambda: smatrix.conformal(a1, 1, a1.finite.weight((-2,))))
         run(lambda: smatrix.conformal(a1, 1, a1.finite.weight((-1,))))
         run(lambda: smatrix.conformal(a1, 1, vac))
@@ -437,12 +451,37 @@ def test_gates_fire_without_asserts():
                 ("SectorLabelMismatch", "symmetric weights"),
                 ("ConformalMismatch", "strange formula"),
                 ("ConformalMismatch", "c/24"),
+                ("NotOrthonormal", "off orthonormal by 2.000e-06 (tolerance 1e-09)"),
+                ("no error", ""),
                 ("ConformalMismatch", "conformal weight 0 "),
                 ("ConformalMismatch", "conformal weight -"),
                 ("no error", "")]
     assert len(lines) == len(expected), lines
     for line, (name, what) in zip(lines, expected):
         assert line.startswith(name) and what in line, line
+
+
+@pytest.mark.parametrize("name,order,k", [("A3", None, k) for k in range(1, 9)]
+                         + [("D4", o, k) for o in (2, 3) for k in (1, 2, 3)]
+                         + [("D5", None, 2), ("E6", None, 1), ("E6", None, 2)])
+def test_sector_columns_are_full_S_columns(name, order, k):
+    """A table's S block, built on the sigma-stable columns alone, is the
+    same columns of the full S bit for bit."""
+    folding = build_folding(parse_type(name, AFFINE_R1), order)
+    mats = SectorMatrices(folding, k)
+    full = untwisted_S(folding.base, k)
+    index = {w.finite.coords: i for i, w in enumerate(full.rows)}
+    cols = full.entries[:, [index[w.finite.coords] for w in mats.sym]]
+    assert mats.base_labels == full.rows
+    assert mats.scol.shape == cols.shape and mats.scol.tobytes() == cols.tobytes()
+
+
+
+def test_columns_must_be_level_dominant():
+    a1 = build_cartan(LieType("A", 1, AFFINE_R1))
+    for lw in (a1.leveled(1, (1,)), a1.leveled(2, (3,))):
+        with pytest.raises(ValueError, match="not a level-2 dominant weight"):
+            untwisted_S(a1, 2, [a1.leveled(2, (0,)), lw])
 
 
 class TestCompactJson:
@@ -490,7 +529,7 @@ class TestCompactJson:
         if "--twist" in argv:
             order = int(argv[-1]) if "--twist-order" in argv else None
             mats = SectorMatrices(build_folding(type_, order), int(argv[2]))
-            blocks = [mats.scol, mats.sector_S.entries]
+            blocks = [mats.scol, mats.a]
         else:
             blocks = [untwisted_S(build_cartan(type_), int(argv[2])).entries]
         for block in blocks:
