@@ -6,6 +6,24 @@ multiplicities via the (twisted) Kac-Walton formula.  The library keeps all
 Lie-theoretic data exact and cross-validates the two routes.
 """
 
+import os
+import sys
+
+# OpenBLAS starts a worker pool when numpy loads, and each worker busy-waits
+# for about 0.1 s of CPU after the load and after every product it wakes for;
+# the package's products are too small to gain wall time from it.  Unless the
+# caller loaded numpy or chose a thread count, load numpy with one thread.
+# OpenBLAS reads the count once, at load, so the variable is set for this one
+# import only and os.environ is left as the caller had it.
+if "numpy" not in sys.modules and not any(
+        var in os.environ
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .cartan import (CartanDatum, LatticeBasis, LeveledWeight, LieType,
                      Weight, build_cartan, dual_lattice, inner_product,
                      lattice_M, lattice_index, parse_type)

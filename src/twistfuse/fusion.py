@@ -17,11 +17,14 @@ alcove fold per distinct component and a scatter through the label index.
 An untwisted table runs each unordered pair once; a twisted one runs
 Res V(lam1) (x) V(lam2^dag), whose restricted weights are W-invariant.
 `kac_walton_row` and `twisted_kac_walton_row` are one-pair calls of it.
-Nothing is cached across tables.  `FusionTable.json_chunks` encodes each
-slot label once and yields the entries from the array in C order, one
-first-slot plane at a time, and `text_chunks` yields the text lines the
-same way: the CLI writes the chunks as they come, so the array, not its
-text, sets the peak memory of a table.  `to_json` and `to_text` join them.
+One thing is cached across tables: `_sector_matrices`, the S- and a-matrix
+blocks (`SectorMatrices`) of a folding at a level, which `_twisted_table`
+and `twisted_verlinde` share; its `lru_cache` keeps the last 8 (folding,
+level) pairs.  `FusionTable.json_chunks` encodes each slot label once and
+yields the entries from the array in C order, one first-slot plane at a
+time, and `text_chunks` yields the text lines the same way: the CLI writes
+the chunks as they come, so the array, not its text, sets the peak memory
+of a table.  `to_json` and `to_text` join them.
 
 `check_pattern` reads a sector pattern once, into sector classes (0
 untwisted, 1 sigma, 2 sigma^2) that `_check_sectors` checks, as it checks

@@ -349,7 +349,9 @@ class TestBlockBoundaries:
 def test_s_path_stays_on_the_calling_thread():
     # CPU time spent by other threads (a BLAS pool's workers, waking for a
     # product and then busy-waiting) while the CLI builds and checks an
-    # S-matrix, measured once the spin of the import has settled.
+    # S-matrix, measured once the spin of the import has settled.  The child
+    # asks for two BLAS threads, so that a pool exists for the S path to
+    # leave asleep: by default the package loads OpenBLAS with one.
     script = textwrap.dedent("""
         import contextlib, io, time
         from twistfuse import cli
@@ -369,11 +371,57 @@ def test_s_path_stays_on_the_calling_thread():
     src = os.path.dirname(os.path.dirname(twistfuse.__file__))
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=dict(os.environ, PYTHONPATH=src,
+                                   OPENBLAS_NUM_THREADS="2"))
     assert proc.returncode == 0, proc.stderr
     for line in proc.stdout.splitlines():
         rc, spent = line.split()
         assert rc == "0" and float(spent) < 0.02, proc.stdout
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or "openblas" not in _blas_name().lower()
+                    or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task, OpenBLAS and two CPUs")
+@pytest.mark.parametrize("caller, first, threads", [
+    ({}, "", 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "", 2),
+    ({"OMP_NUM_THREADS": "2"}, "", 2),
+    ({}, "import numpy", None),
+], ids=["default", "openblas-2", "omp-2", "numpy-first"])
+def test_import_loads_openblas_with_one_thread(caller, first, threads):
+    # The OS threads of a fresh interpreter before and after `import
+    # twistfuse`, and whether os.environ came out as the caller had it.  A
+    # count the caller chose stands, and numpy loaded first keeps its pool.
+    script = textwrap.dedent(f"""
+        import os
+        environ = dict(os.environ)
+        {first}
+        before = len(os.listdir("/proc/self/task"))
+        import twistfuse
+        after = len(os.listdir("/proc/self/task"))
+        print(before, after, dict(os.environ) == environ)
+    """)
+    src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(env, PYTHONPATH=src, **caller))
+    assert proc.returncode == 0, proc.stderr
+    before, after, unchanged = proc.stdout.split()
+    assert unchanged == "True"
+    if threads is None:
+        assert int(before) > 1 and after == before
+    else:
+        assert (int(before), int(after)) == (1, threads)
 
 
 def test_gates_fire_without_asserts():
