@@ -251,6 +251,10 @@ class Weight:
     def __str__(self):
         return "(" + ",".join(str(x) for x in self.coords) + ")"
 
+    def to_json(self):
+        """The Dynkin labels as a list of ints: the one label serializer."""
+        return [int(x) for x in self.coords]
+
 
 @dataclass(frozen=True)
 class LeveledWeight:
@@ -384,7 +388,7 @@ class CartanDatum:
             "marks": list(self.marks),
             "comarks": list(self.comarks),
             "hdual": self.hdual,
-            "theta": [int(x) for x in self.theta.coords],
+            "theta": self.theta.to_json(),
             "theta_covec": list(self.theta_covec),
             "npos": self.npos,
             "gram_weights": [[str(x) for x in row] for row in self.gram_weights],

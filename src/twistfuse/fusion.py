@@ -26,10 +26,12 @@ time, and `text_chunks` yields the text lines the same way: the CLI writes
 the chunks as they come, so the array, not its text, sets the peak memory
 of a table.  `to_json` and `to_text` join them.
 
-`check_pattern` reads a sector pattern once, into sector classes (0
-untwisted, 1 sigma, 2 sigma^2) that `_check_sectors` checks, as it checks
-SectorLabels.  `fusion_table` builds a table; `coefficient`, the dispatcher
-of one coefficient, applies the level-0 vacuum rule or runs every route.
+`parse_pattern` reads a sector pattern into sector classes (0 untwisted,
+1 sigma, 2 sigma^2), `pattern_text` writes their one canonical text, and
+`check_pattern` also checks them (`_check_sectors`, as for SectorLabels).
+`fusion_table` builds a table; `coefficient`, the dispatcher of one
+coefficient, applies the level-0 vacuum rule or runs every route that
+applies, which must agree.
 """
 
 import itertools
@@ -41,7 +43,7 @@ import numpy as np
 from .cartan import LeveledWeight, simple_roots
 from .errors import (MethodMismatch, NegativeCoefficient, NegativeMultiplicity,
                      NotInteger, NotOrthonormal, SectorRuleViolation,
-                     TwistfuseError, UnknownWeight, UnsupportedSectorPattern)
+                     UnknownWeight, UnsupportedSectorPattern)
 from . import rep
 from .rep import dim, dominant_level_weights, is_level_dominant
 from .smatrix import _label_json, compact_json, twisted_sector_S, untwisted_S
@@ -349,18 +351,26 @@ def _check_sectors(folding, sectors):
             f"S-matrix block")
 
 
-def check_pattern(source, pattern):
-    """Parse a sector pattern of three tokens 1, s, s2 and check that it is
-    computable; returns its sector classes, (0, 0, 0) for 1,1,1.
-
-    source is the CartanDatum or FoldingData the coefficients are taken
-    over; any pattern but 1,1,1 needs a FoldingData.
-    """
+def parse_pattern(pattern):
+    """The sector classes of a pattern of three tokens 1, s, s2, read
+    without spaces or case and without a source: (0, 0, 0) for 1,1,1."""
     toks = pattern.replace(" ", "").lower().split(",")
     if len(toks) != 3 or any(t not in _TOKENS for t in toks):
         raise UnsupportedSectorPattern(
             f"pattern {pattern!r} not recognized; tokens are 1, s, s2")
-    sectors = tuple(map(_TOKENS.index, toks))
+    return tuple(map(_TOKENS.index, toks))
+
+
+def pattern_text(sectors):
+    """The canonical pattern of sector classes, as every output writes it."""
+    return ",".join(_TOKENS[g] for g in sectors)
+
+
+def check_pattern(source, pattern):
+    """`parse_pattern`, then a check that the classes are computable over
+    source, the CartanDatum or FoldingData the coefficients are taken over;
+    any pattern but 1,1,1 needs a FoldingData."""
+    sectors = parse_pattern(pattern)
     if sectors != (0, 0, 0):
         _check_sectors(source, sectors)
     return sectors
@@ -387,39 +397,31 @@ def _vacua(source, sectors):
                    [(0,) * d.rank for d in slot_data(source, sectors)])
 
 
-def coefficient(source, k, sectors, labels, method="both"):
+def coefficient(source, k, sectors, labels):
     """The one coefficient N of `sectors` (from `check_pattern`) at level k
     whose slots have the Dynkin label tuples `labels`.
 
-    method "both" runs every route that applies and raises MethodMismatch
-    unless they agree; "verlinde" or "kac-walton" runs one.  (s,s->1) has
-    no Kac-Walton route.
+    Every route that applies runs, and MethodMismatch is raised unless they
+    agree; (s,s->1) has only the Verlinde route.
     """
     triple = _labels(source, sectors, k, labels)
     if k == 0:
         if triple != _vacua(source, sectors):
             raise ValueError("at level 0 the only weight is the vacuum")
         return 1
-    # Routes in the order they run under method "both".
     if sectors == (0, 0, 0):
         datum = slot_data(source, sectors)[0]
-        routes = {"kac-walton": lambda: kac_walton(datum, k, *triple),
-                  "verlinde": lambda: verlinde(untwisted_S(datum, k), *triple)}
+        nk = kac_walton(datum, k, *triple)
+        nv = verlinde(untwisted_S(datum, k), *triple)
     else:
-        routes = {"verlinde": lambda: twisted_verlinde(source, k, *triple)}
-        if sectors != (1, 1, 0):
-            untw, tw = triple[:2] if sectors[0] == 0 else triple[1::-1]
-            routes["kac-walton"] = lambda: twisted_kac_walton(
-                source, k, untw.weight, tw.weight, triple[2].weight)
-    if method != "both":
-        if method not in routes:
-            raise TwistfuseError(f"no folding route for pattern "
-                                 f"{','.join(_TOKENS[g] for g in sectors)}")
-        return routes[method]()
-    values = {name: route() for name, route in routes.items()}
-    if len(set(values.values())) > 1:
-        raise MethodMismatch(triple, values["verlinde"], values["kac-walton"])
-    return values["verlinde"]
+        nv = twisted_verlinde(source, k, *triple)
+        if sectors == (1, 1, 0):
+            return nv
+        untw, tw = triple[:2] if sectors[0] == 0 else triple[1::-1]
+        nk = twisted_kac_walton(source, k, untw.weight, tw.weight, triple[2].weight)
+    if nv != nk:
+        raise MethodMismatch(triple, nv, nk)
+    return nv
 
 
 def fusion_table(folding_or_datum, k, pattern="1,1,1"):
@@ -432,7 +434,7 @@ def fusion_table(folding_or_datum, k, pattern="1,1,1"):
     untwisted = sectors == (0, 0, 0)
     datum = getattr(folding_or_datum, "base", folding_or_datum)
     header = (str(datum.type), k, "none" if untwisted else "diagram",
-              ",".join(_TOKENS[g] for g in sectors))
+              pattern_text(sectors))
     if k == 0:
         vacua = _vacua(folding_or_datum, sectors)
         return FusionTable(*header, tuple((v,) for v in vacua),

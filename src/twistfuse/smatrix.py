@@ -163,7 +163,7 @@ def _label_json(label):
     """JSON dict of a row, column or fusion-table label: a leveled weight or
     a sector label (anything with .sector and .weight)."""
     if isinstance(label, LeveledWeight):
-        return {"level": label.level, "weight": [int(x) for x in label.finite.coords]}
+        return {"level": label.level, "weight": label.finite.to_json()}
     return {"sector": label.sector, **_label_json(label.weight)}
 
 

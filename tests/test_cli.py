@@ -11,6 +11,7 @@ import pytest
 import twistfuse
 import twistfuse.cli as cli_mod
 import twistfuse.errors as errors
+import twistfuse.fusion as fusion_mod
 import twistfuse.smatrix as smatrix_mod
 from twistfuse.cli import main
 
@@ -71,10 +72,12 @@ class TestSmatrixCommand:
         assert rc == 0
         assert out == expected
 
-    def test_unitarity_gate(self, capsys):
-        rc, out, _ = run(capsys, "smatrix", "A2", "--level", "2",
-                         "--unitarity-tolerance", "1e-20")
+    def test_unitarity_gate(self, capsys, monkeypatch):
+        # The exit code reads the one constant fusion.UNITARITY_TOLERANCE.
+        monkeypatch.setattr(fusion_mod, "UNITARITY_TOLERANCE", 1e-20)
+        rc, out, _ = run(capsys, "smatrix", "A2", "--level", "2")
         assert rc == 2
+        assert json.loads(out)["unitarity_defect"] > 1e-20
 
 
 class TestFusionCommand:
@@ -138,31 +141,49 @@ class TestFusionCommand:
         assert rc == 1
         assert "violate" in err
 
-    def test_method_selection(self, capsys):
-        rc, out, _ = run(capsys, "fusion", "A1", "--level", "2",
-                         "--method", "kac-walton", "1", "1", "2")
+    @pytest.mark.parametrize("pattern", ["1, 1,1", " 1,1,1 ", "1,1,1"])
+    def test_table_pattern_is_read_not_matched(self, capsys, pattern):
+        # Spaces and case do not steer the choice of source: a B3 table has
+        # no folding and needs none.
+        _, expected, _ = run(capsys, "fusion", "B3", "--level", "1")
+        rc, out, err = run(capsys, "fusion", "B3", "--level", "1",
+                           "--pattern", pattern)
+        assert (rc, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["A2", "--pattern", "1, 1,1", "1,0", "0,1", "0,0"],
+        ["A3", "--pattern", "1,S,s", "0,0,0", "0,0", "0,0"],
+        ["A3", "--twist", "diagram", "--pattern", "S, s,1", "0,0", "0,0", "0,0,0"],
+    ], ids=["1,1,1", "1,s,s", "s,s,1"])
+    def test_single_coefficient_echoes_the_canonical_pattern(self, capsys, argv):
+        rc, out, _ = run(capsys, "fusion", *argv, "--level", "1")
+        assert rc == 0
+        pattern = argv[argv.index("--pattern") + 1]
+        canonical = pattern.replace(" ", "").lower()
+        assert json.loads(out) == {"schema": 1, "algebra": argv[0], "level": 1,
+                                   "pattern": canonical, "N": 1}
+
+    def test_ss1_single_coefficient_runs_verlinde_alone(self, capsys, monkeypatch):
+        # s,s,1 has no Kac-Walton route: its one coefficient is the twisted
+        # Verlinde value, with nothing to compare it to.
+        def no_route(*args):
+            raise AssertionError("twisted Kac-Walton called for s,s,1")
+        monkeypatch.setattr(fusion_mod, "twisted_kac_walton", no_route)
+        rc, out, _ = run(capsys, "fusion", "A3", "--level", "1", "--twist",
+                         "diagram", "--pattern", "s,s,1", "0,0", "0,0", "0,0,0")
         assert rc == 0
         assert json.loads(out)["N"] == 1
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
-        import twistfuse.fusion as fusion_mod
         monkeypatch.setattr(fusion_mod, "kac_walton",
                             lambda *args, **kw: 7)
         rc, _, err = run(capsys, "fusion", "A1", "--level", "1", "1", "1", "0")
         assert rc == 2
         assert "disagreement" in err
 
-    def test_no_kac_walton_route_for_ss1(self, capsys):
-        rc, _, err = run(capsys, "fusion", "A3", "--level", "1", "--twist",
-                         "diagram", "--pattern", "s,s,1", "--method",
-                         "kac-walton", "0,0", "0,0", "0,0,0")
-        assert rc == 1
-        assert "error: no folding route for pattern s,s,1" in err
-
     def test_single_coefficient_call_counts(self, capsys, monkeypatch):
         # The traced benchmark's self-test expects these counts: one
         # Kac-Walton row, one S-matrix and no table for one coefficient.
-        import twistfuse.fusion as fusion_mod
         calls = {name: 0 for name in ("kac_walton_row", "untwisted_S",
                                       "fusion_table")}
         for name in calls:
@@ -226,14 +247,114 @@ def test_failed_check_exit_code(capsys, monkeypatch, name):
     (["fusion", "A1", "--level", "-1", "1", "1", "0"], "level must be >= 0"),
     (["fusion", "A3", "--level", "-1", "--twist", "diagram", "--pattern",
       "1,s,s"], "level must be >= 0"),
-    (["smatrix", "A1", "--level", "1", "--unitarity-tolerance", "0"],
-     "the unitarity tolerance must be positive"),
     (["branch", "A3", "1,1"], "weight '1,1' has 2 labels; A3^(1) needs 3"),
 ], ids=["smatrix", "weights", "fusion-table", "fusion-single", "fusion-twisted",
-        "unitarity-tolerance", "branch-rank"])
+        "branch-rank"])
 def test_input_checks_exit_1(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_one_unitarity_tolerance_feeds_every_gate(capsys, monkeypatch):
+    # fusion.UNITARITY_TOLERANCE is the one value of the S-column gate of a
+    # twisted table, of smatrix's exit code and of selfcheck.
+    monkeypatch.setattr(fusion_mod, "UNITARITY_TOLERANCE", 1e-20)
+    fusion_mod._sector_matrices.cache_clear()
+    try:
+        rc, _, err = run(capsys, "fusion", "A3", "--level", "2", "--twist",
+                         "diagram", "--pattern", "1,s,s")
+    finally:
+        fusion_mod._sector_matrices.cache_clear()
+    assert rc == 2 and "off orthonormal" in err and "(tolerance 1e-20)" in err
+    assert run(capsys, "smatrix", "A2", "--level", "2")[0] == 2
+    rc, _, err = run(capsys, "selfcheck", "--grid", "tiny")
+    assert rc == 2
+    assert "selfcheck failed at: smatrix-unitarity-symmetry" in err
+
+
+# The options each command declares: exactly those it reads, 15 slots.
+OPTIONS = {
+    "smatrix": {"level", "twist", "twist_order"},
+    "fusion": {"level", "twist", "twist_order", "output", "pattern", "parallelism"},
+    "weights": {"level", "twist", "twist_order"},
+    "fold-info": {"twist_order"},
+    "branch": {"twist_order"},
+    "selfcheck": {"grid"},
+}
+# Declared and read by nothing: the benchmark's self-test
+# (perfbench/child.py, SELFTEST) passes it.
+KEPT_FOR_PERFBENCH = {"fusion": {"parallelism"}}
+
+# Calls that together take every path of each command that reads an option.
+READING_CALLS = [
+    ["smatrix", "A3", "--level", "1", "--twist", "diagram"],
+    ["fusion", "A3", "--level", "1", "--twist", "diagram", "--pattern", "1,s,s"],
+    ["fusion", "A1", "--level", "1", "1", "1", "0"],
+    ["weights", "A3", "--level", "1", "--twist", "diagram"],
+    ["fold-info", "A3"],
+    ["branch", "A3", "1,0,1"],
+    ["selfcheck", "--grid", "tiny"],
+]
+
+
+def test_each_command_declares_the_options_it_reads(capsys, monkeypatch):
+    parser, _ = cli_mod.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    declared = {name: {a.dest for a in p._actions
+                       if a.option_strings and a.dest != "help"}
+                for name, p in sub.choices.items()}
+    assert declared == OPTIONS
+    assert sum(map(len, declared.values())) == 15
+
+    # Every attribute a command reads off its parsed arguments.
+    read = {name: set() for name in OPTIONS}
+
+    class Recorder:
+        def __init__(self, args, seen):
+            self._args, self._seen = args, seen
+
+        def __getattr__(self, name):
+            self._seen.add(name)
+            return getattr(self._args, name)
+
+    for name in OPTIONS:
+        fn = getattr(cli_mod, "cmd_" + name.replace("-", "_"))
+        monkeypatch.setattr(cli_mod, fn.__name__,
+                            lambda args, _fn=fn, _seen=read[name]:
+                            _fn(Recorder(args, _seen)))
+    monkeypatch.setattr(cli_mod, "_selfcheck_properties", lambda grid: [])
+    for argv in READING_CALLS:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    for name, options in OPTIONS.items():
+        kept = KEPT_FOR_PERFBENCH.get(name, set())
+        assert read[name] & options == options - kept, name
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["fusion", "A2", "--level", "2", "--method", "both", "1,0", "0,1", "0,0"],
+     "--method"),
+    (["fusion", "A2", "--level", "2", "--unitarity-tolerance", "1e-30"],
+     "--unitarity-tolerance"),
+    (["smatrix", "A2", "--level", "2", "--unitarity-tolerance", "1e-20"],
+     "--unitarity-tolerance"),
+    (["smatrix", "A2", "--level", "2", "--output", "table"], "--output"),
+    (["fusion", "A2", "--level", "2", "--out", "table"], "--out"),
+    (["smatrix", "A2", "--level", "2", "--parallelism", "1"], "--parallelism"),
+    (["weights", "A2", "--level", "2", "--output", "json"], "--output"),
+    (["fold-info", "A3", "--twist", "diagram"], "--twist"),
+    (["branch", "A3", "--level", "1", "1,0,1"], "--level"),
+    (["selfcheck", "--level", "1"], "--level"),
+], ids=["fusion-method", "fusion-unitarity-tolerance",
+        "smatrix-unitarity-tolerance", "smatrix-output", "fusion-abbreviation",
+        "smatrix-parallelism",
+        "weights-output", "fold-info-twist", "branch-level", "selfcheck-level"])
+def test_undeclared_options_exit_2(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -381,7 +502,7 @@ class TestParserReuse:
         ["fusion", "A2", "1,0", "--level", "2", "0,1", "0,0"],
         ["fusion", "A2", "--level", "2", "--output", "table"],
         ["smatrix", "B2", "--level", "2"],
-        ["fusion", "A2", "--level", "2", "--method", "nope", "1,0", "0,1", "0,0"],
+        ["fusion", "A2", "--level", "2", "--output", "nope", "1,0", "0,1", "0,0"],
         ["smatrix", "B2"],
         ["fusion", "A3", "--twist", "diagram", "--pattern", "1,s,s", "--level", "1"],
     ]
@@ -412,14 +533,11 @@ class TestFusionUsage:
     """The fusion subparser's usage is formatted once, when the parser is
     built; argparse's intermixed parsing would format it on every call."""
 
-    BAD = ["fusion", "A2", "--level", "2", "--method", "nope", "1,0", "0,1", "0,0"]
+    BAD = ["fusion", "A2", "--level", "2", "--output", "nope", "1,0", "0,1", "0,0"]
     USAGE = """\
 usage: twistfuse fusion [-h] --level LEVEL [--twist {none,diagram}]
-                        [--twist-order TWIST_ORDER]
-                        [--unitarity-tolerance UNITARITY_TOLERANCE]
-                        [--output {json,table}] [--parallelism PARALLELISM]
-                        [--pattern PATTERN]
-                        [--method {both,verlinde,kac-walton}]
+                        [--twist-order TWIST_ORDER] [--output {json,table}]
+                        [--parallelism PARALLELISM] [--pattern PATTERN]
                         type [triple ...]
 """
 

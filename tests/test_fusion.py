@@ -19,7 +19,8 @@ from twistfuse.errors import (MethodMismatch, NegativeCoefficient, NotInteger,
 from twistfuse.fold import build_folding
 from twistfuse.fusion import (SectorLabel, check_pattern, coefficient,
                               fusion_table, kac_walton, kac_walton_row,
-                              twisted_kac_walton, twisted_verlinde, verlinde)
+                              parse_pattern, pattern_text, twisted_kac_walton,
+                              twisted_verlinde, verlinde)
 from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import twisted_a, untwisted_S
 
@@ -527,20 +528,31 @@ def test_table_builds_sector_matrices_once(monkeypatch, capsys):
 ])
 @pytest.mark.parametrize("k", [0, 1])
 def test_coefficient_equals_table(name, order, pattern, k):
-    """The single-coefficient dispatcher gives every entry of the table under
-    each method that applies; s,s,1 has no Kac-Walton route."""
+    """The single-coefficient dispatcher, and each public route that applies
+    to the pattern, give every entry of the table; s,s,1 has no Kac-Walton
+    route."""
     type_ = parse_type(name, AFFINE_R1)
     source = build_cartan(type_) if order == "datum" else build_folding(type_, order)
     sectors = check_pattern(source, pattern)
-    methods = ["both", "verlinde"] + ["kac-walton"] * (sectors != (1, 1, 0))
     table = fusion_table(source, k, pattern)
+    if sectors == (0, 0, 0):
+        datum = getattr(source, "base", source)
+        s = untwisted_S(datum, k) if k else None
+        routes = [lambda a, b, c: verlinde(s, a, b, c),
+                  lambda a, b, c: kac_walton(datum, k, a, b, c)]
+    else:
+        routes = [lambda a, b, c: twisted_verlinde(source, k, a, b, c)]
+        if sectors != (1, 1, 0):
+            def twisted_kw(*triple):
+                untw, tw = triple[:2] if sectors[0] == 0 else triple[1::-1]
+                return twisted_kac_walton(source, k, untw.weight, tw.weight,
+                                          triple[2].weight)
+            routes.append(twisted_kw)
     for triple, n in table.items():
         labels = [getattr(x, "weight", x).finite.coords for x in triple]
-        for method in methods:
-            assert coefficient(source, k, sectors, labels, method) == n
-    if sectors == (1, 1, 0) and k:
-        with pytest.raises(TwistfuseError, match="no folding route for pattern s,s,1"):
-            coefficient(source, k, sectors, labels, "kac-walton")
+        assert coefficient(source, k, sectors, labels) == n
+        if k:  # level 0 has no modular matrix: the vacuum rule alone
+            assert [route(*triple) for route in routes] == [n] * len(routes)
 
 
 def test_coefficient_level_zero_is_the_vacuum_rule(a3_folding):
@@ -556,8 +568,6 @@ def test_coefficient_method_mismatch(a3_folding, monkeypatch):
     with pytest.raises(MethodMismatch) as info:
         coefficient(a3_folding, 1, sectors, [(0, 0), (0, 0, 0), (0, 0)])
     assert (info.value.value_a, info.value.value_b) == (1, 5)
-    assert coefficient(a3_folding, 1, sectors, [(0, 0), (0, 0, 0), (0, 0)],
-                       "verlinde") == 1
 
 
 @pytest.mark.parametrize("pattern,order,error,message", [
@@ -577,6 +587,8 @@ def test_check_pattern_errors(pattern, order, error, message):
 
 def test_check_pattern_classes():
     folding = build_folding(LieType("D", 4, AFFINE_R1), 2)
+    assert parse_pattern(" S, 1 ,s") == (1, 0, 1)
+    assert pattern_text(parse_pattern(" S, 1 ,s")) == "s,1,s"
     assert check_pattern(folding, " S, 1 ,s") == (1, 0, 1)
     assert check_pattern(folding, "s,s,1") == (1, 1, 0)
     assert check_pattern(build_cartan(LieType("A", 1, AFFINE_R1)), "1,1,1") == (0, 0, 0)
