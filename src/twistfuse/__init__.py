@@ -35,7 +35,7 @@ from .errors import (CheckFailed, ConformalMismatch, DegenerateLattice,
                      NegativeCoefficient, NegativeMultiplicity,
                      NoBuiltinAutomorphism, NonTermination, NotAffine,
                      NotInteger, NotOrthonormal, NotSublattice, RankTooLarge,
-                     RootCountMismatch, SectorLabelMismatch,
+                     RingRecursionFailure, RootCountMismatch, SectorLabelMismatch,
                      SectorRuleViolation, TwistfuseError, UnknownWeight,
                      UnrecognizedFoldedType, UnsupportedSectorPattern,
                      UnsupportedType)
@@ -61,7 +61,7 @@ __all__ = [
     "MixedDatum", "ModularMatrix", "NegativeCoefficient",
     "NegativeMultiplicity", "NoBuiltinAutomorphism", "NonTermination",
     "NotAffine", "NotInteger", "NotOrthonormal", "NotSublattice",
-    "RankTooLarge", "RootCountMismatch",
+    "RankTooLarge", "RingRecursionFailure", "RootCountMismatch",
     "SectorLabel", "SectorLabelMismatch", "SectorRuleViolation",
     "TwistfuseError", "UnknownWeight",
     "UnrecognizedFoldedType", "UnsupportedSectorPattern",

@@ -114,7 +114,13 @@ class UnknownWeight(CheckFailed):
 
 
 class NegativeCoefficient(CheckFailed):
-    """A fusion coefficient rounded to a negative integer."""
+    """A fusion coefficient rounded, or recursed, to a negative integer."""
+
+
+class RingRecursionFailure(CheckFailed):
+    """A premise of the fusion-ring recursion of a Kac-Walton table fails:
+    the vacuum is the first label, V(mu) (x) V(omega_i) holds mu + omega_i
+    once, and the int64 products are exact."""
 
 
 class SectorRuleViolation(TwistfuseError):

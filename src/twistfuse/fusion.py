@@ -10,21 +10,20 @@ Routes:
 A `FusionTable` holds one label tuple per slot and one int64 array
 N[i, j, m], which the Verlinde route fills one first-slot row at a time,
 rounded and gated in bulk.  Where a second route applies, the Kac-Walton
-side fills a second array that must equal the first before the table is
-returned.  That side is `_klimyk_fold`, over blocks of pairs: the gated
-blocks of the package's one Klimyk sum, `rep.klimyk_blocks`, then one
-alcove fold per distinct component and a scatter through the label index.
-An untwisted table runs each unordered pair once; a twisted one runs
-Res V(lam1) (x) V(lam2^dag), whose restricted weights are W-invariant.
-`kac_walton_row` and `twisted_kac_walton_row` are one-pair calls of it.
-One thing is cached across tables: `_sector_matrices`, the S- and a-matrix
-blocks (`SectorMatrices`) of a folding at a level, which `_twisted_table`
-and `twisted_verlinde` share; its `lru_cache` keeps the last 8 (folding,
-level) pairs.  `FusionTable.json_chunks` encodes each slot label once and
-yields the entries from the array in C order, one first-slot plane at a
-time, and `text_chunks` yields the text lines the same way: the CLI writes
-the chunks as they come, so the array, not its text, sets the peak memory
-of a table.  `to_json` and `to_text` join them.
+side fills a second array that must equal the first (`_cross_check`).
+That side is `_ring_module`: lam -> N_lam, and lam -> M_lam on the twisted
+labels, represent one fusion ring (the twisted Verlinde formula
+diagonalises both by S_{lam mu} / S_{0 mu}), so Klimyk runs for the
+fundamental weights only and a recursion in the ring gives every other
+label.  Klimyk is `_klimyk_fold`, over blocks of pairs: the gated blocks of
+the package's one Klimyk sum, `rep.klimyk_blocks`, then one alcove fold per
+distinct component.  `kac_walton_row` and `twisted_kac_walton_row` are
+one-pair calls of it.  `_sector_matrices` caches the S- and a-matrix blocks
+(`SectorMatrices`) of the last 8 (folding, level) pairs for
+`_twisted_table` and `twisted_verlinde`.  `FusionTable.json_chunks` and
+`text_chunks` yield the output one first-slot plane at a time, each slot
+label encoded once, so the array, not its text, sets the peak memory of a
+table; `to_json` and `to_text` join them.
 
 `parse_pattern` reads a sector pattern into sector classes (0 untwisted,
 1 sigma, 2 sigma^2), `pattern_text` writes their one canonical text, and
@@ -37,14 +36,15 @@ applies, which must agree.
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
 from .cartan import LeveledWeight, simple_roots
 from .errors import (MethodMismatch, NegativeCoefficient, NegativeMultiplicity,
-                     NotInteger, NotOrthonormal, SectorRuleViolation,
-                     UnknownWeight, UnsupportedSectorPattern)
-from . import rep
+                     NotInteger, NotOrthonormal, RingRecursionFailure,
+                     SectorRuleViolation, UnknownWeight, UnsupportedSectorPattern)
+from . import _rational as rat, rep
 from .rep import dim, dominant_level_weights, is_level_dominant
 from .smatrix import _label_json, compact_json, twisted_sector_S, untwisted_S
 
@@ -196,9 +196,12 @@ def _klimyk_fold(affine, k, index, bases, systems, b, s):
     """Kac-Walton coefficients of the pairs (bases[b[p]], systems[s[p]]):
     each distinct component of the gated `rep.klimyk_blocks` is folded into
     the alcove once (`_fold_labels`).  A negative folded sum raises
-    NegativeMultiplicity.  Returns int64 arrays (p, m, n): N = n at
-    third-slot index m of pair p."""
-    folds, cells = np.zeros((0, 2), dtype=np.int64), []
+    NegativeMultiplicity.  Returns an int64 array (pairs, len(index)): row
+    p holds the coefficients of pair p over the third-slot labels."""
+    folds = np.zeros((0, 2), dtype=np.int64)
+    rows = np.zeros((len(b), len(index)), dtype=np.int64)
+    if not len(b):
+        return rows
     for pair, comp, c, fresh in rep.klimyk_blocks(affine.finite, bases, systems, b, s):
         if fresh:
             folds = np.concatenate([folds, _fold_labels(affine, k, index, fresh)])
@@ -209,8 +212,8 @@ def _klimyk_fold(affine, k, index, bases, systems, b, s):
             raise NegativeMultiplicity(
                 f"folded multiplicity {n.min()} in "
                 f"{rep._pair(bases, systems, b[p], s[p])} ({affine.type}, level {k})")
-        cells.append((cell[:, 0], cell[:, 1], n))
-    return tuple(np.concatenate(x) for x in zip(*cells))
+        rows[cell[:, 0], cell[:, 1]] = n
+    return rows
 
 
 def _fold_labels(affine, k, index, shifted):
@@ -266,8 +269,8 @@ def twisted_kac_walton_row(folding, k, lam1, lam2_dag):
 def _one_pair(affine, k, base, system):
     labels = dominant_level_weights(affine, k)
     zero = np.zeros(1, dtype=np.int64)
-    _, m, n = _klimyk_fold(affine, k, _index(labels), [base], [system], zero, zero)
-    return {labels[x].finite.coords: v for x, v in zip(m.tolist(), n.tolist())}
+    row = _klimyk_fold(affine, k, _index(labels), [base], [system], zero, zero)[0]
+    return {lw.finite.coords: v for lw, v in zip(labels, row.tolist()) if v}
 
 
 class SectorMatrices:
@@ -448,19 +451,9 @@ def _untwisted_table(datum, k, header):
     s = untwisted_S(datum, k)
     labels = s.rows
     nv = _verlinde_blocks(s.entries, s.entries, s.entries, s.entries[0])
-    fin = datum.finite
-    systems = [rep._system(fin, lw.finite.coords) for lw in labels]
-    bases = [rep._base(fin, lw.finite.coords) for lw in labels]
-    # V_i (x) V_j = V_j (x) V_i: one pair per unordered {i, j}, over the
-    # weights of the smaller factor j, fills both orders.
-    order = sorted(range(len(labels)), key=lambda i: (bases[i][1], i))
-    i, j = np.array([(i, j) for p, j in enumerate(order) for i in order[p:]]).T
-    p, m, n = _klimyk_fold(datum, k, _index(labels), bases, systems, i, j)
-    nk = np.zeros_like(nv)
-    nk[i[p], j[p], m] = n
-    nk[j[p], i[p], m] = n
     slots = (labels,) * 3
-    _cross_check(nv, nk, slots)
+    _cross_check(nv, _ring_module(datum, k, labels, datum, labels,
+                                  lambda c: rep._system(datum.finite, c)), slots)
     return FusionTable(*header, slots, nv, "verlinde+kac-walton")
 
 
@@ -473,19 +466,77 @@ def _twisted_table(folding, k, header, sectors):
     nv = _verlinde_blocks(*(blocks[c] for c in sectors), mats.vac)
     if sectors == (1, 1, 0):
         return FusionTable(*header, slots, nv, "verlinde-only")
-    # Res V(lam1) (x) V(lam2^dag) for every untwisted lam1 and twisted lam2^dag.
-    systems = [rep._restricted(folding.base.finite, lw.finite.coords, folding.iota_dual)
-               for lw in labels[0]]
-    bases = [rep._base(folding.twisted.finite, lw.finite.coords) for lw in labels[1]]
-    u, t = np.divmod(np.arange(len(systems) * len(bases)), len(bases))
-    p, m, n = _klimyk_fold(folding.twisted, k, mats.twisted_index, bases, systems, t, u)
-    nk = np.zeros_like(nv)
-    if sectors[0] == 0:
-        nk[u[p], t[p], m] = n
-    else:
-        nk[t[p], u[p], m] = n
-    _cross_check(nv, nk, slots)
+    m = _ring_module(folding.base, k, labels[0], folding.twisted, labels[1],
+                     lambda c: rep._restricted(folding.base.finite, c, folding.iota_dual))
+    _cross_check(nv, m if sectors[0] == 0 else m.transpose(1, 0, 2), slots)
     return FusionTable(*header, slots, nv, "twisted-verlinde+twisted-kac-walton")
+
+
+def _ring_module(datum, k, labels, affine, module, system):
+    """out[lam, a, b] = N(lam, a; b) for the level-k labels lam of datum
+    acting on the labels a, b of module, over affine: datum itself, or the
+    twisted sector.  lam -> out[lam] represents the fusion ring.
+
+    out[0] = I.  The generators are the fundamental weights omega_i that
+    are labels; out[omega_i] comes from one `_klimyk_fold` over the pairs
+    (a, system(omega_i)) for every a.  Every other lam, in order of exact
+    height (h . lam with A^T h = 1, the simple roots being the columns of
+    A), is mu + omega_i for the generator of least dimension with
+    lam_i > 0 (a label, as a_i^vee <= level(lam)), and
+    out[lam] = out[mu] out[omega_i] - sum_{nu != lam} c_nu out[nu], with c
+    the folded V(mu) (x) V(omega_i) over datum: out[omega_i][mu] when the
+    module is the ring, else a row of one `_klimyk_fold` over those pairs
+    alone.  mu and each nu lie below lam, so they come first.
+
+    RingRecursionFailure unless the vacuum is the first label, c_lam = 1
+    and max out[mu] * max out[omega_i] * n < 2^63 (int64 matmul wraps
+    without a word); NegativeCoefficient for a negative entry.
+    """
+    if any(labels[0].finite.coords):
+        raise RingRecursionFailure(f"the first label is {labels[0]}, not the vacuum")
+    index, l, n = _index(labels), datum.rank, len(module)
+    units = [tuple(int(i == j) for j in range(l)) for i in range(l)]
+    nodes = [i for i in range(l) if units[i] in index]
+    gens = [index[units[i]] for i in nodes]
+    h, _ = rat.clear_denominators(rat.solve(rat.transpose(datum.A_fin), (1,) * l))
+    steps = []
+    for lam in sorted(range(len(labels)), key=lambda x: sum(map(mul, h, labels[x].finite.coords))):
+        c = labels[lam].finite.coords
+        if any(c) and lam not in gens:
+            i = min((i for i in nodes if c[i]), key=lambda i: dim(datum, units[i]))
+            steps.append((lam, index[tuple(x - (j == i) for j, x in enumerate(c))],
+                          index[units[i]]))
+    out = np.zeros((len(labels), n, n), dtype=np.int64)
+    out[0] = np.eye(n, dtype=np.int64)
+    g, a = np.divmod(np.arange(len(gens) * n), n)
+    out[gens] = _klimyk_fold(affine, k, _index(module),
+                             [rep._base(affine.finite, lw.finite.coords) for lw in module],
+                             [system(units[i]) for i in nodes], a, g).reshape(-1, n, n)
+    if affine is datum:
+        rows = [out[w, mu] for _, mu, w in steps]
+    else:
+        used = sorted({w for _, _, w in steps})
+        rows = _klimyk_fold(
+            datum, k, index,
+            [rep._base(datum.finite, labels[mu].finite.coords) for _, mu, _ in steps],
+            [rep._system(datum.finite, labels[w].finite.coords) for w in used],
+            np.arange(len(steps)), np.array([used.index(w) for _, _, w in steps]))
+    for (lam, mu, w), c in zip(steps, rows):
+        names = [labels[x].finite.coords for x in (lam, mu, w)]
+        if c[lam] != 1:
+            raise RingRecursionFailure(f"the folded product {names[1]} (x) {names[2]} "
+                                       f"holds {names[0]} {c[lam]} times, not once")
+        left, right = out[mu], out[w]
+        if int(left.max()) * int(right.max()) * n >= 2 ** 63:
+            raise RingRecursionFailure(f"the ring product of {names[1]} and "
+                                       f"{names[2]} could leave the int64 range")
+        rest = np.flatnonzero(c)
+        rest = rest[rest != lam]
+        out[lam] = left @ right - np.tensordot(c[rest], out[rest], 1)
+        if out[lam].min() < 0:
+            raise NegativeCoefficient(f"the fusion-ring recursion gives {names[0]} "
+                                      f"an entry {out[lam].min()}")
+    return out
 
 
 def _cross_check(nv, nk, slots):

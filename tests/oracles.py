@@ -6,7 +6,9 @@ test, so an agreement is meaningful.  The scalar Kac-Walton rows and the
 branching reference decompose a character product or restriction by
 peeling off highest weights with `rep.freudenthal`, and fold with
 `weyl.alcove_fold`; the library's Klimyk kernel and its vectorised fold
-are used by neither.
+are used by neither.  The per-pair Kac-Walton table drivers are the one
+exception: they run the library's Klimyk kernel once per pair of labels,
+the reference for the fusion-ring recursion that builds the tables.
 """
 
 import itertools
@@ -602,3 +604,41 @@ def _fold_components(affine_datum, k, components):
             key = tuple(c - 1 for c in res.rep.coords)
             out[key] = out.get(key, 0) + res.sign * mult
     return {key: v for key, v in out.items() if v}
+
+
+def per_pair_kac_walton_table(affine_datum, k, labels):
+    """nk[i, j, m] = N_{lam_i lam_j}^{lam_m} of the level-k labels with one
+    Klimyk pair per unordered pair of labels, over the weights of the
+    smaller factor, filling both orders: the table driver the fusion-ring
+    recursion replaced.  It shares the Klimyk kernel (`fusion._klimyk_fold`)
+    with the ring's generator rows, but not the recursion it checks."""
+    import numpy as np
+    from twistfuse import fusion, rep
+    fin = affine_datum.finite
+    n = len(labels)
+    systems = [rep._system(fin, lw.finite.coords) for lw in labels]
+    bases = [rep._base(fin, lw.finite.coords) for lw in labels]
+    order = sorted(range(n), key=lambda i: (bases[i][1], i))
+    i, j = np.array([(i, j) for p, j in enumerate(order) for i in order[p:]]).T
+    rows = fusion._klimyk_fold(affine_datum, k, fusion._index(labels), bases,
+                               systems, i, j)
+    nk = np.zeros((n, n, n), dtype=np.int64)
+    nk[i, j] = rows
+    nk[j, i] = rows
+    return nk
+
+
+def per_pair_twisted_kac_walton_table(folding, k, base_labels, twisted_labels):
+    """M[lam, a, b] = N(lam, a; b) for the untwisted labels lam and the twisted
+    labels a, b, with one Klimyk pair Res V(lam) (x) V(a) per (lam, a): the
+    twisted table driver the fusion-ring recursion replaced."""
+    import numpy as np
+    from twistfuse import fusion, rep
+    systems = [rep._restricted(folding.base.finite, lw.finite.coords,
+                               folding.iota_dual) for lw in base_labels]
+    bases = [rep._base(folding.twisted.finite, lw.finite.coords)
+             for lw in twisted_labels]
+    u, t = np.divmod(np.arange(len(systems) * len(bases)), len(bases))
+    rows = fusion._klimyk_fold(folding.twisted, k, fusion._index(twisted_labels),
+                               bases, systems, t, u)
+    return rows.reshape(len(systems), len(bases), len(bases))

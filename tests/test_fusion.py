@@ -14,8 +14,8 @@ import twistfuse.fusion as fusion_mod
 import twistfuse.rep as rep_mod
 from twistfuse.cartan import AFFINE_R1, AFFINE_R2, LieType, build_cartan, parse_type
 from twistfuse.errors import (MethodMismatch, NegativeCoefficient, NotInteger,
-                              SectorRuleViolation, TwistfuseError,
-                              UnsupportedSectorPattern)
+                              RingRecursionFailure, SectorRuleViolation,
+                              TwistfuseError, UnsupportedSectorPattern)
 from twistfuse.fold import build_folding
 from twistfuse.fusion import (SectorLabel, check_pattern, coefficient,
                               fusion_table, kac_walton, kac_walton_row,
@@ -25,6 +25,7 @@ from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import twisted_a, untwisted_S
 
 from oracles import (fusion_table_json_dict, fusion_table_text,
+                     per_pair_kac_walton_table, per_pair_twisted_kac_walton_table,
                      scalar_kac_walton_row, scalar_twisted_kac_walton_row)
 
 
@@ -64,6 +65,34 @@ class TestVerlinde:
             verlinde(s, one, one, one)
 
 
+def corrupt_kernel(monkeypatch, affine, hit):
+    """Patch fusion._klimyk_fold to add 1 to the cells hit(pairs, thirds) of
+    its calls over affine, among the nonzero cells of its rows: cell x is
+    the coefficient of the third-slot label thirds[x] in the pair
+    pairs[x] = (first-factor labels, second-factor name)."""
+    real = fusion_mod._klimyk_fold
+
+    def corrupted(aff, k, index, bases, systems, b, s):
+        rows = real(aff, k, index, bases, systems, b, s)
+        if aff is affine:
+            p, m = np.nonzero(rows)
+            pairs = [(tuple(x - 1 for x in bases[b[x]][0]), systems[s[x]][0])
+                     for x in p.tolist()]
+            names = {x: c for c, x in index.items()}
+            cells = hit(pairs, [names[x] for x in m.tolist()])
+            rows = rows.copy()
+            rows[p[cells], m[cells]] += 1
+        return rows
+
+    monkeypatch.setattr(fusion_mod, "_klimyk_fold", corrupted)
+
+
+def leading_cells(pairs, thirds):
+    """hit for `corrupt_kernel`: the cell mu + omega of each pair (mu, omega)."""
+    return [x for x, (mu, omega) in enumerate(pairs)
+            if thirds[x] == tuple(map(sum, zip(mu, omega)))]
+
+
 class TestKacWalton:
     def test_a1_level1(self, a1):
         one = a1.leveled(1, (1,))
@@ -94,21 +123,32 @@ class TestKacWalton:
         assert len(list(table.items())) == n ** 3
 
     def test_method_mismatch_surfaces(self, monkeypatch):
-        real = fusion_mod._klimyk_fold
+        # Each cell of the generator rows, raised by 1, is caught: by the
+        # recursion's gates (a leading coefficient, a negative entry) or by
+        # the cross-check, which must see some of them itself.
+        d = build_cartan(parse_type("A2", AFFINE_R1))
+        with monkeypatch.context() as patch:
+            calls = _recorded(patch, fusion_mod, "_klimyk_fold")
+            fusion_table(d, 2)
+        (_, rows), = calls
+        caught = []
+        for cell in range(np.count_nonzero(rows)):
+            with monkeypatch.context() as patch:
+                corrupt_kernel(patch, d, lambda pairs, thirds: [cell])
+                with pytest.raises((MethodMismatch, NegativeCoefficient,
+                                    RingRecursionFailure)) as info:
+                    fusion_table(d, 2)
+            caught.append(info.type)
+            if info.type is MethodMismatch:
+                assert info.value.value_a != info.value.value_b
+        assert set(caught) == {MethodMismatch, NegativeCoefficient,
+                               RingRecursionFailure}
 
-        def corrupted(*args):
-            # One cell of a pair of two different weights, which serves
-            # both orders.
-            b, s = args[-2:]
-            p, m, n = real(*args)
-            n = n.copy()
-            n[np.flatnonzero(b[p] != s[p])[0]] += 1
-            return p, m, n
-
-        monkeypatch.setattr(fusion_mod, "_klimyk_fold", corrupted)
-        with pytest.raises(MethodMismatch) as info:
-            fusion_table(build_cartan(parse_type("A2", AFFINE_R1)), 2)
-        assert info.value.value_a != info.value.value_b
+    def test_leading_cell_gate(self, monkeypatch):
+        d = build_cartan(parse_type("A2", AFFINE_R1))
+        corrupt_kernel(monkeypatch, d, leading_cells)
+        with pytest.raises(RingRecursionFailure, match="holds .* 2 times, not once"):
+            fusion_table(d, 2)
 
 
 class TestTwistedRoutes:
@@ -181,18 +221,27 @@ class TestTwistedRoutes:
             assert all(n >= 0 for _, n in table.items())
 
     def test_method_mismatch_surfaces(self, a3_folding, monkeypatch):
+        # The first cell of a twisted generator matrix M_{omega_i}, which
+        # the level-2 recursion also multiplies by.
         real = fusion_mod._klimyk_fold
 
-        def corrupted(*args):
-            p, m, n = real(*args)
-            n = n.copy()
-            n[0] += 1
-            return p, m, n
+        def corrupted(affine, *args):
+            rows = real(affine, *args)
+            if affine is a3_folding.twisted:
+                rows = rows.copy()
+                rows.flat[np.flatnonzero(rows)[0]] += 1
+            return rows
 
         monkeypatch.setattr(fusion_mod, "_klimyk_fold", corrupted)
         with pytest.raises(MethodMismatch) as info:
-            fusion_table(a3_folding, 1, "1,s,s")
+            fusion_table(a3_folding, 2, "1,s,s")
         assert info.value.value_a != info.value.value_b
+
+    def test_untwisted_leading_cell_gate(self, a3_folding, monkeypatch):
+        # The twisted recursion reads its c from the untwisted rows.
+        corrupt_kernel(monkeypatch, a3_folding.base, leading_cells)
+        with pytest.raises(RingRecursionFailure, match="not once"):
+            fusion_table(a3_folding, 2, "s,1,s")
 
     def test_level0_trivial(self, a3_folding):
         table = fusion_table(a3_folding, 0, "1,s,s")
@@ -213,21 +262,32 @@ def _recorded(monkeypatch, module, name):
     return calls
 
 
+def _generators(datum, k):
+    """The label tuples of the fundamental weights that are level-k labels."""
+    units = [tuple(int(i == j) for j in range(datum.rank)) for i in range(datum.rank)]
+    labels = {lw.finite.coords for lw in dominant_level_weights(datum, k)}
+    return [u for u in units if u in labels]
+
+
 class TestComputeOnce:
-    """A table runs the Kac-Walton kernel once: one weight system per slot
-    weight, every pair once, and one alcove fold of each distinct tensor
-    component."""
+    """A table runs Klimyk for the generators only: one weight system per
+    fundamental weight that is a label, one kernel call over the pairs
+    (mu, omega_i), each once, and one alcove fold of each distinct tensor
+    component of a call; the fusion-ring recursion does the rest."""
 
     def record(self, monkeypatch, system):
         return (_recorded(monkeypatch, rep_mod, system),
                 _recorded(monkeypatch, fusion_mod, "_klimyk_fold"),
                 _recorded(monkeypatch, fusion_mod, "_alcove"))
 
-    def assert_kernel_once(self, kernel, folds):
-        assert len(kernel) == 1
-        folded = [tuple(x) for (_, _, shifted), _ in folds for x in shifted.tolist()]
+    @staticmethod
+    def kernel_pairs(call, folds):
+        """The (first, second) factor indices of one kernel call, after
+        checking that it folds each distinct component once."""
+        (affine, _, _, _, _, b, s), _ = call
+        folded = [tuple(x) for (aff, _, shifted), _ in folds if aff is affine
+                  for x in shifted.tolist()]
         assert len(folded) == len(set(folded))
-        (_, _, _, _, _, b, s), _ = kernel[0]
         return list(zip(b.tolist(), s.tolist()))
 
     @pytest.mark.parametrize("name,k", [("A2", 3), ("B2", 2), ("G2", 2)])
@@ -236,10 +296,11 @@ class TestComputeOnce:
         systems, kernel, folds = self.record(monkeypatch, "_system")
         fusion_table(d, k)
         n = len(dominant_level_weights(d, k))
-        assert sorted(args[1] for args, _ in systems) == sorted(
-            lw.finite.coords for lw in dominant_level_weights(d, k))
-        pairs = [frozenset(p) for p in self.assert_kernel_once(kernel, folds)]
-        assert len(pairs) == len(set(pairs)) == n * (n + 1) // 2
+        gens = _generators(d, k)
+        assert sorted(args[1] for args, _ in systems) == sorted(gens)
+        assert len(kernel) == 1
+        pairs = self.kernel_pairs(kernel[0], folds)
+        assert sorted(pairs) == sorted(itertools.product(range(n), range(len(gens))))
 
     @pytest.mark.parametrize("type_,order,k,pattern", [
         (LieType("A", 3, AFFINE_R1), None, 2, "1,s,s"),
@@ -249,12 +310,31 @@ class TestComputeOnce:
     def test_twisted_rows(self, monkeypatch, type_, order, k, pattern):
         f = build_folding(type_, order)
         systems, kernel, folds = self.record(monkeypatch, "_restricted")
+        plain = _recorded(monkeypatch, rep_mod, "_system")
         fusion_table(f, k, pattern)
-        assert sorted(args[1] for args, _ in systems) == sorted(
-            lw.finite.coords for lw in dominant_level_weights(f.base, k))
-        pairs = self.assert_kernel_once(kernel, folds)
-        assert len(pairs) == len(set(pairs)) == len(systems) * len(
-            dominant_level_weights(f.twisted, k))
+        gens = _generators(f.base, k)
+        assert sorted(args[1] for args, _ in systems) == sorted(gens)
+        # The restricted systems of the generators and the plain ones of the
+        # generators the untwisted steps use: no other weight system.
+        assert {args[1] for args, _ in plain} <= set(gens)
+        # One call over Res V(omega_i) (x) V(a) for every twisted a, and one
+        # over the untwisted pairs (mu, omega_i) of the recursion steps.
+        assert [call[0][0] for call in kernel] == [f.twisted, f.base]
+        nt = len(dominant_level_weights(f.twisted, k))
+        pairs = self.kernel_pairs(kernel[0], folds)
+        assert sorted(pairs) == sorted(itertools.product(range(nt), range(len(gens))))
+        n = len(dominant_level_weights(f.base, k))
+        steps = self.kernel_pairs(kernel[1], folds)
+        assert len(steps) == len(set(steps)) == n - 1 - len(gens)
+
+    def test_no_untwisted_klimyk_when_every_label_is_a_generator(self, monkeypatch):
+        # E6 at level 1: the vacuum and omega_1, omega_6.
+        f = build_folding(parse_type("E6", AFFINE_R1))
+        systems = _recorded(monkeypatch, rep_mod, "_system")
+        klimyk = _recorded(monkeypatch, rep_mod, "klimyk_blocks")
+        fusion_table(f, 1, "1,s,s")
+        assert [args[0] for args, _ in klimyk] == [f.twisted.finite]
+        assert sorted(args[1] for args, _ in systems) == sorted(_generators(f.base, 1))
 
 
 def _scalar_table(table, row):
@@ -298,6 +378,28 @@ def test_twisted_table_matches_scalar_rows(type_, order, k, pattern):
     else:
         row = lambda a, b: scalar_twisted_kac_walton_row(f, k, b, a)
     assert (_scalar_table(table, row) == table.N).all()
+
+
+@pytest.mark.parametrize("name,k", [
+    ("A2", 5), ("B2", 4), ("C3", 3), ("G2", 5), ("D4", 3), ("F4", 2), ("E6", 2),
+])
+def test_ring_table_equals_per_pair_oracle(name, k):
+    # The table's Kac-Walton array passed the cross-check, so it is N.
+    d = build_cartan(parse_type(name, AFFINE_R1))
+    labels = dominant_level_weights(d, k)
+    assert (fusion_table(d, k).N == per_pair_kac_walton_table(d, k, labels)).all()
+
+
+@pytest.mark.parametrize("name,order,k", [
+    ("A3", None, 4), ("D4", 2, 3), ("D4", 3, 3), ("A5", None, 3), ("D5", None, 3),
+    ("E6", None, 2),
+])
+def test_twisted_ring_table_equals_per_pair_oracle(name, order, k):
+    f = build_folding(parse_type(name, AFFINE_R1), order)
+    base, twisted = (dominant_level_weights(x, k) for x in (f.base, f.twisted))
+    m = per_pair_twisted_kac_walton_table(f, k, base, twisted)
+    assert (fusion_table(f, k, "1,s,s").N == m).all()
+    assert (fusion_table(f, k, "s,1,s").N == m.transpose(1, 0, 2)).all()
 
 
 def test_block_budget_does_not_change_tables(monkeypatch):
@@ -434,16 +536,15 @@ def test_gates_fire_without_asserts():
         run(lambda: fusion.verlinde(s, vac, vac, vac))
         run(lambda: fusion._rounded([2.0, -1.0]))
 
-        # The pair of (0,1) and (1,0) fills the triples ((0,1), (1,0), .)
-        # and ((1,0), (0,1), .); the first in C order is named.
+        # The pair of (1,0) and the generator (0,1) fills the generator
+        # plane of (0,1): the triples ((0,1), (1,0), .).
         true_kernel = fusion._klimyk_fold
 
         def cell_set_to_two(*args):
             b, s = args[-2:]
-            p, m, n = true_kernel(*args)
-            n = n.copy()
-            n[(b[p] + s[p] == 3) & (m == 0)] = 2
-            return p, m, n
+            rows = true_kernel(*args).copy()
+            rows[b + s == 3, 0] = 2
+            return rows
 
         fusion._klimyk_fold = cell_set_to_two
         run(lambda: fusion.fusion_table(a2, 1))
@@ -469,6 +570,70 @@ def test_gates_fire_without_asserts():
         "MassMismatch", "MassMismatch", "UnknownWeight", "UnknownWeight",
         "ValueError", "ValueError", "ValueError", "NegativeCoefficient",
         "MethodMismatch [(0, 1), (1, 0), (0, 0)] 1 2", "NotInteger"]
+
+
+def test_ring_gates_fire_without_asserts():
+    # The premises and bounds of the fusion-ring recursion are typed errors
+    # that python -O keeps: a generator row patched to c_lam = 2, a first
+    # label that is not the vacuum, a generator cell too large for int64
+    # products, and one that drives a recursed entry below 0.
+    script = textwrap.dedent("""
+        import numpy as np
+        import twistfuse.fusion as fusion
+        from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
+        from twistfuse.errors import TwistfuseError
+        from twistfuse.rep import dominant_level_weights
+
+        a2 = build_cartan(LieType("A", 2, AFFINE_R1))
+        labels = dominant_level_weights(a2, 2)
+        true_kernel = fusion._klimyk_fold
+
+        def run(call):
+            try:
+                call()
+            except TwistfuseError as exc:
+                print(f"{type(exc).__name__}: {exc}")
+            else:
+                print("no error")
+
+        def patched(fn):
+            # fn(pair, nu) gives the new value of the nonzero cell nu of the
+            # pair (first factor, generator), or None.
+            def kernel(affine, k, index, bases, systems, b, s):
+                rows = true_kernel(affine, k, index, bases, systems, b, s).copy()
+                for p, m in zip(*np.nonzero(rows)):
+                    pair = (tuple(v - 1 for v in bases[b[p]][0]), systems[s[p]][0])
+                    new = fn(pair, labels[m].finite.coords)
+                    if new is not None:
+                        rows[p, m] = new
+                return rows
+            fusion._klimyk_fold = kernel
+            run(lambda: fusion.fusion_table(a2, 2))
+            fusion._klimyk_fold = true_kernel
+
+        # The step (1,1) = (0,1) + (1,0) comes first among the steps whose
+        # mu and omega_i differ; patch its leading cell and those after it.
+        patched(lambda pair, nu: 2 if pair[0] != pair[1] and nu == tuple(
+            map(sum, zip(*pair))) else None)
+        run(lambda: fusion._ring_module(a2, 2, labels[::-1], a2, labels[::-1], None))
+        patched(lambda pair, nu: 2 ** 62 if pair == ((0, 1), (0, 1))
+                and nu == (1, 0) else None)
+        patched(lambda pair, nu: 9 if pair == ((0, 0), (1, 0)) and nu == (1, 0)
+                else None)
+    """)
+    src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    expected = [("RingRecursionFailure", "(0, 1) (x) (1, 0) holds (1, 1) 2 times"),
+                ("RingRecursionFailure", "not the vacuum"),
+                ("RingRecursionFailure", "int64"),
+                ("NegativeCoefficient", "recursion gives")]
+    assert len(lines) == len(expected), lines
+    for line, (name, what) in zip(lines, expected):
+        assert line.startswith(name) and what in line, line
 
 
 class TestFusionTableOutput:
