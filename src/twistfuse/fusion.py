@@ -89,13 +89,15 @@ class FusionTable:
         as an iterator of strings: the header, then the entries of one
         first-slot plane at a time, then the closing brackets.
 
-        Each slot label and the method tag are encoded once by
-        `compact_json`; the entries are spliced from those fragments and the
-        values of N, in C order.  No more than one plane of entries is held
-        as text at once.
+        Each label and the method tag are encoded once by `compact_json`,
+        however many slots hold the label: the fragments are keyed by object
+        identity, stable while the table holds its labels.  The entries are
+        spliced from those fragments and the values of N, in C order.  No
+        more than one plane of entries is held as text at once.
         """
-        first, second, third = ([compact_json(_label_json(x)) for x in slot]
-                                for slot in self.slots)
+        labels = {id(x): x for slot in self.slots for x in slot}
+        text = {key: compact_json(_label_json(x)) for key, x in labels.items()}
+        first, second, third = ([text[id(x)] for x in slot] for slot in self.slots)
         thirds = [f'"m3":{x},"N":' for x in third]
         end = f',"method":{compact_json(self.method)}}}'
         head = compact_json({"schema": 1, "algebra": self.algebra, "level": self.level,
@@ -200,8 +202,6 @@ def _klimyk_fold(affine, k, index, bases, systems, b, s):
     p holds the coefficients of pair p over the third-slot labels."""
     folds = np.zeros((0, 2), dtype=np.int64)
     rows = np.zeros((len(b), len(index)), dtype=np.int64)
-    if not len(b):
-        return rows
     for pair, comp, c, fresh in rep.klimyk_blocks(affine.finite, bases, systems, b, s):
         if fresh:
             folds = np.concatenate([folds, _fold_labels(affine, k, index, fresh)])

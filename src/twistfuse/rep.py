@@ -379,8 +379,10 @@ def klimyk_blocks(fin, bases, systems, b, s):
     be the product of the dims (MassMismatch).  Yields (pair, comp, c, fresh)
     per block: pair pair[x] has component number comp[x] c[x] times; fresh
     holds the rho-shifted labels of the components first seen in the block,
-    numbered on from those of the blocks before.
+    numbered on from those of the blocks before.  No pairs yield no block.
     """
+    if not len(b):
+        return
     simple = np.array(simple_roots(fin.A), dtype=np.int64)
     lam_rho = np.array([x for x, _ in bases], dtype=np.int64).reshape(-1, fin.rank)
     taus, mults = (np.concatenate([x[i] for x in systems]) for i in (1, 2))

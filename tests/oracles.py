@@ -351,6 +351,16 @@ def one_walk_weyl_sum(fin, t, row_shifted, col_shifted):
     return out
 
 
+def full_gram_unitarity_defect(entries):
+    """max |S S^H - I| from every cell of the n x n Gram, contracted by
+    np.einsum: the unitarity gate before it read only the cells on and above
+    the diagonal, whose result it must match bit for bit."""
+    import numpy as np
+
+    gram = np.einsum("ij,kj->ik", entries, entries.conj())
+    return float(np.abs(gram - np.eye(entries.shape[0])).max())
+
+
 def _fraction_positive_roots(fin):
     """Positive roots of fin as (labels, simple-root coefficients): the
     reflection closure of the simple roots, kept where A^-1 labels >= 0."""

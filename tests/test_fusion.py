@@ -333,7 +333,9 @@ class TestComputeOnce:
         systems = _recorded(monkeypatch, rep_mod, "_system")
         klimyk = _recorded(monkeypatch, rep_mod, "klimyk_blocks")
         fusion_table(f, 1, "1,s,s")
-        assert [args[0] for args, _ in klimyk] == [f.twisted.finite]
+        # The untwisted call has no pairs, and yields no block.
+        assert [(args[0], len(args[3]) > 0) for args, _ in klimyk] == [
+            (f.twisted.finite, True), (f.base.finite, False)]
         assert sorted(args[1] for args, _ in systems) == sorted(_generators(f.base, 1))
 
 

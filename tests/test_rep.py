@@ -450,6 +450,15 @@ class TestTensor:
         assert coords_dict(t) == {(2, 0, 0): 1, (0, 1, 0): 1}
         assert dim(d, (2, 0, 0)) == 10 and dim(d, (0, 1, 0)) == 6
 
+    def test_klimyk_blocks_of_no_pairs(self):
+        # No pairs, with or without factors, yield no block.
+        d = build_cartan(LieType("A", 2))
+        none = np.zeros(0, dtype=np.int64)
+        assert list(rep.klimyk_blocks(d, [], [], none, none)) == []
+        bases = [rep._base(d, (1, 0))]
+        systems = [rep._system(d, (0, 1))]
+        assert list(rep.klimyk_blocks(d, bases, systems, none, none)) == []
+
     @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
     def test_symmetric_and_conserved(self, name):
         d = build_cartan(parse_type(name))

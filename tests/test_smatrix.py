@@ -22,7 +22,8 @@ from twistfuse.smatrix import (compact_json, complex_json, conformal,
                                twisted_a, twisted_sector_S, untwisted_S)
 from twistfuse.weyl import coset_representatives, generate_weyl, weyl_order
 
-from oracles import a1_s_matrix, materialised_weyl_sum, one_walk_weyl_sum
+from oracles import (a1_s_matrix, full_gram_unitarity_defect,
+                     materialised_weyl_sum, one_walk_weyl_sum)
 
 
 class TestConformal:
@@ -313,7 +314,9 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("name,chunks", [("E6", 3), ("D4", 2)])
     def test_coset_chunks_within_budget(self, monkeypatch, name, chunks):
         # A budget below |W| splits each cell's cosets into chunks whose
-        # counts add up, and every chunk's exponents fit the budget.
+        # counts add up, and every chunk's exponents fit the budget.  The
+        # square S computes the n(n+1)/2 cells on and above its diagonal,
+        # one bincount per chunk of each.
         fin, build = _build("S", name, None, 1)
         default = np.asarray(build().entries)
         size = weyl_order(fin)
@@ -323,7 +326,8 @@ class TestBlockBoundaries:
         calls = _counted_bincounts(monkeypatch)
         got = np.asarray(build().entries)
         assert np.array_equal(got, default)
-        assert len(calls) == default.size * chunks
+        n = len(default)
+        assert len(calls) == n * (n + 1) // 2 * chunks
         assert max(max(c) for c in calls) <= block < size
 
     def test_column_blocks(self):
@@ -344,6 +348,83 @@ class TestBlockBoundaries:
         # |W_J| = |W(A5)| = 720: the three rows of E6 k=1 walk together.
         untwisted_S(build_cartan(parse_type("E6", AFFINE_R1)), 1)
         assert walks == ["cosets", (3, 5)]
+
+
+def _counted_cells(monkeypatch):
+    """Patch np.einsum to record the cells of each contraction of the orbit
+    kernel's residue counts."""
+    cells = []
+    einsum = np.einsum
+
+    def counted(subscripts, *operands, **kwargs):
+        if subscripts == "cr,r->c":
+            cells.append(len(operands[0]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    return cells
+
+
+class TestUpperTriangle:
+    @pytest.mark.parametrize("name,kmax", [
+        ("A1", 3), ("A2", 3), ("A3", 3), ("A4", 3), ("B2", 3), ("B3", 3),
+        ("C2", 3), ("C3", 3), ("G2", 3), ("D4", 3), ("F4", 2), ("E6", 2),
+    ])
+    def test_mirror_equals_single_column_builds(self, name, kmax):
+        # A build of one column computes every row of it, below the
+        # diagonal too, so the mirrored half of the square S is checked
+        # against cells computed, not assumed.
+        d = build_cartan(parse_type(name, AFFINE_R1))
+        for k in range(1, kmax + 1):
+            s = untwisted_S(d, k)
+            cols = np.column_stack([untwisted_S(d, k, (lw,)).entries
+                                    for lw in s.rows])
+            assert cols.tobytes() == s.entries.tobytes()
+
+    @pytest.mark.parametrize("name,k,one_cell", [
+        ("B2", 16, False), ("A3", 8, False), ("A3", 3, True), ("G2", 3, True),
+        ("D4", 2, True), ("E6", 2, True),
+    ])
+    def test_square_S_computes_the_upper_triangle(self, monkeypatch, name,
+                                                   k, one_cell):
+        # The benchmark's S-matrices under the default budgets, and others
+        # at one cell per sub-block: n(n+1)/2 cells are contracted.
+        fin, build = _build("S", name, None, k)
+        default = np.asarray(build().entries)
+        if one_cell:
+            monkeypatch.setattr(smatrix_mod, "_BLOCK", weyl_order(fin))
+        cells = _counted_cells(monkeypatch)
+        got = np.asarray(build().entries)
+        n = len(default)
+        assert sum(cells) == n * (n + 1) // 2
+        assert got.tobytes() == default.tobytes()
+
+
+class TestUnitarityDefect:
+    def test_equals_the_full_gram_on_the_default_grid(self):
+        grid = cli.GRIDS["default"]
+        matrices = [untwisted_S(build_cartan(parse_type(name, AFFINE_R1)), k)
+                    for name, kmax in grid["untwisted"]
+                    for k in range(1, kmax + 1)]
+        matrices += [twisted_a(build_folding(parse_type(name, AFFINE_R1),
+                                             order or None), k)
+                     for name, order, kmax in grid["foldings"]
+                     for k in range(1, kmax + 1)]
+        for m in matrices:
+            assert m.unitarity_defect() == full_gram_unitarity_defect(m.entries)
+
+    @pytest.mark.parametrize("cell", [(20, 3), (17, 17), (2, 19), (0, 0),
+                                      (20, 20), (5, 4)])
+    def test_one_perturbed_cell_shows(self, cell):
+        # A2 k=5 has 21 rows: Gram blocks of 16 and 5 rows.  The perturbed
+        # copy is not symmetric, and the Gram's triangle still sees it.
+        s = untwisted_S(build_cartan(parse_type("A2", AFFINE_R1)), 5)
+        assert s.unitarity_defect() < 1e-12
+        entries = s.entries.copy()
+        entries[cell] += 1e-7
+        bumped = smatrix_mod.ModularMatrix(s.rows, s.cols, entries, s.provenance)
+        assert bumped.unitarity_defect() > 1e-9
+        assert bumped.unitarity_defect() == full_gram_unitarity_defect(entries)
 
 
 def test_s_path_stays_on_the_calling_thread():
