@@ -9,6 +9,11 @@ Exit codes: 0 success, 1 bad input, 2 failed check.  `smatrix.compact_json`
 writes every JSON document, S-matrix blocks included (as float64 arrays),
 and `Weight.to_json` every list of Dynkin labels.  A fusion table is
 written one first-slot plane at a time (`FusionTable.json_chunks`).
+`smatrix --twist diagram` builds only the blocks it prints, the
+sigma-stable columns of S and the twisted-sector block
+(`fusion.SectorMatrices`), and gates the orthonormality of the columns and
+the unitarity of the block, as a twisted table does; the untwisted
+`smatrix` and `selfcheck` check the full S.
 """
 
 import argparse
@@ -20,12 +25,10 @@ from . import _rational as rat, fusion
 from .cartan import AFFINE_R1, build_cartan, lattice_M, parse_type
 from .errors import CheckFailed, TwistfuseError
 from .fold import build_folding, pstar_apply, symmetric_weights
-from .fusion import (SectorLabel, _index, check_pattern, coefficient,
-                     fusion_table, parse_pattern, pattern_text, slot_data,
-                     twisted_verlinde)
+from .fusion import (SectorLabel, check_pattern, coefficient, fusion_table,
+                     parse_pattern, pattern_text, slot_data, twisted_verlinde)
 from .rep import branch, dim, dominant_level_weights
-from .smatrix import (compact_json, complex_json, conformal, twisted_a,
-                      twisted_sector_S, untwisted_S)
+from .smatrix import compact_json, complex_json, conformal, twisted_a, untwisted_S
 
 
 def _dump(obj):
@@ -38,28 +41,24 @@ def _folding_for(args):
 
 
 def cmd_smatrix(args):
-    datum = build_cartan(parse_type(args.type, AFFINE_R1))
     out = {"schema": 1, "algebra": args.type, "level": args.level}
     if args.twist == "none":
-        s = untwisted_S(datum, args.level)
+        s = untwisted_S(build_cartan(parse_type(args.type, AFFINE_R1)), args.level)
         worst = max(s.unitarity_defect(), s.symmetry_defect())
         out["S"] = s.to_json_dict()
     else:
-        # The full S, for its unitarity and symmetry, read on its sigma-stable
-        # columns, the column labels of the sector block.
-        folding = _folding_for(args)
-        full = untwisted_S(folding.base, args.level)
-        sector = twisted_sector_S(folding, args.level)
-        index = _index(full.rows)
-        sym = [index[w.finite.coords] for w in sector.cols]
+        # What is printed and no more: S on its sigma-stable columns, the
+        # column labels of the sector block, gated orthonormal by
+        # SectorMatrices (NotOrthonormal, exit 2, nothing printed), and the
+        # sector block.  The full S is never built.
+        mats = fusion.SectorMatrices(_folding_for(args), args.level)
         out["S_symmetric_columns"] = {
-            "rows": [w.finite.to_json() for w in full.rows],
-            "cols": [w.finite.to_json() for w in sector.cols],
-            **complex_json(full.entries[:, sym]),
+            "rows": [w.finite.to_json() for w in mats.base_labels],
+            "cols": [w.finite.to_json() for w in mats.sym],
+            **complex_json(mats.scol),
         }
-        out["S_twisted_sector"] = sector.to_json_dict()
-        worst = max(full.unitarity_defect(), full.symmetry_defect(),
-                    sector.unitarity_defect())
+        out["S_twisted_sector"] = mats.sector.to_json_dict()
+        worst = max(mats.column_defect, mats.sector.unitarity_defect())
     out["unitarity_defect"] = worst
     _dump(out)
     return 0 if worst < fusion.UNITARITY_TOLERANCE else 2

@@ -21,9 +21,12 @@ distinct component.  `kac_walton_row` and `twisted_kac_walton_row` are
 one-pair calls of it.  `_sector_matrices` caches the S- and a-matrix blocks
 (`SectorMatrices`) of the last 8 (folding, level) pairs for
 `_twisted_table` and `twisted_verlinde`.  `FusionTable.json_chunks` and
-`text_chunks` yield the output one first-slot plane at a time, each slot
-label encoded once, so the array, not its text, sets the peak memory of a
-table; `to_json` and `to_text` join them.
+`text_chunks` yield the output one first-slot plane at a time, so the
+array, not its text, sets the peak memory of a table; `to_json` and
+`to_text` join them.  Both splice each row from its (m1, m2) prefix and
+per-value tails: the tail of every third-slot label and every value of N
+is formatted once per table, each slot label encoded once, and one fancy
+index picks the tails of a plane.
 
 `parse_pattern` reads a sector pattern into sector classes (0 untwisted,
 1 sigma, 2 sigma^2), `pattern_text` writes their one canonical text, and
@@ -87,28 +90,22 @@ class FusionTable:
     def json_chunks(self):
         """Schema-1 JSON of the table, compact, without a trailing newline,
         as an iterator of strings: the header, then the entries of one
-        first-slot plane at a time, then the closing brackets.
+        first-slot plane at a time (`_planes`), then the closing brackets.
 
         Each label and the method tag are encoded once by `compact_json`,
         however many slots hold the label: the fragments are keyed by object
-        identity, stable while the table holds its labels.  The entries are
-        spliced from those fragments and the values of N, in C order.  No
-        more than one plane of entries is held as text at once.
+        identity, stable while the table holds its labels.
         """
         labels = {id(x): x for slot in self.slots for x in slot}
         text = {key: compact_json(_label_json(x)) for key, x in labels.items()}
         first, second, third = ([text[id(x)] for x in slot] for slot in self.slots)
-        thirds = [f'"m3":{x},"N":' for x in third]
         end = f',"method":{compact_json(self.method)}}}'
         head = compact_json({"schema": 1, "algebra": self.algebra, "level": self.level,
                              "twist": self.twist, "pattern": self.pattern})
         yield f'{head[:-1]},"entries":['
-        for i, (m1, plane) in enumerate(zip(first, self.N)):
-            items = []
-            for m2, row in zip(second, plane.tolist()):
-                pair = f'{{"m1":{m1},"m2":{m2},'
-                items.extend(f"{pair}{m3}{n}{end}" for m3, n in zip(thirds, row))
-            yield ("," if i else "") + ",".join(items)
+        yield from self._planes([f'{{"m1":{m1},"m2":' for m1 in first],
+                                [f"{m2}," for m2 in second], third,
+                                lambda m3, n: f'"m3":{m3},"N":{n}{end}', ",")
         yield "]}"
 
     def to_json(self):
@@ -117,19 +114,32 @@ class FusionTable:
 
     def text_chunks(self):
         """One line per entry, in C order, without a trailing newline, as an
-        iterator of strings: the lines of one first-slot plane at a time."""
+        iterator of strings: the lines of one first-slot plane at a time
+        (`_planes`)."""
         width = max(len(str(x)) for slot in self.slots for x in slot)
-        second, third = ([f"{str(x):<{width}}  " for x in slot] for slot in self.slots[1:])
-        tail = f"  [{self.method}]"
-        for i, (m1, plane) in enumerate(zip(self.slots[0], self.N)):
-            m1 = f"{str(m1):<{width}}  "
-            yield ("\n" if i else "") + "\n".join(
-                f"{m1}{m2}{m3}{n}{tail}" for m2, row in zip(second, plane.tolist())
-                for m3, n in zip(third, row))
+        first, second, third = ([f"{str(x):<{width}}  " for x in slot] for slot in self.slots)
+        yield from self._planes(first, second, third,
+                                lambda m3, n: f"{m3}{n}  [{self.method}]", "\n")
 
     def to_text(self):
         """The chunks of `text_chunks`, joined."""
         return "".join(self.text_chunks())
+
+    def _planes(self, first, second, third, tail, sep):
+        """The entries of one first-slot plane at a time, in C order, joined
+        by sep: entry (i, j, m) is first[i] + second[j] + tail(third[m], n)
+        for n = N[i, j, m].  The tail of every third-slot label and every
+        value from 0 to max N (N is non-negative) is formatted once per
+        table, one fancy index picks a plane's tails, and each row is
+        spliced to its prefix."""
+        values = range(int(self.N.max()) + 1)
+        tails = np.array([[tail(m3, n) for n in values] for m3 in third], dtype=object)
+        cols = np.arange(len(third))
+        for i, (m1, plane) in enumerate(zip(first, self.N)):
+            rows = tails[cols, plane].tolist()
+            yield (sep if i else "") + sep.join(
+                pair + (sep + pair).join(row)
+                for pair, row in zip([m1 + m2 for m2 in second], rows))
 
 
 def _rounded(values):
@@ -279,14 +289,15 @@ class SectorMatrices:
     scol: untwisted S on the sigma-stable columns sym alone (rows over all
     level-k weights, base_labels), built by `untwisted_S` with those column
     labels, so a table never builds the full S; its columns are gated
-    orthonormal, scol^H scol = I within UNITARITY_TOLERANCE (NotOrthonormal).
-    a: the twisted-sector block, rows over the twisted weights
-    (twisted_labels), columns sym, the sector block's own column labels
-    (`fold.symmetric_weights`).
+    orthonormal, scol^H scol = I within UNITARITY_TOLERANCE (NotOrthonormal),
+    and column_defect is max |scol^H scol - I|.
+    sector: the twisted-sector block, a ModularMatrix; a, its entries, has
+    rows over the twisted weights (twisted_labels) and columns sym, the
+    sector block's own column labels (`fold.symmetric_weights`).
     """
 
     def __init__(self, folding, k):
-        sector = twisted_sector_S(folding, k)
+        self.sector = sector = twisted_sector_S(folding, k)
         self.sym = sector.cols
         s = untwisted_S(folding.base, k, self.sym)
         self.base_labels = s.rows
@@ -295,7 +306,7 @@ class SectorMatrices:
         # np.einsum on the calling thread, as in ModularMatrix.unitarity_defect;
         # a NaN fails.
         gram = np.einsum("ij,ik->jk", self.scol.conj(), self.scol)
-        defect = np.abs(gram - np.eye(len(self.sym))).max()
+        self.column_defect = defect = float(np.abs(gram - np.eye(len(self.sym))).max())
         if not defect <= UNITARITY_TOLERANCE:
             raise NotOrthonormal(
                 f"{folding.base.type} level {k}: the sigma-stable columns of S are "

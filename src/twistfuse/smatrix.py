@@ -161,8 +161,11 @@ def compact_json(obj):
     (string-keyed) dicts is written as json writes its float64 tolist(): json
     formats each distinct int64 bit pattern once (-0.0 and 0.0 print apart, NaN
     != NaN), and the rows are joined from a gather.  The worst case, all values
-    distinct, costs about 1.3 times json; a symmetric S has at most n(n+1)/2 values."""
-    if isinstance(obj, dict):
+    distinct, costs about 1.3 times json; a symmetric S has at most n(n+1)/2 values.
+    Only a dict with a dict or an array among its values is split key by key;
+    any other value, a label dict included, is one json.dumps call."""
+    if isinstance(obj, dict) and any(isinstance(v, (dict, np.ndarray))
+                                     for v in obj.values()):
         return "{%s}" % ",".join(f"{compact_json(str(k))}:{compact_json(v)}"
                                  for k, v in obj.items())
     if not isinstance(obj, np.ndarray):

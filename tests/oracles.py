@@ -12,6 +12,7 @@ the reference for the fusion-ring recursion that builds the tables.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -536,6 +537,51 @@ def fusion_table_text(table):
     return "\n".join(f"{str(m1):<{width}}  {str(m2):<{width}}  "
                      f"{str(m3):<{width}}  {n}  [{table.method}]"
                      for (m1, m2, m3), n in table.items())
+
+
+def _label_text(x):
+    """Compact JSON of one fusion-table label, by json.dumps."""
+    if hasattr(x, "sector"):
+        blob = {"sector": x.sector, "level": x.weight.level,
+                "weight": [int(c) for c in x.weight.finite.coords]}
+    else:
+        blob = {"level": x.level, "weight": [int(c) for c in x.finite.coords]}
+    return json.dumps(blob, separators=(",", ":"))
+
+
+def per_entry_json_chunks(table):
+    """The schema-1 JSON chunks of a FusionTable, one f-string per entry:
+    the header, one chunk per first-slot plane, the closing brackets.  The
+    writer the spliced `FusionTable.json_chunks` must reproduce chunk for
+    chunk."""
+    first, second, third = ([_label_text(x) for x in slot] for slot in table.slots)
+    thirds = [f'"m3":{x},"N":' for x in third]
+    end = f',"method":{json.dumps(table.method)}}}'
+    head = json.dumps({"schema": 1, "algebra": table.algebra, "level": table.level,
+                       "twist": table.twist, "pattern": table.pattern},
+                      separators=(",", ":"))
+    yield f'{head[:-1]},"entries":['
+    for i, (m1, plane) in enumerate(zip(first, table.N)):
+        items = []
+        for m2, row in zip(second, plane.tolist()):
+            pair = f'{{"m1":{m1},"m2":{m2},'
+            items.extend(f"{pair}{m3}{n}{end}" for m3, n in zip(thirds, row))
+        yield ("," if i else "") + ",".join(items)
+    yield "]}"
+
+
+def per_entry_text_chunks(table):
+    """The text lines of a FusionTable, one f-string per entry, one chunk
+    per first-slot plane: the writer the spliced `FusionTable.text_chunks`
+    must reproduce chunk for chunk."""
+    width = max(len(str(x)) for slot in table.slots for x in slot)
+    second, third = ([f"{str(x):<{width}}  " for x in slot] for slot in table.slots[1:])
+    tail = f"  [{table.method}]"
+    for i, (m1, plane) in enumerate(zip(table.slots[0], table.N)):
+        m1 = f"{str(m1):<{width}}  "
+        yield ("\n" if i else "") + "\n".join(
+            f"{m1}{m2}{m3}{n}{tail}" for m2, row in zip(second, plane.tolist())
+            for m3, n in zip(third, row))
 
 
 def peel(fin, weights):

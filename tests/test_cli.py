@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twistfuse
@@ -13,9 +14,12 @@ import twistfuse.cli as cli_mod
 import twistfuse.errors as errors
 import twistfuse.fusion as fusion_mod
 import twistfuse.smatrix as smatrix_mod
+from twistfuse.cartan import AFFINE_R1, parse_type
 from twistfuse.cli import main
+from twistfuse.fold import build_folding
 
-from oracles import fusion_table_text, repr17_complex_json
+from oracles import (fusion_table_text, per_entry_json_chunks,
+                     per_entry_text_chunks, repr17_complex_json)
 
 
 def run(capsys, *argv):
@@ -71,6 +75,19 @@ class TestSmatrixCommand:
         rc, expected, _ = run(capsys, "smatrix", *argv)
         assert rc == 0
         assert out == expected
+
+    def test_twisted_defect_reads_the_printed_blocks(self, capsys):
+        # The orthonormality of the printed S columns and the unitarity of
+        # the sector block, as a twisted table gates them.
+        rc, out, _ = run(capsys, "smatrix", "A3", "--level", "8", "--twist",
+                         "diagram")
+        assert rc == 0
+        mats = fusion_mod.SectorMatrices(build_folding(parse_type("A3", AFFINE_R1)), 8)
+        worst = max(mats.column_defect, mats.sector.unitarity_defect())
+        assert json.loads(out)["unitarity_defect"] == worst
+        gram = mats.scol.conj().T @ mats.scol
+        assert abs(mats.column_defect
+                   - abs(gram - np.eye(len(mats.sym))).max()) < 1e-15
 
     def test_unitarity_gate(self, capsys, monkeypatch):
         # The exit code reads the one constant fusion.UNITARITY_TOLERANCE.
@@ -257,7 +274,8 @@ def test_input_checks_exit_1(capsys, argv, message):
 
 def test_one_unitarity_tolerance_feeds_every_gate(capsys, monkeypatch):
     # fusion.UNITARITY_TOLERANCE is the one value of the S-column gate of a
-    # twisted table, of smatrix's exit code and of selfcheck.
+    # twisted table and of the twisted smatrix, of smatrix's exit code and
+    # of selfcheck.
     monkeypatch.setattr(fusion_mod, "UNITARITY_TOLERANCE", 1e-20)
     fusion_mod._sector_matrices.cache_clear()
     try:
@@ -267,6 +285,10 @@ def test_one_unitarity_tolerance_feeds_every_gate(capsys, monkeypatch):
         fusion_mod._sector_matrices.cache_clear()
     assert rc == 2 and "off orthonormal" in err and "(tolerance 1e-20)" in err
     assert run(capsys, "smatrix", "A2", "--level", "2")[0] == 2
+    # The twisted smatrix gates the columns it prints as the table does,
+    # and prints nothing when they fail.
+    rc, out, err = run(capsys, "smatrix", "A3", "--level", "2", "--twist", "diagram")
+    assert (rc, out) == (2, "") and "off orthonormal" in err
     rc, _, err = run(capsys, "selfcheck", "--grid", "tiny")
     assert rc == 2
     assert "selfcheck failed at: smatrix-unitarity-symmetry" in err
@@ -594,8 +616,9 @@ def _recorded_tables():
 
 class TestStreamedTables:
     """The CLI writes a table one first-slot plane at a time, then print's
-    newline: the bytes are those the benchmark records, and those of the
-    whole-table emitters."""
+    newline: the bytes are those the benchmark records, those of the
+    whole-table emitters, and, chunk for chunk, those of the per-entry
+    writers."""
 
     @pytest.mark.parametrize("key,digest", _recorded_tables(),
                              ids=[key for key, _ in _recorded_tables()])
@@ -611,10 +634,12 @@ class TestStreamedTables:
         (table,) = tables
         chunks = list(table.json_chunks())
         assert len(chunks) == len(table.slots[0]) + 2
+        assert chunks == list(per_entry_json_chunks(table))
         assert "".join(chunks) + "\n" == out
         assert table.to_json() + "\n" == out
         rc, text, _ = run(capsys, *key.split(), "--output", "table")
         assert rc == 0
+        assert list(table.text_chunks()) == list(per_entry_text_chunks(table))
         assert text == fusion_table_text(table) + "\n" == table.to_text() + "\n"
 
     def test_table_peak_memory(self):

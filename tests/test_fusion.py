@@ -22,9 +22,10 @@ from twistfuse.fusion import (SectorLabel, check_pattern, coefficient,
                               parse_pattern, pattern_text, twisted_kac_walton,
                               twisted_verlinde, verlinde)
 from twistfuse.rep import dominant_level_weights
-from twistfuse.smatrix import twisted_a, untwisted_S
+from twistfuse.smatrix import _label_json, compact_json, twisted_a, untwisted_S
 
 from oracles import (fusion_table_json_dict, fusion_table_text,
+                     per_entry_json_chunks, per_entry_text_chunks,
                      per_pair_kac_walton_table, per_pair_twisted_kac_walton_table,
                      scalar_kac_walton_row, scalar_twisted_kac_walton_row)
 
@@ -483,6 +484,33 @@ def test_chunks_are_first_slot_planes(name, order, k, pattern):
     text = list(table.text_chunks())
     assert len(text) == len(table.slots[0])
     assert "".join(text) == table.to_text() == fusion_table_text(table)
+    # Chunk for chunk, the writers equal the per-entry ones, on level-0
+    # tables and twisted SectorLabel slots among these cases.
+    assert chunks == list(per_entry_json_chunks(table))
+    assert text == list(per_entry_text_chunks(table))
+    for x in {x for slot in table.slots for x in slot}:
+        assert compact_json(_label_json(x)) == json.dumps(_label_json(x),
+                                                          separators=(",", ":"))
+
+
+def test_spliced_writers_on_multi_digit_values(a3_folding):
+    # Values of one, two and three digits, and a value range with gaps: the
+    # tails are indexed by value, not by rank.
+    base = dominant_level_weights(a3_folding.base, 1)
+    untw = tuple(SectorLabel("untwisted", lw) for lw in base)
+    tw = tuple(SectorLabel("sigma", lw)
+               for lw in dominant_level_weights(a3_folding.twisted, 1))
+    for slots, header in [((base, base, base), ("none", "1,1,1", "verlinde+kac-walton")),
+                          ((untw, tw, tw), ("diagram", "1,s,s", "twisted-verlinde"))]:
+        n = np.zeros(tuple(map(len, slots)), dtype=np.int64)
+        n.flat[:4] = [0, 9, 10, 123]
+        n.flat[-1] = 10
+        twist, pattern, method = header
+        table = fusion_mod.FusionTable("A3^(1)", 1, twist, pattern, slots, n, method)
+        assert list(table.json_chunks()) == list(per_entry_json_chunks(table))
+        assert list(table.text_chunks()) == list(per_entry_text_chunks(table))
+        blob = json.loads(table.to_json())
+        assert [e["N"] for e in blob["entries"]] == n.ravel().tolist()
 
 
 def test_gates_fire_without_asserts():
@@ -685,6 +713,22 @@ def test_table_builds_sector_matrices_once(monkeypatch, capsys):
             fusion_mod._sector_matrices.cache_clear()
         capsys.readouterr()
         assert tuple(map(len, calls)) == want
+
+
+def test_twisted_smatrix_builds_the_printed_columns_only(monkeypatch, capsys):
+    """`smatrix --twist diagram` makes one untwisted_S call, on the
+    sigma-stable columns, outside the SectorMatrices cache: no full S."""
+    fusion_mod._sector_matrices.cache_clear()
+    with monkeypatch.context() as patch:
+        calls = [_count_calls(patch, f) for f in (untwisted_S, twisted_a)]
+        assert cli.main(["smatrix", "A3", "--level", "8", "--twist", "diagram"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    (args,), sector = calls
+    assert len(sector) == 1 and len(args) == 3
+    cols = out["S_symmetric_columns"]
+    assert [w.finite.to_json() for w in args[2]] == cols["cols"]
+    assert (len(cols["rows"]), len(cols["cols"])) == (165, 25)
+    assert fusion_mod._sector_matrices.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("name,order,pattern", [
