@@ -1,11 +1,10 @@
-"""Exact rational linear algebra on Python integers (Fraction matrices,
-integer lattices).
+"""Exact rational linear algebra on Python integers (Fraction matrices).
 
 Matrices are tuples of tuples of ints or Fractions.  The kernels
-(`mat_mul`, `mat_det`, `mat_inverse`, `solve`, `lattice_basis_rows`,
-`clear_denominators`) write each matrix as integer rows over one common
-denominator (`_int_rows`), work on those integers alone, and make one
-Fraction per output entry (`clear_denominators` returns the integers).
+(`mat_mul`, `mat_det`, `mat_inverse`, `solve`, `clear_denominators`) write
+each matrix as integer rows over one common denominator (`_int_rows`),
+work on those integers alone, and make one Fraction per output entry
+(`clear_denominators` returns the integers).
 `mat_det`, `mat_inverse` and `solve` share one fraction-free Gauss-Jordan
 elimination (`_bareiss`; Bareiss, Math. Comp. 22, 1968): each step scales
 the other rows by the pivot and divides them exactly by the previous
@@ -103,50 +102,6 @@ def mat_det(a):
 def solve(a, b):
     """Solve a @ x = b for a square nonsingular a; b is a vector."""
     return tuple(x for x, in _left_divide(a, [[x] for x in b]))
-
-
-def _int_hnf(rows):
-    """Row Hermite normal form of an integer matrix; returns nonzero rows.
-
-    Pivots positive, entries above a pivot reduced into [0, pivot).
-    """
-    m = [list(r) for r in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    row = 0
-    for col in range(ncols):
-        # Euclidean elimination within this column below `row`.
-        while True:
-            nz = [r for r in range(row, len(m)) if m[r][col] != 0]
-            if not nz:
-                break
-            r0 = min(nz, key=lambda r: abs(m[r][col]))
-            m[row], m[r0] = m[r0], m[row]
-            if m[row][col] < 0:
-                m[row] = [-x for x in m[row]]
-            done = True
-            for r in range(row + 1, len(m)):
-                if m[r][col] != 0:
-                    q = m[r][col] // m[row][col]
-                    m[r] = [x - q * y for x, y in zip(m[r], m[row])]
-                    if m[r][col] != 0:
-                        done = False
-            if done:
-                break
-        if row < len(m) and m[row][col] != 0:
-            for r in range(row):
-                q = m[r][col] // m[row][col]
-                if q != 0:
-                    m[r] = [x - q * y for x, y in zip(m[r], m[row])]
-            row += 1
-    return [r for r in m if any(x != 0 for x in r)]
-
-
-def lattice_basis_rows(vectors):
-    """Canonical basis (HNF) of the lattice generated by rational row vectors."""
-    ints, den = _int_rows(list(vectors))
-    return tuple(tuple(Fraction(x, den) for x in row) for row in _int_hnf(ints))
 
 
 def clear_denominators(vec):

@@ -29,14 +29,15 @@ The Weyl-reflection kernels of the package live here, the one module that
 `rep`, `weyl` and `fold` all import without a cycle.  `simple_roots` gives
 the columns of a Cartan matrix; `reflect_to_dominant` is the one
 reflect-to-dominant loop on a label tuple, and `orbit_walk` the one orbit
-walk, in numpy over a stack of points.  Here they give the highest root
-and the span of its orbit, the lattice M.  `rep` uses the loop for the
-Freudenthal lookups and the walk to spread the dominant multiplicities
-over their orbits, `weyl.to_dominant` and `weyl.alcove_fold` run the loop
-on the finite and the affine simple roots, and `weyl.signed_orbit` and
-`weyl.coset_representatives` run the walk for the S-matrix kernel.  The
-Klimyk sum, of tensor products and branching alike, runs the numpy form of
-the reflect-to-dominant loop, `rep._reflect`, in `rep.klimyk_blocks`.
+walk, in numpy over a stack of points.  Here the loop gives the highest
+root, and the simple roots give the lattice M in closed form.  `rep` uses
+the loop for the Freudenthal lookups and the walk to spread the dominant
+multiplicities over their orbits, `weyl.to_dominant` and
+`weyl.alcove_fold` run the loop on the finite and the affine simple roots,
+and `weyl.signed_orbit` and `weyl.coset_representatives` run the walk for
+the S-matrix kernel.  The Klimyk sum, of tensor products and branching
+alike, runs the numpy form of the reflect-to-dominant loop, `rep._reflect`,
+in `rep.klimyk_blocks`.
 
 Root data, forms and lattices are exact rationals; the orbit walk runs on
 int64 label arrays.
@@ -353,7 +354,7 @@ class CartanDatum:
         self.theta_covec = tuple(int(x) for x in covec)
         if type_.kind == FINITE:
             self.comarks = self.theta_covec
-        self.M_basis = _orbit_lattice(self) if type_.kind != FINITE else None
+        self.M_basis = _translation_lattice(self) if type_.kind != FINITE else None
         _check_invariants(self)
 
     @cached_property
@@ -525,14 +526,16 @@ def inner_product(lam, mu):
                for i in range(len(lam.coords)) for j in range(len(mu.coords)))
 
 
-def _orbit_lattice(datum):
-    """Lattice M: span of the finite Weyl orbit of nu(theta^vee) = theta."""
-    fin = datum.finite
-    theta = np.array(datum.theta.coords, dtype=np.int64)[None, None]
-    orbit = orbit_walk(simple_roots(fin.A), theta)[0][:, 0].tolist()
-    rows = rat.lattice_basis_rows(sorted(map(tuple, orbit)))
-    _require(len(rows) == fin.rank, "orbit of theta must span the weight space")
-    return LatticeBasis(fin, rows)
+def _translation_lattice(datum):
+    """Lattice M in Kac's closed form (Infinite-dimensional Lie algebras,
+    section 6.5), on the basis alpha_i / min(1, d_i).  Untwisted, M is
+    nu(Q^vee), and nu(alpha_i^vee) = alpha_i / d_i moves only the short
+    roots; every supported twisted type has a_0 = 1 and d_i >= 1, and M is
+    the root lattice.  test_cartan.test_closed_form_M_is_theta_orbit_span
+    checks it against the span of the Weyl orbit of theta."""
+    return LatticeBasis(datum.finite, tuple(
+        tuple(Fraction(x) / min(d, 1) for x in alpha)
+        for alpha, d in zip(simple_roots(datum.A_fin), datum.d_fin)))
 
 
 def lattice_M(datum):

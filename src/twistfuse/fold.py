@@ -322,7 +322,7 @@ def phi_apply_shifted(folding, coords):
 
 
 def transported_adjacent_M(folding):
-    """The adjacent translation lattice carried into twisted coordinates."""
-    m_adj = lattice_M(folding.adjacent)
-    rows = [rat.mat_vec(folding.phi, v) for v in m_adj.basis]
-    return LatticeBasis(folding.twisted.finite, rat.lattice_basis_rows(rows))
+    """The adjacent translation lattice carried into twisted coordinates:
+    phi is invertible, so it takes the basis of M' to a basis."""
+    return LatticeBasis(folding.twisted.finite, [
+        rat.mat_vec(folding.phi, v) for v in lattice_M(folding.adjacent).basis])

@@ -137,9 +137,9 @@ class FusionTable:
         cols = np.arange(len(third))
         for i, (m1, plane) in enumerate(zip(first, self.N)):
             rows = tails[cols, plane].tolist()
-            yield (sep if i else "") + sep.join(
+            yield sep.join(([""] if i else []) + [
                 pair + (sep + pair).join(row)
-                for pair, row in zip([m1 + m2 for m2 in second], rows))
+                for pair, row in zip([m1 + m2 for m2 in second], rows)])
 
 
 def _rounded(values):

@@ -204,15 +204,15 @@ def _dim(fin, coords):
     return int(d)
 
 
-def freudenthal(datum, lam, dim_cap=DIMENSION_CAP):
+def freudenthal(datum, lam):
     """Full weight system of the irreducible with highest weight lam."""
     fin = datum.finite
     coords = _labels(lam)
     if any(c < 0 for c in coords):
         raise ValueError(f"highest weight {coords} must be dominant")
     d = dim(fin, coords)
-    if d > dim_cap:
-        raise DimensionCap(f"dim {d} exceeds the cap {dim_cap}")
+    if d > DIMENSION_CAP:
+        raise DimensionCap(f"dim {d} exceeds the cap {DIMENSION_CAP}")
     return _weight_system(fin, coords)
 
 
@@ -349,17 +349,17 @@ def _base(fin, coords):
     return tuple(c + 1 for c in coords), dim(fin, coords)
 
 
-def _system(fin, coords, dim_cap=DIMENSION_CAP):
+def _system(fin, coords):
     """(name, weights, multiplicities, dim) of the irreducible coords: its
     weight system as int64 arrays (n, rank) and (n,).  A second factor."""
-    ws = freudenthal(fin, coords, dim_cap)
+    ws = freudenthal(fin, coords)
     return coords, ws.weights, ws.mults, dim(fin, coords)
 
 
-def _restricted(fin, coords, restriction_matrix, dim_cap=DIMENSION_CAP):
+def _restricted(fin, coords, restriction_matrix):
     """`_system` of the irreducible coords of fin restricted to a subalgebra:
     its weights through restriction_matrix, equal images merged."""
-    _, tau, mult, d = _system(fin, coords, dim_cap)
+    _, tau, mult, d = _system(fin, coords)
     pi = np.array(restriction_matrix, dtype=np.int64)
     return (f"Res {coords}", *_group_sums(tau @ pi.T, mult), d)
 
@@ -435,16 +435,16 @@ def _decompose(fin, base, system):
                         for i, v in zip(comp.tolist(), c.tolist())})
 
 
-def tensor_decompose(datum, lam, mu, dim_cap=DIMENSION_CAP):
+def tensor_decompose(datum, lam, mu):
     """Klimyk decomposition of lam (x) mu into dominant weights: one pair of
     `klimyk_blocks`, over the weights of the smaller factor."""
     fin = datum.finite
     big, small = sorted((_labels(lam), _labels(mu)), key=lambda c: dim(fin, c),
                         reverse=True)
-    return _decompose(fin, _base(fin, big), _system(fin, small, dim_cap))
+    return _decompose(fin, _base(fin, big), _system(fin, small))
 
 
-def branch(ambient_datum, sub_datum, restriction_matrix, lam, dim_cap=DIMENSION_CAP):
+def branch(ambient_datum, sub_datum, restriction_matrix, lam):
     """Branching of the ambient irreducible lam to the subalgebra: the Klimyk
     sum Res V(lam) (x) V(0), one pair of `klimyk_blocks`.
 
@@ -454,4 +454,4 @@ def branch(ambient_datum, sub_datum, restriction_matrix, lam, dim_cap=DIMENSION_
     sub = sub_datum.finite
     return _decompose(sub, _base(sub, (0,) * sub.rank),
                       _restricted(ambient_datum.finite, _labels(lam),
-                                  restriction_matrix, dim_cap))
+                                  restriction_matrix))

@@ -181,6 +181,64 @@ def weyl_orbit_set(a_fin, v, nodes=None):
     return seen
 
 
+def _int_hnf(rows):
+    """Row Hermite normal form of an integer matrix; returns nonzero rows.
+
+    Pivots positive, entries above a pivot reduced into [0, pivot).
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return []
+    ncols = len(m[0])
+    row = 0
+    for col in range(ncols):
+        # Euclidean elimination within this column below `row`.
+        while True:
+            nz = [r for r in range(row, len(m)) if m[r][col] != 0]
+            if not nz:
+                break
+            r0 = min(nz, key=lambda r: abs(m[r][col]))
+            m[row], m[r0] = m[r0], m[row]
+            if m[row][col] < 0:
+                m[row] = [-x for x in m[row]]
+            done = True
+            for r in range(row + 1, len(m)):
+                if m[r][col] != 0:
+                    q = m[r][col] // m[row][col]
+                    m[r] = [x - q * y for x, y in zip(m[r], m[row])]
+                    if m[r][col] != 0:
+                        done = False
+            if done:
+                break
+        if row < len(m) and m[row][col] != 0:
+            for r in range(row):
+                q = m[r][col] // m[row][col]
+                if q != 0:
+                    m[r] = [x - q * y for x, y in zip(m[r], m[row])]
+            row += 1
+    return [r for r in m if any(x != 0 for x in r)]
+
+
+def lattice_basis_rows(vectors):
+    """Canonical basis (HNF) of the lattice generated by rational row
+    vectors: equal for two generating sets exactly when they span the same
+    lattice."""
+    vectors = [[Fraction(x) for x in v] for v in vectors]
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    ints = [[int(x * den) for x in v] for v in vectors]
+    return tuple(tuple(Fraction(x, den) for x in row) for row in _int_hnf(ints))
+
+
+def orbit_span_lattice(datum):
+    """The translation lattice M of an affine datum by its definition: the
+    HNF basis of the span of the finite Weyl orbit of nu(theta^vee) = theta,
+    found by `weyl_orbit_set`."""
+    fin = datum.finite
+    rows = lattice_basis_rows(sorted(weyl_orbit_set(fin.A, datum.theta.coords)))
+    assert len(rows) == fin.rank, "the orbit of theta must span the weight space"
+    return rows
+
+
 def weyl_lengths(a_fin, nodes=None):
     """{element: length} of the Weyl group of the finite Cartan matrix a_fin,
     or of its subgroup generated by the reflections of the first `nodes`
@@ -219,19 +277,19 @@ def materialised_weyl(fin):
 def brute_force_fold(affine_datum, k, coords, box=4):
     """Exhaustive reduction of a rho-shifted weight modulo the level-shifted
     affine Weyl action: try every finite Weyl element and every translation
-    by t * M with basis coefficients in [-box, box].
+    by t * M with coefficients in [-box, box] on the basis of
+    `orbit_span_lattice`.
 
     Returns (sign, rep labels) with sign 0 on a wall.  Asserts that some
     orbit point lands in the closed fundamental alcove.
     """
-    from twistfuse.cartan import lattice_M
     from twistfuse._rational import mat_vec
 
     t = k + affine_datum.hdual
     fin = affine_datum.finite
     l = fin.rank
     covee = affine_datum.comarks[1:]
-    m_basis = [tuple(x for x in v) for v in lattice_M(affine_datum).basis]
+    m_basis = orbit_span_lattice(affine_datum)
 
     # w x is an integer vector for integer x, so w x + T is integral exactly
     # when the translation T is: keep the integral translations of the box,

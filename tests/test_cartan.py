@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 import twistfuse
-from twistfuse._rational import lattice_basis_rows
+from twistfuse._rational import mat_vec
 from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, FINITE,
                               LatticeBasis, LieType, build_cartan,
                               dual_lattice, inner_product, lattice_M,
                               lattice_index, orbit_walk, parse_type,
                               simple_roots)
 from twistfuse.errors import MixedDatum, NotAffine, NotSublattice, UnsupportedType
+from twistfuse.fold import build_folding, transported_adjacent_M
 
 from oracles import (highest_root_labels, inverse_times_diag,
+                     lattice_basis_rows, orbit_span_lattice,
                      primitive_null_vector, weyl_orbit_set)
+from test_rational import FOLDINGS, UNTWISTED
 
 ALL_AFFINE = [
     LieType("A", 1, AFFINE_R1), LieType("A", 2, AFFINE_R1),
@@ -345,6 +348,26 @@ class TestLattices:
         assert lattice_index(roots, m) == 1
 
 
+@pytest.mark.parametrize(
+    "case", [LieType(f, l, AFFINE_R1) for f, l in UNTWISTED] + FOLDINGS,
+    ids=lambda c: str(c) if isinstance(c, LieType) else f"{c[0]}/{c[1]}")
+def test_closed_form_M_is_theta_orbit_span(case):
+    """lattice_M spans the lattice of its definition, the span of the Weyl
+    orbit of theta (equal HNF), on every untwisted type and on the twisted
+    and adjacent data of every folding; phi takes M' onto the lattice
+    phi(orbit span of M')."""
+    if isinstance(case, LieType):
+        data = [build_cartan(case)]
+    else:
+        f = build_folding(*case)
+        data = [f.twisted, f.adjacent]
+        expected = [mat_vec(f.phi, v) for v in orbit_span_lattice(f.adjacent)]
+        assert (lattice_basis_rows(transported_adjacent_M(f).basis)
+                == lattice_basis_rows(expected))
+    for d in data:
+        assert lattice_basis_rows(lattice_M(d).basis) == orbit_span_lattice(d)
+
+
 UNTWISTED_FINITE = ([f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 8)]
                     + [f"C{l}" for l in range(2, 8)] + [f"D{l}" for l in range(4, 9)]
                     + ["E6", "E7", "E8", "F4", "G2"])
@@ -356,8 +379,9 @@ TWISTED = [
 
 
 class TestReflectionKernel:
-    """theta and the lattice M, both read off the shared reflection kernels,
-    against the first-negative-label loop and the set-based orbit search."""
+    """theta and its orbit, read off the shared reflection kernels, against
+    the first-negative-label loop and the set-based orbit search; the
+    lattice M against the span of that orbit."""
 
     @staticmethod
     def check_lattice(d):
@@ -367,8 +391,7 @@ class TestReflectionKernel:
         orbit = [tuple(p) for p in points[:, 0].tolist()]
         expected = weyl_orbit_set(d.finite.A, theta)
         assert len(orbit) == len(expected) and set(orbit) == expected
-        assert lattice_M(d).basis == LatticeBasis(
-            d.finite, lattice_basis_rows(sorted(expected))).basis
+        assert lattice_basis_rows(lattice_M(d).basis) == lattice_basis_rows(expected)
 
     @pytest.mark.parametrize("name", UNTWISTED_FINITE)
     def test_untwisted(self, name):

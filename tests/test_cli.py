@@ -223,8 +223,8 @@ class TestFusionCommand:
         import twistfuse.rep as rep
         true_freudenthal = rep.freudenthal
 
-        def top_weight_doubled(datum, lam, dim_cap=rep.DIMENSION_CAP):
-            ws = true_freudenthal(datum, lam, dim_cap)
+        def top_weight_doubled(datum, lam):
+            ws = true_freudenthal(datum, lam)
             top = (ws.weights == ws.highest.coords).all(axis=1)
             return rep.WeightSystem(ws.highest, ws.weights, ws.mults + top)
         monkeypatch.setattr(rep, "freudenthal", top_weight_doubled)

@@ -119,16 +119,20 @@ class TestFreudenthal:
             for w in W:
                 assert mults.get(mat_vec(w, v)) == m
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
         d = build_cartan(LieType("A", 3))
-        with pytest.raises(DimensionCap):
-            freudenthal(d, d.weight((9, 9, 9)), dim_cap=1000)
+        monkeypatch.setattr(rep, "DIMENSION_CAP", 1000)
+        with pytest.raises(DimensionCap, match="exceeds the cap 1000"):
+            freudenthal(d, d.weight((9, 9, 9)))
 
-    def test_dimension_cap_after_cache_hit(self):
+    def test_dimension_cap_after_cache_hit(self, monkeypatch):
+        # The cap is read at call time and checked before the cached weight
+        # system of (2, 2, 2) is returned.
         d = build_cartan(LieType("A", 3))
         assert freudenthal(d, (2, 2, 2)).total() == 729
-        with pytest.raises(DimensionCap):
-            freudenthal(d, (2, 2, 2), dim_cap=100)
+        monkeypatch.setattr(rep, "DIMENSION_CAP", 100)
+        with pytest.raises(DimensionCap, match="dim 729 exceeds the cap 100"):
+            freudenthal(d, (2, 2, 2))
 
 
 ORACLE_GRID = [(n, 3) for n in ("A1", "A2", "A3", "B2", "B3", "C2", "G2", "D4")] + [("E6", 1)]
@@ -248,8 +252,8 @@ class TestGates:
         """Shift one multiplicity of one weight system by delta."""
         true_freudenthal = rep.freudenthal
 
-        def corrupted(datum, lam, dim_cap=rep.DIMENSION_CAP):
-            ws = true_freudenthal(datum, lam, dim_cap)
+        def corrupted(datum, lam):
+            ws = true_freudenthal(datum, lam)
             if ws.highest.coords != highest:
                 return ws
             hit = (ws.weights == weight).all(axis=1)
@@ -285,8 +289,8 @@ class TestGates:
             a2 = build_cartan(LieType("A", 2))
             true_freudenthal, true_dim, true_table = rep.freudenthal, rep.dim, rep.root_table
 
-            def zero_weight_plus_one(datum, lam, dim_cap=rep.DIMENSION_CAP):
-                ws = true_freudenthal(datum, lam, dim_cap)
+            def zero_weight_plus_one(datum, lam):
+                ws = true_freudenthal(datum, lam)
                 if ws.highest.coords not in [(1, 1), (1, 0, 1)]:
                     return ws
                 return rep.WeightSystem(ws.highest, ws.weights,
