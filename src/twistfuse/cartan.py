@@ -50,8 +50,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _rational as rat
-from .errors import (CheckFailed, DegenerateLattice, MixedDatum, NotAffine,
-                     NotSublattice, UnsupportedType)
+from .errors import (CheckFailed, DegenerateLattice, LatticeIndexMismatch,
+                     MixedDatum, NotAffine, NotSublattice, UnsupportedType)
 
 FINITE = "finite"
 AFFINE_R1 = "affine-r1"
@@ -293,12 +293,9 @@ class LatticeBasis:
         return LatticeBasis(self.datum, tuple(tuple(f * x for x in v) for v in self.basis))
 
     def gram(self):
-        g = self.datum.gram_weights
-        return tuple(
-            tuple(sum(vi[r] * g[r][s] * vj[s]
-                      for r in range(len(vi)) for s in range(len(vj)))
-                  for vj in self.basis)
-            for vi in self.basis)
+        """The Gram matrix B G B^T of the basis, on `rat.mat_mul`'s integers."""
+        return rat.mat_mul(rat.mat_mul(self.basis, self.datum.gram_weights),
+                           rat.transpose(self.basis))
 
 
 class CartanDatum:
@@ -358,15 +355,17 @@ class CartanDatum:
         _check_invariants(self)
 
     @cached_property
-    def M_dual(self):
-        """Dual lattice M* of M (affine data only), built on first use: the
-        S- and a-matrix normalisations of every level read it."""
-        return dual_lattice(self.M_basis)
-
-    @cached_property
     def M_index(self):
-        """The index [M*:M], computed on first use."""
-        return lattice_index(self.M_dual, self.M_basis)
+        """The index [M*:M] (affine data only), computed on first use and
+        gated there: the index of M in its dual lattice must equal
+        det Gram(M), two independent formulas (LatticeIndexMismatch).  The
+        S- and a-matrix normalisations of every level read it."""
+        index = lattice_index(dual_lattice(self.M_basis), self.M_basis)
+        gram_det = rat.mat_det(self.M_basis.gram())
+        if index != gram_det:
+            raise LatticeIndexMismatch(f"{self.type}: [M*:M] = {index} != "
+                                       f"det Gram(M) = {gram_det}")
+        return index
 
     def is_affine(self):
         return self.type.kind != FINITE

@@ -59,7 +59,7 @@ class RootCountMismatch(CheckFailed):
 
 
 class LatticeIndexMismatch(CheckFailed):
-    """The S-matrix normalisation [M*:tM] = t^rank [M*:M] does not hold."""
+    """The index [M*:M] of the dual lattice differs from det Gram(M)."""
 
 
 class SectorLabelMismatch(CheckFailed):

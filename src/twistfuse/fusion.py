@@ -31,9 +31,10 @@ index picks the tails of a plane.
 `parse_pattern` reads a sector pattern into sector classes (0 untwisted,
 1 sigma, 2 sigma^2), `pattern_text` writes their one canonical text, and
 `check_pattern` also checks them (`_check_sectors`, as for SectorLabels).
-`fusion_table` builds a table; `coefficient`, the dispatcher of one
-coefficient, applies the level-0 vacuum rule or runs every route that
-applies, which must agree.
+`fusion_table` builds a table, and `coefficient`, the dispatcher of one
+coefficient, runs every route that applies, which must agree.  Level 0 is
+no special case: its S and a are (1), and its one label, the vacuum, fuses
+with itself once by every route.
 """
 
 import itertools
@@ -48,8 +49,9 @@ from .errors import (MethodMismatch, NegativeCoefficient, NegativeMultiplicity,
                      NotInteger, NotOrthonormal, RingRecursionFailure,
                      SectorRuleViolation, UnknownWeight, UnsupportedSectorPattern)
 from . import _rational as rat, rep
-from .rep import dim, dominant_level_weights, is_level_dominant
-from .smatrix import _label_json, compact_json, twisted_sector_S, untwisted_S
+from .rep import dim, dominant_level_weights, require_level_label
+from .smatrix import (UNTWISTED_S, _label_json, compact_json, twisted_sector_S,
+                      untwisted_S)
 
 INTEGER_TOLERANCE = 1e-6
 UNITARITY_TOLERANCE = 1e-9
@@ -179,20 +181,18 @@ def _position(index, lw, level):
 
 
 def verlinde(s_matrix, lam1, lam2, lam3):
-    """Fusion coefficient from a square unitary untwisted S-matrix."""
+    """Fusion coefficient from a full untwisted S-matrix, square and unitary;
+    ValueError for any other ModularMatrix."""
     rows = s_matrix.rows
+    if s_matrix.provenance != UNTWISTED_S or s_matrix.cols != rows:
+        raise ValueError(f"verlinde needs a full untwisted S, not a "
+                         f"{s_matrix.provenance} matrix of shape {s_matrix.shape}")
     if any(x != 0 for x in rows[0].finite.coords):
         raise ValueError("the vacuum row must come first (global label order)")
     index = _index(rows)
     s = s_matrix.entries
     a, b, c = (s[[_position(index, lw, rows[0].level)]] for lw in (lam1, lam2, lam3))
     return int(_verlinde_blocks(a, b, c, s[0])[0, 0, 0])
-
-
-def _require_level_dominant(affine_datum, lw):
-    if not is_level_dominant(affine_datum, lw):
-        raise ValueError(f"{lw} is not a level-{lw.level} dominant weight "
-                         f"of {affine_datum.type}")
 
 
 def _alcove(affine, k, shifted):
@@ -244,15 +244,17 @@ def _fold_labels(affine, k, index, shifted):
 
 def kac_walton(affine_datum, k, lam1, lam2, lam3):
     """Fusion coefficient by tensor decomposition and signed alcove folding."""
+    require_level_label(affine_datum, k, lam3)
     row = kac_walton_row(affine_datum, k, lam1, lam2)
     return row.get(tuple(lam3.finite.coords), 0)
 
 
 def kac_walton_row(affine_datum, k, lam1, lam2):
     """All coefficients N_{lam1, lam2}^{*} at once; keys are label tuples.
-    One pair of `_klimyk_fold`, over the weights of the smaller factor."""
+    One pair of `_klimyk_fold`, over the weights of the smaller factor.
+    Every label must be a level-k dominant weight (ValueError)."""
     for lw in (lam1, lam2):
-        _require_level_dominant(affine_datum, lw)
+        require_level_label(affine_datum, k, lw)
     fin = affine_datum.finite
     big, small = sorted((lam1.finite.coords, lam2.finite.coords),
                         key=lambda c: dim(fin, c), reverse=True)
@@ -260,6 +262,7 @@ def kac_walton_row(affine_datum, k, lam1, lam2):
 
 
 def twisted_kac_walton(folding, k, lam1, lam2_dag, lam3_dag):
+    require_level_label(folding.twisted, k, lam3_dag)
     row = twisted_kac_walton_row(folding, k, lam1, lam2_dag)
     return row.get(tuple(lam3_dag.finite.coords), 0)
 
@@ -267,9 +270,10 @@ def twisted_kac_walton(folding, k, lam1, lam2_dag, lam3_dag):
 def twisted_kac_walton_row(folding, k, lam1, lam2_dag):
     """Coefficients N_{lam1, lam2^dag}^{*}: Res lam1 (x) V(lam2^dag) over the
     twisted finite part, whose W-invariant weights (`rep._restricted`) enter
-    the Klimyk sum of one pair of `_klimyk_fold`."""
-    _require_level_dominant(folding.base, lam1)
-    _require_level_dominant(folding.twisted, lam2_dag)
+    the Klimyk sum of one pair of `_klimyk_fold`.  lam1 must be a level-k
+    dominant weight of the base, lam2_dag of the twisted type (ValueError)."""
+    require_level_label(folding.base, k, lam1)
+    require_level_label(folding.twisted, k, lam2_dag)
     return _one_pair(folding.twisted, k,
                      rep._base(folding.twisted.finite, lam2_dag.finite.coords),
                      rep._restricted(folding.base.finite, lam1.finite.coords,
@@ -404,13 +408,6 @@ def _labels(source, sectors, k, coords):
     return tuple(SectorLabel(_NAMES[g], lw) for g, lw in zip(sectors, lws))
 
 
-def _vacua(source, sectors):
-    """Level 0, where no modular matrix exists: each slot holds only the
-    vacuum, which fuses with itself once."""
-    return _labels(source, sectors, 0,
-                   [(0,) * d.rank for d in slot_data(source, sectors)])
-
-
 def coefficient(source, k, sectors, labels):
     """The one coefficient N of `sectors` (from `check_pattern`) at level k
     whose slots have the Dynkin label tuples `labels`.
@@ -419,10 +416,6 @@ def coefficient(source, k, sectors, labels):
     agree; (s,s->1) has only the Verlinde route.
     """
     triple = _labels(source, sectors, k, labels)
-    if k == 0:
-        if triple != _vacua(source, sectors):
-            raise ValueError("at level 0 the only weight is the vacuum")
-        return 1
     if sectors == (0, 0, 0):
         datum = slot_data(source, sectors)[0]
         nk = kac_walton(datum, k, *triple)
@@ -449,10 +442,6 @@ def fusion_table(folding_or_datum, k, pattern="1,1,1"):
     datum = getattr(folding_or_datum, "base", folding_or_datum)
     header = (str(datum.type), k, "none" if untwisted else "diagram",
               pattern_text(sectors))
-    if k == 0:
-        vacua = _vacua(folding_or_datum, sectors)
-        return FusionTable(*header, tuple((v,) for v in vacua),
-                           np.ones((1, 1, 1), dtype=np.int64), "kac-walton")
     if untwisted:
         return _untwisted_table(datum, k, header)
     return _twisted_table(folding_or_datum, k, header, sectors)

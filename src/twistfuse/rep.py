@@ -102,6 +102,13 @@ def is_level_dominant(affine_datum, lw):
             and sum(a * x for a, x in zip(covee, c)) <= lw.level)
 
 
+def require_level_label(affine_datum, k, lw):
+    """ValueError unless lw is a level-k dominant weight of affine_datum."""
+    if lw.level != k or not is_level_dominant(affine_datum, lw):
+        raise ValueError(f"{lw} is not a level-{k} dominant weight "
+                         f"of {affine_datum.type}")
+
+
 @dataclass(frozen=True)
 class RootTable:
     """Integer data of the positive roots of one finite datum.
@@ -207,9 +214,7 @@ def _dim(fin, coords):
 def freudenthal(datum, lam):
     """Full weight system of the irreducible with highest weight lam."""
     fin = datum.finite
-    coords = _labels(lam)
-    if any(c < 0 for c in coords):
-        raise ValueError(f"highest weight {coords} must be dominant")
+    coords = _dominant(lam)
     d = dim(fin, coords)
     if d > DIMENSION_CAP:
         raise DimensionCap(f"dim {d} exceeds the cap {DIMENSION_CAP}")
@@ -297,6 +302,14 @@ def _weight_system(fin, coords):
 
 def _labels(lam):
     return tuple(int(c) for c in (lam.coords if isinstance(lam, Weight) else lam))
+
+
+def _dominant(lam):
+    """`_labels` of a highest weight; ValueError unless it is dominant."""
+    coords = _labels(lam)
+    if any(c < 0 for c in coords):
+        raise ValueError(f"highest weight {coords} must be dominant")
+    return coords
 
 
 # Points of the Klimyk sum per block; a pair whose weight system alone is
@@ -439,7 +452,7 @@ def tensor_decompose(datum, lam, mu):
     """Klimyk decomposition of lam (x) mu into dominant weights: one pair of
     `klimyk_blocks`, over the weights of the smaller factor."""
     fin = datum.finite
-    big, small = sorted((_labels(lam), _labels(mu)), key=lambda c: dim(fin, c),
+    big, small = sorted((_dominant(lam), _dominant(mu)), key=lambda c: dim(fin, c),
                         reverse=True)
     return _decompose(fin, _base(fin, big), _system(fin, small))
 

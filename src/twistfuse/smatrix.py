@@ -1,10 +1,11 @@
 """Conformal data and Kac-Peterson modular matrices.
 
 The untwisted S-matrix and the twisted a-matrix share one assembly,
-`_kac_peterson` (level check, rows, the [M*:tM] gate, rho-shift, phase and
-scale); S is its case idx_pair = 1 with the columns equal to the rows, or
-to a subset of them: a twisted fusion table reads only the sigma-stable
-columns (`fusion.SectorMatrices`), so it never builds the full S.
+`_kac_peterson` (rows, the normalisation [M*:tM] = t^rank [M*:M], rho-shift,
+phase and scale) at every level k >= 0; S is its case idx_pair = 1 with the
+columns equal to the rows, or to a subset of them: a twisted fusion table
+reads only the sigma-stable columns (`fusion.SectorMatrices`), so it never
+builds the full S.
 Both are Weyl sums sum_w eps(w) exp(-2 pi i (w(row), col) / t), evaluated
 by one kernel that factors W through its parabolic subgroup W_J, J all
 simple nodes but the last: w = u v with u a minimal coset representative
@@ -34,10 +35,11 @@ unitarity gate likewise reads the Gram S S^H on and above its diagonal.
 Exponents that could leave the int64 range raise ExponentOverflow.  The
 numeric field is double-precision complex: exactness lives in the integer
 exponents and counts, and a root of unity is the only floating-point value
-the kernel reads.  The checks of the conformal data and of the S-matrix
-normalisation raise typed errors, so python -O keeps them.  S is written
-to JSON from its distinct doubles by `compact_json`: S is symmetric bit for
-bit and the Galois action permutes its entries up to sign, so they are few.
+the kernel reads.  The checks of the conformal data, and of [M*:M] in
+`CartanDatum.M_index`, raise typed errors, so python -O keeps them.  S is
+written to JSON from its distinct doubles by `compact_json`: S is symmetric
+bit for bit and the Galois action permutes its entries up to sign, so they
+are few.
 """
 
 import json
@@ -49,10 +51,9 @@ import numpy as np
 
 from . import _rational as rat
 from .cartan import LeveledWeight, lattice_index, lattice_M
-from .errors import (ConformalMismatch, ExponentOverflow, LatticeIndexMismatch,
-                     NotSublattice)
+from .errors import ConformalMismatch, ExponentOverflow, NotSublattice
 from .fold import phi_apply_shifted, symmetric_weights, transported_adjacent_M
-from .rep import dominant_level_weights, is_level_dominant, _gram_int, _ip
+from .rep import dominant_level_weights, require_level_label, _gram_int, _ip
 from .weyl import coset_representatives, signed_orbit, weyl_order
 
 UNTWISTED_S = "untwisted-S"
@@ -111,9 +112,6 @@ class ModularMatrix:
     cols: tuple       # column labels
     entries: object   # numpy complex array
     provenance: str
-
-    def __getitem__(self, rc):
-        return self.entries[rc]
 
     @property
     def shape(self):
@@ -391,23 +389,20 @@ def _check_exponent_range(fin, row_shifted, n_max):
 
 def _kac_peterson(datum, k, provenance, columns=None):
     """i^npos sqrt(idx_pair / [M*:tM]) times the Weyl sum matrix of
-    `_weyl_sum_matrix`, rows over the level-k weights of datum.
+    `_weyl_sum_matrix`, rows over the level-k weights of datum, at every
+    level k >= 0: at level 0 the one row and column are the vacuum, and the
+    matrix is (1).
 
-    The level is checked before any weight is enumerated, and [M*:tM] =
-    t^rank [M*:M] (LatticeIndexMismatch) before the columns are made.  The
-    columns are the rows, with idx_pair = 1, unless columns() gives them as
-    (labels, rho-shifted (int tuple, den) pairs, idx_pair).
+    `dominant_level_weights` checks the level before any weight is made.
+    [M*:tM] = t^rank [M*:M] is exact, with [M*:M] gated once per datum by
+    `CartanDatum.M_index`.  The columns are the rows, with idx_pair = 1,
+    unless columns() gives them as (labels, rho-shifted (int tuple, den)
+    pairs, idx_pair).
     """
-    if k < 1:
-        raise ValueError(f"modular matrices need level >= 1, not {k}")
     fin = datum.finite
     t = k + datum.hdual
     rows = dominant_level_weights(datum, k)
-    norm_sq = lattice_index(datum.M_dual, lattice_M(datum).scaled(t))
-    if norm_sq != t ** fin.rank * datum.M_index:
-        raise LatticeIndexMismatch(
-            f"{datum.type} level {k}: [M*:tM] = {norm_sq} != "
-            f"t^{fin.rank} [M*:M] = {t ** fin.rank * datum.M_index}")
+    norm_sq = t ** fin.rank * datum.M_index
     shifted = [tuple(c + 1 for c in lw.finite.coords) for lw in rows]
     cols, col_shifted, idx_pair = (columns() if columns else
                                    (rows, [(s, 1) for s in shifted], 1))
@@ -429,9 +424,11 @@ def untwisted_S(affine_datum, k, cols=None):
                          f"not {affine_datum.type}")
 
     def columns():
+        if not cols:
+            raise ValueError("untwisted_S needs at least one column label, "
+                             "not an empty column list")
         for lw in cols:
-            if lw.level != k or not is_level_dominant(affine_datum, lw):
-                raise ValueError(f"{lw} is not a level-{k} dominant weight")
+            require_level_label(affine_datum, k, lw)
         return cols, [(tuple(c + 1 for c in lw.finite.coords), 1) for lw in cols], 1
 
     return _kac_peterson(affine_datum, k, UNTWISTED_S,

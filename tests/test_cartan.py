@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import twistfuse
-from twistfuse._rational import mat_vec
+from twistfuse._rational import mat_det, mat_vec
 from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, FINITE,
                               LatticeBasis, LieType, build_cartan,
                               dual_lattice, inner_product, lattice_M,
@@ -329,12 +329,15 @@ class TestLattices:
         assert lattice_index(p, weight_lattice) == 1
         assert lattice_index(weight_lattice, p) == 1
 
-    @pytest.mark.parametrize("type_", ALL_AFFINE, ids=str)
+    @pytest.mark.parametrize("type_", sorted(
+        {LieType(f, l, AFFINE_R1) for f, l in UNTWISTED} | set(ALL_AFFINE)
+        | {LieType(*x) for x in TWISTED_ADMITTED}, key=str), ids=str)
     def test_dual_index_is_gram_determinant(self, type_):
-        from twistfuse._rational import mat_det
+        # On every type the suite builds; M_index gates the same identity
+        # (LatticeIndexMismatch) on first use.
         d = build_cartan(type_)
         m = lattice_M(d)
-        assert lattice_index(dual_lattice(m), m) == mat_det(m.gram())
+        assert d.M_index == lattice_index(dual_lattice(m), m) == mat_det(m.gram())
 
     @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A5", "D4", "E6"])
     def test_simply_laced_m_is_root_lattice(self, name):

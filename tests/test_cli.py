@@ -59,9 +59,12 @@ class TestSmatrixCommand:
         assert "rank" in proc.stderr
 
     def test_level_zero_exit_code(self, capsys):
-        rc, _, err = run(capsys, "smatrix", "A1", "--level", "0")
-        assert rc == 1
-        assert "level >= 1" in err
+        # Level 0 runs the one Kac-Peterson path: S = (1) on the vacuum.
+        rc, out, _ = run(capsys, "smatrix", "A1", "--level", "0")
+        assert rc == 0
+        s = json.loads(out)["S"]
+        assert s["rows"] == s["cols"] == [{"level": 0, "weight": [0]}]
+        assert abs(complex(s["re"][0][0], s["im"][0][0]) - 1) < 1e-15
 
     @pytest.mark.parametrize("argv", [
         ["B2", "--level", "16"],
@@ -136,13 +139,21 @@ class TestFusionCommand:
     ], ids=["1,1,1", "1,1,1-over-folding", "1,s,s", "s,1,s", "s,s,1",
             "not-vacuum", "twisted-not-vacuum"])
     def test_level_zero_single_coefficient(self, capsys, argv, n):
+        # Every route runs at level 0, whose one label is the vacuum; a
+        # route rejects any other label with its own message.
         rc, out, err = run(capsys, "fusion", *argv, "--level", "0")
         if n is None:
             assert rc == 1
-            assert "only weight is the vacuum" in err
+            assert "level-0" in err
         else:
             assert rc == 0
             assert json.loads(out)["N"] == n
+
+    def test_level_zero_above_the_cap_is_refused(self, capsys):
+        # Level 0 builds its S like any level, so the rank cap applies.
+        rc, out, err = run(capsys, "fusion", "A8", "--level", "0")
+        assert (rc, out) == (1, "")
+        assert "above the element cap" in err
 
     def test_full_twisted_table(self, capsys):
         rc, out, _ = run(capsys, "fusion", "A3", "--level", "1",
@@ -289,19 +300,19 @@ def test_one_unitarity_tolerance_feeds_every_gate(capsys, monkeypatch):
     # and prints nothing when they fail.
     rc, out, err = run(capsys, "smatrix", "A3", "--level", "2", "--twist", "diagram")
     assert (rc, out) == (2, "") and "off orthonormal" in err
-    rc, _, err = run(capsys, "selfcheck", "--grid", "tiny")
+    rc, _, err = run(capsys, "selfcheck")
     assert rc == 2
     assert "selfcheck failed at: smatrix-unitarity-symmetry" in err
 
 
-# The options each command declares: exactly those it reads, 15 slots.
+# The options each command declares: exactly those it reads, 14 slots.
 OPTIONS = {
     "smatrix": {"level", "twist", "twist_order"},
     "fusion": {"level", "twist", "twist_order", "output", "pattern", "parallelism"},
     "weights": {"level", "twist", "twist_order"},
     "fold-info": {"twist_order"},
     "branch": {"twist_order"},
-    "selfcheck": {"grid"},
+    "selfcheck": set(),
 }
 # Declared and read by nothing: the benchmark's self-test
 # (perfbench/child.py, SELFTEST) passes it.
@@ -315,7 +326,7 @@ READING_CALLS = [
     ["weights", "A3", "--level", "1", "--twist", "diagram"],
     ["fold-info", "A3"],
     ["branch", "A3", "1,0,1"],
-    ["selfcheck", "--grid", "tiny"],
+    ["selfcheck"],
 ]
 
 
@@ -327,7 +338,7 @@ def test_each_command_declares_the_options_it_reads(capsys, monkeypatch):
                        if a.option_strings and a.dest != "help"}
                 for name, p in sub.choices.items()}
     assert declared == OPTIONS
-    assert sum(map(len, declared.values())) == 15
+    assert sum(map(len, declared.values())) == 14
 
     # Every attribute a command reads off its parsed arguments.
     read = {name: set() for name in OPTIONS}
@@ -368,10 +379,12 @@ def test_each_command_declares_the_options_it_reads(capsys, monkeypatch):
     (["fold-info", "A3", "--twist", "diagram"], "--twist"),
     (["branch", "A3", "--level", "1", "1,0,1"], "--level"),
     (["selfcheck", "--level", "1"], "--level"),
+    (["selfcheck", "--grid", "tiny"], "--grid"),
 ], ids=["fusion-method", "fusion-unitarity-tolerance",
         "smatrix-unitarity-tolerance", "smatrix-output", "fusion-abbreviation",
         "smatrix-parallelism",
-        "weights-output", "fold-info-twist", "branch-level", "selfcheck-level"])
+        "weights-output", "fold-info-twist", "branch-level", "selfcheck-level",
+        "selfcheck-grid"])
 def test_undeclared_options_exit_2(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -459,15 +472,9 @@ class TestOtherCommands:
         assert blob["r"] == 2
 
     def test_selfcheck_tiny(self, capsys):
-        rc, _, err = run(capsys, "selfcheck", "--grid", "tiny")
+        rc, _, err = run(capsys, "selfcheck")
         assert rc == 0
         assert "selfcheck passed" in err
-
-    def test_grid_env_override(self, capsys, monkeypatch):
-        # The grid is chosen by --grid alone; the environment has no say.
-        monkeypatch.setenv("TWISTFUSE_GRID", "no-such-grid")
-        rc, _, err = run(capsys, "selfcheck", "--grid", "tiny")
-        assert rc == 0
 
     def test_selfcheck_surfaces_fold_bug(self, capsys, monkeypatch):
         import twistfuse.cli as cli_mod
@@ -477,7 +484,7 @@ class TestOtherCommands:
             raise UnrecognizedFoldedType("corrupted table fixture")
 
         monkeypatch.setattr(cli_mod, "_check_twisted_a", broken)
-        rc, _, err = run(capsys, "selfcheck", "--grid", "tiny")
+        rc, _, err = run(capsys, "selfcheck")
         assert rc == 2
         assert "corrupted table fixture" in err
 
@@ -485,7 +492,7 @@ class TestOtherCommands:
         script = ("import sys\n"
                   "import twistfuse.cli as cli\n"
                   "cli.twisted_verlinde = lambda *args, **kw: 0\n"
-                  "sys.exit(cli.main(['selfcheck', '--grid', 'tiny']))\n")
+                  "sys.exit(cli.main(['selfcheck']))\n")
         src = os.path.dirname(os.path.dirname(twistfuse.__file__))
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True, timeout=120,

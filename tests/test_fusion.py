@@ -20,7 +20,7 @@ from twistfuse.fold import build_folding
 from twistfuse.fusion import (SectorLabel, check_pattern, coefficient,
                               fusion_table, kac_walton, kac_walton_row,
                               parse_pattern, pattern_text, twisted_kac_walton,
-                              twisted_verlinde, verlinde)
+                              twisted_kac_walton_row, twisted_verlinde, verlinde)
 from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import _label_json, compact_json, twisted_a, untwisted_S
 
@@ -64,6 +64,15 @@ class TestVerlinde:
         one = a1.leveled(1, (1,))
         with pytest.raises((NotInteger, NegativeCoefficient)):
             verlinde(s, one, one, one)
+
+    def test_takes_only_a_full_untwisted_s(self, a3_folding):
+        # A twisted a-matrix or a column block of S is a ValueError, not a
+        # coefficient (the a-matrix gave 1) or a failed check (the block).
+        vac = a3_folding.base.leveled(2, (0, 0, 0))
+        for m in (twisted_a(a3_folding, 2),
+                  untwisted_S(a3_folding.base, 2, (vac,))):
+            with pytest.raises(ValueError, match="needs a full untwisted S"):
+                verlinde(m, vac, vac, vac)
 
 
 def corrupt_kernel(monkeypatch, affine, hit):
@@ -112,6 +121,21 @@ class TestKacWalton:
         one = a1.leveled(2, (1,))
         two = a1.leveled(2, (2,))
         assert kac_walton(a1, 2, one, one, two) == 1
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [(1, 1, 0), (2, 5, 5), (2, -1, 0)],
+                             ids=["other-level", "above-level", "not-dominant"])
+    def test_labels_are_level_k_dominant(self, slot, bad):
+        # Every label of either untwisted route, lam3 included, is checked
+        # against the level k of the call, as the Verlinde routes do.
+        a2 = build_cartan(LieType("A", 2, AFFINE_R1))
+        labels = [a2.leveled(2, (1, 0)), a2.leveled(2, (0, 1)), a2.leveled(2, (0, 0))]
+        labels[slot] = a2.leveled(bad[0], bad[1:])
+        with pytest.raises(ValueError, match="is not a level-2 dominant weight"):
+            kac_walton(a2, 2, *labels)
+        if slot < 2:
+            with pytest.raises(ValueError, match="is not a level-2 dominant weight"):
+                kac_walton_row(a2, 2, *labels[:2])
 
     @pytest.mark.parametrize("name,k", [
         ("A1", 3), ("A2", 2), ("A3", 1), ("B2", 2), ("G2", 2),
@@ -247,6 +271,35 @@ class TestTwistedRoutes:
     def test_level0_trivial(self, a3_folding):
         table = fusion_table(a3_folding, 0, "1,s,s")
         assert [n for _, n in table.items()] == [1]
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [(1, 1, 0), (2, 7, 7), (2, -1, 0)],
+                             ids=["other-level", "above-level", "not-dominant"])
+    def test_labels_are_level_k_dominant(self, a3_folding, slot, bad):
+        base, tw = a3_folding.base, a3_folding.twisted
+        labels = [base.leveled(2, (1, 0, 0)), tw.leveled(2, (1, 0)), tw.leveled(2, (0, 0))]
+        datum = base if slot == 0 else tw
+        labels[slot] = datum.leveled(bad[0], bad[1:] + (0,) * (datum.rank - 2))
+        with pytest.raises(ValueError, match="is not a level-2 dominant weight"):
+            twisted_kac_walton(a3_folding, 2, *labels)
+        if slot < 2:
+            with pytest.raises(ValueError, match="is not a level-2 dominant weight"):
+                twisted_kac_walton_row(a3_folding, 2, *labels[:2])
+
+    @pytest.mark.parametrize("source,pattern,method", [
+        ("datum", "1,1,1", "verlinde+kac-walton"),
+        ("folding", "1,1,1", "verlinde+kac-walton"),
+        ("folding", "1,s,s", "twisted-verlinde+twisted-kac-walton"),
+        ("folding", "s,1,s", "twisted-verlinde+twisted-kac-walton"),
+        ("folding", "s,s,1", "verlinde-only"),
+    ])
+    def test_level0_tables_run_their_routes(self, a3_folding, source, pattern, method):
+        # Level 0 is no special case: the vacuum fuses with itself once by
+        # every route that applies, and the tag names those routes.
+        table = fusion_table(a3_folding if source == "folding" else a3_folding.base,
+                             0, pattern)
+        assert [n for _, n in table.items()] == [1]
+        assert table.method == method
 
 
 def _recorded(monkeypatch, module, name):
@@ -748,7 +801,7 @@ def test_coefficient_equals_table(name, order, pattern, k):
     table = fusion_table(source, k, pattern)
     if sectors == (0, 0, 0):
         datum = getattr(source, "base", source)
-        s = untwisted_S(datum, k) if k else None
+        s = untwisted_S(datum, k)
         routes = [lambda a, b, c: verlinde(s, a, b, c),
                   lambda a, b, c: kac_walton(datum, k, a, b, c)]
     else:
@@ -762,14 +815,14 @@ def test_coefficient_equals_table(name, order, pattern, k):
     for triple, n in table.items():
         labels = [getattr(x, "weight", x).finite.coords for x in triple]
         assert coefficient(source, k, sectors, labels) == n
-        if k:  # level 0 has no modular matrix: the vacuum rule alone
-            assert [route(*triple) for route in routes] == [n] * len(routes)
+        assert [route(*triple) for route in routes] == [n] * len(routes)
 
 
 def test_coefficient_level_zero_is_the_vacuum_rule(a3_folding):
+    # No rule of its own: the routes run, and the vacuum is the one label.
     sectors = check_pattern(a3_folding, "1,s,s")
     assert coefficient(a3_folding, 0, sectors, [(0, 0, 0), (0, 0), (0, 0)]) == 1
-    with pytest.raises(ValueError, match="only weight is the vacuum"):
+    with pytest.raises(ValueError, match="not one of the level-0 labels"):
         coefficient(a3_folding, 0, sectors, [(0, 0, 0), (1, 0), (0, 0)])
 
 

@@ -448,6 +448,13 @@ class TestTensor:
         t = tensor_decompose(d, lam, d.weight((0, 0, 0, 0)))
         assert coords_dict(t) == {(1, 0, 0, 1): 1}
 
+    @pytest.mark.parametrize("lam,mu", [((1, 0), (-3, 5)), ((-1, 0), (0, 0))])
+    def test_non_dominant_factor_is_a_value_error(self, lam, mu):
+        # An input error, raised before the dimension sort key meets the
+        # factor (it raised IntegralityFailure, a failed check).
+        with pytest.raises(ValueError, match="must be dominant"):
+            tensor_decompose(build_cartan(LieType("A", 2)), lam, mu)
+
     def test_a3_square_of_vector(self):
         d = build_cartan(LieType("A", 3))
         t = tensor_decompose(d, d.weight((1, 0, 0)), d.weight((1, 0, 0)))

@@ -78,12 +78,17 @@ class TestUntwistedS:
     def test_bad_input_raises_value_error(self):
         # Input checks, not asserts: python -O must keep them.
         a1 = build_cartan(LieType("A", 1, AFFINE_R1))
-        with pytest.raises(ValueError, match="level >= 1"):
-            untwisted_S(a1, 0)
+        with pytest.raises(ValueError, match="k >= 0"):
+            untwisted_S(a1, -1)
         with pytest.raises(ValueError, match="untwisted affine"):
             untwisted_S(build_cartan(LieType("A", 3, AFFINE_R2)), 1)
-        with pytest.raises(ValueError, match="level >= 1"):
-            twisted_a(build_folding(LieType("A", 3, AFFINE_R1)), 0)
+        with pytest.raises(ValueError, match="k >= 0"):
+            twisted_a(build_folding(LieType("A", 3, AFFINE_R1)), -1)
+
+    def test_empty_column_list_is_named(self):
+        a2 = build_cartan(LieType("A", 2, AFFINE_R1))
+        with pytest.raises(ValueError, match="empty column list"):
+            untwisted_S(a2, 2, ())
 
     def test_json_roundtrip(self):
         s = untwisted_S(build_cartan(LieType("A", 1, AFFINE_R1)), 1)
@@ -128,6 +133,27 @@ class TestTwistedA:
         assert len(generate_weyl(f.twisted.finite)) == 1152
         a = twisted_a(f, 1)
         assert a.shape == (1, 1)
+
+
+# Level 0 runs the one Kac-Peterson path: one row and one column, the
+# vacuum, and S = a = (1).
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A7", "B2", "B3",
+                                  "C2", "C3", "D4", "D5", "E6", "F4", "G2"])
+def test_level_zero_s_is_one(name):
+    d = build_cartan(parse_type(name, AFFINE_R1))
+    s = untwisted_S(d, 0)
+    assert s.rows == s.cols == (d.leveled(0, (0,) * d.rank),)
+    assert abs(s.entries - 1).max() < 1e-15
+
+
+@pytest.mark.parametrize("name,order", [
+    ("A3", None), ("A5", None), ("A7", None), ("D4", 2), ("D4", 3),
+    ("D5", None), ("D6", None), ("E6", None)])
+def test_level_zero_a_is_one(name, order):
+    f = build_folding(parse_type(name, AFFINE_R1), order)
+    a = twisted_a(f, 0)
+    assert a.shape == (1, 1)
+    assert abs(a.entries - 1).max() < 1e-15
 
 
 class TestTwistedSectorS:
@@ -402,7 +428,7 @@ class TestUpperTriangle:
 
 class TestUnitarityDefect:
     def test_equals_the_full_gram_on_the_default_grid(self):
-        grid = cli.GRIDS["default"]
+        grid = cli.GRID
         matrices = [untwisted_S(build_cartan(parse_type(name, AFFINE_R1)), k)
                     for name, kmax in grid["untwisted"]
                     for k in range(1, kmax + 1)]
@@ -506,9 +532,11 @@ def test_import_loads_openblas_with_one_thread(caller, first, threads):
 
 
 def test_gates_fire_without_asserts():
-    # Each check of conformal data, of the S- and a-matrix normalisation and
-    # of the orthonormal sigma-stable columns of S is a typed error that python -O keeps, and a failed check in the CLI.
+    # Each check of conformal data, of the index [M*:M] behind the S- and
+    # a-matrix normalisation and of the orthonormal sigma-stable columns of
+    # S is a typed error that python -O keeps, and a failed check in the CLI.
     script = textwrap.dedent("""
+        import twistfuse.cartan as cartan
         import twistfuse.fusion as fusion
         import twistfuse.smatrix as smatrix
         from twistfuse import cli
@@ -529,12 +557,14 @@ def test_gates_fire_without_asserts():
         vac = a1.leveled(1, (0,))
         fund = a1.leveled(1, (1,))
 
-        true_index = smatrix.lattice_index
-        smatrix.lattice_index = lambda a, b: true_index(a, b) + 1
+        # [M*:M] off by one: M_index gates it against det Gram(M) on first
+        # use, and caches nothing when it raises.
+        true_index = cartan.lattice_index
+        cartan.lattice_index = lambda a, b: true_index(a, b) + 1
         run(lambda: smatrix.untwisted_S(a1, 2))
         run(lambda: smatrix.twisted_a(a3, 1))
         print("exit", cli.main(["smatrix", "A1", "--level", "2"]))
-        smatrix.lattice_index = true_index
+        cartan.lattice_index = true_index
 
         # sigma taken as the identity: every weight is then "fixed".
         true_perm = type(a3).finite_perm
@@ -575,8 +605,8 @@ def test_gates_fire_without_asserts():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    expected = [("LatticeIndexMismatch", "[M*:tM]"),
-                ("LatticeIndexMismatch", "[M*:tM]"), ("exit 2", ""),
+    expected = [("LatticeIndexMismatch", "det Gram(M)"),
+                ("LatticeIndexMismatch", "det Gram(M)"), ("exit 2", ""),
                 ("SectorLabelMismatch", "symmetric weights"),
                 ("ConformalMismatch", "strange formula"),
                 ("ConformalMismatch", "c/24"),

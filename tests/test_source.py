@@ -100,3 +100,84 @@ def test_traced_names_exist():
                for module, names in tracer.TRACED.items() for name in names
                if not hasattr(importlib.import_module(f"twistfuse.{module}"), name)]
     assert not missing, f"traced names the package lacks: {missing}"
+
+
+# Every cache in the package, by (module, qualified function name), with its
+# bound: the lru_cache maxsize, or "instance" for a cached_property, which
+# holds one value per instance for the instance's life.
+CACHES = {
+    ("cartan.py", "LatticeBasis.inverse"): "instance",
+    ("cartan.py", "CartanDatum.M_index"): "instance",
+    ("cartan.py", "build_cartan"): None,
+    ("cli.py", "build_parser"): 1,
+    ("fold.py", "_build_folding"): None,
+    ("fusion.py", "_sector_matrices"): 8,
+    ("rep.py", "root_table"): 64,
+    ("rep.py", "_gram_int"): 64,
+    ("rep.py", "_dim"): 4096,
+    ("rep.py", "_weight_system"): 256,
+    ("weyl.py", "weyl_order"): 64,
+}
+# Unbounded on purpose: they intern data, and inner_product detects
+# MixedDatum by identity.  No other cache may grow without limit.
+UNBOUNDED = {("cartan.py", "build_cartan"), ("fold.py", "_build_folding")}
+_CACHE_NAMES = {"lru_cache", "cache", "cached_property"}
+
+
+def _cache_name(node):
+    """The functools cache a decorator (or the callee of one) names, if any."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name in _CACHE_NAMES else None
+
+
+def _bound(decorator):
+    name = _cache_name(decorator)
+    if name == "cached_property":
+        return "instance"
+    if name == "cache":
+        return None
+    if not isinstance(decorator, ast.Call):
+        return 128  # lru_cache's default maxsize
+    args = [kw.value for kw in decorator.keywords if kw.arg == "maxsize"] + decorator.args
+    return ast.literal_eval(args[0]) if args else 128
+
+
+def _caches(path):
+    """(sites with their bounds, references to a cache name outside imports)."""
+    tree = ast.parse(path.read_text(), str(path))
+    found, decorators = {}, 0
+
+    def walk(node, scope):
+        nonlocal decorators
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in child.decorator_list:
+                    if _cache_name(dec):
+                        found[path.name, ".".join(scope + [child.name])] = _bound(dec)
+                        decorators += 1
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + [child.name])
+            else:
+                walk(child, scope)
+
+    walk(tree, [])
+    refs = sum(1 for node in ast.walk(tree)
+               if isinstance(node, (ast.Name, ast.Attribute))
+               and _cache_name(node) and not isinstance(getattr(node, "ctx", None), ast.Store))
+    return found, refs - decorators
+
+
+def test_caches_are_listed():
+    # Each cache is listed with its bound, so a new or resized one shows
+    # here; only the interning builders may be unbounded.
+    found, stray = {}, []
+    for path in sorted(Path(twistfuse.__file__).parent.glob("*.py")):
+        sites, refs = _caches(path)
+        found.update(sites)
+        if refs:
+            stray.append(path.name)
+    assert not stray, f"a cache made other than as a decorator in {stray}"
+    assert found == CACHES
+    assert {site for site, bound in found.items() if bound is None} == UNBOUNDED
