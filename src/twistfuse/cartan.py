@@ -288,10 +288,6 @@ class LatticeBasis:
         """Inverse of the basis matrix, computed on first use."""
         return rat.mat_inverse(self.basis)
 
-    def scaled(self, factor):
-        f = Fraction(factor)
-        return LatticeBasis(self.datum, tuple(tuple(f * x for x in v) for v in self.basis))
-
     def gram(self):
         """The Gram matrix B G B^T of the basis, on `rat.mat_mul`'s integers."""
         return rat.mat_mul(rat.mat_mul(self.basis, self.datum.gram_weights),

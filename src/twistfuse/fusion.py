@@ -18,15 +18,18 @@ fundamental weights only and a recursion in the ring gives every other
 label.  Klimyk is `_klimyk_fold`, over blocks of pairs: the gated blocks of
 the package's one Klimyk sum, `rep.klimyk_blocks`, then one alcove fold per
 distinct component.  `kac_walton_row` and `twisted_kac_walton_row` are
-one-pair calls of it.  `_sector_matrices` caches the S- and a-matrix blocks
-(`SectorMatrices`) of the last 8 (folding, level) pairs for
-`_twisted_table` and `twisted_verlinde`.  `FusionTable.json_chunks` and
-`text_chunks` yield the output one first-slot plane at a time, so the
-array, not its text, sets the peak memory of a table; `to_json` and
-`to_text` join them.  Both splice each row from its (m1, m2) prefix and
-per-value tails: the tail of every third-slot label and every value of N
-is formatted once per table, each slot label encoded once, and one fancy
-index picks the tails of a plane.
+one-pair calls of it.  Every Verlinde sum, the untwisted one being the
+twisted one with g = 1, reads S-matrix blocks whose columns `_gated` gates
+orthonormal: those of `SectorMatrices` (the full S of a datum; or S on the
+sigma-stable columns and the twisted-sector block of a folding), which
+`_sector_matrices` caches for the last 8 (source, level) pairs, or the
+columns of S, the vacuum's and its labels', that `coefficient` builds for
+`verlinde`.  `FusionTable.json_chunks` and `text_chunks` yield the output
+one first-slot plane at a time, so the array, not its text, sets the peak
+memory of a table; `to_json` and `to_text` join them.  Both splice each
+row from its (m1, m2) prefix and per-value tails: the tail of every
+third-slot label and every value of N is formatted once per table, each
+slot label encoded once, and one fancy index picks the tails of a plane.
 
 `parse_pattern` reads a sector pattern into sector classes (0 untwisted,
 1 sigma, 2 sigma^2), `pattern_text` writes their one canonical text, and
@@ -38,7 +41,7 @@ with itself once by every route.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import mul
 
@@ -173,26 +176,48 @@ def _index(labels):
     return {lw.finite.coords: i for i, lw in enumerate(labels)}
 
 
-def _position(index, lw, level):
-    i = index.get(lw.finite.coords) if lw.level == level else None
+def _position(datum, k, index, lw):
+    """The position of lw in index, once `require_level_label` has checked
+    that it is a level-k label of datum; only a column block passed to
+    `verlinde` can lack such a label (ValueError)."""
+    require_level_label(datum, k, lw)
+    i = index.get(lw.finite.coords)
     if i is None:
-        raise ValueError(f"{lw} is not one of the level-{level} labels")
+        raise ValueError(f"{lw} is not a column of the S block passed to verlinde")
     return i
 
 
+def _gated(block):
+    """The block's columns gated orthonormal: its defect max |M^H M - I|
+    (`ModularMatrix.unitarity_defect`), or NotOrthonormal past
+    UNITARITY_TOLERANCE (a NaN fails)."""
+    defect = block.unitarity_defect()
+    if not defect <= UNITARITY_TOLERANCE:
+        raise NotOrthonormal(
+            f"{block.datum.type} level {block.rows[0].level}: the columns of the "
+            f"{block.provenance} block are off orthonormal by {defect:.3e} "
+            f"(tolerance {UNITARITY_TOLERANCE})")
+    return defect
+
+
 def verlinde(s_matrix, lam1, lam2, lam3):
-    """Fusion coefficient from a full untwisted S-matrix, square and unitary;
-    ValueError for any other ModularMatrix."""
-    rows = s_matrix.rows
-    if s_matrix.provenance != UNTWISTED_S or s_matrix.cols != rows:
-        raise ValueError(f"verlinde needs a full untwisted S, not a "
-                         f"{s_matrix.provenance} matrix of shape {s_matrix.shape}")
-    if any(x != 0 for x in rows[0].finite.coords):
-        raise ValueError("the vacuum row must come first (global label order)")
-    index = _index(rows)
-    s = s_matrix.entries
-    a, b, c = (s[[_position(index, lw, rows[0].level)]] for lw in (lam1, lam2, lam3))
-    return int(_verlinde_blocks(a, b, c, s[0])[0, 0, 0])
+    """Fusion coefficient from an untwisted S-matrix whose columns include
+    the vacuum and the three labels: the full S, or a block of its columns.
+    S is symmetric, so those columns are the rows the sum reads; the
+    distinct ones are gated orthonormal (`_gated`).  ValueError for any
+    other ModularMatrix, or a label its columns lack (`_position`)."""
+    if s_matrix.provenance != UNTWISTED_S:
+        raise ValueError(f"verlinde needs an untwisted S, not a "
+                         f"{s_matrix.provenance} matrix")
+    datum, k = s_matrix.datum, s_matrix.rows[0].level
+    index = _index(s_matrix.cols)
+    cols = [_position(datum, k, index, lw)
+            for lw in (datum.leveled(k, (0,) * datum.rank), lam1, lam2, lam3)]
+    distinct = sorted(set(cols))
+    _gated(replace(s_matrix, cols=tuple(s_matrix.cols[j] for j in distinct),
+                   entries=s_matrix.entries[:, distinct]))
+    vac, a, b, c = (s_matrix.entries[:, [j]].T for j in cols)
+    return int(_verlinde_blocks(a, b, c, vac[0])[0, 0, 0])
 
 
 def _alcove(affine, k, shifted):
@@ -288,44 +313,33 @@ def _one_pair(affine, k, base, system):
 
 
 class SectorMatrices:
-    """The S-matrix blocks entering the twisted Verlinde sums.
+    """The gated (`_gated`) S-matrix blocks that the Verlinde sums over
+    source, a CartanDatum or a FoldingData, read at level k.
 
-    scol: untwisted S on the sigma-stable columns sym alone (rows over all
-    level-k weights, base_labels), built by `untwisted_S` with those column
-    labels, so a table never builds the full S; its columns are gated
-    orthonormal, scol^H scol = I within UNITARITY_TOLERANCE (NotOrthonormal),
-    and column_defect is max |scol^H scol - I|.
-    sector: the twisted-sector block, a ModularMatrix; a, its entries, has
-    rows over the twisted weights (twisted_labels) and columns sym, the
-    sector block's own column labels (`fold.symmetric_weights`).
+    blocks[g], of sector class g, has rows over every level-k label of its
+    sector, and index[g] maps a label to its row.  Over a datum the one
+    block is the full S.  Over a folding, blocks[0] is S on the
+    sigma-stable columns alone, so a table never builds the full S, and
+    blocks[1] the twisted-sector block, with the same column labels.
+    defect is the worst defect of the blocks, and vac the vacuum row of S.
     """
 
-    def __init__(self, folding, k):
-        self.sector = sector = twisted_sector_S(folding, k)
-        self.sym = sector.cols
-        s = untwisted_S(folding.base, k, self.sym)
-        self.base_labels = s.rows
-        self.base_index = _index(s.rows)
-        self.scol = s.entries
-        # np.einsum on the calling thread, as in ModularMatrix.unitarity_defect;
-        # a NaN fails.
-        gram = np.einsum("ij,ik->jk", self.scol.conj(), self.scol)
-        self.column_defect = defect = float(np.abs(gram - np.eye(len(self.sym))).max())
-        if not defect <= UNITARITY_TOLERANCE:
-            raise NotOrthonormal(
-                f"{folding.base.type} level {k}: the sigma-stable columns of S are "
-                f"off orthonormal by {defect:.3e} (tolerance {UNITARITY_TOLERANCE})")
-        self.a = sector.entries
-        self.twisted_labels = sector.rows
-        self.twisted_index = _index(sector.rows)
-        self.vac = self.scol[0]
+    def __init__(self, source, k):
+        if hasattr(source, "twisted"):
+            sector = twisted_sector_S(source, k)
+            self.blocks = (untwisted_S(source.base, k, sector.cols), sector)
+        else:
+            self.blocks = (untwisted_S(source, k),)
+        self.index = tuple(_index(block.rows) for block in self.blocks)
+        self.defect = max(map(_gated, self.blocks))
+        self.vac = self.blocks[0].entries[0]
 
 
 # Each entry holds whole S-matrix blocks; a small bound keeps a long-lived
 # process from growing without limit.
 @lru_cache(maxsize=8)
-def _sector_matrices(folding, k):
-    return SectorMatrices(folding, k)
+def _sector_matrices(source, k):
+    return SectorMatrices(source, k)
 
 
 def twisted_verlinde(folding, k, m1, m2, m3):
@@ -342,11 +356,10 @@ def twisted_verlinde(folding, k, m1, m2, m3):
         raise SectorRuleViolation("use the untwisted routes for (1,1->1)")
     _check_sectors(folding, sectors)
     mats = _sector_matrices(folding, k)
-    blocks = ((mats.scol, mats.base_index), (mats.a, mats.twisted_index))
 
     def row(g, label):
-        block, index = blocks[g]
-        return block[[_position(index, label.weight, k)]]
+        block = mats.blocks[g]
+        return block.entries[[_position(block.datum, k, mats.index[g], label.weight)]]
 
     n = _verlinde_blocks(*map(row, sectors, (m1, m2, m3)), mats.vac)
     return int(n[0, 0, 0])
@@ -419,7 +432,8 @@ def coefficient(source, k, sectors, labels):
     if sectors == (0, 0, 0):
         datum = slot_data(source, sectors)[0]
         nk = kac_walton(datum, k, *triple)
-        nv = verlinde(untwisted_S(datum, k), *triple)
+        cols = dict.fromkeys((datum.leveled(k, (0,) * datum.rank), *triple))
+        nv = verlinde(untwisted_S(datum, k, tuple(cols)), *triple)
     else:
         nv = twisted_verlinde(source, k, *triple)
         if sectors == (1, 1, 0):
@@ -431,45 +445,33 @@ def coefficient(source, k, sectors, labels):
     return nv
 
 
-def fusion_table(folding_or_datum, k, pattern="1,1,1"):
-    """Batch driver over all weight triples of one sector pattern.
+def fusion_table(source, k, pattern="1,1,1"):
+    """Every coefficient of one sector pattern at level k over source, a
+    CartanDatum or a FoldingData, from the gated blocks of
+    `SectorMatrices` (1,1,1 over a folding reads its base datum).
 
     When both the S-matrix route and the folding route apply, every entry is
     computed twice and equality is checked before the table is returned.
     """
-    sectors = check_pattern(folding_or_datum, pattern)
+    sectors = check_pattern(source, pattern)
     untwisted = sectors == (0, 0, 0)
-    datum = getattr(folding_or_datum, "base", folding_or_datum)
+    datum = getattr(source, "base", source)
+    mats = _sector_matrices(datum if untwisted else source, k)
+    labels = [block.rows for block in mats.blocks]
+    slots = tuple(labels[g] if untwisted else
+                  tuple(SectorLabel(_NAMES[g], lw) for lw in labels[g])
+                  for g in sectors)
+    nv = _verlinde_blocks(*(mats.blocks[g].entries for g in sectors), mats.vac)
     header = (str(datum.type), k, "none" if untwisted else "diagram",
-              pattern_text(sectors))
-    if untwisted:
-        return _untwisted_table(datum, k, header)
-    return _twisted_table(folding_or_datum, k, header, sectors)
-
-
-def _untwisted_table(datum, k, header):
-    s = untwisted_S(datum, k)
-    labels = s.rows
-    nv = _verlinde_blocks(s.entries, s.entries, s.entries, s.entries[0])
-    slots = (labels,) * 3
-    _cross_check(nv, _ring_module(datum, k, labels, datum, labels,
-                                  lambda c: rep._system(datum.finite, c)), slots)
-    return FusionTable(*header, slots, nv, "verlinde+kac-walton")
-
-
-def _twisted_table(folding, k, header, sectors):
-    mats = _sector_matrices(folding, k)
-    blocks = (mats.scol, mats.a)
-    labels = (mats.base_labels, mats.twisted_labels)
-    slots = tuple(tuple(SectorLabel(_NAMES[c], lw) for lw in labels[c])
-                  for c in sectors)
-    nv = _verlinde_blocks(*(blocks[c] for c in sectors), mats.vac)
+              pattern_text(sectors), slots, nv)
     if sectors == (1, 1, 0):
-        return FusionTable(*header, slots, nv, "verlinde-only")
-    m = _ring_module(folding.base, k, labels[0], folding.twisted, labels[1],
-                     lambda c: rep._restricted(folding.base.finite, c, folding.iota_dual))
+        return FusionTable(*header, "verlinde-only")
+    system = ((lambda c: rep._system(datum.finite, c)) if untwisted else
+              (lambda c: rep._restricted(datum.finite, c, source.iota_dual)))
+    m = _ring_module(datum, k, labels[0], mats.blocks[-1].datum, labels[-1], system)
     _cross_check(nv, m if sectors[0] == 0 else m.transpose(1, 0, 2), slots)
-    return FusionTable(*header, slots, nv, "twisted-verlinde+twisted-kac-walton")
+    return FusionTable(*header, "verlinde+kac-walton" if untwisted
+                       else "twisted-verlinde+twisted-kac-walton")
 
 
 def _ring_module(datum, k, labels, affine, module, system):

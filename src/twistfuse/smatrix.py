@@ -4,8 +4,9 @@ The untwisted S-matrix and the twisted a-matrix share one assembly,
 `_kac_peterson` (rows, the normalisation [M*:tM] = t^rank [M*:M], rho-shift,
 phase and scale) at every level k >= 0; S is its case idx_pair = 1 with the
 columns equal to the rows, or to a subset of them: a twisted fusion table
-reads only the sigma-stable columns (`fusion.SectorMatrices`), so it never
-builds the full S.
+reads only the sigma-stable columns (`fusion.SectorMatrices`), and one
+untwisted coefficient only the columns of the vacuum and its three labels
+(`fusion.coefficient`), so neither builds the full S.
 Both are Weyl sums sum_w eps(w) exp(-2 pi i (w(row), col) / t), evaluated
 by one kernel that factors W through its parabolic subgroup W_J, J all
 simple nodes but the last: w = u v with u a minimal coset representative
@@ -30,8 +31,9 @@ cell whose |W| exponents pass that budget takes its cosets in chunks,
 whose exact counts add up before the cell's one contraction.  When the
 columns are the rows, as for the full S, the kernel computes only the
 cells on and above the diagonal and mirrors them: cell (j, i) counts the
-same residues as cell (i, j), so the mirror has the same bits.  The
-unitarity gate likewise reads the Gram S S^H on and above its diagonal.
+same residues as cell (i, j), so the mirror has the same bits.  The one
+orthonormality gate of every block, `ModularMatrix.unitarity_defect`,
+likewise reads the Gram M^H M on and above its diagonal.
 Exponents that could leave the int64 range raise ExponentOverflow.  The
 numeric field is double-precision complex: exactness lives in the integer
 exponents and counts, and a root of unity is the only floating-point value
@@ -108,23 +110,24 @@ _GRAM_ROWS = 16
 
 @dataclass
 class ModularMatrix:
-    rows: tuple       # row labels
+    rows: tuple       # row labels, the level-k weights of datum
     cols: tuple       # column labels
     entries: object   # numpy complex array
     provenance: str
+    datum: object     # the affine datum of the row labels
 
     @property
     def shape(self):
         return (len(self.rows), len(self.cols))
 
     def unitarity_defect(self):
-        """max |S S^H - I| over the Gram cells on and above the diagonal,
-        _GRAM_ROWS rows at a time, contracted by np.einsum on the calling
-        thread, as in `_weyl_sum_matrix`.  einsum's G[k, i] multiplies the
-        products of G[i, k], conjugated, and adds them in the same order,
-        so it is their exact conjugate, and this max is the max over all
-        cells, bit for bit."""
-        s = self.entries
+        """max |M^H M - I|, the columns' defect from orthonormal, from the
+        Gram of M^T (copied C-contiguous: S itself, as S is symmetric bit
+        for bit) on and above the diagonal, _GRAM_ROWS rows at a time, by
+        np.einsum on the calling thread, as in `_weyl_sum_matrix`.  einsum's
+        G[k, i] is the exact conjugate of G[i, k], so this is the max over
+        all cells, bit for bit."""
+        s = np.ascontiguousarray(self.entries.T)
         sc = s.conj()
         worst = 0.0
         for r in range(0, len(s), _GRAM_ROWS):
@@ -133,10 +136,6 @@ class ModularMatrix:
             gram[diag, diag] -= 1
             worst = max(worst, float(np.abs(gram).max()))
         return worst
-
-    def symmetry_defect(self):
-        s = self.entries
-        return float(np.abs(s - s.T).max())
 
     def to_json_dict(self):
         s = self.entries
@@ -409,7 +408,8 @@ def _kac_peterson(datum, k, provenance, columns=None):
     raw = _weyl_sum_matrix(fin, t, shifted, col_shifted)
     scale = math.sqrt(idx_pair) / math.sqrt(norm_sq)
     phase = (1, 1j, -1, -1j)[fin.npos % 4]
-    return ModularMatrix(tuple(rows), tuple(cols), raw * (phase * scale), provenance)
+    return ModularMatrix(tuple(rows), tuple(cols), raw * (phase * scale),
+                         provenance, datum)
 
 
 def untwisted_S(affine_datum, k, cols=None):
@@ -460,4 +460,4 @@ def twisted_sector_S(folding, k):
     weights, relabeled as their Pstar images (`fold.symmetric_weights`)."""
     a = twisted_a(folding, k)
     return ModularMatrix(a.rows, tuple(symmetric_weights(folding, k)), a.entries,
-                         ORBIFOLD_BLOCK)
+                         ORBIFOLD_BLOCK, a.datum)

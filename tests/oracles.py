@@ -411,13 +411,13 @@ def one_walk_weyl_sum(fin, t, row_shifted, col_shifted):
 
 
 def full_gram_unitarity_defect(entries):
-    """max |S S^H - I| from every cell of the n x n Gram, contracted by
-    np.einsum: the unitarity gate before it read only the cells on and above
-    the diagonal, whose result it must match bit for bit."""
+    """max |M^H M - I| from every cell of the Gram of the columns of M,
+    contracted by np.einsum: the gate before it read only the cells on and
+    above the diagonal, whose result it must match bit for bit."""
     import numpy as np
 
-    gram = np.einsum("ij,kj->ik", entries, entries.conj())
-    return float(np.abs(gram - np.eye(entries.shape[0])).max())
+    gram = np.einsum("ji,jk->ik", entries.conj(), entries)
+    return float(np.abs(gram - np.eye(entries.shape[1])).max())
 
 
 def _fraction_positive_roots(fin):

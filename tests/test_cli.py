@@ -86,18 +86,21 @@ class TestSmatrixCommand:
                          "diagram")
         assert rc == 0
         mats = fusion_mod.SectorMatrices(build_folding(parse_type("A3", AFFINE_R1)), 8)
-        worst = max(mats.column_defect, mats.sector.unitarity_defect())
-        assert json.loads(out)["unitarity_defect"] == worst
-        gram = mats.scol.conj().T @ mats.scol
-        assert abs(mats.column_defect
-                   - abs(gram - np.eye(len(mats.sym))).max()) < 1e-15
+        scol, sector = mats.blocks
+        worst = max(scol.unitarity_defect(), sector.unitarity_defect())
+        assert json.loads(out)["unitarity_defect"] == mats.defect == worst
+        gram = scol.entries.conj().T @ scol.entries
+        assert abs(scol.unitarity_defect()
+                   - abs(gram - np.eye(len(scol.cols))).max()) < 1e-15
 
     def test_unitarity_gate(self, capsys, monkeypatch):
-        # The exit code reads the one constant fusion.UNITARITY_TOLERANCE.
+        # The gate reads the one constant fusion.UNITARITY_TOLERANCE; an
+        # untwisted S that fails it exits 2 with nothing printed, as the
+        # twisted blocks do.
         monkeypatch.setattr(fusion_mod, "UNITARITY_TOLERANCE", 1e-20)
-        rc, out, _ = run(capsys, "smatrix", "A2", "--level", "2")
-        assert rc == 2
-        assert json.loads(out)["unitarity_defect"] > 1e-20
+        rc, out, err = run(capsys, "smatrix", "A2", "--level", "2")
+        assert (rc, out) == (2, "")
+        assert "off orthonormal" in err and "(tolerance 1e-20)" in err
 
 
 class TestFusionCommand:
@@ -284,17 +287,18 @@ def test_input_checks_exit_1(capsys, argv, message):
 
 
 def test_one_unitarity_tolerance_feeds_every_gate(capsys, monkeypatch):
-    # fusion.UNITARITY_TOLERANCE is the one value of the S-column gate of a
-    # twisted table and of the twisted smatrix, of smatrix's exit code and
-    # of selfcheck.
+    # fusion.UNITARITY_TOLERANCE is the one value of the block gate of
+    # every table, untwisted or twisted, of smatrix and of selfcheck.
     monkeypatch.setattr(fusion_mod, "UNITARITY_TOLERANCE", 1e-20)
     fusion_mod._sector_matrices.cache_clear()
     try:
         rc, _, err = run(capsys, "fusion", "A3", "--level", "2", "--twist",
                          "diagram", "--pattern", "1,s,s")
+        assert rc == 2 and "off orthonormal" in err and "(tolerance 1e-20)" in err
+        rc, out, err = run(capsys, "fusion", "A2", "--level", "2")
+        assert (rc, out) == (2, "") and "off orthonormal" in err
     finally:
         fusion_mod._sector_matrices.cache_clear()
-    assert rc == 2 and "off orthonormal" in err and "(tolerance 1e-20)" in err
     assert run(capsys, "smatrix", "A2", "--level", "2")[0] == 2
     # The twisted smatrix gates the columns it prints as the table does,
     # and prints nothing when they fail.
@@ -302,7 +306,7 @@ def test_one_unitarity_tolerance_feeds_every_gate(capsys, monkeypatch):
     assert (rc, out) == (2, "") and "off orthonormal" in err
     rc, _, err = run(capsys, "selfcheck")
     assert rc == 2
-    assert "selfcheck failed at: smatrix-unitarity-symmetry" in err
+    assert "selfcheck failed at: smatrix-unitarity\n" in err
 
 
 # The options each command declares: exactly those it reads, 14 slots.
@@ -471,7 +475,7 @@ class TestOtherCommands:
         assert blob["twisted"] == "E6^(2)"
         assert blob["r"] == 2
 
-    def test_selfcheck_tiny(self, capsys):
+    def test_selfcheck_passes(self, capsys):
         rc, _, err = run(capsys, "selfcheck")
         assert rc == 0
         assert "selfcheck passed" in err

@@ -59,20 +59,27 @@ class TestVerlinde:
                     assert verlinde(s, vac, lw, mu) == expected
 
     def test_not_integer(self, a1):
+        # A unit phase on one column keeps the columns orthonormal, so the
+        # gate lets it through, and the sum N(1, 1; 0) = 1 turns by it twice.
         s = untwisted_S(a1, 1)
-        s.entries = s.entries + 0.01  # corrupt
+        s.entries = s.entries.copy()
+        s.entries[:, 1] *= np.exp(0.3j)  # corrupt
         one = a1.leveled(1, (1,))
+        vac = a1.leveled(1, (0,))
         with pytest.raises((NotInteger, NegativeCoefficient)):
-            verlinde(s, one, one, one)
+            verlinde(s, one, one, vac)
 
-    def test_takes_only_a_full_untwisted_s(self, a3_folding):
-        # A twisted a-matrix or a column block of S is a ValueError, not a
-        # coefficient (the a-matrix gave 1) or a failed check (the block).
-        vac = a3_folding.base.leveled(2, (0, 0, 0))
-        for m in (twisted_a(a3_folding, 2),
-                  untwisted_S(a3_folding.base, 2, (vac,))):
-            with pytest.raises(ValueError, match="needs a full untwisted S"):
-                verlinde(m, vac, vac, vac)
+    def test_takes_an_untwisted_s_holding_its_labels(self, a3_folding):
+        # A twisted a-matrix is a ValueError, not a coefficient (it gave
+        # 1), and so is a column block that lacks the vacuum or a label.
+        base = a3_folding.base
+        vac, one = base.leveled(2, (0, 0, 0)), base.leveled(2, (1, 0, 0))
+        with pytest.raises(ValueError, match="needs an untwisted S"):
+            verlinde(twisted_a(a3_folding, 2), vac, vac, vac)
+        for cols, labels in [((vac,), (vac, vac, one)), ((one,), (one, one, one))]:
+            with pytest.raises(ValueError, match="is not a column of the S block"):
+                verlinde(untwisted_S(base, 2, cols), *labels)
+        assert verlinde(untwisted_S(base, 2, (one, vac)), vac, one, one) == 1
 
 
 def corrupt_kernel(monkeypatch, affine, hit):
@@ -614,8 +621,7 @@ def test_gates_fire_without_asserts():
         run(lambda: fusion.kac_walton_row(a2, 1, a2.leveled(1, (1, 1)), vac))
         run(lambda: fusion.twisted_kac_walton_row(
             a3, 1, a3.base.leveled(1, (0, 0, 0)), a3.twisted.leveled(1, (0, 1))))
-        s = untwisted_S(a2, 1)
-        s.rows = s.rows[::-1]
+        s = untwisted_S(a2, 1, (a2.leveled(1, (1, 0)),))
         run(lambda: fusion.verlinde(s, vac, vac, vac))
         run(lambda: fusion._rounded([2.0, -1.0]))
 
@@ -634,12 +640,15 @@ def test_gates_fire_without_asserts():
         fusion._klimyk_fold = true_kernel
 
         def corrupt_s(datum, k):
+            # A unit phase on one row: the columns stay orthonormal, and
+            # the table's sums off the vacuum row turn by it.
             s = untwisted_S(datum, k)
             s.entries = s.entries.copy()
-            s.entries[1, 2] += 0.01
+            s.entries[2] *= np.exp(0.3j)
             return s
 
         fusion.untwisted_S = corrupt_s
+        fusion._sector_matrices.cache_clear()
         run(lambda: fusion.fusion_table(a2, 1))
     """)
     src = os.path.dirname(os.path.dirname(twistfuse.__file__))
@@ -768,6 +777,60 @@ def test_table_builds_sector_matrices_once(monkeypatch, capsys):
         assert tuple(map(len, calls)) == want
 
 
+def test_coefficient_builds_four_s_columns(monkeypatch):
+    """One untwisted coefficient makes one untwisted_S call, on the columns
+    of the vacuum and its three labels: never the full S."""
+    a3 = build_cartan(LieType("A", 3, AFFINE_R1))
+    calls = _count_calls(monkeypatch, untwisted_S)
+    assert coefficient(a3, 4, (0, 0, 0), [(1, 0, 0), (0, 0, 1), (1, 0, 1)]) == 1
+    (args,) = calls
+    assert len(args) == 3 and len(args[2]) <= 4
+
+
+def test_block_gates_fire_without_asserts():
+    # One bumped S entry fails an untwisted table and a single untwisted
+    # coefficient, and one bumped entry of the sector block a twisted
+    # table, with NotOrthonormal (exit 2) before anything is printed.
+    script = textwrap.dedent("""
+        import contextlib, io
+        import twistfuse.fusion as fusion
+        from twistfuse import cli
+
+        true_S, true_sector = fusion.untwisted_S, fusion.twisted_sector_S
+
+        def bumped(true):
+            def build(*args):
+                m = true(*args)
+                m.entries = m.entries.copy()
+                m.entries[1, 1] += 1e-6
+                return m
+            return build
+
+        def call(*argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(list(argv))
+            print(rc, repr(out.getvalue()), "off orthonormal" in err.getvalue())
+
+        fusion.untwisted_S = bumped(true_S)
+        call("fusion", "A2", "--level", "2")
+        call("fusion", "A2", "--level", "2", "1,0", "0,1", "0,0")
+        fusion.untwisted_S = true_S
+        fusion.twisted_sector_S = bumped(true_sector)
+        call("fusion", "A3", "--level", "2", "--twist", "diagram", "--pattern", "1,s,s")
+        fusion.twisted_sector_S = true_sector
+        call("fusion", "A3", "--level", "2", "--twist", "diagram", "--pattern",
+             "1,s,s", "0,0,0", "1,0", "1,0")
+    """)
+    src = os.path.dirname(os.path.dirname(twistfuse.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["2 '' True"] * 3 + [
+        "0 '{\"schema\":1,\"algebra\":\"A3\",\"level\":2,\"pattern\":\"1,s,s\",\"N\":1}\\n' False"]
+
+
 def test_twisted_smatrix_builds_the_printed_columns_only(monkeypatch, capsys):
     """`smatrix --twist diagram` makes one untwisted_S call, on the
     sigma-stable columns, outside the SectorMatrices cache: no full S."""
@@ -818,11 +881,11 @@ def test_coefficient_equals_table(name, order, pattern, k):
         assert [route(*triple) for route in routes] == [n] * len(routes)
 
 
-def test_coefficient_level_zero_is_the_vacuum_rule(a3_folding):
+def test_coefficient_level_zero_runs_the_routes(a3_folding):
     # No rule of its own: the routes run, and the vacuum is the one label.
     sectors = check_pattern(a3_folding, "1,s,s")
     assert coefficient(a3_folding, 0, sectors, [(0, 0, 0), (0, 0), (0, 0)]) == 1
-    with pytest.raises(ValueError, match="not one of the level-0 labels"):
+    with pytest.raises(ValueError, match="is not a level-0 dominant weight of A3"):
         coefficient(a3_folding, 0, sectors, [(0, 0, 0), (1, 0), (0, 0)])
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -61,7 +62,7 @@ class TestUntwistedS:
     @pytest.mark.parametrize("k", [1, 2])
     def test_symmetric_unitary(self, name, k):
         s = untwisted_S(build_cartan(parse_type(name, AFFINE_R1)), k)
-        assert s.symmetry_defect() < 1e-9
+        assert np.abs(s.entries - s.entries.T).max() < 1e-9
         assert s.unitarity_defect() < 1e-9
 
     def test_vacuum_row_positive(self):
@@ -442,13 +443,14 @@ class TestUnitarityDefect:
     @pytest.mark.parametrize("cell", [(20, 3), (17, 17), (2, 19), (0, 0),
                                       (20, 20), (5, 4)])
     def test_one_perturbed_cell_shows(self, cell):
-        # A2 k=5 has 21 rows: Gram blocks of 16 and 5 rows.  The perturbed
-        # copy is not symmetric, and the Gram's triangle still sees it.
+        # A2 k=5 has 21 columns: Gram blocks of 16 and 5 columns.  The
+        # perturbed copy is not symmetric, and the Gram's triangle still
+        # sees it.
         s = untwisted_S(build_cartan(parse_type("A2", AFFINE_R1)), 5)
         assert s.unitarity_defect() < 1e-12
         entries = s.entries.copy()
         entries[cell] += 1e-7
-        bumped = smatrix_mod.ModularMatrix(s.rows, s.cols, entries, s.provenance)
+        bumped = dataclasses.replace(s, entries=entries)
         assert bumped.unitarity_defect() > 1e-9
         assert bumped.unitarity_defect() == full_gram_unitarity_defect(entries)
 
@@ -627,12 +629,12 @@ def test_sector_columns_are_full_S_columns(name, order, k):
     """A table's S block, built on the sigma-stable columns alone, is the
     same columns of the full S bit for bit."""
     folding = build_folding(parse_type(name, AFFINE_R1), order)
-    mats = SectorMatrices(folding, k)
+    scol = SectorMatrices(folding, k).blocks[0]
     full = untwisted_S(folding.base, k)
     index = {w.finite.coords: i for i, w in enumerate(full.rows)}
-    cols = full.entries[:, [index[w.finite.coords] for w in mats.sym]]
-    assert mats.base_labels == full.rows
-    assert mats.scol.shape == cols.shape and mats.scol.tobytes() == cols.tobytes()
+    cols = full.entries[:, [index[w.finite.coords] for w in scol.cols]]
+    assert scol.rows == full.rows
+    assert scol.entries.shape == cols.shape and scol.entries.tobytes() == cols.tobytes()
 
 
 
@@ -687,11 +689,10 @@ class TestCompactJson:
         type_ = parse_type(argv[0], AFFINE_R1)
         if "--twist" in argv:
             order = int(argv[-1]) if "--twist-order" in argv else None
-            mats = SectorMatrices(build_folding(type_, order), int(argv[2]))
-            blocks = [mats.scol, mats.a]
+            source = build_folding(type_, order)
         else:
-            blocks = [untwisted_S(build_cartan(type_), int(argv[2])).entries]
-        for block in blocks:
+            source = build_cartan(type_)
+        for block in (b.entries for b in SectorMatrices(source, int(argv[2])).blocks):
             for part in complex_json(block).values():
                 self.assert_as_json(part)
                 assert compact_json(part) in out
