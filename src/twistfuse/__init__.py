@@ -25,13 +25,11 @@ if "numpy" not in sys.modules and not any(
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .cartan import (CartanDatum, LatticeBasis, LeveledWeight, LieType,
-                     Weight, build_cartan, dual_lattice, inner_product,
-                     lattice_M, lattice_index, parse_type)
+                     Weight, build_cartan, inner_product, lattice_M,
+                     parse_type)
 from .errors import (CheckFailed, ConformalMismatch, DegenerateLattice,
                      DimensionCap, ExponentOverflow, FoldingIdentityFailure,
-                     IntegralityFailure,
-                     LatticeIndexMismatch,
-                     MassMismatch, MethodMismatch, MixedDatum,
+                     IntegralityFailure, MassMismatch, MethodMismatch, MixedDatum,
                      NegativeCoefficient, NegativeMultiplicity,
                      NoBuiltinAutomorphism, NonTermination, NotAffine,
                      NotInteger, NotOrthonormal, NotSublattice, RankTooLarge,
@@ -40,7 +38,7 @@ from .errors import (CheckFailed, ConformalMismatch, DegenerateLattice,
                      UnrecognizedFoldedType, UnsupportedSectorPattern,
                      UnsupportedType)
 from .fold import (DiagramAutomorphism, FoldingData, build_folding,
-                   builtin_sigma, orbit_cartan, symmetric_weights)
+                   builtin_sigma, symmetric_weights)
 from .fusion import (FusionTable, SectorLabel, fusion_table, kac_walton,
                      twisted_kac_walton, twisted_verlinde, verlinde)
 from .rep import (DecompTable, WeightSystem, branch, dim,
@@ -55,9 +53,8 @@ __all__ = [
     "CartanDatum", "CheckFailed", "ConformalData", "ConformalMismatch", "DecompTable",
     "DegenerateLattice", "DiagramAutomorphism", "DimensionCap",
     "ExponentOverflow", "FoldResult", "FoldingData", "FoldingIdentityFailure",
-    "FusionTable", "IntegralityFailure", "LatticeBasis",
-    "LatticeIndexMismatch", "LeveledWeight", "LieType",
-    "MassMismatch", "MethodMismatch",
+    "FusionTable", "IntegralityFailure", "LatticeBasis", "LeveledWeight",
+    "LieType", "MassMismatch", "MethodMismatch",
     "MixedDatum", "ModularMatrix", "NegativeCoefficient",
     "NegativeMultiplicity", "NoBuiltinAutomorphism", "NonTermination",
     "NotAffine", "NotInteger", "NotOrthonormal", "NotSublattice",
@@ -67,10 +64,9 @@ __all__ = [
     "UnrecognizedFoldedType", "UnsupportedSectorPattern",
     "UnsupportedType", "Weight", "WeightSystem", "WeylGroup", "alcove_fold",
     "branch", "build_cartan", "build_folding", "builtin_sigma", "conformal",
-    "dim", "dominant_level_weights", "dual_lattice", "freudenthal",
+    "dim", "dominant_level_weights", "freudenthal",
     "fusion_table", "generate_weyl", "inner_product", "kac_walton",
-    "lattice_M", "lattice_index", "orbit_cartan",
-    "parse_type", "symmetric_weights", "tensor_decompose",
+    "lattice_M", "parse_type", "symmetric_weights", "tensor_decompose",
     "to_dominant", "twisted_a", "twisted_kac_walton", "twisted_sector_S",
     "twisted_verlinde", "untwisted_S", "verlinde",
 ]

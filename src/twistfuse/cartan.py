@@ -39,6 +39,11 @@ the S-matrix kernel.  The Klimyk sum, of tensor products and branching
 alike, runs the numpy form of the reflect-to-dominant loop, `rep._reflect`,
 in `rep.klimyk_blocks`.
 
+The lattice M is written in Kac's closed form (`_translation_lattice`),
+and its index in its dual lattice is read off its Gram matrix,
+[M*:M] = det Gram(M) (`CartanDatum.M_index`): no dual lattice is built
+and no lattice basis is inverted.
+
 Root data, forms and lattices are exact rationals; the orbit walk runs on
 int64 label arrays.
 """
@@ -50,8 +55,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _rational as rat
-from .errors import (CheckFailed, DegenerateLattice, LatticeIndexMismatch,
-                     MixedDatum, NotAffine, NotSublattice, UnsupportedType)
+from .errors import (CheckFailed, DegenerateLattice, MixedDatum, NotAffine,
+                     NotSublattice, UnsupportedType)
 
 FINITE = "finite"
 AFFINE_R1 = "affine-r1"
@@ -283,11 +288,6 @@ class LatticeBasis:
         if rat.mat_det(self.basis) == 0:
             raise DegenerateLattice(f"lattice basis {self.basis} is not full rank")
 
-    @cached_property
-    def inverse(self):
-        """Inverse of the basis matrix, computed on first use."""
-        return rat.mat_inverse(self.basis)
-
     def gram(self):
         """The Gram matrix B G B^T of the basis, on `rat.mat_mul`'s integers."""
         return rat.mat_mul(rat.mat_mul(self.basis, self.datum.gram_weights),
@@ -352,16 +352,16 @@ class CartanDatum:
 
     @cached_property
     def M_index(self):
-        """The index [M*:M] (affine data only), computed on first use and
-        gated there: the index of M in its dual lattice must equal
-        det Gram(M), two independent formulas (LatticeIndexMismatch).  The
-        S- and a-matrix normalisations of every level read it."""
-        index = lattice_index(dual_lattice(self.M_basis), self.M_basis)
-        gram_det = rat.mat_det(self.M_basis.gram())
-        if index != gram_det:
-            raise LatticeIndexMismatch(f"{self.type}: [M*:M] = {index} != "
-                                       f"det Gram(M) = {gram_det}")
-        return index
+        """The index [M*:M] = det Gram(M) (affine data only), computed on
+        first use.  Gram(M) holds the coordinates of M's basis in the dual
+        basis of M*, so M lies in M* exactly when Gram(M) is integral
+        (NotSublattice), and its determinant is then the index.  The S- and
+        a-matrix normalisations of every level read it."""
+        gram = self.M_basis.gram()
+        if any(x.denominator != 1 for row in gram for x in row):
+            raise NotSublattice(f"{self.type}: Gram(M) is not integral, so M "
+                                f"is not contained in its dual lattice")
+        return int(rat.mat_det(gram))
 
     def is_affine(self):
         return self.type.kind != FINITE
@@ -376,22 +376,6 @@ class CartanDatum:
         """Dimension of the finite-part simple Lie algebra."""
         return 2 * self.npos + self.rank
 
-    def to_json_dict(self):
-        return {
-            "type": str(self.type),
-            "A": [list(r) for r in self.A],
-            "d": [str(x) for x in self.d],
-            "marks": list(self.marks),
-            "comarks": list(self.comarks),
-            "hdual": self.hdual,
-            "theta": self.theta.to_json(),
-            "theta_covec": list(self.theta_covec),
-            "npos": self.npos,
-            "gram_weights": [[str(x) for x in row] for row in self.gram_weights],
-            "M_basis": None if self.M_basis is None else
-                       [[str(x) for x in v] for v in self.M_basis.basis],
-        }
-
     def __repr__(self):
         return f"CartanDatum({self.type})"
 
@@ -404,7 +388,6 @@ def _check_invariants(datum):
     if datum.is_affine():
         _require(rat.mat_vec(a, datum.marks) == (0,) * n, "A marks != 0")
         _require(rat.mat_vec(rat.transpose(a), datum.comarks) == (0,) * n, "comarks A != 0")
-        _require(datum.hdual == sum(datum.comarks), "h^vee != sum of the comarks")
         # d_i = comark_i / mark_i holds for every supported affine type.
         _require(all(d[i] == Fraction(datum.comarks[i], datum.marks[i]) for i in range(n)),
                  f"{datum.type}: d_i != comark_i / mark_i")
@@ -538,25 +521,3 @@ def lattice_M(datum):
     if not datum.is_affine():
         raise NotAffine(f"{datum.type} is not affine")
     return datum.M_basis
-
-
-def lattice_index(l1, l2):
-    """Index [l1 : l2] for a sublattice l2 of l1; |det(B1^-1 B2)|.
-
-    l2 lies in l1 when the integer products of `rat.mat_mul` are divisible
-    by their one denominator, so that every coefficient has denominator 1."""
-    coeffs = rat.mat_mul(l2.basis, l1.inverse)
-    if any(x.denominator != 1 for row in coeffs for x in row):
-        raise NotSublattice("second lattice is not contained in the first")
-    idx = abs(rat.mat_det(coeffs))
-    if idx.denominator != 1 or idx <= 0:
-        raise DegenerateLattice(f"index [l1 : l2] = {idx} is not a positive integer")
-    return int(idx)
-
-
-def dual_lattice(lat):
-    """Dual lattice with respect to the weight-space inner product."""
-    g = lat.datum.gram_weights
-    bg = rat.mat_mul(lat.basis, g)
-    dual = rat.mat_inverse(rat.transpose(bg))
-    return LatticeBasis(lat.datum, dual)

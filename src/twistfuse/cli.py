@@ -153,7 +153,7 @@ GRID = {
 
 
 def _check_cartan(grid):
-    # M_index gates [M*:M] = det Gram(M) (LatticeIndexMismatch).
+    # M_index gates M in M*, Gram(M) integral (NotSublattice).
     for name, _ in grid["untwisted"]:
         build_cartan(parse_type(name, AFFINE_R1)).M_index
     return 0.0

@@ -23,12 +23,13 @@ class NotAffine(TwistfuseError):
 
 
 class NotSublattice(CheckFailed):
-    """Lattice containment check failed."""
+    """A lattice is not contained where the normalisation needs it: M in
+    its dual lattice M* (Gram(M) integral), or M^dag in phi(M') (the
+    twisted symmetrizers integral)."""
 
 
 class DegenerateLattice(CheckFailed):
-    """A lattice basis is not rank-many independent vectors, or a lattice
-    index is not a positive integer."""
+    """A lattice basis is not rank-many independent vectors."""
 
 
 class RankTooLarge(TwistfuseError):
@@ -56,10 +57,6 @@ class IntegralityFailure(CheckFailed):
 class RootCountMismatch(CheckFailed):
     """The reflection closure of the simple roots does not have the
     datum's number of positive roots."""
-
-
-class LatticeIndexMismatch(CheckFailed):
-    """The index [M*:M] of the dual lattice differs from det Gram(M)."""
 
 
 class SectorLabelMismatch(CheckFailed):

@@ -9,21 +9,27 @@ node reversal are read from cartan's table; the permutations live here:
     phi        adjacent-type weights  ->  twisted-type weights
     iota_dual  base weights           ->  twisted-type weights (restriction)
 
+The index [phi(M'):M^dag] of the twisted a-matrix normalisation is read
+off the twisted symmetrizers (`pair_index`), with no lattice transported
+through phi.
+
 All identities relating them are checked exactly at construction time;
-these checks, those of the automorphism and the orbit matrix, and that of
-`symmetric_weights` raise typed errors, so python -O keeps them.
+these checks, those of the automorphism and the orbit matrix, and those of
+`symmetric_weights` and `pair_index` raise typed errors, so python -O
+keeps them.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
 from . import _rational as rat
-from .cartan import (AFFINE_R1, TWISTED_KINDS, LatticeBasis, LieType,
-                     adjacent_type, build_cartan, lattice_M, partner)
+from .cartan import (AFFINE_R1, TWISTED_KINDS, LieType, adjacent_type,
+                     build_cartan, partner)
 from .errors import (CheckFailed, FoldingIdentityFailure, NoBuiltinAutomorphism,
-                     SectorLabelMismatch, UnrecognizedFoldedType)
+                     NotSublattice, SectorLabelMismatch, UnrecognizedFoldedType)
 from .rep import dominant_level_weights
 
 
@@ -142,14 +148,6 @@ def _match_relabeling(ahat, target):
         if all(target[pi[i]][pi[j]] == ahat[i][j] for i in range(n) for j in range(n)):
             return pi
     raise UnrecognizedFoldedType("orbit matrix does not match the expected type")
-
-
-def orbit_cartan(auto):
-    """Identify the orbit Lie algebra; returns the canonical CartanDatum."""
-    _, _, _, ahat = _orbit_matrix(auto)
-    datum = build_cartan(_identify(auto)[1])
-    _match_relabeling(ahat, datum.A)  # raises if the identification fails
-    return datum
 
 
 @dataclass(frozen=True)
@@ -321,8 +319,16 @@ def phi_apply_shifted(folding, coords):
     return rat.mat_vec(folding.phi, coords)
 
 
-def transported_adjacent_M(folding):
-    """The adjacent translation lattice carried into twisted coordinates:
-    phi is invertible, so it takes the basis of M' to a basis."""
-    return LatticeBasis(folding.twisted.finite, [
-        rat.mat_vec(folding.phi, v) for v in lattice_M(folding.adjacent).basis])
+def pair_index(folding):
+    """The index [phi(M'):M^dag] of the twisted a-matrix normalisation:
+    the product of the twisted symmetrizers d_1 .. d_l.  M^dag and M' are
+    root lattices (every supported twisted type has a_0 = 1 and d_i >= 1,
+    `cartan._translation_lattice`), and phi takes alpha'_i to
+    (a_c / a_vee_c) alpha^dag_c = alpha^dag_c / d_c (`_phi_label_matrix`;
+    `cartan._check_invariants` gates d_c = a_vee_c / a_c).  So phi(M') has
+    the basis alpha^dag_c / d_c, and it contains M^dag, with this index,
+    exactly when every d_c is an integer (NotSublattice)."""
+    d = folding.twisted.d_fin
+    if any(x.denominator != 1 for x in d):
+        raise NotSublattice("phi(M') does not contain M^dag; folding data bug")
+    return math.prod(int(x) for x in d)

@@ -36,8 +36,8 @@ slot label encoded once, and one fancy index picks the tails of a plane.
 `check_pattern` also checks them (`_check_sectors`, as for SectorLabels).
 `fusion_table` builds a table, and `coefficient`, the dispatcher of one
 coefficient, runs every route that applies, which must agree.  Level 0 is
-no special case: its S and a are (1), and its one label, the vacuum, fuses
-with itself once by every route.
+no special case: its S and a are 1 x 1, (1) up to rounding, and its one
+label, the vacuum, fuses with itself once by every route.
 """
 
 import itertools

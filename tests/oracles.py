@@ -229,6 +229,33 @@ def lattice_basis_rows(vectors):
     return tuple(tuple(Fraction(x, den) for x in row) for row in _int_hnf(ints))
 
 
+def lattice_index(outer, inner):
+    """[outer : inner] for two full-rank lattices given by basis rows:
+    |det| of the coordinates of inner's basis in outer's basis, which must
+    be integers (ValueError otherwise, or for a zero index)."""
+    coeffs = mat_mul_int(inner, fraction_mat_inverse(outer))
+    if any(Fraction(x).denominator != 1 for row in coeffs for x in row):
+        raise ValueError("the second lattice is not contained in the first")
+    index = abs(fraction_mat_det(coeffs))
+    if index == 0:
+        raise ValueError("the second lattice is degenerate")
+    return int(index)
+
+
+def dual_lattice(rows, gram):
+    """Basis rows of the dual of the lattice with basis rows `rows` under
+    the form with matrix gram: the rows of ((B G)^T)^-1, whose pairings
+    with the rows of B are the identity."""
+    return fraction_mat_inverse(tuple(zip(*mat_mul_int(rows, gram))))
+
+
+def phi_transported_M(folding):
+    """Basis rows of phi(M'): the basis of the adjacent lattice M' carried
+    into twisted coordinates by the matrix phi, one product per vector."""
+    return tuple(tuple(sum(p * x for p, x in zip(row, v)) for row in folding.phi)
+                 for v in folding.adjacent.M_basis.basis)
+
+
 def orbit_span_lattice(datum):
     """The translation lattice M of an affine datum by its definition: the
     HNF basis of the span of the finite Weyl orbit of nu(theta^vee) = theta,

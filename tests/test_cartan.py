@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -9,18 +8,17 @@ import numpy as np
 import pytest
 
 import twistfuse
-from twistfuse._rational import mat_det, mat_vec
+from twistfuse._rational import mat_vec
 from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, FINITE,
                               LatticeBasis, LieType, build_cartan,
-                              dual_lattice, inner_product, lattice_M,
-                              lattice_index, orbit_walk, parse_type,
-                              simple_roots)
-from twistfuse.errors import MixedDatum, NotAffine, NotSublattice, UnsupportedType
-from twistfuse.fold import build_folding, transported_adjacent_M
+                              inner_product, lattice_M, orbit_walk,
+                              parse_type, simple_roots)
+from twistfuse.errors import MixedDatum, NotAffine, UnsupportedType
+from twistfuse.fold import build_folding, pair_index
 
-from oracles import (highest_root_labels, inverse_times_diag,
-                     lattice_basis_rows, orbit_span_lattice,
-                     primitive_null_vector, weyl_orbit_set)
+from oracles import (dual_lattice, highest_root_labels, inverse_times_diag,
+                     lattice_basis_rows, lattice_index, orbit_span_lattice,
+                     phi_transported_M, primitive_null_vector, weyl_orbit_set)
 from test_rational import FOLDINGS, UNTWISTED
 
 ALL_AFFINE = [
@@ -139,11 +137,6 @@ class TestBuildCartan:
         with pytest.raises(UnsupportedType):
             build_cartan(LieType("A", 4, AFFINE_R2))
 
-    def test_json_dump(self):
-        d = build_cartan(LieType("A", 3, AFFINE_R2))
-        blob = json.dumps(d.to_json_dict())
-        assert "marks" in blob and "gram_weights" in blob
-
 
 class TestInnerProduct:
     def test_a1(self):
@@ -177,8 +170,7 @@ class TestLattices:
 
     def test_lattice_m_a2_index(self):
         d = build_cartan(LieType("A", 2, AFFINE_R1))
-        weight_lattice = LatticeBasis(d.finite, ((1, 0), (0, 1)))
-        assert lattice_index(weight_lattice, lattice_M(d)) == 3
+        assert lattice_index(((1, 0), (0, 1)), lattice_M(d).basis) == 3
 
     def test_lattice_m_d4_triality(self):
         d = build_cartan(LieType("D", 4, AFFINE_R3))
@@ -189,24 +181,23 @@ class TestLattices:
         with pytest.raises(NotAffine):
             lattice_M(build_cartan(LieType("A", 2)))
 
+    # The oracle index behind the M_index and pair_index tests, on its
+    # own: scaling, equality and a lattice that is not a sublattice.
     def test_index_scaling(self):
-        d = build_cartan(LieType("A", 2))
-        z2 = LatticeBasis(d, ((1, 0), (0, 1)))
-        assert lattice_index(z2, LatticeBasis(d, ((2, 0), (0, 2)))) == 4
+        z2 = ((1, 0), (0, 1))
+        assert lattice_index(z2, ((2, 0), (0, 2))) == 4
         assert lattice_index(z2, z2) == 1
 
     def test_not_sublattice(self):
-        d = build_cartan(LieType("A", 2))
-        z2 = LatticeBasis(d, ((1, 0), (0, 1)))
-        half = LatticeBasis(d, ((Fraction(1, 2), 0), (0, Fraction(1, 2))))
-        with pytest.raises(NotSublattice):
-            lattice_index(z2, half)
+        half = ((Fraction(1, 2), 0), (0, Fraction(1, 2)))
+        with pytest.raises(ValueError, match="not contained"):
+            lattice_index(((1, 0), (0, 1)), half)
 
     def test_lattice_gates_fire_without_asserts(self):
-        # The basis and index checks that every S build runs are typed
-        # errors that python -O keeps.
+        # The basis checks of every lattice and the containment M in M*
+        # behind [M*:M] are typed errors that python -O keeps.
         script = textwrap.dedent("""
-            from twistfuse.cartan import LatticeBasis, LieType, build_cartan, lattice_index
+            from twistfuse.cartan import AFFINE_R1, LatticeBasis, LieType, build_cartan
             from twistfuse.errors import TwistfuseError
 
             def run(call):
@@ -218,14 +209,15 @@ class TestLattices:
                     print("no error")
 
             d = build_cartan(LieType("A", 2))
-            z2 = LatticeBasis(d, ((1, 0), (0, 1)))
             run(lambda: LatticeBasis(d, ((1, 0),)))
             run(lambda: LatticeBasis(d, ((1, 2), (2, 4))))
-            flat = object.__new__(LatticeBasis)  # skips the basis checks
-            object.__setattr__(flat, "datum", d)
-            object.__setattr__(flat, "basis", ((1, 0), (2, 0)))
-            run(lambda: lattice_index(z2, flat))
-            run(lambda: lattice_index(z2, LatticeBasis(d, ((3, 0), (0, 3)))))
+            run(lambda: LatticeBasis(d, ((3, 0), (0, 3))))
+            # M spanned by the fundamental weight: (omega, omega) = 1/2.
+            a1 = build_cartan(LieType("A", 1, AFFINE_R1))
+            a1.M_basis = LatticeBasis(a1.finite, ((1,),))
+            run(lambda: a1.M_index)
+            a1.M_basis = LatticeBasis(a1.finite, ((2,),))
+            run(lambda: print(a1.M_index))
         """)
         src = os.path.dirname(os.path.dirname(twistfuse.__file__))
         proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -235,8 +227,9 @@ class TestLattices:
         lines = proc.stdout.splitlines()
         expected = [("DegenerateLattice", "needs 2 basis vectors, not 1"),
                     ("DegenerateLattice", "not full rank"),
-                    ("DegenerateLattice", "index [l1 : l2] = 0 "),
-                    ("no error", "")]
+                    ("no error", ""),
+                    ("NotSublattice", "A1^(1): Gram(M) is not integral"),
+                    ("2", ""), ("no error", "")]
         assert len(lines) == len(expected), lines
         for line, (name, what) in zip(lines, expected):
             assert line.startswith(name) and what in line, line
@@ -307,10 +300,10 @@ class TestLattices:
                          "ValueError: 1 labels for a weight of A2",
                          "no error"]
 
+    # The oracle dual lattice behind the M_index test, on its own.
     def test_dual_a1(self):
         d = build_cartan(LieType("A", 1))
-        alpha = LatticeBasis(d, ((2,),))
-        assert dual_lattice(alpha).basis == ((Fraction(1),),)
+        assert dual_lattice(((2,),), d.gram_weights) == ((Fraction(1),),)
 
     def test_dual_selfdual(self):
         d = build_cartan(LieType("A", 1, AFFINE_R1))
@@ -319,14 +312,14 @@ class TestLattices:
         half = LatticeBasis(d, tuple(tuple(x / 2 for x in v) for v in m.basis))
         unim = LatticeBasis(d, tuple(tuple(2 * x for x in v) for v in half.basis))
         assert unim.basis == m.basis
-        dd = dual_lattice(dual_lattice(m))
-        assert dd.basis == m.basis
+        g = d.gram_weights
+        assert dual_lattice(dual_lattice(m.basis, g), g) == m.basis
 
     def test_dual_a2_root_to_weight(self):
         aff = build_cartan(LieType("A", 2, AFFINE_R1))
-        q = lattice_M(aff)  # root lattice for simply-laced
-        p = dual_lattice(q)
-        weight_lattice = LatticeBasis(aff.finite, ((1, 0), (0, 1)))
+        q = lattice_M(aff).basis  # root lattice for simply-laced
+        p = dual_lattice(q, aff.gram_weights)
+        weight_lattice = ((1, 0), (0, 1))
         assert lattice_index(p, weight_lattice) == 1
         assert lattice_index(weight_lattice, p) == 1
 
@@ -334,20 +327,20 @@ class TestLattices:
         {LieType(f, l, AFFINE_R1) for f, l in UNTWISTED} | set(ALL_AFFINE)
         | {LieType(*x) for x in TWISTED_ADMITTED}, key=str), ids=str)
     def test_dual_index_is_gram_determinant(self, type_):
-        # On every type the suite builds; M_index gates the same identity
-        # (LatticeIndexMismatch) on first use.
+        # On every type the suite builds: M_index, det Gram(M), is the
+        # index of M in the oracle's dual lattice.
         d = build_cartan(type_)
-        m = lattice_M(d)
-        assert d.M_index == lattice_index(dual_lattice(m), m) == mat_det(m.gram())
+        m = lattice_M(d).basis
+        index = d.M_index
+        assert type(index) is int
+        assert index == lattice_index(dual_lattice(m, d.gram_weights), m)
 
     @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A5", "D4", "E6"])
     def test_simply_laced_m_is_root_lattice(self, name):
         d = build_cartan(parse_type(name, AFFINE_R1))
-        m = lattice_M(d)
+        m = lattice_M(d).basis
         l = d.rank
-        roots = LatticeBasis(
-            d.finite,
-            tuple(tuple(d.A_fin[r][i] for r in range(l)) for i in range(l)))
+        roots = tuple(tuple(d.A_fin[r][i] for r in range(l)) for i in range(l))
         assert lattice_index(m, roots) == 1
         assert lattice_index(roots, m) == 1
 
@@ -366,10 +359,20 @@ def test_closed_form_M_is_theta_orbit_span(case):
         f = build_folding(*case)
         data = [f.twisted, f.adjacent]
         expected = [mat_vec(f.phi, v) for v in orbit_span_lattice(f.adjacent)]
-        assert (lattice_basis_rows(transported_adjacent_M(f).basis)
+        assert (lattice_basis_rows(phi_transported_M(f))
                 == lattice_basis_rows(expected))
     for d in data:
         assert lattice_basis_rows(lattice_M(d).basis) == orbit_span_lattice(d)
+
+
+@pytest.mark.parametrize("type_,order", FOLDINGS, ids=str)
+def test_pair_index_is_transported_lattice_index(type_, order):
+    """fold.pair_index, the product of the twisted symmetrizers, is the
+    index of M^dag in the oracle's phi(M') on every folding."""
+    f = build_folding(type_, order)
+    index = pair_index(f)
+    assert type(index) is int
+    assert index == lattice_index(phi_transported_M(f), lattice_M(f.twisted).basis)
 
 
 UNTWISTED_FINITE = ([f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 8)]

@@ -249,7 +249,7 @@ class TestFusionCommand:
 
 # Every gate of the library; each must exit 2 ("failed check").
 GATES = ["CheckFailed", "ConformalMismatch", "DegenerateLattice",
-         "FoldingIdentityFailure", "IntegralityFailure", "LatticeIndexMismatch", "MassMismatch",
+         "FoldingIdentityFailure", "IntegralityFailure", "MassMismatch",
          "MethodMismatch", "NegativeCoefficient", "NegativeMultiplicity",
          "NotInteger", "NotSublattice", "RootCountMismatch",
          "SectorLabelMismatch", "UnknownWeight"]

@@ -17,7 +17,7 @@ from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, LieType,
 from twistfuse.errors import (CheckFailed, NoBuiltinAutomorphism,
                               UnrecognizedFoldedType)
 from twistfuse.fold import (DiagramAutomorphism, build_folding, builtin_sigma,
-                            orbit_cartan, pstar_apply, symmetric_weights)
+                            pstar_apply, symmetric_weights)
 from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import conformal
 
@@ -66,20 +66,17 @@ class TestOrbitCartan:
         (LieType("E", 6, AFFINE_R1), None, LieType("E", 6, AFFINE_R2)),
     ])
     def test_identification(self, type_, order, expected):
-        datum = orbit_cartan(builtin_sigma(type_, order))
-        assert datum.type == expected
+        assert build_folding(type_, order).adjacent.type == expected
 
     def test_corrupted_table_detected(self, monkeypatch):
-        folding = build_folding(LieType("A", 3, AFFINE_R1))
-        auto = folding.auto
-        from twistfuse import fold as fold_mod
-        # Pretend the orbit matrix came out wrong.
+        # Pretend the orbit matrix came out wrong; the uncached builder
+        # then fails to match it against the adjacent type.
         bad = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
         monkeypatch.setattr(fold_mod, "_orbit_matrix",
                             lambda a: ([0, 1, 2], {0: (0,), 1: (1, 3), 2: (2,)},
                                        {0: 1, 1: 1, 2: 1}, bad))
         with pytest.raises(UnrecognizedFoldedType):
-            orbit_cartan(auto)
+            fold_mod._build_folding.__wrapped__(LieType("A", 3, AFFINE_R1), 2)
 
 
 class TestBuildFolding:

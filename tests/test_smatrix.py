@@ -534,15 +534,17 @@ def test_import_loads_openblas_with_one_thread(caller, first, threads):
 
 
 def test_gates_fire_without_asserts():
-    # Each check of conformal data, of the index [M*:M] behind the S- and
-    # a-matrix normalisation and of the orthonormal sigma-stable columns of
-    # S is a typed error that python -O keeps, and a failed check in the CLI.
+    # Each check of conformal data, of the lattice containments behind the
+    # S- and a-matrix normalisation and of the orthonormal sigma-stable
+    # columns of S is a typed error that python -O keeps, and a failed
+    # check in the CLI (exit 2, nothing printed).
     script = textwrap.dedent("""
-        import twistfuse.cartan as cartan
+        from fractions import Fraction
+
         import twistfuse.fusion as fusion
         import twistfuse.smatrix as smatrix
         from twistfuse import cli
-        from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
+        from twistfuse.cartan import AFFINE_R1, LatticeBasis, LieType, build_cartan
         from twistfuse.errors import TwistfuseError
         from twistfuse.fold import build_folding
 
@@ -559,14 +561,22 @@ def test_gates_fire_without_asserts():
         vac = a1.leveled(1, (0,))
         fund = a1.leveled(1, (1,))
 
-        # [M*:M] off by one: M_index gates it against det Gram(M) on first
-        # use, and caches nothing when it raises.
-        true_index = cartan.lattice_index
-        cartan.lattice_index = lambda a, b: true_index(a, b) + 1
+        # M spanned by the fundamental weight, (omega, omega) = 1/2, so
+        # Gram(M) is not integral: M_index raises on first use, and caches
+        # nothing when it does.
+        true_M = a1.M_basis
+        a1.M_basis = LatticeBasis(a1.finite, ((1,),))
         run(lambda: smatrix.untwisted_S(a1, 2))
-        run(lambda: smatrix.twisted_a(a3, 1))
         print("exit", cli.main(["smatrix", "A1", "--level", "2"]))
-        cartan.lattice_index = true_index
+        a1.M_basis = true_M
+
+        # A twisted symmetrizer 3/2: M^dag is then not inside phi(M').
+        tw = a3.twisted
+        true_d = tw.d_fin
+        tw.d_fin = true_d[:-1] + (Fraction(3, 2),)
+        run(lambda: smatrix.twisted_a(a3, 1))
+        print("exit", cli.main(["smatrix", "A3", "--level", "1", "--twist", "diagram"]))
+        tw.d_fin = true_d
 
         # sigma taken as the identity: every weight is then "fixed".
         true_perm = type(a3).finite_perm
@@ -607,8 +617,8 @@ def test_gates_fire_without_asserts():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    expected = [("LatticeIndexMismatch", "det Gram(M)"),
-                ("LatticeIndexMismatch", "det Gram(M)"), ("exit 2", ""),
+    expected = [("NotSublattice", "A1^(1): Gram(M) is not integral"), ("exit 2", ""),
+                ("NotSublattice", "phi(M') does not contain M^dag"), ("exit 2", ""),
                 ("SectorLabelMismatch", "symmetric weights"),
                 ("ConformalMismatch", "strange formula"),
                 ("ConformalMismatch", "c/24"),
