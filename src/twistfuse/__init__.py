@@ -24,15 +24,14 @@ if "numpy" not in sys.modules and not any(
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .cartan import (CartanDatum, LatticeBasis, LeveledWeight, LieType,
-                     Weight, build_cartan, inner_product, lattice_M,
-                     parse_type)
-from .errors import (CheckFailed, ConformalMismatch, DegenerateLattice,
-                     DimensionCap, ExponentOverflow, FoldingIdentityFailure,
+from .cartan import (CartanDatum, LeveledWeight, LieType, Weight,
+                     build_cartan, inner_product, parse_type)
+from .errors import (CheckFailed, ConformalMismatch, DimensionCap,
+                     ExponentOverflow, FoldingIdentityFailure,
                      IntegralityFailure, MassMismatch, MethodMismatch, MixedDatum,
                      NegativeCoefficient, NegativeMultiplicity,
-                     NoBuiltinAutomorphism, NonTermination, NotAffine,
-                     NotInteger, NotOrthonormal, NotSublattice, RankTooLarge,
+                     NoBuiltinAutomorphism, NonTermination, NotInteger,
+                     NotOrthonormal, NotSublattice, RankTooLarge,
                      RingRecursionFailure, RootCountMismatch, SectorLabelMismatch,
                      SectorRuleViolation, TwistfuseError, UnknownWeight,
                      UnrecognizedFoldedType, UnsupportedSectorPattern,
@@ -51,13 +50,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CartanDatum", "CheckFailed", "ConformalData", "ConformalMismatch", "DecompTable",
-    "DegenerateLattice", "DiagramAutomorphism", "DimensionCap",
+    "DiagramAutomorphism", "DimensionCap",
     "ExponentOverflow", "FoldResult", "FoldingData", "FoldingIdentityFailure",
-    "FusionTable", "IntegralityFailure", "LatticeBasis", "LeveledWeight",
+    "FusionTable", "IntegralityFailure", "LeveledWeight",
     "LieType", "MassMismatch", "MethodMismatch",
     "MixedDatum", "ModularMatrix", "NegativeCoefficient",
     "NegativeMultiplicity", "NoBuiltinAutomorphism", "NonTermination",
-    "NotAffine", "NotInteger", "NotOrthonormal", "NotSublattice",
+    "NotInteger", "NotOrthonormal", "NotSublattice",
     "RankTooLarge", "RingRecursionFailure", "RootCountMismatch",
     "SectorLabel", "SectorLabelMismatch", "SectorRuleViolation",
     "TwistfuseError", "UnknownWeight",
@@ -66,7 +65,7 @@ __all__ = [
     "branch", "build_cartan", "build_folding", "builtin_sigma", "conformal",
     "dim", "dominant_level_weights", "freudenthal",
     "fusion_table", "generate_weyl", "inner_product", "kac_walton",
-    "lattice_M", "parse_type", "symmetric_weights", "tensor_decompose",
+    "parse_type", "symmetric_weights", "tensor_decompose",
     "to_dominant", "twisted_a", "twisted_kac_walton", "twisted_sector_S",
     "twisted_verlinde", "untwisted_S", "verlinde",
 ]

@@ -1,4 +1,4 @@
-"""Root-system data: Cartan matrices, bilinear forms, and translation lattices.
+"""Root-system data: Cartan matrices, bilinear forms, and the index [M*:M].
 
 Node numbering follows Kac's tables.  Finite diagrams:
 
@@ -30,22 +30,22 @@ The Weyl-reflection kernels of the package live here, the one module that
 the columns of a Cartan matrix; `reflect_to_dominant` is the one
 reflect-to-dominant loop on a label tuple, and `orbit_walk` the one orbit
 walk, in numpy over a stack of points.  Here the loop gives the highest
-root, and the simple roots give the lattice M in closed form.  `rep` uses
-the loop for the Freudenthal lookups and the walk to spread the dominant
-multiplicities over their orbits, `weyl.to_dominant` and
+root.  `rep` uses the loop for the Freudenthal lookups and the walk to
+spread the dominant multiplicities over their orbits, `weyl.to_dominant` and
 `weyl.alcove_fold` run the loop on the finite and the affine simple roots,
 and `weyl.signed_orbit` and `weyl.coset_representatives` run the walk for
 the S-matrix kernel.  The Klimyk sum, of tensor products and branching
 alike, runs the numpy form of the reflect-to-dominant loop, `rep._reflect`,
 in `rep.klimyk_blocks`.
 
-The lattice M is written in Kac's closed form (`_translation_lattice`),
-and its index in its dual lattice is read off its Gram matrix,
-[M*:M] = det Gram(M) (`CartanDatum.M_index`): no dual lattice is built
-and no lattice basis is inverted.
+The translation lattice M of an affine datum has Kac's closed-form basis
+alpha_i / m_i, m_i = min(1, d_i) (Infinite-dimensional Lie algebras,
+section 6.5): untwisted M = nu(Q^vee), twisted (a_0 = 1, d_i >= 1) the
+root lattice.  So Gram(M)_ij = d_j A_fin[j][i] / (m_i m_j), and
+[M*:M] = det Gram(M) (`CartanDatum.M_index`); no basis of M is built.
 
-Root data, forms and lattices are exact rationals; the orbit walk runs on
-int64 label arrays.
+Root data and forms are exact rationals; the orbit walk runs on int64
+label arrays.
 """
 
 from dataclasses import dataclass
@@ -55,8 +55,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _rational as rat
-from .errors import (CheckFailed, DegenerateLattice, MixedDatum, NotAffine,
-                     NotSublattice, UnsupportedType)
+from .errors import CheckFailed, MixedDatum, NotSublattice, UnsupportedType
 
 FINITE = "finite"
 AFFINE_R1 = "affine-r1"
@@ -271,29 +270,6 @@ class LeveledWeight:
         return f"k={self.level}:{self.finite}"
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Full-rank lattice in a finite weight space; rows are basis vectors."""
-    datum: "CartanDatum"
-    basis: tuple  # tuple of coordinate tuples (Fractions), in the weight basis
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "basis",
-            tuple(tuple(Fraction(x) for x in v) for v in self.basis))
-        n = self.datum.rank
-        if len(self.basis) != n:
-            raise DegenerateLattice(f"a lattice of rank {n} needs {n} basis "
-                                    f"vectors, not {len(self.basis)}")
-        if rat.mat_det(self.basis) == 0:
-            raise DegenerateLattice(f"lattice basis {self.basis} is not full rank")
-
-    def gram(self):
-        """The Gram matrix B G B^T of the basis, on `rat.mat_mul`'s integers."""
-        return rat.mat_mul(rat.mat_mul(self.basis, self.datum.gram_weights),
-                           rat.transpose(self.basis))
-
-
 class CartanDatum:
     """Immutable bundle of root data for one finite or affine type.
 
@@ -343,21 +319,20 @@ class CartanDatum:
             covec = tuple(d_fin[i] * marks[i + 1] for i in range(self.rank))
             self.hdual = sum(self.comarks)
         self.theta = Weight(self.finite, tuple(int(x) for x in theta_labels))
-        _require(all(Fraction(x).denominator == 1 for x in covec), "theta_covec not integral")
-        self.theta_covec = tuple(int(x) for x in covec)
+        _require(all(Fraction(x).denominator == 1 for x in covec), "theta covector not integral")
         if type_.kind == FINITE:
-            self.comarks = self.theta_covec
-        self.M_basis = _translation_lattice(self) if type_.kind != FINITE else None
+            self.comarks = tuple(int(x) for x in covec)
         _check_invariants(self)
 
     @cached_property
     def M_index(self):
-        """The index [M*:M] = det Gram(M) (affine data only), computed on
-        first use.  Gram(M) holds the coordinates of M's basis in the dual
-        basis of M*, so M lies in M* exactly when Gram(M) is integral
-        (NotSublattice), and its determinant is then the index.  The S- and
-        a-matrix normalisations of every level read it."""
-        gram = self.M_basis.gram()
+        """[M*:M] = det Gram(M) on first use, Gram(M) on Kac's basis
+        alpha_i / min(1, d_i) of M (module docstring; a finite X_l reads
+        that of X_l^(1)).  M lies in M* exactly when Gram(M) is integral
+        (NotSublattice).  The S- and a-matrix normalisations read it."""
+        a, d, n = self.A_fin, self.d_fin, range(self.rank)
+        m = [min(x, 1) for x in d]
+        gram = [[d[j] * a[j][i] / (m[i] * m[j]) for j in n] for i in n]
         if any(x.denominator != 1 for row in gram for x in row):
             raise NotSublattice(f"{self.type}: Gram(M) is not integral, so M "
                                 f"is not contained in its dual lattice")
@@ -502,22 +477,3 @@ def inner_product(lam, mu):
     g = lam.datum.gram_weights
     return sum(lam.coords[i] * g[i][j] * mu.coords[j]
                for i in range(len(lam.coords)) for j in range(len(mu.coords)))
-
-
-def _translation_lattice(datum):
-    """Lattice M in Kac's closed form (Infinite-dimensional Lie algebras,
-    section 6.5), on the basis alpha_i / min(1, d_i).  Untwisted, M is
-    nu(Q^vee), and nu(alpha_i^vee) = alpha_i / d_i moves only the short
-    roots; every supported twisted type has a_0 = 1 and d_i >= 1, and M is
-    the root lattice.  test_cartan.test_closed_form_M_is_theta_orbit_span
-    checks it against the span of the Weyl orbit of theta."""
-    return LatticeBasis(datum.finite, tuple(
-        tuple(Fraction(x) / min(d, 1) for x in alpha)
-        for alpha, d in zip(simple_roots(datum.A_fin), datum.d_fin)))
-
-
-def lattice_M(datum):
-    """Translation lattice of the affine Weyl group, in finite weight coords."""
-    if not datum.is_affine():
-        raise NotAffine(f"{datum.type} is not affine")
-    return datum.M_basis

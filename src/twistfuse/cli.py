@@ -5,7 +5,8 @@ declares only the options it reads, unabbreviated; any other exits 2.
 fusion's `--parallelism` is read by nothing and stays only because the
 benchmark's self-test passes it.  Every unitarity exit code reads the one
 `fusion.UNITARITY_TOLERANCE`.  JSON goes to stdout, diagnostics to stderr.
-Exit codes: 0 success, 1 bad input, 2 failed check.  `smatrix.compact_json`
+Exit codes: 0 success, 1 bad input, 2 failed check.  A `--twist-order` on
+a call that computes nothing twisted is bad input.  `smatrix.compact_json`
 writes every JSON document, S-matrix blocks included (as float64 arrays),
 and `Weight.to_json` every list of Dynkin labels.  A fusion table is
 written one first-slot plane at a time (`FusionTable.json_chunks`).
@@ -335,6 +336,13 @@ def main(argv=None):
     try:
         if getattr(args, "level", 0) < 0:
             raise ValueError("level must be >= 0")
+        # fold-info and branch are always twisted, fusion also by a pattern
+        # with a twisted slot.
+        if getattr(args, "twist_order", 0) and not (
+                args.command in ("fold-info", "branch") or args.twist == "diagram"
+                or args.command == "fusion" and any(parse_pattern(args.pattern))):
+            raise ValueError("--twist-order needs a twisted call: --twist "
+                             "diagram, or a fusion pattern other than 1,1,1")
         return commands[args.command](args)
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)

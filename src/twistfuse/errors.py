@@ -18,18 +18,10 @@ class MixedDatum(TwistfuseError):
     """Operands belong to different Cartan data."""
 
 
-class NotAffine(TwistfuseError):
-    """An affine datum was required."""
-
-
 class NotSublattice(CheckFailed):
     """A lattice is not contained where the normalisation needs it: M in
     its dual lattice M* (Gram(M) integral), or M^dag in phi(M') (the
     twisted symmetrizers integral)."""
-
-
-class DegenerateLattice(CheckFailed):
-    """A lattice basis is not rank-many independent vectors."""
 
 
 class RankTooLarge(TwistfuseError):

@@ -323,7 +323,8 @@ def pair_index(folding):
     """The index [phi(M'):M^dag] of the twisted a-matrix normalisation:
     the product of the twisted symmetrizers d_1 .. d_l.  M^dag and M' are
     root lattices (every supported twisted type has a_0 = 1 and d_i >= 1,
-    `cartan._translation_lattice`), and phi takes alpha'_i to
+    so Kac's basis alpha_i / min(1, d_i) of M that `CartanDatum.M_index`
+    reads is the simple roots), and phi takes alpha'_i to
     (a_c / a_vee_c) alpha^dag_c = alpha^dag_c / d_c (`_phi_label_matrix`;
     `cartan._check_invariants` gates d_c = a_vee_c / a_c).  So phi(M') has
     the basis alpha^dag_c / d_c, and it contains M^dag, with this index,

@@ -37,9 +37,11 @@ likewise reads the Gram M^H M on and above its diagonal.
 Exponents that could leave the int64 range raise ExponentOverflow.  The
 numeric field is double-precision complex: exactness lives in the integer
 exponents and counts, and a root of unity is the only floating-point value
-the kernel reads.  The checks of the conformal data, and of the lattice
-containments behind [M*:M] (`CartanDatum.M_index`) and idx_pair
-(`fold.pair_index`), raise typed errors, so python -O keeps them.  S is
+the kernel reads.  Both lattice indices come from the Cartan data, with
+no lattice basis built: [M*:M] = det Gram(M) on Kac's closed-form basis of
+M (`CartanDatum.M_index`), and idx_pair = d_1 ... d_l (`fold.pair_index`).
+Their containment checks and those of the conformal data raise typed
+errors, so python -O keeps them.  S is
 written to JSON from its distinct doubles by `compact_json`: S is symmetric
 bit for bit and the Galois action permutes its entries up to sign, so they
 are few.

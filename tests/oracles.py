@@ -249,11 +249,24 @@ def dual_lattice(rows, gram):
     return fraction_mat_inverse(tuple(zip(*mat_mul_int(rows, gram))))
 
 
+def closed_form_M(datum):
+    """Basis rows of the translation lattice M of an affine datum in Kac's
+    closed form (Infinite-dimensional Lie algebras, section 6.5), in finite
+    weight coordinates: the simple roots alpha_i, the columns of A_fin,
+    scaled by 1 / min(1, d_i).  Untwisted, M is nu(Q^vee), and
+    nu(alpha_i^vee) = alpha_i / d_i moves only the short roots; every
+    supported twisted type has a_0 = 1 and d_i >= 1, and M is the root
+    lattice.  `orbit_span_lattice` is M by its definition."""
+    a, d = datum.A_fin, datum.d_fin
+    return tuple(tuple(Fraction(row[i]) / min(d[i], 1) for row in a)
+                 for i in range(len(a)))
+
+
 def phi_transported_M(folding):
     """Basis rows of phi(M'): the basis of the adjacent lattice M' carried
     into twisted coordinates by the matrix phi, one product per vector."""
     return tuple(tuple(sum(p * x for p, x in zip(row, v)) for row in folding.phi)
-                 for v in folding.adjacent.M_basis.basis)
+                 for v in closed_form_M(folding.adjacent))
 
 
 def orbit_span_lattice(datum):

@@ -10,15 +10,15 @@ import pytest
 import twistfuse
 from twistfuse._rational import mat_vec
 from twistfuse.cartan import (AFFINE_R1, AFFINE_R2, AFFINE_R3, FINITE,
-                              LatticeBasis, LieType, build_cartan,
-                              inner_product, lattice_M, orbit_walk,
-                              parse_type, simple_roots)
-from twistfuse.errors import MixedDatum, NotAffine, UnsupportedType
+                              LieType, build_cartan, inner_product,
+                              orbit_walk, parse_type, simple_roots)
+from twistfuse.errors import MixedDatum, UnsupportedType
 from twistfuse.fold import build_folding, pair_index
 
-from oracles import (dual_lattice, highest_root_labels, inverse_times_diag,
-                     lattice_basis_rows, lattice_index, orbit_span_lattice,
-                     phi_transported_M, primitive_null_vector, weyl_orbit_set)
+from oracles import (closed_form_M, dual_lattice, highest_root_labels,
+                     inverse_times_diag, lattice_basis_rows, lattice_index,
+                     orbit_span_lattice, phi_transported_M,
+                     primitive_null_vector, weyl_orbit_set)
 from test_rational import FOLDINGS, UNTWISTED
 
 ALL_AFFINE = [
@@ -43,6 +43,14 @@ TWISTED_ADMITTED = (
     {("A", l, AFFINE_R2) for l in (3, 5, 7, 9, 11)}
     | {("D", l, AFFINE_R2) for l in range(3, 13)}
     | {("E", 6, AFFINE_R2), ("D", 4, AFFINE_R3)})
+# Every affine type of rank <= 9 that LieType admits.
+AFFINE_UP_TO_9 = (
+    [LieType("A", l, AFFINE_R1) for l in range(1, 10)]
+    + [LieType(f, l, AFFINE_R1) for f in "BC" for l in range(2, 10)]
+    + [LieType("D", l, AFFINE_R1) for l in range(4, 10)]
+    + [LieType("E", l, AFFINE_R1) for l in (6, 7, 8)]
+    + [LieType("F", 4, AFFINE_R1), LieType("G", 2, AFFINE_R1)]
+    + [LieType(*x) for x in sorted(TWISTED_ADMITTED) if x[1] <= 9])
 
 
 class TestLieType:
@@ -164,22 +172,20 @@ class TestInnerProduct:
 
 
 class TestLattices:
+    # The oracle's closed-form M, behind the M_index and pair_index tests.
     def test_lattice_m_a1(self):
         d = build_cartan(LieType("A", 1, AFFINE_R1))
-        assert lattice_M(d).basis == ((Fraction(2),),)
+        assert closed_form_M(d) == ((Fraction(2),),)
 
     def test_lattice_m_a2_index(self):
         d = build_cartan(LieType("A", 2, AFFINE_R1))
-        assert lattice_index(((1, 0), (0, 1)), lattice_M(d).basis) == 3
+        assert lattice_index(((1, 0), (0, 1)), closed_form_M(d)) == 3
 
     def test_lattice_m_d4_triality(self):
         d = build_cartan(LieType("D", 4, AFFINE_R3))
-        m = lattice_M(d)
-        assert len(m.basis) == 2  # full rank in the rank-2 weight space
-
-    def test_not_affine(self):
-        with pytest.raises(NotAffine):
-            lattice_M(build_cartan(LieType("A", 2)))
+        m = closed_form_M(d)
+        assert len(m) == 2  # full rank in the rank-2 weight space
+        assert lattice_index(((1, 0), (0, 1)), m) == 1
 
     # The oracle index behind the M_index and pair_index tests, on its
     # own: scaling, equality and a lattice that is not a sublattice.
@@ -194,10 +200,12 @@ class TestLattices:
             lattice_index(((1, 0), (0, 1)), half)
 
     def test_lattice_gates_fire_without_asserts(self):
-        # The basis checks of every lattice and the containment M in M*
-        # behind [M*:M] are typed errors that python -O keeps.
+        # The containment M in M* behind [M*:M] is a typed error that
+        # python -O keeps, and a failed M_index caches nothing.
         script = textwrap.dedent("""
-            from twistfuse.cartan import AFFINE_R1, LatticeBasis, LieType, build_cartan
+            from fractions import Fraction
+
+            from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
             from twistfuse.errors import TwistfuseError
 
             def run(call):
@@ -208,15 +216,13 @@ class TestLattices:
                 else:
                     print("no error")
 
-            d = build_cartan(LieType("A", 2))
-            run(lambda: LatticeBasis(d, ((1, 0),)))
-            run(lambda: LatticeBasis(d, ((1, 2), (2, 4))))
-            run(lambda: LatticeBasis(d, ((3, 0), (0, 3))))
-            # M spanned by the fundamental weight: (omega, omega) = 1/2.
+            # d_1 = 3/4 on A1^(1): Gram(M) = (3/4) 2 / (3/4)^2 = 8/3.
             a1 = build_cartan(LieType("A", 1, AFFINE_R1))
-            a1.M_basis = LatticeBasis(a1.finite, ((1,),))
+            true_d = a1.d_fin
+            a1.d_fin = (Fraction(3, 4),)
             run(lambda: a1.M_index)
-            a1.M_basis = LatticeBasis(a1.finite, ((2,),))
+            print("cached" if "M_index" in vars(a1) else "nothing cached")
+            a1.d_fin = true_d
             run(lambda: print(a1.M_index))
         """)
         src = os.path.dirname(os.path.dirname(twistfuse.__file__))
@@ -225,11 +231,8 @@ class TestLattices:
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        expected = [("DegenerateLattice", "needs 2 basis vectors, not 1"),
-                    ("DegenerateLattice", "not full rank"),
-                    ("no error", ""),
-                    ("NotSublattice", "A1^(1): Gram(M) is not integral"),
-                    ("2", ""), ("no error", "")]
+        expected = [("NotSublattice", "A1^(1): Gram(M) is not integral"),
+                    ("nothing cached", ""), ("2", ""), ("no error", "")]
         assert len(lines) == len(expected), lines
         for line, (name, what) in zip(lines, expected):
             assert line.startswith(name) and what in line, line
@@ -306,18 +309,16 @@ class TestLattices:
         assert dual_lattice(((2,),), d.gram_weights) == ((Fraction(1),),)
 
     def test_dual_selfdual(self):
+        # Taking the dual twice gives the lattice back.
         d = build_cartan(LieType("A", 1, AFFINE_R1))
-        m = lattice_M(d)
-        # Rank-1: the lattice scaled to norm 1 is self-dual.
-        half = LatticeBasis(d, tuple(tuple(x / 2 for x in v) for v in m.basis))
-        unim = LatticeBasis(d, tuple(tuple(2 * x for x in v) for v in half.basis))
-        assert unim.basis == m.basis
+        m = closed_form_M(d)
         g = d.gram_weights
-        assert dual_lattice(dual_lattice(m.basis, g), g) == m.basis
+        assert dual_lattice(m, g) == ((Fraction(1),),)
+        assert dual_lattice(dual_lattice(m, g), g) == m
 
     def test_dual_a2_root_to_weight(self):
         aff = build_cartan(LieType("A", 2, AFFINE_R1))
-        q = lattice_M(aff).basis  # root lattice for simply-laced
+        q = closed_form_M(aff)  # root lattice for simply-laced
         p = dual_lattice(q, aff.gram_weights)
         weight_lattice = ((1, 0), (0, 1))
         assert lattice_index(p, weight_lattice) == 1
@@ -325,12 +326,14 @@ class TestLattices:
 
     @pytest.mark.parametrize("type_", sorted(
         {LieType(f, l, AFFINE_R1) for f, l in UNTWISTED} | set(ALL_AFFINE)
-        | {LieType(*x) for x in TWISTED_ADMITTED}, key=str), ids=str)
+        | {LieType(*x) for x in TWISTED_ADMITTED} | set(AFFINE_UP_TO_9),
+        key=str), ids=str)
     def test_dual_index_is_gram_determinant(self, type_):
-        # On every type the suite builds: M_index, det Gram(M), is the
-        # index of M in the oracle's dual lattice.
+        # On every type the suite builds, and every affine type of rank
+        # <= 9: M_index, det Gram(M) from the Cartan data, is the index of
+        # the oracle's closed-form M in its dual lattice.
         d = build_cartan(type_)
-        m = lattice_M(d).basis
+        m = closed_form_M(d)
         index = d.M_index
         assert type(index) is int
         assert index == lattice_index(dual_lattice(m, d.gram_weights), m)
@@ -338,7 +341,7 @@ class TestLattices:
     @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A5", "D4", "E6"])
     def test_simply_laced_m_is_root_lattice(self, name):
         d = build_cartan(parse_type(name, AFFINE_R1))
-        m = lattice_M(d).basis
+        m = closed_form_M(d)
         l = d.rank
         roots = tuple(tuple(d.A_fin[r][i] for r in range(l)) for i in range(l))
         assert lattice_index(m, roots) == 1
@@ -349,10 +352,10 @@ class TestLattices:
     "case", [LieType(f, l, AFFINE_R1) for f, l in UNTWISTED] + FOLDINGS,
     ids=lambda c: str(c) if isinstance(c, LieType) else f"{c[0]}/{c[1]}")
 def test_closed_form_M_is_theta_orbit_span(case):
-    """lattice_M spans the lattice of its definition, the span of the Weyl
-    orbit of theta (equal HNF), on every untwisted type and on the twisted
-    and adjacent data of every folding; phi takes M' onto the lattice
-    phi(orbit span of M')."""
+    """The oracle's closed-form M spans the lattice of its definition, the
+    span of the Weyl orbit of theta (equal HNF), on every untwisted type and
+    on the twisted and adjacent data of every folding; phi takes M' onto
+    the lattice phi(orbit span of M')."""
     if isinstance(case, LieType):
         data = [build_cartan(case)]
     else:
@@ -362,7 +365,7 @@ def test_closed_form_M_is_theta_orbit_span(case):
         assert (lattice_basis_rows(phi_transported_M(f))
                 == lattice_basis_rows(expected))
     for d in data:
-        assert lattice_basis_rows(lattice_M(d).basis) == orbit_span_lattice(d)
+        assert lattice_basis_rows(closed_form_M(d)) == orbit_span_lattice(d)
 
 
 @pytest.mark.parametrize("type_,order", FOLDINGS, ids=str)
@@ -372,7 +375,7 @@ def test_pair_index_is_transported_lattice_index(type_, order):
     f = build_folding(type_, order)
     index = pair_index(f)
     assert type(index) is int
-    assert index == lattice_index(phi_transported_M(f), lattice_M(f.twisted).basis)
+    assert index == lattice_index(phi_transported_M(f), closed_form_M(f.twisted))
 
 
 UNTWISTED_FINITE = ([f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 8)]
@@ -398,7 +401,7 @@ class TestReflectionKernel:
         orbit = [tuple(p) for p in points[:, 0].tolist()]
         expected = weyl_orbit_set(d.finite.A, theta)
         assert len(orbit) == len(expected) and set(orbit) == expected
-        assert lattice_basis_rows(lattice_M(d).basis) == lattice_basis_rows(expected)
+        assert lattice_basis_rows(closed_form_M(d)) == lattice_basis_rows(expected)
 
     @pytest.mark.parametrize("name", UNTWISTED_FINITE)
     def test_untwisted(self, name):

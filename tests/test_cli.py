@@ -247,18 +247,15 @@ class TestFusionCommand:
         assert "mass 7 != expected 4" in err
 
 
-# Every gate of the library; each must exit 2 ("failed check").
-GATES = ["CheckFailed", "ConformalMismatch", "DegenerateLattice",
-         "FoldingIdentityFailure", "IntegralityFailure", "MassMismatch",
-         "MethodMismatch", "NegativeCoefficient", "NegativeMultiplicity",
-         "NotInteger", "NotSublattice", "RootCountMismatch",
-         "SectorLabelMismatch", "UnknownWeight"]
+# Every gate of the library, CheckFailed and each class of errors derived
+# from it; each must exit 2 ("failed check").
+GATES = sorted(name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.CheckFailed))
 
 
 @pytest.mark.parametrize("name", GATES)
 def test_failed_check_exit_code(capsys, monkeypatch, name):
     cls = getattr(errors, name)
-    assert issubclass(cls, errors.CheckFailed)
     exc = cls.__new__(cls)
     Exception.__init__(exc, "injected fault")
 
@@ -271,6 +268,11 @@ def test_failed_check_exit_code(capsys, monkeypatch, name):
     assert "check failed: injected fault" in err
 
 
+# A --twist-order on a call that computes nothing twisted.
+TWIST_ORDER_ALONE = ("--twist-order needs a twisted call: --twist diagram, "
+                     "or a fusion pattern other than 1,1,1")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["smatrix", "A1", "--level", "-1"], "level must be >= 0"),
     (["weights", "A1", "--level", "-1"], "level must be >= 0"),
@@ -279,11 +281,24 @@ def test_failed_check_exit_code(capsys, monkeypatch, name):
     (["fusion", "A3", "--level", "-1", "--twist", "diagram", "--pattern",
       "1,s,s"], "level must be >= 0"),
     (["branch", "A3", "1,1"], "weight '1,1' has 2 labels; A3^(1) needs 3"),
+    (["fusion", "A3", "--level", "1", "--twist-order", "3"], TWIST_ORDER_ALONE),
+    (["smatrix", "A2", "--level", "1", "--twist-order", "2"], TWIST_ORDER_ALONE),
+    (["weights", "A3", "--level", "1", "--twist-order", "7"], TWIST_ORDER_ALONE),
 ], ids=["smatrix", "weights", "fusion-table", "fusion-single", "fusion-twisted",
-        "branch-rank"])
+        "branch-rank", "fusion-twist-order", "smatrix-twist-order",
+        "weights-twist-order"])
 def test_input_checks_exit_1(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_twisted_pattern_reads_twist_order(capsys):
+    # A fusion pattern other than 1,1,1 is twisted without --twist diagram,
+    # so it reads --twist-order: D4's order-2 and order-3 tables differ.
+    calls = [run(capsys, "fusion", "D4", "--level", "1", "--pattern", "1,s,s",
+                 "--twist-order", order) for order in ("2", "3")]
+    assert [rc for rc, _, _ in calls] == [0, 0]
+    assert calls[0][1] != calls[1][1]
 
 
 def test_one_unitarity_tolerance_feeds_every_gate(capsys, monkeypatch):

@@ -16,7 +16,8 @@ from twistfuse._rational import (clear_denominators, mat_det, mat_inverse,
 from twistfuse.cartan import AFFINE_R1, FINITE, LieType, build_cartan
 from twistfuse.fold import build_folding
 
-from oracles import fraction_mat_det, fraction_mat_inverse, mat_mul_int
+from oracles import (closed_form_M, fraction_mat_det, fraction_mat_inverse,
+                     mat_mul_int)
 
 
 def all_fractions(rows):
@@ -107,10 +108,10 @@ FOLDINGS = ([(LieType("A", l, AFFINE_R1), None) for l in (3, 5, 7, 9)]
 
 def datum_matrices(datum):
     """The Cartan matrix (singular when affine), the weight-space Gram
-    matrix and the basis of the translation lattice M."""
+    matrix and the oracle's closed-form basis of the translation lattice M."""
     out = [datum.A, datum.gram_weights]
     if datum.is_affine():
-        out.append(datum.M_basis.basis)
+        out.append(closed_form_M(datum))
     return out
 
 

@@ -544,7 +544,7 @@ def test_gates_fire_without_asserts():
         import twistfuse.fusion as fusion
         import twistfuse.smatrix as smatrix
         from twistfuse import cli
-        from twistfuse.cartan import AFFINE_R1, LatticeBasis, LieType, build_cartan
+        from twistfuse.cartan import AFFINE_R1, LieType, build_cartan
         from twistfuse.errors import TwistfuseError
         from twistfuse.fold import build_folding
 
@@ -561,17 +561,19 @@ def test_gates_fire_without_asserts():
         vac = a1.leveled(1, (0,))
         fund = a1.leveled(1, (1,))
 
-        # M spanned by the fundamental weight, (omega, omega) = 1/2, so
-        # Gram(M) is not integral: M_index raises on first use, and caches
-        # nothing when it does.
-        true_M = a1.M_basis
-        a1.M_basis = LatticeBasis(a1.finite, ((1,),))
+        # d_1 = 3/4 gives Gram(M) = (3/4) 2 / (3/4)^2 = 8/3, not integral:
+        # M_index raises on first use, and caches nothing when it does.
+        true_d = a1.d_fin
+        a1.d_fin = (Fraction(3, 4),)
         run(lambda: smatrix.untwisted_S(a1, 2))
         print("exit", cli.main(["smatrix", "A1", "--level", "2"]))
-        a1.M_basis = true_M
+        a1.d_fin = true_d
 
         # A twisted symmetrizer 3/2: M^dag is then not inside phi(M').
+        # [M*:M] is read once per datum, here from the true symmetrizers,
+        # so the patch reaches pair_index's gate and not M_index's.
         tw = a3.twisted
+        tw.M_index
         true_d = tw.d_fin
         tw.d_fin = true_d[:-1] + (Fraction(3, 2),)
         run(lambda: smatrix.twisted_a(a3, 1))
