@@ -47,7 +47,7 @@ from operator import mul
 
 import numpy as np
 
-from .cartan import LeveledWeight, simple_roots
+from .cartan import AFFINE_R1, LeveledWeight, simple_roots
 from .errors import (MethodMismatch, NegativeCoefficient, NegativeMultiplicity,
                      NotInteger, NotOrthonormal, RingRecursionFailure,
                      SectorRuleViolation, UnknownWeight, UnsupportedSectorPattern)
@@ -277,7 +277,11 @@ def kac_walton(affine_datum, k, lam1, lam2, lam3):
 def kac_walton_row(affine_datum, k, lam1, lam2):
     """All coefficients N_{lam1, lam2}^{*} at once; keys are label tuples.
     One pair of `_klimyk_fold`, over the weights of the smaller factor.
-    Every label must be a level-k dominant weight (ValueError)."""
+    The datum must be untwisted, and every label a level-k dominant weight
+    (ValueError)."""
+    if affine_datum.type.kind != AFFINE_R1:
+        raise ValueError(f"kac_walton needs an untwisted affine datum, "
+                         f"not {affine_datum.type}")
     for lw in (lam1, lam2):
         require_level_label(affine_datum, k, lw)
     fin = affine_datum.finite

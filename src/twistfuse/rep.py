@@ -190,7 +190,7 @@ def _ip(fin, u, v):
 
 
 def dim(datum, lam):
-    """Weyl dimension formula, exact integer."""
+    """Weyl dimension formula, exact integer; lam must be dominant (`_dominant`)."""
     coords = tuple(lam.coords) if isinstance(lam, Weight) else tuple(lam)
     return _dim(datum.finite, coords)
 
@@ -199,6 +199,8 @@ def dim(datum, lam):
 def _dim(fin, coords):
     """prod (lam + rho, alpha) / prod (rho, alpha) over the positive roots,
     as one exact integer quotient."""
+    # On a miss only (a ValueError is not cached), and the key is not copied.
+    _dominant(coords)
     table = root_table(fin)
     num = 1
     for ga in table.gram_alpha:

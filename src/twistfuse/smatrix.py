@@ -55,7 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _rational as rat
-from .cartan import LeveledWeight
+from .cartan import AFFINE_R1, LeveledWeight
 from .errors import ConformalMismatch, ExponentOverflow
 from .fold import pair_index, phi_apply_shifted, symmetric_weights
 from .rep import dominant_level_weights, require_level_label, _gram_int, _ip
@@ -94,7 +94,7 @@ def conformal(affine_datum, k, lam):
     # to the twisted types; on untwisted data the two agree exactly.
     c = 12 * k * rho_norm / (t * affine_datum.hdual)
     where = f"{affine_datum.type} level {k}, weight {coords}"
-    if (affine_datum.type.kind == "affine-r1"
+    if (affine_datum.type.kind == AFFINE_R1
             and c != Fraction(k * affine_datum.dim_adjoint(), t)):
         raise ConformalMismatch(f"{where}: central charge {c} fails the "
                                 f"strange formula")
@@ -423,7 +423,7 @@ def untwisted_S(affine_datum, k, cols=None):
     each cell is its own exact count and contraction, so they equal the
     same columns of the full S bit for bit, at a fraction of its cost.
     """
-    if affine_datum.type.kind != "affine-r1":
+    if affine_datum.type.kind != AFFINE_R1:
         raise ValueError(f"untwisted_S needs an untwisted affine datum, "
                          f"not {affine_datum.type}")
 

@@ -321,7 +321,7 @@ def test_one_unitarity_tolerance_feeds_every_gate(capsys, monkeypatch):
     assert (rc, out) == (2, "") and "off orthonormal" in err
     rc, _, err = run(capsys, "selfcheck")
     assert rc == 2
-    assert "selfcheck failed at: smatrix-unitarity\n" in err
+    assert "selfcheck failed at: untwisted-tables\n" in err
 
 
 # The options each command declares: exactly those it reads, 14 slots.
@@ -375,7 +375,7 @@ def test_each_command_declares_the_options_it_reads(capsys, monkeypatch):
         monkeypatch.setattr(cli_mod, fn.__name__,
                             lambda args, _fn=fn, _seen=read[name]:
                             _fn(Recorder(args, _seen)))
-    monkeypatch.setattr(cli_mod, "_selfcheck_properties", lambda grid: [])
+    monkeypatch.setattr(cli_mod, "_selfcheck_properties", lambda: [])
     for argv in READING_CALLS:
         assert main(argv) == 0, argv
     capsys.readouterr()
@@ -494,30 +494,42 @@ class TestOtherCommands:
         rc, _, err = run(capsys, "selfcheck")
         assert rc == 0
         assert "selfcheck passed" in err
+        checks = [line.split()[1] for line in err.splitlines()
+                  if line.startswith("PASS ")]
+        assert checks == ["untwisted-tables", "twisted-tables",
+                          "folding-identities-and-anomaly"]
 
     def test_selfcheck_surfaces_fold_bug(self, capsys, monkeypatch):
-        import twistfuse.cli as cli_mod
         from twistfuse.errors import UnrecognizedFoldedType
 
-        def broken(grid):
+        def broken(type_, order=None):
             raise UnrecognizedFoldedType("corrupted table fixture")
 
-        monkeypatch.setattr(cli_mod, "_check_twisted_a", broken)
+        monkeypatch.setattr(cli_mod, "build_folding", broken)
         rc, _, err = run(capsys, "selfcheck")
         assert rc == 2
         assert "corrupted table fixture" in err
+        assert "selfcheck failed at: twisted-tables\n" in err
 
     def test_selfcheck_gates_survive_without_asserts(self):
+        # A 1,s,s table whose two routes agree on a wrong vacuum plane.
         script = ("import sys\n"
                   "import twistfuse.cli as cli\n"
-                  "cli.twisted_verlinde = lambda *args, **kw: 0\n"
+                  "real = cli.fusion_table\n"
+                  "def wrong(source, k, pattern):\n"
+                  "    table = real(source, k, pattern)\n"
+                  "    if pattern == '1,s,s':\n"
+                  "        table.N[0] = 1 - table.N[0]\n"
+                  "    return table\n"
+                  "cli.fusion_table = wrong\n"
                   "sys.exit(cli.main(['selfcheck']))\n")
         src = os.path.dirname(os.path.dirname(twistfuse.__file__))
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True, timeout=120,
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 2, proc.stderr
-        assert "selfcheck failed at: vacuum-unit-laws" in proc.stderr
+        assert "vacuum unit law failed" in proc.stderr
+        assert "selfcheck failed at: twisted-tables" in proc.stderr
 
     def test_byte_determinism(self, capsys):
         _, out1, _ = run(capsys, "fusion", "A2", "--level", "2")

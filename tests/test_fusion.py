@@ -82,6 +82,19 @@ class TestVerlinde:
         assert verlinde(untwisted_S(base, 2, (one, vac)), vac, one, one) == 1
 
 
+def test_kac_walton_needs_an_untwisted_datum():
+    # As untwisted_S and fusion_table: kac_walton gave 1 for the A3^(2)
+    # labels below.
+    twisted = build_cartan(LieType("A", 3, AFFINE_R2))
+    omega, vac = twisted.leveled(1, (1, 0)), twisted.leveled(1, (0, 0))
+    with pytest.raises(ValueError, match="kac_walton needs an untwisted affine datum"):
+        kac_walton(twisted, 1, omega, omega, vac)
+    with pytest.raises(ValueError, match="kac_walton needs an untwisted affine datum"):
+        kac_walton_row(twisted, 1, omega, omega)
+    with pytest.raises(ValueError, match="needs an untwisted affine datum"):
+        fusion_table(twisted, 1)
+
+
 def corrupt_kernel(monkeypatch, affine, hit):
     """Patch fusion._klimyk_fold to add 1 to the cells hit(pairs, thirds) of
     its calls over affine, among the nonzero cells of its rows: cell x is

@@ -433,6 +433,16 @@ class TestDim:
                  for i, p in enumerate(pts) for q in pts[i + 1:]]
         assert dim(d, (0, 1, 0)) == len(wedge) == 6
 
+    @pytest.mark.parametrize("coords", [(-4, 0), (-3, 0), (0, -5), (-1, 0)])
+    def test_non_dominant_weight_is_a_value_error(self, coords):
+        # As for freudenthal and tensor_decompose; the Weyl formula gave
+        # 3, 1 and 6 for the first three, and IntegralityFailure, a failed
+        # check, for (-1, 0).
+        d = build_cartan(LieType("A", 2))
+        for lam in (coords, d.weight(coords)):
+            with pytest.raises(ValueError, match="must be dominant"):
+                dim(d, lam)
+
 
 class TestTensor:
     def test_a1_clebsch_gordan(self):

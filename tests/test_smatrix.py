@@ -429,14 +429,13 @@ class TestUpperTriangle:
 
 class TestUnitarityDefect:
     def test_equals_the_full_gram_on_the_default_grid(self):
-        grid = cli.GRID
+        # The selfcheck grid, from level 0: S of each untwisted entry, the
+        # twisted a of each folding.
         matrices = [untwisted_S(build_cartan(parse_type(name, AFFINE_R1)), k)
-                    for name, kmax in grid["untwisted"]
-                    for k in range(1, kmax + 1)]
-        matrices += [twisted_a(build_folding(parse_type(name, AFFINE_R1),
-                                             order or None), k)
-                     for name, order, kmax in grid["foldings"]
-                     for k in range(1, kmax + 1)]
+                    if order is None else
+                    twisted_a(build_folding(parse_type(name, AFFINE_R1), order), k)
+                    for name, order, kmax in cli.SELFCHECK_GRID
+                    for k in range(kmax + 1)]
         for m in matrices:
             assert m.unitarity_defect() == full_gram_unitarity_defect(m.entries)
 

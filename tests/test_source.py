@@ -89,6 +89,38 @@ def test_no_dead_module_names():
     assert not dead, f"module-level names no code reads: {dead}"
 
 
+def _unused_imports(path):
+    """The names a module imports and never reads.  A re-export in the
+    module's `__all__` counts as read, and so does an import whose line
+    carries `# noqa: F401` (imported for its side effect)."""
+    text = path.read_text()
+    tree = ast.parse(text, str(path))
+    lines = text.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield f"{path.name}: {name}"
+
+
+def test_no_unused_imports():
+    # An import that no line of its module reads is left over from code
+    # that moved or went away.
+    paths = sorted(Path(twistfuse.__file__).parent.glob("*.py"))
+    assert paths, "no module found"
+    unused = [site for path in paths for site in _unused_imports(path)]
+    assert not unused, f"imported names their module never reads: {unused}"
+
+
 def test_traced_names_exist():
     # The benchmark's tracer wraps package functions by name, and a traced
     # run that misses one reports correct: false.
