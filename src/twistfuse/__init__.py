@@ -30,7 +30,7 @@ from .errors import (CheckFailed, ConformalMismatch, DimensionCap,
                      ExponentOverflow, FoldingIdentityFailure,
                      IntegralityFailure, MassMismatch, MethodMismatch, MixedDatum,
                      NegativeCoefficient, NegativeMultiplicity,
-                     NoBuiltinAutomorphism, NonTermination, NotInteger,
+                     NoBuiltinAutomorphism, NotInteger,
                      NotOrthonormal, NotSublattice, RankTooLarge,
                      RingRecursionFailure, RootCountMismatch, SectorLabelMismatch,
                      SectorRuleViolation, TwistfuseError, UnknownWeight,
@@ -44,24 +44,24 @@ from .rep import (DecompTable, WeightSystem, branch, dim,
                   dominant_level_weights, freudenthal, tensor_decompose)
 from .smatrix import (ConformalData, ModularMatrix, conformal, twisted_a,
                       twisted_sector_S, untwisted_S)
-from .weyl import FoldResult, WeylGroup, alcove_fold, generate_weyl, to_dominant
+from .weyl import alcove_fold, generate_weyl, to_dominant
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CartanDatum", "CheckFailed", "ConformalData", "ConformalMismatch", "DecompTable",
     "DiagramAutomorphism", "DimensionCap",
-    "ExponentOverflow", "FoldResult", "FoldingData", "FoldingIdentityFailure",
+    "ExponentOverflow", "FoldingData", "FoldingIdentityFailure",
     "FusionTable", "IntegralityFailure", "LeveledWeight",
     "LieType", "MassMismatch", "MethodMismatch",
     "MixedDatum", "ModularMatrix", "NegativeCoefficient",
-    "NegativeMultiplicity", "NoBuiltinAutomorphism", "NonTermination",
+    "NegativeMultiplicity", "NoBuiltinAutomorphism",
     "NotInteger", "NotOrthonormal", "NotSublattice",
     "RankTooLarge", "RingRecursionFailure", "RootCountMismatch",
     "SectorLabel", "SectorLabelMismatch", "SectorRuleViolation",
     "TwistfuseError", "UnknownWeight",
     "UnrecognizedFoldedType", "UnsupportedSectorPattern",
-    "UnsupportedType", "Weight", "WeightSystem", "WeylGroup", "alcove_fold",
+    "UnsupportedType", "Weight", "WeightSystem", "alcove_fold",
     "branch", "build_cartan", "build_folding", "builtin_sigma", "conformal",
     "dim", "dominant_level_weights", "freudenthal",
     "fusion_table", "generate_weyl", "inner_product", "kac_walton",

@@ -31,12 +31,12 @@ the columns of a Cartan matrix; `reflect_to_dominant` is the one
 reflect-to-dominant loop on a label tuple, and `orbit_walk` the one orbit
 walk, in numpy over a stack of points.  Here the loop gives the highest
 root.  `rep` uses the loop for the Freudenthal lookups and the walk to
-spread the dominant multiplicities over their orbits, `weyl.to_dominant` and
-`weyl.alcove_fold` run the loop on the finite and the affine simple roots,
-and `weyl.signed_orbit` and `weyl.coset_representatives` run the walk for
-the S-matrix kernel.  The Klimyk sum, of tensor products and branching
-alike, runs the numpy form of the reflect-to-dominant loop, `rep._reflect`,
-in `rep.klimyk_blocks`.
+spread the dominant multiplicities over their orbits, `weyl.to_dominant`
+runs the loop on the finite simple roots, and `weyl.signed_orbit`,
+`weyl.coset_representatives` and `weyl.generate_weyl` run the walk.  The
+numpy form of the loop, `rep._reflect`, runs on the finite simple roots in
+the Klimyk sum of `rep.klimyk_blocks`, and on the affine ones in
+`weyl.alcove_fold`, the one alcove fold.
 
 The translation lattice M of an affine datum has Kac's closed-form basis
 alpha_i / m_i, m_i = min(1, d_i) (Infinite-dimensional Lie algebras,

@@ -25,7 +25,7 @@ class NotSublattice(CheckFailed):
 
 
 class RankTooLarge(TwistfuseError):
-    """Weyl group generation would exceed the configured caps."""
+    """|W| would pass `weyl.ELEMENT_CAP`, a module constant no option sets."""
 
 
 class ExponentOverflow(TwistfuseError):
@@ -33,7 +33,7 @@ class ExponentOverflow(TwistfuseError):
 
 
 class DimensionCap(TwistfuseError):
-    """A representation exceeds the configured dimension bound."""
+    """A dimension passes `rep.DIMENSION_CAP`, a module constant no option sets."""
 
 
 class NegativeMultiplicity(CheckFailed):
@@ -82,11 +82,6 @@ class NoBuiltinAutomorphism(TwistfuseError):
 
 class UnrecognizedFoldedType(TwistfuseError):
     """The orbit Cartan matrix matches no supported affine type."""
-
-
-class NonTermination(TwistfuseError):
-    """Alcove folding was asked for at a level t = k + h^vee <= 0, where the
-    reflection walk need not end."""
 
 
 class NotInteger(CheckFailed):

@@ -16,17 +16,18 @@ labels, represent one fusion ring (the twisted Verlinde formula
 diagonalises both by S_{lam mu} / S_{0 mu}), so Klimyk runs for the
 fundamental weights only and a recursion in the ring gives every other
 label.  Klimyk is `_klimyk_fold`, over blocks of pairs: the gated blocks of
-the package's one Klimyk sum, `rep.klimyk_blocks`, then one alcove fold per
-distinct component.  `kac_walton_row` and `twisted_kac_walton_row` are
-one-pair calls of it.  Every Verlinde sum, the untwisted one being the
-twisted one with g = 1, reads S-matrix blocks whose columns `_gated` gates
-orthonormal: those of `SectorMatrices` (the full S of a datum; or S on the
-sigma-stable columns and the twisted-sector block of a folding), which
-`_sector_matrices` caches for the last 8 (source, level) pairs, or the
-columns of S, the vacuum's and its labels', that `coefficient` builds for
-`verlinde`.  `FusionTable.json_chunks` and `text_chunks` yield the output
-one first-slot plane at a time, so the array, not its text, sets the peak
-memory of a table; `to_json` and `to_text` join them.  Both splice each
+the package's one Klimyk sum, `rep.klimyk_blocks`, then one alcove fold
+(`weyl.alcove_fold`) per distinct component.  `kac_walton_row` and
+`twisted_kac_walton_row` are one-pair calls of it.  Every Verlinde sum,
+the untwisted one being the twisted one with g = 1, reads S-matrix blocks
+whose columns `_gated` gates orthonormal: those of `SectorMatrices` (the
+full S of a datum; or S on the sigma-stable columns and the twisted-sector
+block of a folding), which `_sector_matrices` caches for the last 8
+(source, level) pairs, or the columns of S, the vacuum's and its labels',
+that `coefficient` builds for `verlinde`.  `FusionTable.json_chunks` and
+`text_chunks` yield the output one first-slot plane at a time, so the
+array, not its text, sets the peak memory of a table; `to_json` and
+`to_text` join them.  Both splice each
 row from its (m1, m2) prefix and per-value tails: the tail of every
 third-slot label and every value of N is formatted once per table, each
 slot label encoded once, and one fancy index picks the tails of a plane.
@@ -47,7 +48,7 @@ from operator import mul
 
 import numpy as np
 
-from .cartan import AFFINE_R1, LeveledWeight, simple_roots
+from .cartan import AFFINE_R1, LeveledWeight
 from .errors import (MethodMismatch, NegativeCoefficient, NegativeMultiplicity,
                      NotInteger, NotOrthonormal, RingRecursionFailure,
                      SectorRuleViolation, UnknownWeight, UnsupportedSectorPattern)
@@ -55,6 +56,7 @@ from . import _rational as rat, rep
 from .rep import dim, dominant_level_weights, require_level_label
 from .smatrix import (UNTWISTED_S, _label_json, compact_json, twisted_sector_S,
                       untwisted_S)
+from .weyl import alcove_fold
 
 INTEGER_TOLERANCE = 1e-6
 UNITARITY_TOLERANCE = 1e-9
@@ -220,15 +222,6 @@ def verlinde(s_matrix, lam1, lam2, lam3):
     return int(_verlinde_blocks(a, b, c, vac[0])[0, 0, 0])
 
 
-def _alcove(affine, k, shifted):
-    """`weyl.alcove_fold` of each row of rho-shifted labels, by `rep._reflect` on
-    (x0, x) with the affine simple roots.  Returns (signs, folded labels)."""
-    x0 = k + affine.hdual - shifted @ np.array(affine.comarks[1:], dtype=np.int64)
-    labels = np.column_stack([x0, shifted])
-    signs = rep._reflect(labels, np.array(simple_roots(affine.A), dtype=np.int64))
-    return signs, labels[:, 1:]
-
-
 def _klimyk_fold(affine, k, index, bases, systems, b, s):
     """Kac-Walton coefficients of the pairs (bases[b[p]], systems[s[p]]):
     each distinct component of the gated `rep.klimyk_blocks` is folded into
@@ -253,8 +246,8 @@ def _klimyk_fold(affine, k, index, bases, systems, b, s):
 
 def _fold_labels(affine, k, index, shifted):
     """(sign, third-slot index) of each rho-shifted component folded into the
-    alcove; UnknownWeight for a fold outside index."""
-    signs, folded = _alcove(affine, k, np.array(shifted, dtype=np.int64))
+    alcove by `weyl.alcove_fold`; UnknownWeight for a fold outside index."""
+    signs, folded = alcove_fold(affine, k, np.array(shifted, dtype=np.int64))
     out = np.zeros((len(signs), 2), dtype=np.int64)
     out[:, 0] = signs
     for x, y in zip(np.flatnonzero(signs).tolist(), folded[signs != 0].tolist()):

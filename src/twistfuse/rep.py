@@ -324,8 +324,9 @@ _POINTS = 1 << 11
 
 def _reflect(points, simple):
     """`cartan.reflect_to_dominant` on each row of the int64 array points, in
-    place, with the simple roots as the rows of simple.  Returns the signs:
-    the parity of the reflections, 0 for a row that ends on a wall."""
+    place, with the simple roots as the rows of simple: the finite ones in
+    the Klimyk sum, the affine ones in `weyl.alcove_fold`.  Returns the
+    signs: the parity of the reflections, 0 for a row that ends on a wall."""
     signs = np.ones(len(points), dtype=np.int64)
     live = np.flatnonzero(points.min(axis=1) < 0)
     while live.size:

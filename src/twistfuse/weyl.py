@@ -1,5 +1,5 @@
-"""Finite Weyl groups, signed orbits, dominant reduction, and signed alcove
-folding.
+"""Finite Weyl groups, signed orbits, dominant reduction, and the signed
+alcove fold.
 
 Group elements are integer matrices acting on Dynkin-label coordinates;
 the simple reflection r_i subtracts coordinate i times column i of the
@@ -15,74 +15,33 @@ same walk down from the last fundamental weight, carrying the identity
 rows, and returns the minimal representatives of the cosets u W_J, J all
 nodes but the last, as matrices with their signs: the S-matrix kernel
 factors W = W^J W_J with them and never walks the whole group.
-`generate_weyl` materialises W from the same walk, of the identity rows
-steered by rho, behind the same priced gate; no kernel reads it, and it is
-kept as documented scalar API.
-`to_dominant` and `alcove_fold` run
-`cartan.reflect_to_dominant`: the first on the finite simple roots, the
-second on the columns of the affine Cartan matrix, which reduces a
-rho-shifted weight into the interior of the fundamental alcove at level
-t = k + h^vee, tracking the sign of the finite Weyl component
-(translations are even).  Both work on one weight at a time.  The
-vectorised form of the same walk is `rep._reflect`: the Klimyk sum of
-`rep.klimyk_blocks` runs it on the finite simple roots, and the fusion
-tables fold with it in `fusion`, for which `alcove_fold` is the scalar
-reference in the tests.
+`generate_weyl` is the same walk steered by rho: all of W, in the same
+format, behind the same priced gate; no kernel reads it.  `to_dominant`
+runs `cartan.reflect_to_dominant` on the finite simple roots, one weight
+at a time.  `alcove_fold` is the package's one alcove fold, of a stack of
+rho-shifted weights by `rep._reflect`, the numpy form of that loop, on the
+affine simple roots; the fusion tables fold every Klimyk component with it.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
 from .cartan import Weight, orbit_walk, reflect_to_dominant, simple_roots
-from .errors import CheckFailed, NonTermination, RankTooLarge
-from .rep import root_table
+from .errors import RankTooLarge
+from .rep import _reflect, root_table
 
 ELEMENT_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class WeylGroup:
-    datum: object                # finite CartanDatum
-    elements: tuple              # integer matrices (tuples of row tuples)
-    signs: tuple                 # epsilon(w) = (-1)^{l(w)}
-
-    def __len__(self):
-        return len(self.elements)
-
-    def to_json_dict(self):
-        l = self.datum.rank
-        gens = [_reflection_matrix(self.datum.A, i) for i in range(l)]
-        return {"type": str(self.datum.type), "order": len(self.elements),
-                "generators": [[list(r) for r in g] for g in gens]}
-
-
-def _reflection_matrix(a_fin, i):
-    l = len(a_fin)
-    return tuple(
-        tuple((1 if r == c else 0) - (a_fin[r][i] if c == i else 0)
-              for c in range(l))
-        for r in range(l))
-
-
 def generate_weyl(datum):
-    """Materialise the finite Weyl group of datum's finite part, the
-    identity first, by one `cartan.orbit_walk` of the identity rows with
-    rho appended as the steering last row.  rho is regular, so each w comes
-    once, at level l(w), with sign (-1)^l(w), and its rows w omega_j are
-    the columns of its matrix.  Raises RankTooLarge, before any point is
-    made, when |W| exceeds ELEMENT_CAP.
+    """All of the finite Weyl group of datum's finite part, the identity
+    first, as (mats, signs) in the format of `coset_representatives`: the
+    walk is steered by rho, which is regular, so each w comes once, at
+    level l(w).  Raises RankTooLarge, before any point is made, when |W|
+    exceeds ELEMENT_CAP.
     """
-    fin = datum.finite
-    _check_element_cap(fin)
-    l = fin.rank
-    start = np.vstack([np.eye(l, dtype=np.int64), np.ones((1, l), dtype=np.int64)])
-    points, depth, _ = orbit_walk(simple_roots(fin.A), start[None])
-    mats = points[:, :l].transpose(0, 2, 1).tolist()
-    return WeylGroup(fin, tuple(tuple(map(tuple, m)) for m in mats),
-                     tuple(((-1) ** depth).tolist()))
+    return _walk_identity(datum, np.ones(datum.finite.rank, dtype=np.int64))
 
 
 @lru_cache(maxsize=64)
@@ -157,19 +116,28 @@ def coset_representatives(datum):
     omega, so u -> u omega is a bijection onto its orbit, and the walk down
     from omega reaches u omega at level l(u): a positive label i of
     u omega means l(r_i u) > l(u) with r_i u again minimal, a zero label
-    means r_i u lies in u W_J.  The walk carries the identity rows, whose
-    last row is omega and steers, so row j of point u is u omega_j, column
-    j of the matrix U of u.
+    means r_i u lies in u W_J.  The walk (`_walk_identity`) carries the
+    identity rows, steered by omega, so row j of point u is u omega_j,
+    column j of the matrix U of u.
 
     Returns (mats, signs): mats (|W| / |W_J|, rank, rank) int64 with
     u(lam) = U @ lam, signs (-1)^l(u).  Raises RankTooLarge, before any
     point is made, when |W| exceeds ELEMENT_CAP.
     """
+    return _walk_identity(datum, np.eye(datum.finite.rank, dtype=np.int64)[-1])
+
+
+def _walk_identity(datum, steer):
+    """One `cartan.orbit_walk` of the identity rows with the label vector
+    steer appended as the steering last row.  Row j of point w is
+    w omega_j, column j of the matrix W of w.  Returns (mats, signs): mats
+    (points, rank, rank) int64 with w(lam) = W @ lam, signs (-1)^l(w).
+    """
     fin = datum.finite
     _check_element_cap(fin)
-    points, depth, _ = orbit_walk(simple_roots(fin.A),
-                                  np.eye(fin.rank, dtype=np.int64)[None])
-    return points.transpose(0, 2, 1), (-1) ** depth
+    start = np.vstack([np.eye(fin.rank, dtype=np.int64), steer])
+    points, depth, _ = orbit_walk(simple_roots(fin.A), start[None])
+    return points[:, :fin.rank].transpose(0, 2, 1), (-1) ** depth
 
 
 def to_dominant(datum, lam):
@@ -183,32 +151,23 @@ def to_dominant(datum, lam):
     return Weight(lam.datum, labels), sign
 
 
-@dataclass(frozen=True)
-class FoldResult:
-    sign: int                    # -1, 0, +1
-    rep: object                  # Weight, or None when sign == 0
+def alcove_fold(affine, k, shifted):
+    """Fold each row of shifted, an int64 array (n, rank) of rho-shifted
+    finite labels, into the open alcove at level t = k + h^vee.
 
-    def __post_init__(self):
-        if (self.sign == 0) != (self.rep is None):
-            raise CheckFailed(f"fold sign {self.sign} with representative {self.rep}")
-
-
-def alcove_fold(affine_datum, k, x):
-    """Fold the rho-shifted weight x into the open alcove at t = k + h^vee.
-
-    The affine labels are (x0, x) with x0 = t minus the comark-weighted sum
-    of the finite labels; `reflect_to_dominant` walks them with the columns
-    of the affine Cartan matrix, which keep the level because comarks . A
-    = 0.  Returns sign 0 when the terminal point lies on a wall.  At t > 0
-    each reflection crosses one of the finitely many walls between x and the
-    alcove, so the walk ends; at t <= 0 it need not, and NonTermination is
-    raised before it starts.
+    The affine labels (x0, x), x0 = t minus the comark-weighted sum of x,
+    are walked by `rep._reflect` with the columns of the affine Cartan
+    matrix, which keep the level because comarks . A = 0; the sign is that
+    of the finite Weyl component (translations are even).  At t > 0 each
+    reflection crosses one of the finitely many walls between a point and
+    the alcove, so the walk ends; k < 0 raises ValueError before it starts,
+    as in `rep.dominant_level_weights`.  Returns (signs, folded labels),
+    sign 0 for a row that ends on a wall.
     """
-    if not affine_datum.is_affine():
-        raise ValueError(f"alcove folding needs an affine datum, not {affine_datum.type}")
-    t = k + affine_datum.hdual
-    if t <= 0:
-        raise NonTermination(f"alcove folding at level t = {t} <= 0 need not end")
-    x0 = t - sum(map(mul, affine_datum.comarks[1:], x.coords))
-    labels, sign = reflect_to_dominant(simple_roots(affine_datum.A), (x0, *x.coords))
-    return FoldResult(sign, Weight(x.datum, labels[1:]) if sign else None)
+    if not affine.is_affine() or k < 0:
+        raise ValueError(f"alcove folding needs an affine datum and k >= 0, "
+                         f"not {affine.type} at level {k}")
+    x0 = k + affine.hdual - shifted @ np.array(affine.comarks[1:], dtype=np.int64)
+    labels = np.column_stack([x0, shifted])
+    signs = _reflect(labels, np.array(simple_roots(affine.A), dtype=np.int64))
+    return signs, labels[:, 1:]

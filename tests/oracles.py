@@ -5,15 +5,18 @@ closed forms, exhaustive enumeration) without calling the code paths under
 test, so an agreement is meaningful.  The scalar Kac-Walton rows and the
 branching reference decompose a character product or restriction by
 peeling off highest weights with `rep.freudenthal`, and fold with
-`weyl.alcove_fold`; the library's Klimyk kernel and its vectorised fold
-are used by neither.  The per-pair Kac-Walton table drivers are the one
-exception: they run the library's Klimyk kernel once per pair of labels,
-the reference for the fusion-ring recursion that builds the tables.
+`scalar_alcove_fold`; the library's Klimyk kernel and its alcove fold,
+`weyl.alcove_fold`, are used by neither.  The per-pair Kac-Walton table
+drivers are the one exception: they run the library's Klimyk kernel once
+per pair of labels, the reference for the fusion-ring recursion that
+builds the tables.
 """
 
+import functools
 import itertools
 import json
 import math
+import types
 from fractions import Fraction
 
 
@@ -279,13 +282,15 @@ def orbit_span_lattice(datum):
     return rows
 
 
+@functools.lru_cache(maxsize=None)
 def weyl_lengths(a_fin, nodes=None):
     """{element: length} of the Weyl group of the finite Cartan matrix a_fin,
     or of its subgroup generated by the reflections of the first `nodes`
     nodes, by breadth-first matrix products from the identity: level d + 1
     holds each r_i w, w of level d, not met before.  Elements are integer
     matrices on label vectors, as tuples of row tuples; r_i subtracts
-    coordinate i times column i of a_fin."""
+    coordinate i times column i of a_fin.  Built once per (a_fin, nodes)
+    and returned read-only."""
     import numpy as np
     l = len(a_fin)
     eye = np.eye(l, dtype=np.int64)
@@ -304,7 +309,7 @@ def weyl_lengths(a_fin, nodes=None):
         level = np.matmul(gens, np.array(nxt, dtype=np.int64).reshape(-1, l, l)[None])
         level = level.reshape(-1, l, l)
         depth += 1
-    return length
+    return types.MappingProxyType(length)
 
 
 def materialised_weyl(fin):
@@ -312,6 +317,22 @@ def materialised_weyl(fin):
     `weyl_lengths`: the materialised group the Weyl-sum, orbit and fold
     kernels are checked against."""
     return {w: (-1) ** n for w, n in weyl_lengths(fin.A).items()}
+
+
+def scalar_alcove_fold(affine_datum, k, coords):
+    """Fold one rho-shifted label tuple into the open alcove at level
+    t = k + h^vee, one weight at a time: `cartan.reflect_to_dominant` on
+    (x0, x), x0 = t minus the comark-weighted sum of x, with the columns of
+    the affine Cartan matrix.  Returns (sign, folded labels), (0, None) on
+    a wall: the scalar reference for the library's batched
+    `weyl.alcove_fold`."""
+    from twistfuse.cartan import reflect_to_dominant, simple_roots
+
+    t = k + affine_datum.hdual
+    assert t > 0, "the reflection walk need not end at t <= 0"
+    x0 = t - sum(a * x for a, x in zip(affine_datum.comarks[1:], coords))
+    labels, sign = reflect_to_dominant(simple_roots(affine_datum.A), (x0, *coords))
+    return sign, (labels[1:] if sign else None)
 
 
 def brute_force_fold(affine_datum, k, coords, box=4):
@@ -727,7 +748,7 @@ def peel_branch(folding, lam):
 def scalar_kac_walton_row(affine_datum, k, lam1, lam2):
     """{label tuple: N} of the pair lam1, lam2 (label tuples) by the scalar
     route: the character product of lam1 and lam2, peeled into
-    irreducibles, then `weyl.alcove_fold` of each component, summed with
+    irreducibles, then `scalar_alcove_fold` of each component, summed with
     the fold signs."""
     from twistfuse.rep import freudenthal
     fin = affine_datum.finite
@@ -749,14 +770,12 @@ def scalar_twisted_kac_walton_row(folding, k, lam1, lam2_dag):
 
 
 def _fold_components(affine_datum, k, components):
-    from twistfuse.weyl import alcove_fold
     out = {}
     for mu, mult in components.items():
-        res = alcove_fold(affine_datum, k,
-                          affine_datum.finite.weight(tuple(c + 1 for c in mu)))
-        if res.sign:
-            key = tuple(c - 1 for c in res.rep.coords)
-            out[key] = out.get(key, 0) + res.sign * mult
+        sign, rep = scalar_alcove_fold(affine_datum, k, tuple(c + 1 for c in mu))
+        if sign:
+            key = tuple(c - 1 for c in rep)
+            out[key] = out.get(key, 0) + sign * mult
     return {key: v for key, v in out.items() if v}
 
 

@@ -164,13 +164,15 @@ def test_criterion_09_alcove_fold_brute_force():
     for d_, kmax, window in cases:
         d = build_cartan(d_) if isinstance(d_, LieType) else d_
         l = d.rank
+        box = list(itertools.product(range(-window, window + 1), repeat=l))
         for k in range(0, kmax + 1):
-            for coords in itertools.product(range(-window, window + 1), repeat=l):
-                res = alcove_fold(d, k, d.weight(coords))
+            # The engine's fold, of the whole box in one call.
+            signs, folded = alcove_fold(d, k, np.array(box, dtype=np.int64))
+            for coords, s, y in zip(box, signs.tolist(), folded.tolist()):
                 sign, rep = brute_force_fold(d, k, coords)
-                assert res.sign == sign
+                assert s == sign
                 if sign != 0:
-                    assert res.rep.coords == rep
+                    assert tuple(y) == rep
                 points += 1
     report(9, f"alcove folding vs exhaustive enumeration on {points} points",
            time.monotonic() - t0, 30.0)

@@ -23,11 +23,13 @@ from twistfuse.fusion import (SectorLabel, check_pattern, coefficient,
                               twisted_kac_walton_row, twisted_verlinde, verlinde)
 from twistfuse.rep import dominant_level_weights
 from twistfuse.smatrix import _label_json, compact_json, twisted_a, untwisted_S
+from twistfuse.weyl import alcove_fold
 
 from oracles import (fusion_table_json_dict, fusion_table_text,
                      per_entry_json_chunks, per_entry_text_chunks,
                      per_pair_kac_walton_table, per_pair_twisted_kac_walton_table,
-                     scalar_kac_walton_row, scalar_twisted_kac_walton_row)
+                     scalar_alcove_fold, scalar_kac_walton_row,
+                     scalar_twisted_kac_walton_row)
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +354,7 @@ class TestComputeOnce:
     def record(self, monkeypatch, system):
         return (_recorded(monkeypatch, rep_mod, system),
                 _recorded(monkeypatch, fusion_mod, "_klimyk_fold"),
-                _recorded(monkeypatch, fusion_mod, "_alcove"))
+                _recorded(monkeypatch, fusion_mod, "alcove_fold"))
 
     @staticmethod
     def kernel_pairs(call, folds):
@@ -510,16 +512,15 @@ def test_group_sums_match_a_dict():
     (LieType("A", 3, AFFINE_R2), 2, 4),
     (LieType("G", 2, AFFINE_R1), 2, 4),
 ])
-def test_vectorised_fold_matches_alcove_fold(type_, k, window):
-    from twistfuse.weyl import alcove_fold
+def test_alcove_fold_matches_scalar_fold(type_, k, window):
     d = build_cartan(type_)
     pts = np.array(list(itertools.product(range(-window, window + 1), repeat=d.rank)))
-    signs, folded = fusion_mod._alcove(d, k, pts.copy())
+    signs, folded = alcove_fold(d, k, pts.copy())
     for x, sign, y in zip(pts.tolist(), signs.tolist(), folded.tolist()):
-        res = alcove_fold(d, k, d.finite.weight(tuple(x)))
-        assert res.sign == sign
+        expected_sign, expected_rep = scalar_alcove_fold(d, k, tuple(x))
+        assert expected_sign == sign
         if sign:
-            assert res.rep.coords == tuple(y)
+            assert expected_rep == tuple(y)
 
 
 def _emitter_cases():
@@ -628,9 +629,9 @@ def test_gates_fire_without_asserts():
         # reflection signs, the alcove fold signs, the weight multiplicities
         # and the folded labels.
         patched(rep, "_reflect", lambda signs: -signs)
-        patched(fusion, "_alcove", lambda fold: (-fold[0], fold[1]))
+        patched(fusion, "alcove_fold", lambda fold: (-fold[0], fold[1]))
         patched(rep, "_system", lambda sys: (sys[0], sys[1], 2 * sys[2], sys[3]))
-        patched(fusion, "_alcove", lambda fold: (fold[0], fold[1] + 5))
+        patched(fusion, "alcove_fold", lambda fold: (fold[0], fold[1] + 5))
         run(lambda: fusion.kac_walton_row(a2, 1, a2.leveled(1, (1, 1)), vac))
         run(lambda: fusion.twisted_kac_walton_row(
             a3, 1, a3.base.leveled(1, (0, 0, 0)), a3.twisted.leveled(1, (0, 1))))

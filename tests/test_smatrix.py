@@ -131,7 +131,8 @@ class TestTwistedA:
 
     def test_e6_summand_count(self):
         f = build_folding(LieType("E", 6, AFFINE_R1))
-        assert len(generate_weyl(f.twisted.finite)) == 1152
+        mats, signs = generate_weyl(f.twisted.finite)
+        assert len(mats) == len(signs) == 1152
         a = twisted_a(f, 1)
         assert a.shape == (1, 1)
 
